@@ -403,6 +403,7 @@ void write_formats_trajectory() {
     w.field("runs", 17);
     w.field("aggregate", "min");
     storage::reset_stats();
+    const auto picks_before = backend::Context::metrics_snapshot();
     w.begin_array("records");
     double log_vs_best = 0.0, log_vs_worst = 0.0;
     std::size_t n_records = 0, auto_beats_worst = 0;
@@ -495,15 +496,18 @@ void write_formats_trajectory() {
     // Counter story of the whole sweep: conversions happen only while the
     // reps warm up (bounded by inputs x formats); routed ops hit the cache.
     const auto& s = storage::stats();
+    const auto picks_after = backend::Context::metrics_snapshot();
+    const auto picks = [&](telemetry::Counter c) {
+        return picks_after.counter(c) - picks_before.counter(c);
+    };
     w.begin_object("counters");
     w.field("format_conversions",
             s.format_conversions.load(std::memory_order_relaxed));
     w.field("repr_cache_hits", s.repr_cache_hits.load(std::memory_order_relaxed));
-    w.field("dispatch_csr", s.dispatch_csr.load(std::memory_order_relaxed));
-    w.field("dispatch_coo", s.dispatch_coo.load(std::memory_order_relaxed));
-    w.field("dispatch_dense", s.dispatch_dense.load(std::memory_order_relaxed));
-    w.field("dispatch_bitblock",
-            s.dispatch_bitblock.load(std::memory_order_relaxed));
+    w.field("dispatch_csr", picks(telemetry::Counter::DispatchCsr));
+    w.field("dispatch_coo", picks(telemetry::Counter::DispatchCoo));
+    w.field("dispatch_dense", picks(telemetry::Counter::DispatchDense));
+    w.field("dispatch_bitblock", picks(telemetry::Counter::DispatchBitBlocks));
     w.end_object();
     if (prof::counting()) {
         // Replay once with cold caches so the exported trace carries the
@@ -511,8 +515,8 @@ void write_formats_trajectory() {
         // cache hits when the next op reuses them, and one pick per dispatch.
         // No prof::reset() here — the spgemm ladder's final counters must
         // survive into the exit trace dump alongside the dispatch counters,
-        // so the snapshot below also includes them; the storage::Stats
-        // "counters" object above is the dispatch-only tally.
+        // so the snapshot below also includes them; the "counters" object
+        // above is the sweep-only tally.
         for (auto& input : inputs) {
             input.a.drop_cached();
             input.b.drop_cached();

@@ -1,6 +1,7 @@
 #include "core/dense.hpp"
 
 #include "util/bit_ops.hpp"
+#include "util/contracts.hpp"
 
 namespace spbla {
 
@@ -71,7 +72,11 @@ Index DenseMatrix::row_nnz(Index r) const {
 }
 
 DenseMatrix DenseMatrix::kronecker(const DenseMatrix& other) const {
-    DenseMatrix out{nrows_ * other.nrows_, ncols_ * other.ncols_};
+    const std::uint64_t out_rows = static_cast<std::uint64_t>(nrows_) * other.nrows_;
+    const std::uint64_t out_cols = static_cast<std::uint64_t>(ncols_) * other.ncols_;
+    SPBLA_REQUIRE(out_rows <= 0xFFFFFFFFull && out_cols <= 0xFFFFFFFFull,
+                  Status::OutOfRange, "kronecker: result shape overflows Index");
+    DenseMatrix out{static_cast<Index>(out_rows), static_cast<Index>(out_cols)};
     for (Index i1 = 0; i1 < nrows_; ++i1) {
         for (Index j1 = 0; j1 < ncols_; ++j1) {
             if (!get(i1, j1)) continue;

@@ -14,7 +14,6 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
     SPBLA_PROF_COUNT(incr_memo_lookups, 1);
 
     std::shared_ptr<Entry> entry;
-    bool created = false;
     {
         util::LockGuard lk{mu_};
         ++stats_.lookups;
@@ -23,7 +22,6 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
             entry = std::make_shared<Entry>();
             entries_.emplace(key, entry);
             fifo_.push_back(key);
-            created = true;
             while (entries_.size() > capacity_) {
                 // FIFO eviction. Waiters on an evicted in-flight entry still
                 // hold their shared_ptr and finish normally; the key is just
@@ -39,7 +37,9 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
     }
 
     // Rendezvous outside the table lock: the first arrival computes, every
-    // later arrival blocks here and reuses the published value.
+    // later arrival blocks here and reuses the published value. The thread
+    // that created the entry may lose the race to the lock; its reuse then
+    // counts as a hit like any other, so hits + stores == lookups.
     util::LockGuard lk{entry->compute_mu};
     if (entry->value == nullptr) {
         entry->value = std::make_shared<const Matrix>(compute());
@@ -49,7 +49,7 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
         }
         telemetry::count(telemetry::Counter::IncrMemoStores);
         SPBLA_PROF_COUNT(incr_memo_stores, 1);
-    } else if (!created) {
+    } else {
         {
             util::LockGuard slk{mu_};
             ++stats_.hits;

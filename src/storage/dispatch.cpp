@@ -1,5 +1,6 @@
 /// \file dispatch.cpp
-/// \brief The storage engine's cost model and per-op format routing.
+/// \brief The storage engine's cost model and the op table every dispatch
+/// routes through.
 ///
 /// Cost model, in units of "index touches": for each candidate format the
 /// estimated kernel work is added to the conversion work needed to
@@ -8,12 +9,15 @@
 /// and the bench ladder (bench_ops_micro --formats) keeps it honest against
 /// the acceptance bar (auto within 10% of best static, strictly above worst).
 ///
-/// Hysteresis: for binary ops the primary format of the nnz-dominant operand
-/// is "preferred" and a rival must undercut its cost by kHysteresis (2x) to
-/// win. A fixpoint loop whose iterates stay in one format therefore keeps
-/// dispatching to that format until the balance tips decisively — the
-/// conversion counter stays bounded by the number of regime changes (at most
-/// a couple per run), not by the iteration count.
+/// Hysteresis: the primary format of an anchor operand (the nnz-dominant one
+/// for binary ops) is "preferred" and a rival must undercut its cost by
+/// kHysteresis (2x) to win. A fixpoint loop whose iterates stay in one format
+/// therefore keeps dispatching to that format until the balance tips
+/// decisively — the conversion counter stays bounded by the number of regime
+/// changes (at most a couple per run), not by the iteration count.
+///
+/// Routing: every public op is one OpSpec entry in the table at the bottom
+/// of this file, and route() is the one skeleton they all run.
 
 #include "storage/dispatch.hpp"
 
@@ -21,6 +25,9 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 
 #include "backend/arena.hpp"
 #include "ops/ops.hpp"
@@ -36,6 +43,28 @@ namespace spbla::storage {
 namespace {
 
 constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
+
+/// Formats in the order the cost model scans them (ties go to the earlier).
+constexpr Format kFormats[] = {Format::Csr, Format::Coo, Format::Dense,
+                               Format::BitBlocks};
+
+/// One value per storage format, so table entries read as {format -> value}.
+template <class T>
+struct PerFormat {
+    T csr{}, coo{}, dense{}, bitblock{};
+
+    [[nodiscard]] constexpr const T& operator[](Format f) const noexcept {
+        switch (f) {
+            case Format::Coo: return coo;
+            case Format::Dense: return dense;
+            case Format::BitBlocks: return bitblock;
+            case Format::Csr: break;
+        }
+        return csr;
+    }
+};
+
+using Costs = PerFormat<double>;
 
 /// A rival format must be this much cheaper than the preferred (incumbent)
 /// format to displace it — the anti-thrash margin.
@@ -128,15 +157,8 @@ constexpr double kWordOpScale = 0.08;
     return kInfiniteCost;
 }
 
-/// Estimated multiply work per candidate format.
-struct MultiplyCosts {
-    double csr;
-    double coo;
-    double dense;
-    double bitblock;
-};
-
-[[nodiscard]] MultiplyCosts multiply_costs(const Matrix& a, const Matrix& b) noexcept {
+/// Estimated multiply kernel work per format.
+[[nodiscard]] Costs multiply_costs(const Matrix& a, const Matrix& b) noexcept {
     const auto nnz_a = static_cast<double>(a.nnz());
     const auto nnz_b = static_cast<double>(b.nnz());
     // Expected FLOP proxy: each entry of A selects a row of B of average
@@ -147,7 +169,7 @@ struct MultiplyCosts {
         b.nrows() > 0
             ? std::max(1.0, static_cast<double>(b.max_row_nnz()) / (nnz_b / rows_b + 1.0))
             : 1.0;
-    MultiplyCosts costs{};
+    Costs costs{};
     // Hash SpGEMM: symbolic + numeric passes, hash probes ~ constant each.
     costs.csr = 4.0 * flops + 0.25 * static_cast<double>(a.nrows());
     // Expand-sort-dedup: the sort pays log of the expanded list, and skewed
@@ -169,135 +191,64 @@ struct MultiplyCosts {
     return costs;
 }
 
-void count_dispatch(Format f) noexcept {
-    switch (f) {
-        case Format::Csr:
-            stats().dispatch_csr.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_csr, 1);
-            telemetry::count(telemetry::Counter::DispatchCsr);
-            break;
-        case Format::Coo:
-            stats().dispatch_coo.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_coo, 1);
-            telemetry::count(telemetry::Counter::DispatchCoo);
-            break;
-        case Format::Dense:
-            stats().dispatch_dense.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_dense, 1);
-            telemetry::count(telemetry::Counter::DispatchDense);
-            break;
-        case Format::BitBlocks:
-            stats().dispatch_bitblock.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_bitblock, 1);
-            telemetry::count(telemetry::Counter::DispatchBitBlocks);
-            break;
-    }
-}
-
-/// Short routed-format tag for the flight recorder (static storage, as its
-/// records keep the pointer).
-[[nodiscard]] const char* format_tag(Format f) noexcept {
-    switch (f) {
-        case Format::Csr: return "csr";
-        case Format::Coo: return "coo";
-        case Format::Dense: return "dense";
-        case Format::BitBlocks: return "bitblock";
-    }
-    return "?";
-}
-
-[[nodiscard]] telemetry::Histogram latency_histogram(Format f) noexcept {
-    switch (f) {
-        case Format::Coo: return telemetry::Histogram::OpLatencyCooNs;
-        case Format::Dense: return telemetry::Histogram::OpLatencyDenseNs;
-        case Format::BitBlocks: return telemetry::Histogram::OpLatencyBitBlocksNs;
-        case Format::Csr: break;
-    }
-    return telemetry::Histogram::OpLatencyCsrNs;
-}
-
-/// Per-op telemetry scope. Constructed at dispatch entry (so the measured
-/// wall time covers cost modelling, operand conversions and the kernel) and
-/// closed via done()/done_sharded() once the result exists: one DispatchOps
-/// count, the routed format's latency histogram, the nnz in/out histograms,
-/// and a flight-recorder record. Ops that throw record nothing — the
-/// invariant "sum of latency-histogram counts == spbla.dispatch.ops" is what
-/// check_trace --require-metrics verifies.
-class OpTelemetry {
-public:
-    OpTelemetry(const char* op, backend::Context& ctx, std::uint64_t nnz_in) noexcept
-        : op_(op), nnz_in_(nnz_in), arena_scope_{ctx.scratch_arena()} {}
-
-    void done(Format f, Index nrows, Index ncols, std::uint64_t nnz_out) noexcept {
-        finish(latency_histogram(f), format_tag(f), nrows, ncols, nnz_out);
-    }
-
-    void done_sharded(Index nrows, Index ncols, std::uint64_t nnz_out) noexcept {
-        finish(telemetry::Histogram::OpLatencyShardedNs, "sharded", nrows, ncols,
-               nnz_out);
-    }
-
-private:
-    void finish(telemetry::Histogram latency, const char* tag, Index nrows,
-                Index ncols, std::uint64_t nnz_out) noexcept {
-        const auto ns = static_cast<std::uint64_t>(timer_.seconds() * 1e9);
-        telemetry::count(telemetry::Counter::DispatchOps);
-        telemetry::observe(latency, ns);
-        telemetry::observe(telemetry::Histogram::OpNnzIn, nnz_in_);
-        telemetry::observe(telemetry::Histogram::OpNnzOut, nnz_out);
-        telemetry::flight::record(op_, tag, nrows, ncols, nnz_in_, nnz_out, ns);
-    }
-
-    const char* op_;
-    std::uint64_t nnz_in_;
-    util::Timer timer_;
-    /// Per-op arena scope on the dispatching thread: op-level scratch from
-    /// conversions and inline kernel launches is reclaimed when the op
-    /// returns. One scope (and so one spbla.arena.resets) per dispatched op
-    /// — the invariant tools/check_trace.py --require-arena verifies.
-    backend::ScopedArena arena_scope_;
+/// How a pick of each route is counted and timed; the flight-recorder tag is
+/// spbla::format_name of the route.
+struct RouteMetrics {
+    telemetry::Counter picks;
+    telemetry::Histogram latency;
+    const char* prof_counter;  ///< per-span pick counter (check_trace --require-dispatch)
 };
 
-/// Keep the caches of every operand under the process-wide budget once the
-/// routed kernel has run (their borrowed references are dead by then).
-void trim(std::initializer_list<const Matrix*> operands) noexcept {
-    if (cached_bytes() <= cache_budget()) return;
-    for (const Matrix* m : operands) m->trim_cache();
+constexpr PerFormat<RouteMetrics> kRouteMetrics{
+    .csr = {telemetry::Counter::DispatchCsr, telemetry::Histogram::OpLatencyCsrNs,
+            "dispatch_csr"},
+    .coo = {telemetry::Counter::DispatchCoo, telemetry::Histogram::OpLatencyCooNs,
+            "dispatch_coo"},
+    .dense = {telemetry::Counter::DispatchDense, telemetry::Histogram::OpLatencyDenseNs,
+              "dispatch_dense"},
+    .bitblock = {telemetry::Counter::DispatchBitBlocks,
+                 telemetry::Histogram::OpLatencyBitBlocksNs, "dispatch_bitblock"},
+};
+
+void count_route(Format f) {
+    telemetry::count(kRouteMetrics[f].picks);
+#if SPBLA_PROFILE_LEVEL >= SPBLA_PROFILE_COUNTERS
+    static const PerFormat<prof::SiteId> sites{
+        prof::register_counter(kRouteMetrics.csr.prof_counter),
+        prof::register_counter(kRouteMetrics.coo.prof_counter),
+        prof::register_counter(kRouteMetrics.dense.prof_counter),
+        prof::register_counter(kRouteMetrics.bitblock.prof_counter)};
+    prof::count(sites[f], 1);
+#endif
 }
 
-/// Map a forced hint onto the candidate set; Auto and unsupported formats
-/// yield no override.
-[[nodiscard]] bool forced(FormatHint hint, std::initializer_list<Format> candidates,
-                          Format& out) noexcept {
-    Format want{};
+/// The format a forced hint names; nullopt under Auto.
+[[nodiscard]] std::optional<Format> forced(FormatHint hint) noexcept {
     switch (hint) {
-        case FormatHint::Auto: return false;
-        case FormatHint::ForceCsr: want = Format::Csr; break;
-        case FormatHint::ForceCoo: want = Format::Coo; break;
-        case FormatHint::ForceDense: want = Format::Dense; break;
-        case FormatHint::ForceBitBlocks: want = Format::BitBlocks; break;
+        case FormatHint::ForceCsr: return Format::Csr;
+        case FormatHint::ForceCoo: return Format::Coo;
+        case FormatHint::ForceDense: return Format::Dense;
+        case FormatHint::ForceBitBlocks: return Format::BitBlocks;
+        case FormatHint::Auto: break;
     }
-    for (const Format f : candidates) {
-        if (f == want) {
-            out = want;
-            return true;
-        }
-    }
-    // Forced format has no kernel for this op: CSR is the universal
-    // fallback, keeping forced sweeps semantically identical.
-    out = Format::Csr;
-    return true;
+    return std::nullopt;
 }
 
-/// Pick the cheapest candidate, honouring the incumbent's hysteresis margin.
-/// \p preferred is the format the dominant operand already owns (or a
-/// sentinel cost of infinity when it is not a candidate).
-[[nodiscard]] Format pick(std::initializer_list<std::pair<Format, double>> costed,
-                          Format preferred) noexcept {
+/// Pick the cheapest row the op has, honouring the incumbent's hysteresis
+/// margin. A row's cost is its kernel \p work plus materialising its format
+/// on every operand (zero where cached), summed left to right. \p preferred
+/// is the format the anchor operand already owns; it counts only when the op
+/// has a finite-cost row for it.
+template <class HasRow, class... Ms>
+[[nodiscard]] Format pick(const Costs& work, const HasRow& has_row, Format preferred,
+                          const std::tuple<const Ms*...>& operands) {
     Format best = Format::Csr;
     double best_cost = kInfiniteCost;
     double preferred_cost = kInfiniteCost;
-    for (const auto& [f, cost] : costed) {
+    for (const Format f : kFormats) {
+        if (!has_row(f)) continue;
+        const double cost = std::apply(
+            [&](const auto*... m) { return (work[f] + ... + convert_cost(*m, f)); }, operands);
         if (cost < best_cost) {
             best = f;
             best_cost = cost;
@@ -310,508 +261,514 @@ void trim(std::initializer_list<const Matrix*> operands) noexcept {
     return best;
 }
 
-/// The operand whose format should anchor hysteresis: the larger one.
-[[nodiscard]] Format dominant_format(const Matrix& a, const Matrix& b) noexcept {
-    return (b.nnz() > a.nnz() ? b : a).format();
+/// Which operand's primary format anchors the hysteresis margin.
+enum class Anchor : std::uint8_t {
+    First,     ///< the first matrix operand (the accumulator, or the only one)
+    Dominant,  ///< the nnz-larger of the first two matrix operands
+};
+
+template <class Fn>
+struct OpSpec;
+
+/// One entry of the op table, typed by the public function it backs.
+template <class Out, class... Args>
+struct OpSpec<Out(backend::Context&, Args...)> {
+    using Kernel = Out (*)(backend::Context&, Args...);
+
+    const char* span;    ///< prof span, "storage.dispatch.<op>"
+    const char* flight;  ///< flight-recorder op name
+    Anchor anchor = Anchor::First;
+    /// Empty-operand fast path: the result when it applies, else nullopt.
+    std::optional<Out> (*shortcut)(backend::Context&, Args...) = nullptr;
+    /// Sharded entry point in the multi-device bridge, if the op has one.
+    Out (*DistBridge::*bridge)(backend::Context&, Args...) = nullptr;
+    /// Modelled kernel work of each row (infinite: never picked by the
+    /// model), evaluated under FormatHint::Auto only; an op without a model
+    /// routes CSR under Auto.
+    Costs (*work)(Args...) = nullptr;
+    /// Input-dependent row availability; null admits every row.
+    bool (*admits)(Format, Args...) = nullptr;
+    /// Kernel rows; null where the op has no kernel in that format. Every
+    /// op has a CSR row: it is where forced formats without a row fall back.
+    PerFormat<Kernel> rows{};
+    /// For SpVector results: a 1 x n row (true) or an n x 1 column.
+    bool row_vector = false;
+};
+
+template <class T>
+[[nodiscard]] auto matrix_operand(const T& x) noexcept {
+    if constexpr (std::is_same_v<T, Matrix>) return std::tuple<const Matrix*>{&x};
+    else return std::tuple<>{};
 }
 
-}  // namespace
+template <class T>
+[[nodiscard]] std::uint64_t nnz_of(const T& x) noexcept {
+    if constexpr (std::is_same_v<T, Matrix> || std::is_same_v<T, SpVector>) return x.nnz();
+    else return 0;
+}
+
+/// The one routing skeleton: span, telemetry scope, empty-operand shortcut,
+/// multi-device probe, hint or cost pick, route count, kernel, telemetry
+/// close, cache trim.
+template <const auto& Op, class... Ts>
+auto route(backend::Context& ctx, const Ts&... args) {
+    SPBLA_PROF_SPAN(Op.span);
+    // Timed from entry, so the latency covers cost modelling, operand
+    // conversions and the kernel.
+    const util::Timer timer;
+    // Per-op arena scope on the dispatching thread: op-level scratch from
+    // conversions and inline kernel launches is reclaimed when the op
+    // returns. One scope (and so one spbla.arena.resets) per dispatched op
+    // — the invariant tools/check_trace.py --require-arena verifies.
+    const backend::ScopedArena arena_scope{ctx.scratch_arena()};
+    const auto operands = std::tuple_cat(matrix_operand(args)...);
+    const std::uint64_t nnz_in = (nnz_of(args) + ...);
+    // Close the op's telemetry once the result exists: one DispatchOps
+    // count, the route's latency histogram, the nnz in/out histograms and a
+    // flight-recorder record. Ops that throw record nothing — the invariant
+    // "sum of latency-histogram counts == spbla.dispatch.ops" is what
+    // check_trace --require-metrics verifies.
+    const auto done = [&](telemetry::Histogram latency, const char* tag, const auto& out) {
+        Index nrows = 1, ncols = 1;
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(out)>, Matrix>) {
+            nrows = out.nrows();
+            ncols = out.ncols();
+        } else if (Op.row_vector) {
+            ncols = out.size();
+        } else {
+            nrows = out.size();
+        }
+        const auto ns = static_cast<std::uint64_t>(timer.seconds() * 1e9);
+        telemetry::count(telemetry::Counter::DispatchOps);
+        telemetry::observe(latency, ns);
+        telemetry::observe(telemetry::Histogram::OpNnzIn, nnz_in);
+        telemetry::observe(telemetry::Histogram::OpNnzOut, out.nnz());
+        telemetry::flight::record(Op.flight, tag, nrows, ncols, nnz_in, out.nnz(), ns);
+    };
+
+    if (Op.shortcut != nullptr) {
+        // Delta-shaped operand: a drained frontier (or empty base) decides
+        // the result without a kernel. The fast path still counts a CSR pick
+        // and closes the telemetry scope, so the dispatch invariants hold.
+        if (auto out = Op.shortcut(ctx, args...)) {
+            telemetry::count(telemetry::Counter::IncrShortCircuits);
+            SPBLA_PROF_COUNT(incr_shortcircuit, 1);
+            count_route(Format::Csr);
+            done(kRouteMetrics.csr.latency, format_name(Format::Csr), *out);
+            return *std::move(out);
+        }
+    }
+    if (Op.bridge != nullptr) {
+        const DistBridge* db = dist_bridge();
+        if (db != nullptr &&
+            std::apply([db](auto... m) { return db->should_shard({m...}); }, operands)) {
+            auto out = (db->*Op.bridge)(ctx, args...);
+            done(telemetry::Histogram::OpLatencyShardedNs, "sharded", out);
+            return out;
+        }
+    }
+
+    const auto has_row = [&](Format f) {
+        return Op.rows[f] != nullptr && (Op.admits == nullptr || Op.admits(f, args...));
+    };
+    Format f = Format::Csr;
+    if (const auto want = forced(global_hint())) {
+        // A forced format the op has no row for falls back to CSR, which
+        // every op implements, so forced sweeps compute identical results.
+        if (has_row(*want)) f = *want;
+    } else if (Op.work != nullptr) {
+        const Matrix& first = *std::get<0>(operands);
+        Format preferred = first.format();
+        if constexpr (Op.anchor == Anchor::Dominant) {
+            const Matrix& second = *std::get<1>(operands);
+            preferred = (second.nnz() > first.nnz() ? second : first).format();
+        }
+        f = pick(Op.work(args...), has_row, preferred, operands);
+    }
+    count_route(f);
+    auto out = Op.rows[f](ctx, args...);
+    done(kRouteMetrics[f].latency, format_name(f), out);
+    // Keep the operands' caches under the process-wide budget now that the
+    // kernel's borrowed references are dead.
+    if (cached_bytes() > cache_budget()) {
+        std::apply([](auto... m) { (m->trim_cache(), ...); }, operands);
+    }
+    return out;
+}
 
 // ---------------------------------------------------------------------------
-// multiply / multiply_add
+// The op table
 // ---------------------------------------------------------------------------
 
-Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b,
-                const ops::SpGemmOptions& opts) {
-    SPBLA_PROF_SPAN("storage.dispatch.multiply");
-    OpTelemetry tel("multiply", ctx, a.nnz() + b.nnz());
-    if (a.empty() || b.empty()) {
-        // Delta-shaped operand: a drained frontier (or empty base) makes the
-        // product empty without running a kernel. The fast path still counts
-        // a format pick and closes the telemetry scope so the dispatch
-        // invariants check_trace --require-metrics verifies keep holding.
+constexpr OpSpec<decltype(multiply)> kMultiply{
+    .span = "storage.dispatch.multiply",
+    .flight = "multiply",
+    .anchor = Anchor::Dominant,
+    .shortcut = [](backend::Context& ctx, const Matrix& a, const Matrix& b,
+                   const ops::SpGemmOptions&) -> std::optional<Matrix> {
+        if (!a.empty() && !b.empty()) return std::nullopt;
         SPBLA_REQUIRE(a.ncols() == b.nrows(), Status::DimensionMismatch,
                       "multiply: inner dimensions disagree");
-        telemetry::count(telemetry::Counter::IncrShortCircuits);
-        SPBLA_PROF_COUNT(incr_shortcircuit, 1);
-        count_dispatch(Format::Csr);
-        Matrix out{a.nrows(), b.ncols(), ctx};
-        tel.done(Format::Csr, out.nrows(), out.ncols(), 0);
-        return out;
-    }
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a, &b})) {
-        Matrix out = db->multiply(ctx, a, b, opts);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(),
-                {Format::Csr, Format::Coo, Format::Dense, Format::BitBlocks}, f)) {
+        return Matrix{a.nrows(), b.ncols(), ctx};
+    },
+    .bridge = &DistBridge::multiply,
+    .work = [](const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
         const bool dense_ok = dense_eligible(a) && dense_eligible(b) &&
                               dense_output_eligible(a.nrows(), b.ncols());
         const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
-        f = pick({{Format::Csr, k.csr + convert_cost(a, Format::Csr) +
-                                    convert_cost(b, Format::Csr)},
-                  {Format::Coo, k.coo + convert_cost(a, Format::Coo) +
-                                    convert_cost(b, Format::Coo)},
-                  {Format::Dense, dense_ok ? k.dense + convert_cost(a, Format::Dense) +
-                                                 convert_cost(b, Format::Dense)
-                                           : kInfiniteCost},
-                  {Format::BitBlocks,
-                   bb_ok ? k.bitblock + convert_cost(a, Format::BitBlocks) +
-                               convert_cost(b, Format::BitBlocks)
-                         : kInfiniteCost}},
-                 dominant_format(a, b));
-    }
-    count_dispatch(f);
-    Matrix out = [&] {
-        switch (f) {
-            case Format::Coo:
-                return Matrix{ops::multiply(ctx, a.coo(ctx), b.coo(ctx)), ctx};
-            case Format::Dense:
-                return Matrix{a.dense(ctx).multiply(b.dense(ctx)), ctx};
-            case Format::BitBlocks:
-                return Matrix{ops::multiply(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
-            case Format::Csr:
-            default:
-                return Matrix{ops::multiply(ctx, a.csr(ctx), b.csr(ctx), opts), ctx};
-        }
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a, &b});
-    return out;
-}
+        return Costs{.csr = k.csr,
+                     .coo = k.coo,
+                     .dense = dense_ok ? k.dense : kInfiniteCost,
+                     .bitblock = bb_ok ? k.bitblock : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& b, const auto& opts) {
+            return Matrix{ops::multiply(ctx, a.csr(ctx), b.csr(ctx), opts), ctx};
+        },
+        .coo = [](auto& ctx, const auto& a, const auto& b, const auto&) {
+            return Matrix{ops::multiply(ctx, a.coo(ctx), b.coo(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, const auto& b, const auto&) {
+            return Matrix{a.dense(ctx).multiply(b.dense(ctx)), ctx};
+        },
+        .bitblock = [](auto& ctx, const auto& a, const auto& b, const auto&) {
+            return Matrix{ops::multiply(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
+        }},
+};
 
-Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
-                    const Matrix& b, const ops::SpGemmOptions& opts) {
-    SPBLA_PROF_SPAN("storage.dispatch.multiply_add");
-    OpTelemetry tel("multiply_add", ctx, c.nnz() + a.nnz() + b.nnz());
-    if (a.empty() || b.empty()) {
+constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
+    .span = "storage.dispatch.multiply_add",
+    .flight = "multiply_add",
+    .anchor = Anchor::First,  // the accumulator C
+    .shortcut = [](backend::Context&, const Matrix& c, const Matrix& a, const Matrix& b,
+                   const ops::SpGemmOptions&) -> std::optional<Matrix> {
         // Empty product term: the fused form degenerates to C itself. The
         // copy carries C's content version (same cells, same stamp), which
         // the version-keyed caches rely on.
+        if (!a.empty() && !b.empty()) return std::nullopt;
         SPBLA_REQUIRE(a.ncols() == b.nrows(), Status::DimensionMismatch,
                       "multiply_add: inner dimensions disagree");
         SPBLA_REQUIRE(c.nrows() == a.nrows() && c.ncols() == b.ncols(),
-                      Status::DimensionMismatch,
-                      "multiply_add: accumulator shape disagrees");
-        telemetry::count(telemetry::Counter::IncrShortCircuits);
-        SPBLA_PROF_COUNT(incr_shortcircuit, 1);
-        count_dispatch(Format::Csr);
-        Matrix out{c};
-        tel.done(Format::Csr, out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&c, &a, &b})) {
-        Matrix out = db->multiply_add(ctx, c, a, b, opts);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Dense, Format::BitBlocks}, f)) {
+                      Status::DimensionMismatch, "multiply_add: accumulator shape disagrees");
+        return Matrix{c};
+    },
+    .bridge = &DistBridge::multiply_add,
+    .work = [](const Matrix& c, const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
-        const bool dense_ok = dense_eligible(a) && dense_eligible(b) &&
-                              dense_eligible(c) &&
+        const bool dense_ok = dense_eligible(a) && dense_eligible(b) && dense_eligible(c) &&
                               dense_output_eligible(c.nrows(), c.ncols());
         const bool bb_ok =
             bitblock_eligible(a) && bitblock_eligible(b) && bitblock_eligible(c);
-        const double csr_cost = k.csr + 2.0 * static_cast<double>(c.nnz()) +
-                                convert_cost(c, Format::Csr) +
-                                convert_cost(a, Format::Csr) + convert_cost(b, Format::Csr);
-        const double dense_cost =
-            dense_ok ? k.dense + words_of(c.nrows(), c.ncols()) +
-                           convert_cost(c, Format::Dense) + convert_cost(a, Format::Dense) +
-                           convert_cost(b, Format::Dense)
-                     : kInfiniteCost;
-        const double bb_cost =
-            bb_ok ? k.bitblock + kWordOpScale * 320.0 * est_blocks(c) +
-                        convert_cost(c, Format::BitBlocks) +
-                        convert_cost(a, Format::BitBlocks) +
-                        convert_cost(b, Format::BitBlocks)
-                  : kInfiniteCost;
-        f = pick({{Format::Csr, csr_cost},
-                  {Format::Dense, dense_cost},
-                  {Format::BitBlocks, bb_cost}},
-                 c.format());
-    }
-    if (f == Format::Coo) f = Format::Csr;  // no fused COO kernel
-    count_dispatch(f);
-    Matrix out = [&] {
-        if (f == Format::Dense) {
-            return Matrix{c.dense(ctx).ewise_or(a.dense(ctx).multiply(b.dense(ctx))), ctx};
-        }
-        if (f == Format::BitBlocks) {
-            return Matrix{ops::ewise_add(ctx, c.bitblocks(ctx),
-                                         ops::multiply(ctx, a.bitblocks(ctx),
-                                                       b.bitblocks(ctx))),
+        return Costs{
+            .csr = k.csr + 2.0 * static_cast<double>(c.nnz()),
+            .dense = dense_ok ? k.dense + words_of(c.nrows(), c.ncols()) : kInfiniteCost,
+            .bitblock = bb_ok ? k.bitblock + kWordOpScale * 320.0 * est_blocks(c)
+                              : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto& opts) {
+            return Matrix{ops::multiply_add(ctx, c.csr(ctx), a.csr(ctx), b.csr(ctx), opts),
                           ctx};
-        }
-        return Matrix{ops::multiply_add(ctx, c.csr(ctx), a.csr(ctx), b.csr(ctx), opts), ctx};
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&c, &a, &b});
-    return out;
-}
+        },
+        .dense = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto&) {
+            return Matrix{c.dense(ctx).ewise_or(a.dense(ctx).multiply(b.dense(ctx))), ctx};
+        },
+        .bitblock = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto&) {
+            return Matrix{ops::ewise_add(ctx, c.bitblocks(ctx),
+                                         ops::multiply(ctx, a.bitblocks(ctx), b.bitblocks(ctx))),
+                          ctx};
+        }},
+};
 
-// ---------------------------------------------------------------------------
-// element-wise family
-// ---------------------------------------------------------------------------
-
-Matrix ewise_add(backend::Context& ctx, const Matrix& a, const Matrix& b) {
-    SPBLA_PROF_SPAN("storage.dispatch.ewise_add");
-    OpTelemetry tel("ewise_add", ctx, a.nnz() + b.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a, &b})) {
-        Matrix out = db->ewise_add(ctx, a, b);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(),
-                {Format::Csr, Format::Coo, Format::Dense, Format::BitBlocks}, f)) {
-        const auto total = static_cast<double>(a.nnz() + b.nnz());
-        const bool dense_ok = dense_ewise_eligible(a) && dense_ewise_eligible(b);
-        const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
+constexpr OpSpec<decltype(ewise_add)> kEwiseAdd{
+    .span = "storage.dispatch.ewise_add",
+    .flight = "ewise_add",
+    .anchor = Anchor::Dominant,
+    .bridge = &DistBridge::ewise_add,
+    .work = [](const Matrix& a, const Matrix& b) {
         // CSR pays the per-row merge bookkeeping; the flat COO merge is the
         // natural very-sparse winner; dense is one OR sweep over the words;
         // bitblock pays ~5 word sweeps per occupied tile (expand both sides,
         // merge, then the popcount + pack of reassembly).
-        f = pick({{Format::Csr, 2.0 * total + 0.5 * static_cast<double>(a.nrows()) +
-                                    convert_cost(a, Format::Csr) +
-                                    convert_cost(b, Format::Csr)},
-                  {Format::Coo, total + convert_cost(a, Format::Coo) +
-                                    convert_cost(b, Format::Coo)},
-                  {Format::Dense, dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) +
-                                                 convert_cost(a, Format::Dense) +
-                                                 convert_cost(b, Format::Dense)
-                                           : kInfiniteCost},
-                  {Format::BitBlocks,
-                   bb_ok ? kWordOpScale * 320.0 * (est_blocks(a) + est_blocks(b)) +
-                               convert_cost(a, Format::BitBlocks) +
-                               convert_cost(b, Format::BitBlocks)
-                         : kInfiniteCost}},
-                 dominant_format(a, b));
-    }
-    count_dispatch(f);
-    Matrix out = [&] {
-        switch (f) {
-            case Format::Coo:
-                return Matrix{ops::ewise_add(ctx, a.coo(ctx), b.coo(ctx)), ctx};
-            case Format::Dense:
-                return Matrix{a.dense(ctx).ewise_or(b.dense(ctx)), ctx};
-            case Format::BitBlocks:
-                return Matrix{ops::ewise_add(ctx, a.bitblocks(ctx), b.bitblocks(ctx)),
-                              ctx};
-            case Format::Csr:
-            default:
-                return Matrix{ops::ewise_add(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-        }
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a, &b});
-    return out;
-}
-
-Matrix ewise_mult(backend::Context& ctx, const Matrix& a, const Matrix& b) {
-    SPBLA_PROF_SPAN("storage.dispatch.ewise_mult");
-    OpTelemetry tel("ewise_mult", ctx, a.nnz() + b.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a, &b})) {
-        Matrix out = db->ewise_mult(ctx, a, b);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Dense, Format::BitBlocks}, f)) {
         const auto total = static_cast<double>(a.nnz() + b.nnz());
         const bool dense_ok = dense_ewise_eligible(a) && dense_ewise_eligible(b);
         const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
+        return Costs{
+            .csr = 2.0 * total + 0.5 * static_cast<double>(a.nrows()),
+            .coo = total,
+            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost,
+            .bitblock = bb_ok ? kWordOpScale * 320.0 * (est_blocks(a) + est_blocks(b))
+                              : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::ewise_add(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+        },
+        .coo = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::ewise_add(ctx, a.coo(ctx), b.coo(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{a.dense(ctx).ewise_or(b.dense(ctx)), ctx};
+        },
+        .bitblock = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::ewise_add(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
+        }},
+};
+
+constexpr OpSpec<decltype(ewise_mult)> kEwiseMult{
+    .span = "storage.dispatch.ewise_mult",
+    .flight = "ewise_mult",
+    .anchor = Anchor::Dominant,
+    .bridge = &DistBridge::ewise_mult,
+    .work = [](const Matrix& a, const Matrix& b) {
         // The bitblock intersection expands both sides of every matched tile
         // pair (~5 word sweeps, as in ewise_add); the occupied-tile sum is
         // the upper bound on matches and keeps disjoint patterns on CSR.
-        f = pick({{Format::Csr, 2.0 * total + convert_cost(a, Format::Csr) +
-                                    convert_cost(b, Format::Csr)},
-                  {Format::Dense, dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) +
-                                                 convert_cost(a, Format::Dense) +
-                                                 convert_cost(b, Format::Dense)
-                                           : kInfiniteCost},
-                  {Format::BitBlocks,
-                   bb_ok ? kWordOpScale * 320.0 *
-                               (est_blocks(a) + est_blocks(b)) +
-                               convert_cost(a, Format::BitBlocks) +
-                               convert_cost(b, Format::BitBlocks)
-                         : kInfiniteCost}},
-                 dominant_format(a, b));
-    }
-    if (f == Format::Coo) f = Format::Csr;
-    count_dispatch(f);
-    Matrix out = [&] {
-        if (f == Format::Dense) return Matrix{a.dense(ctx).ewise_and(b.dense(ctx)), ctx};
-        if (f == Format::BitBlocks) {
+        const bool dense_ok = dense_ewise_eligible(a) && dense_ewise_eligible(b);
+        const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
+        return Costs{
+            .csr = 2.0 * static_cast<double>(a.nnz() + b.nnz()),
+            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost,
+            .bitblock = bb_ok ? kWordOpScale * 320.0 * (est_blocks(a) + est_blocks(b))
+                              : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::ewise_mult(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{a.dense(ctx).ewise_and(b.dense(ctx)), ctx};
+        },
+        .bitblock = [](auto& ctx, const auto& a, const auto& b) {
             return Matrix{ops::ewise_mult(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
-        }
-        return Matrix{ops::ewise_mult(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a, &b});
-    return out;
+        }},
+};
+
+constexpr OpSpec<decltype(ewise_diff)> kEwiseDiff{
+    .span = "storage.dispatch.ewise_diff",
+    .flight = "ewise_diff",
+    .anchor = Anchor::Dominant,
+    .work = [](const Matrix& a, const Matrix& b) {
+        const bool dense_ok = dense_eligible(a) && dense_eligible(b);
+        return Costs{
+            .csr = 2.0 * static_cast<double>(a.nnz() + b.nnz()),
+            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::ewise_diff(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{a.dense(ctx).ewise_andnot(b.dense(ctx)), ctx};
+        }},
+};
+
+// The CSR kernel's work is exactly the nnz_a * nnz_b output entries; the
+// dense nested loop touches every cell pair and only wins on tiny, saturated
+// blocks. So kronecker has no cost model (Auto routes CSR), and the dense row
+// runs only under an explicit force, on an output small enough to bitmap.
+constexpr OpSpec<decltype(kronecker)> kKronecker{
+    .span = "storage.dispatch.kronecker",
+    .flight = "kronecker",
+    .bridge = &DistBridge::kronecker,
+    .admits = [](Format f, const Matrix& a, const Matrix& b) {
+        if (f != Format::Dense) return true;
+        // The output shape in 64 bits: a wrapped 32-bit product would pass.
+        const std::uint64_t rows = std::uint64_t{a.nrows()} * b.nrows();
+        const std::uint64_t cols = std::uint64_t{a.ncols()} * b.ncols();
+        constexpr std::uint64_t kMaxIndex = std::numeric_limits<Index>::max();
+        return rows <= kMaxIndex && cols <= kMaxIndex && dense_eligible(a) &&
+               dense_eligible(b) &&
+               dense_output_eligible(static_cast<Index>(rows), static_cast<Index>(cols));
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{ops::kronecker(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, const auto& b) {
+            return Matrix{a.dense(ctx).kronecker(b.dense(ctx)), ctx};
+        }},
+};
+
+constexpr OpSpec<decltype(transpose)> kTranspose{
+    .span = "storage.dispatch.transpose",
+    .flight = "transpose",
+    .bridge = &DistBridge::transpose,
+    .work = [](const Matrix& a) {
+        // COO transpose is swap + sort; CSR is a counting pass + scatter;
+        // bitblock is ~384 register word ops per occupied tile.
+        const auto nnz = static_cast<double>(a.nnz());
+        const auto cells = static_cast<double>(a.nrows()) * static_cast<double>(a.ncols());
+        return Costs{
+            .csr = 2.0 * nnz + 0.5 * static_cast<double>(a.ncols()),
+            .coo = nnz * (1.0 + 0.25 * std::log2(nnz + 2.0)),
+            .dense = dense_eligible(a) ? cells : kInfiniteCost,
+            .bitblock = bitblock_eligible(a) ? kWordOpScale * 448.0 * est_blocks(a)
+                                             : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a) {
+            return Matrix{ops::transpose(ctx, a.csr(ctx)), ctx};
+        },
+        .coo = [](auto& ctx, const auto& a) {
+            return Matrix{ops::transpose(ctx, a.coo(ctx)), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a) { return Matrix{a.dense(ctx).transpose(), ctx}; },
+        .bitblock = [](auto& ctx, const auto& a) {
+            return Matrix{ops::transpose(ctx, a.bitblocks(ctx)), ctx};
+        }},
+};
+
+constexpr OpSpec<decltype(submatrix)> kSubmatrix{
+    .span = "storage.dispatch.submatrix",
+    .flight = "submatrix",
+    .work = [](const Matrix& a, Index, Index, Index m, Index n) {
+        // CSR touches only the selected row windows; COO scans all entries.
+        const auto nnz = static_cast<double>(a.nnz());
+        const double row_fraction =
+            a.nrows() > 0 ? static_cast<double>(m) / static_cast<double>(a.nrows()) : 1.0;
+        const bool dense_ok = dense_eligible(a) && dense_output_eligible(m, n);
+        return Costs{
+            .csr = nnz * row_fraction + 8.0 * static_cast<double>(m),
+            .coo = nnz,
+            .dense = dense_ok ? static_cast<double>(m) * static_cast<double>(n)
+                              : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
+            return Matrix{ops::submatrix(ctx, a.csr(ctx), r0, c0, m, n), ctx};
+        },
+        .coo = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
+            return Matrix{ops::submatrix(ctx, a.coo(ctx), r0, c0, m, n), ctx};
+        },
+        .dense = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
+            return Matrix{a.dense(ctx).submatrix(r0, c0, m, n), ctx};
+        }},
+};
+
+constexpr OpSpec<decltype(reduce_to_column)> kReduceToColumn{
+    .span = "storage.dispatch.reduce_to_column",
+    .flight = "reduce_to_col",
+    .bridge = &DistBridge::reduce_to_column,
+    .work = [](const Matrix& a) {
+        // All kernels are linear; whichever representation exists wins.
+        return Costs{.csr = 0.5 * static_cast<double>(a.nrows()),
+                     .coo = static_cast<double>(a.nnz()),
+                     .bitblock = kWordOpScale * 64.0 * est_blocks(a)};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a) { return ops::reduce_to_column(ctx, a.csr(ctx)); },
+        .coo = [](auto& ctx, const auto& a) { return ops::reduce_to_column(ctx, a.coo(ctx)); },
+        .bitblock = [](auto& ctx, const auto& a) {
+            return ops::reduce_to_column(ctx, a.bitblocks(ctx));
+        }},
+};
+
+constexpr OpSpec<decltype(reduce_to_row)> kReduceToRow{
+    .span = "storage.dispatch.reduce_to_row",
+    .flight = "reduce_to_row",
+    .rows = {.csr = [](auto& ctx, const auto& a) { return ops::reduce_to_row(ctx, a.csr(ctx)); }},
+    .row_vector = true,
+};
+
+constexpr OpSpec<decltype(mxv)> kMxv{
+    .span = "storage.dispatch.mxv",
+    .flight = "mxv",
+    .bridge = &DistBridge::mxv,
+    .work = [](const Matrix& a, const SpVector&) {
+        // CSR walks the rows the frontier lands on; bitblock tests one packed
+        // word per (tile row, frontier tile) and wins once the matrix is
+        // dense enough that its representation is (or will be) materialised.
+        return Costs{.csr = static_cast<double>(a.nnz()) * 0.5,
+                     .bitblock = bitblock_eligible(a) ? kWordOpScale * 64.0 * est_blocks(a)
+                                                      : kInfiniteCost};
+    },
+    .rows = {
+        .csr = [](auto& ctx, const auto& a, const auto& x) { return ops::mxv(ctx, a.csr(ctx), x); },
+        .bitblock = [](auto& ctx, const auto& a, const auto& x) {
+            return ops::mxv(ctx, a.bitblocks(ctx), x);
+        }},
+};
+
+constexpr OpSpec<decltype(vxm)> kVxm{
+    .span = "storage.dispatch.vxm",
+    .flight = "vxm",
+    .rows = {.csr = [](auto& ctx, const auto& x, const auto& a) {
+        return ops::vxm(ctx, x, a.csr(ctx));
+    }},
+    .row_vector = true,
+};
+
+constexpr OpSpec<decltype(multiply_masked)> kMultiplyMasked{
+    .span = "storage.dispatch.multiply_masked",
+    .flight = "mxm_masked",
+    .bridge = &DistBridge::multiply_masked,
+    .rows = {.csr = [](auto& ctx, const auto& mask, const auto& a, const auto& bt, bool complement) {
+        return Matrix{ops::multiply_masked(ctx, mask.csr(ctx), a.csr(ctx), bt.csr(ctx), complement),
+                      ctx};
+    }},
+};
+
+std::atomic<const DistBridge*> g_dist_bridge{nullptr};
+
+}  // namespace
+
+Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b,
+                const ops::SpGemmOptions& opts) {
+    return route<kMultiply>(ctx, a, b, opts);
+}
+
+Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
+                    const Matrix& b, const ops::SpGemmOptions& opts) {
+    return route<kMultiplyAdd>(ctx, c, a, b, opts);
+}
+
+Matrix ewise_add(backend::Context& ctx, const Matrix& a, const Matrix& b) {
+    return route<kEwiseAdd>(ctx, a, b);
+}
+
+Matrix ewise_mult(backend::Context& ctx, const Matrix& a, const Matrix& b) {
+    return route<kEwiseMult>(ctx, a, b);
 }
 
 Matrix ewise_diff(backend::Context& ctx, const Matrix& a, const Matrix& b) {
-    SPBLA_PROF_SPAN("storage.dispatch.ewise_diff");
-    OpTelemetry tel("ewise_diff", ctx, a.nnz() + b.nnz());
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Dense}, f)) {
-        const auto total = static_cast<double>(a.nnz() + b.nnz());
-        const bool dense_ok = dense_eligible(a) && dense_eligible(b);
-        f = pick({{Format::Csr, 2.0 * total + convert_cost(a, Format::Csr) +
-                                    convert_cost(b, Format::Csr)},
-                  {Format::Dense, dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) +
-                                                 convert_cost(a, Format::Dense) +
-                                                 convert_cost(b, Format::Dense)
-                                           : kInfiniteCost}},
-                 dominant_format(a, b));
-    }
-    if (f == Format::Coo) f = Format::Csr;
-    count_dispatch(f);
-    Matrix out = [&] {
-        if (f == Format::Dense) return Matrix{a.dense(ctx).ewise_andnot(b.dense(ctx)), ctx};
-        return Matrix{ops::ewise_diff(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a, &b});
-    return out;
+    return route<kEwiseDiff>(ctx, a, b);
 }
-
-// ---------------------------------------------------------------------------
-// structural family
-// ---------------------------------------------------------------------------
 
 Matrix kronecker(backend::Context& ctx, const Matrix& a, const Matrix& b) {
-    SPBLA_PROF_SPAN("storage.dispatch.kronecker");
-    OpTelemetry tel("kronecker", ctx, a.nnz() + b.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a, &b})) {
-        Matrix out = db->kronecker(ctx, a, b);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    // The CSR kernel's work is exactly the nnz_a * nnz_b output entries;
-    // the dense nested loop touches every cell pair and only wins on tiny,
-    // saturated blocks, so route CSR except under an explicit force.
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Dense}, f)) f = Format::Csr;
-    if (f == Format::Dense &&
-        !(dense_eligible(a) && dense_eligible(b) &&
-          dense_output_eligible(a.nrows() * b.nrows(), a.ncols() * b.ncols()))) {
-        f = Format::Csr;  // forced-dense sweep on an output too big to bitmap
-    }
-    if (f == Format::Coo) f = Format::Csr;
-    count_dispatch(f);
-    Matrix out = [&] {
-        if (f == Format::Dense) return Matrix{a.dense(ctx).kronecker(b.dense(ctx)), ctx};
-        return Matrix{ops::kronecker(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a, &b});
-    return out;
+    return route<kKronecker>(ctx, a, b);
 }
 
-Matrix transpose(backend::Context& ctx, const Matrix& a) {
-    SPBLA_PROF_SPAN("storage.dispatch.transpose");
-    OpTelemetry tel("transpose", ctx, a.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a})) {
-        Matrix out = db->transpose(ctx, a);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(),
-                {Format::Csr, Format::Coo, Format::Dense, Format::BitBlocks}, f)) {
-        const auto nnz = static_cast<double>(a.nnz());
-        const bool dense_ok = dense_eligible(a);
-        const bool bb_ok = bitblock_eligible(a);
-        // COO transpose is swap + sort; CSR is a counting pass + scatter;
-        // bitblock is ~384 register word ops per occupied tile.
-        f = pick({{Format::Csr, 2.0 * nnz + 0.5 * static_cast<double>(a.ncols()) +
-                                    convert_cost(a, Format::Csr)},
-                  {Format::Coo, nnz * (1.0 + 0.25 * std::log2(nnz + 2.0)) +
-                                    convert_cost(a, Format::Coo)},
-                  {Format::Dense, dense_ok ? static_cast<double>(a.nrows()) *
-                                                     static_cast<double>(a.ncols()) +
-                                                 convert_cost(a, Format::Dense)
-                                           : kInfiniteCost},
-                  {Format::BitBlocks,
-                   bb_ok ? kWordOpScale * 448.0 * est_blocks(a) +
-                               convert_cost(a, Format::BitBlocks)
-                         : kInfiniteCost}},
-                 a.format());
-    }
-    count_dispatch(f);
-    Matrix out = [&] {
-        switch (f) {
-            case Format::Coo: return Matrix{ops::transpose(ctx, a.coo(ctx)), ctx};
-            case Format::Dense: return Matrix{a.dense(ctx).transpose(), ctx};
-            case Format::BitBlocks:
-                return Matrix{ops::transpose(ctx, a.bitblocks(ctx)), ctx};
-            case Format::Csr:
-            default: return Matrix{ops::transpose(ctx, a.csr(ctx)), ctx};
-        }
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a});
-    return out;
-}
+Matrix transpose(backend::Context& ctx, const Matrix& a) { return route<kTranspose>(ctx, a); }
 
 Matrix submatrix(backend::Context& ctx, const Matrix& a, Index r0, Index c0, Index m,
                  Index n) {
-    SPBLA_PROF_SPAN("storage.dispatch.submatrix");
-    OpTelemetry tel("submatrix", ctx, a.nnz());
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Coo, Format::Dense}, f)) {
-        const auto nnz = static_cast<double>(a.nnz());
-        const bool dense_ok = dense_eligible(a) && dense_output_eligible(m, n);
-        // CSR touches only the selected row windows; COO scans all entries.
-        const double row_fraction =
-            a.nrows() > 0 ? static_cast<double>(m) / static_cast<double>(a.nrows()) : 1.0;
-        f = pick({{Format::Csr, nnz * row_fraction + 8.0 * static_cast<double>(m) +
-                                    convert_cost(a, Format::Csr)},
-                  {Format::Coo, nnz + convert_cost(a, Format::Coo)},
-                  {Format::Dense, dense_ok ? static_cast<double>(m) *
-                                                     static_cast<double>(n) +
-                                                 convert_cost(a, Format::Dense)
-                                           : kInfiniteCost}},
-                 a.format());
-    }
-    count_dispatch(f);
-    Matrix out = [&] {
-        switch (f) {
-            case Format::Coo:
-                return Matrix{ops::submatrix(ctx, a.coo(ctx), r0, c0, m, n), ctx};
-            case Format::Dense:
-                return Matrix{a.dense(ctx).submatrix(r0, c0, m, n), ctx};
-            case Format::Csr:
-            default:
-                return Matrix{ops::submatrix(ctx, a.csr(ctx), r0, c0, m, n), ctx};
-        }
-    }();
-    tel.done(f, out.nrows(), out.ncols(), out.nnz());
-    trim({&a});
-    return out;
+    return route<kSubmatrix>(ctx, a, r0, c0, m, n);
 }
 
-// ---------------------------------------------------------------------------
-// reductions and vector products
-// ---------------------------------------------------------------------------
-
 SpVector reduce_to_column(backend::Context& ctx, const Matrix& a) {
-    SPBLA_PROF_SPAN("storage.dispatch.reduce_to_column");
-    OpTelemetry tel("reduce_to_col", ctx, a.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a})) {
-        SpVector out = db->reduce_to_column(ctx, a);
-        tel.done_sharded(out.size(), 1, out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::Coo, Format::BitBlocks}, f)) {
-        // All kernels are linear; whichever representation exists wins.
-        f = pick({{Format::Csr, 0.5 * static_cast<double>(a.nrows()) +
-                                    convert_cost(a, Format::Csr)},
-                  {Format::Coo, static_cast<double>(a.nnz()) +
-                                    convert_cost(a, Format::Coo)},
-                  {Format::BitBlocks, kWordOpScale * 64.0 * est_blocks(a) +
-                                          convert_cost(a, Format::BitBlocks)}},
-                 a.format());
-    }
-    if (f == Format::Dense) f = Format::Csr;
-    count_dispatch(f);
-    SpVector out = f == Format::Coo         ? ops::reduce_to_column(ctx, a.coo(ctx))
-                   : f == Format::BitBlocks ? ops::reduce_to_column(ctx, a.bitblocks(ctx))
-                                            : ops::reduce_to_column(ctx, a.csr(ctx));
-    tel.done(f, out.size(), 1, out.nnz());
-    trim({&a});
-    return out;
+    return route<kReduceToColumn>(ctx, a);
 }
 
 SpVector reduce_to_row(backend::Context& ctx, const Matrix& a) {
-    SPBLA_PROF_SPAN("storage.dispatch.reduce_to_row");
-    OpTelemetry tel("reduce_to_row", ctx, a.nnz());
-    Format f;
-    if (!forced(global_hint(), {Format::Csr}, f)) f = Format::Csr;
-    if (f != Format::Csr) f = Format::Csr;
-    count_dispatch(f);
-    SpVector out = ops::reduce_to_row(ctx, a.csr(ctx));
-    tel.done(f, 1, out.size(), out.nnz());
-    trim({&a});
-    return out;
+    return route<kReduceToRow>(ctx, a);
 }
 
 std::size_t reduce_scalar(const Matrix& a) noexcept { return a.nnz(); }
 
 SpVector mxv(backend::Context& ctx, const Matrix& a, const SpVector& x) {
-    SPBLA_PROF_SPAN("storage.dispatch.mxv");
-    OpTelemetry tel("mxv", ctx, a.nnz() + x.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&a})) {
-        SpVector out = db->mxv(ctx, a, x);
-        tel.done_sharded(out.size(), 1, out.nnz());
-        return out;
-    }
-    Format f;
-    if (!forced(global_hint(), {Format::Csr, Format::BitBlocks}, f)) {
-        // CSR walks the rows the frontier lands on; bitblock tests one packed
-        // word per (tile row, frontier tile) and wins once the matrix is
-        // dense enough that its representation is (or will be) materialised.
-        f = pick({{Format::Csr, static_cast<double>(a.nnz()) * 0.5 +
-                                    convert_cost(a, Format::Csr)},
-                  {Format::BitBlocks,
-                   bitblock_eligible(a)
-                       ? kWordOpScale * 64.0 * est_blocks(a) +
-                             convert_cost(a, Format::BitBlocks)
-                       : kInfiniteCost}},
-                 a.format());
-    }
-    if (f != Format::BitBlocks) f = Format::Csr;
-    count_dispatch(f);
-    SpVector out = f == Format::BitBlocks ? ops::mxv(ctx, a.bitblocks(ctx), x)
-                                          : ops::mxv(ctx, a.csr(ctx), x);
-    tel.done(f, out.size(), 1, out.nnz());
-    trim({&a});
-    return out;
+    return route<kMxv>(ctx, a, x);
 }
 
 SpVector vxm(backend::Context& ctx, const SpVector& x, const Matrix& a) {
-    SPBLA_PROF_SPAN("storage.dispatch.vxm");
-    OpTelemetry tel("vxm", ctx, a.nnz() + x.nnz());
-    count_dispatch(Format::Csr);
-    SpVector out = ops::vxm(ctx, x, a.csr(ctx));
-    tel.done(Format::Csr, 1, out.size(), out.nnz());
-    trim({&a});
-    return out;
+    return route<kVxm>(ctx, x, a);
 }
 
 Matrix multiply_masked(backend::Context& ctx, const Matrix& mask, const Matrix& a,
                        const Matrix& b_transposed, bool complement) {
-    SPBLA_PROF_SPAN("storage.dispatch.multiply_masked");
-    OpTelemetry tel("mxm_masked", ctx, mask.nnz() + a.nnz() + b_transposed.nnz());
-    if (const DistBridge* db = dist_bridge(); db != nullptr && db->should_shard({&mask, &a, &b_transposed})) {
-        Matrix out = db->multiply_masked(ctx, mask, a, b_transposed, complement);
-        tel.done_sharded(out.nrows(), out.ncols(), out.nnz());
-        return out;
-    }
-    count_dispatch(Format::Csr);
-    Matrix out{ops::multiply_masked(ctx, mask.csr(ctx), a.csr(ctx),
-                                    b_transposed.csr(ctx), complement),
-               ctx};
-    tel.done(Format::Csr, out.nrows(), out.ncols(), out.nnz());
-    trim({&mask, &a, &b_transposed});
-    return out;
+    return route<kMultiplyMasked>(ctx, mask, a, b_transposed, complement);
 }
-
-// ---------------------------------------------------------------------------
-// multi-device bridge
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<const DistBridge*> g_dist_bridge{nullptr};
-}  // namespace
 
 void set_dist_bridge(const DistBridge* bridge) noexcept {
     g_dist_bridge.store(bridge, std::memory_order_release);

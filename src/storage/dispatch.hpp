@@ -2,18 +2,20 @@
 /// \brief Cost-driven routing of every public operation over spbla::Matrix.
 ///
 /// Each function mirrors one kernel family in ops/ops.hpp but takes the
-/// format-polymorphic handle. The implementation picks the representation
-/// per call with a small cost model over the signals the handle already
-/// tracks (nnz, density, row skew) plus the conversion cost of any
-/// representation the operands do not have materialised, and applies
-/// hysteresis — the primary format of the dominant operand is kept unless a
+/// format-polymorphic handle. Behind them sits one op table (dispatch.cpp):
+/// each op is an entry listing its kernel rows per format, its cost model
+/// and its routing traits, and one router runs every entry. The router picks
+/// the representation per call with a small cost model over the signals the
+/// handle already tracks (nnz, density, row skew) plus the conversion cost of
+/// any representation the operands do not have materialised, and applies
+/// hysteresis — the primary format of the anchor operand is kept unless a
 /// rival is decisively (2x) cheaper — so fixpoint drivers (closure, CFPQ,
 /// RPQ) settle into a stable format instead of thrashing.
 ///
-/// The storage::FormatHint global (see matrix.hpp) short-circuits the cost
-/// model for ops the forced backend implements; ops without a kernel in the
-/// forced format fall back to CSR, which every operation supports, so a
-/// forced sweep still computes identical results.
+/// The storage::FormatHint global (see matrix.hpp) bypasses the cost model:
+/// a forced format the op has a kernel row for is used as is, any other
+/// falls back to CSR, which every operation supports, so a forced sweep
+/// still computes identical results.
 #pragma once
 
 #include "backend/context.hpp"

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 #include <utility>
 
 #include "core/convert.hpp"
@@ -51,10 +52,6 @@ void reset_stats() noexcept {
     s.repr_cache_hits.store(0, std::memory_order_relaxed);
     s.repr_cache_stores.store(0, std::memory_order_relaxed);
     s.repr_cache_drops.store(0, std::memory_order_relaxed);
-    s.dispatch_csr.store(0, std::memory_order_relaxed);
-    s.dispatch_coo.store(0, std::memory_order_relaxed);
-    s.dispatch_dense.store(0, std::memory_order_relaxed);
-    s.dispatch_bitblock.store(0, std::memory_order_relaxed);
 }
 
 std::size_t cached_bytes() noexcept {
@@ -246,37 +243,23 @@ void Matrix::publish_primary() noexcept {
     bb_pub_.store(bb_.get(), std::memory_order_release);
 }
 
-void Matrix::adopt_shape() noexcept {
+template <class Fn>
+decltype(auto) Matrix::visit_primary(Fn&& fn) const {
     switch (primary_) {
-        case Format::Csr: {
-            const auto* p = csr_pub_.load(std::memory_order_acquire);
-            nrows_ = p->nrows();
-            ncols_ = p->ncols();
-            nnz_ = p->nnz();
-            break;
-        }
-        case Format::Coo: {
-            const auto* p = coo_pub_.load(std::memory_order_acquire);
-            nrows_ = p->nrows();
-            ncols_ = p->ncols();
-            nnz_ = p->nnz();
-            break;
-        }
-        case Format::Dense: {
-            const auto* p = dense_pub_.load(std::memory_order_acquire);
-            nrows_ = p->nrows();
-            ncols_ = p->ncols();
-            nnz_ = p->nnz();
-            break;
-        }
-        case Format::BitBlocks: {
-            const auto* p = bb_pub_.load(std::memory_order_acquire);
-            nrows_ = p->nrows();
-            ncols_ = p->ncols();
-            nnz_ = p->nnz();
-            break;
-        }
+        case Format::Coo: return fn(*coo_pub_.load(std::memory_order_acquire));
+        case Format::Dense: return fn(*dense_pub_.load(std::memory_order_acquire));
+        case Format::BitBlocks: return fn(*bb_pub_.load(std::memory_order_acquire));
+        case Format::Csr: break;
     }
+    return fn(*csr_pub_.load(std::memory_order_acquire));
+}
+
+void Matrix::adopt_shape() noexcept {
+    visit_primary([this](const auto& m) {
+        nrows_ = m.nrows();
+        ncols_ = m.ncols();
+        nnz_ = m.nnz();
+    });
     max_row_nnz_valid_.store(false, std::memory_order_relaxed);
 }
 
@@ -395,173 +378,82 @@ std::size_t Matrix::cached_bytes() const noexcept {
 }
 
 std::size_t Matrix::device_bytes() const noexcept {
-    switch (primary_) {
-        case Format::Csr:
-            return csr_pub_.load(std::memory_order_acquire)->device_bytes();
-        case Format::Coo:
-            return coo_pub_.load(std::memory_order_acquire)->device_bytes();
-        case Format::Dense:
-            return dense_pub_.load(std::memory_order_acquire)->device_bytes();
-        case Format::BitBlocks:
-            return bb_pub_.load(std::memory_order_acquire)->device_bytes();
+    return visit_primary([](const auto& m) { return m.device_bytes(); });
+}
+
+template <class T, class Convert>
+void Matrix::fill(std::unique_ptr<const T>& slot, std::atomic<const T*>& pub, Format f,
+                  [[maybe_unused]] const char* span, const Convert& convert) const {
+    if (slot == nullptr) {
+        SPBLA_PROF_SPAN(span);
+        slot = visit_primary([&](const auto& primary) {
+            // The primary's own slot is never empty, so a same-format
+            // "conversion" cannot happen; the branch only keeps this generic.
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(primary)>, T>) {
+                return std::make_unique<const T>(primary);
+            } else {
+                return std::make_unique<const T>(convert(primary));
+            }
+        });
+        storage::stats().format_conversions.fetch_add(1, std::memory_order_relaxed);
+        SPBLA_PROF_COUNT(format_conversions, 1);
+        telemetry::count(telemetry::Counter::StorageConversions);
+        store_secondary(f);
     }
-    return 0;
+    pub.store(slot.get(), std::memory_order_release);
 }
 
 void Matrix::materialise(Format f, backend::Context& ctx) const {
     switch (f) {
         case Format::Csr:
-            if (csr_ == nullptr) {
-                SPBLA_PROF_SPAN("storage.convert_to_csr");
-                switch (primary_) {
-                    case Format::Coo:
-                        csr_ = std::make_unique<const CsrMatrix>(to_csr(ctx, *coo_));
-                        break;
-                    case Format::Dense:
-                        csr_ = std::make_unique<const CsrMatrix>(to_csr(ctx, *dense_));
-                        break;
-                    case Format::BitBlocks:
-                        csr_ = std::make_unique<const CsrMatrix>(to_csr(ctx, *bb_));
-                        break;
-                    case Format::Csr: break;  // unreachable: slot non-null
-                }
-                storage::stats().format_conversions.fetch_add(
-                    1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
-                telemetry::count(telemetry::Counter::StorageConversions);
-                store_secondary(Format::Csr);
-            }
-            csr_pub_.store(csr_.get(), std::memory_order_release);
+            fill(csr_, csr_pub_, f, "storage.convert_to_csr",
+                 [&](const auto& m) { return to_csr(ctx, m); });
             break;
         case Format::Coo:
-            if (coo_ == nullptr) {
-                SPBLA_PROF_SPAN("storage.convert_to_coo");
-                switch (primary_) {
-                    case Format::Csr:
-                        coo_ = std::make_unique<const CooMatrix>(to_coo(ctx, *csr_));
-                        break;
-                    case Format::Dense:
-                        coo_ = std::make_unique<const CooMatrix>(to_coo(ctx, *dense_));
-                        break;
-                    case Format::BitBlocks:
-                        coo_ = std::make_unique<const CooMatrix>(to_coo(ctx, *bb_));
-                        break;
-                    case Format::Coo: break;  // unreachable: slot non-null
-                }
-                storage::stats().format_conversions.fetch_add(
-                    1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
-                telemetry::count(telemetry::Counter::StorageConversions);
-                store_secondary(Format::Coo);
-            }
-            coo_pub_.store(coo_.get(), std::memory_order_release);
+            fill(coo_, coo_pub_, f, "storage.convert_to_coo",
+                 [&](const auto& m) { return to_coo(ctx, m); });
             break;
         case Format::Dense:
-            if (dense_ == nullptr) {
-                SPBLA_PROF_SPAN("storage.convert_to_dense");
-                switch (primary_) {
-                    case Format::Csr:
-                        dense_ = std::make_unique<const DenseMatrix>(to_dense(ctx, *csr_));
-                        break;
-                    case Format::Coo:
-                        dense_ = std::make_unique<const DenseMatrix>(to_dense(ctx, *coo_));
-                        break;
-                    case Format::BitBlocks:
-                        dense_ = std::make_unique<const DenseMatrix>(to_dense(ctx, *bb_));
-                        break;
-                    case Format::Dense: break;  // unreachable: slot non-null
-                }
-                storage::stats().format_conversions.fetch_add(
-                    1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
-                telemetry::count(telemetry::Counter::StorageConversions);
-                store_secondary(Format::Dense);
-            }
-            dense_pub_.store(dense_.get(), std::memory_order_release);
+            fill(dense_, dense_pub_, f, "storage.convert_to_dense",
+                 [&](const auto& m) { return to_dense(ctx, m); });
             break;
         case Format::BitBlocks:
-            if (bb_ == nullptr) {
-                SPBLA_PROF_SPAN("storage.convert_to_bitblock");
-                switch (primary_) {
-                    case Format::Csr:
-                        bb_ = std::make_unique<const BitBlockMatrix>(
-                            to_bitblocks(ctx, *csr_));
-                        break;
-                    case Format::Coo:
-                        bb_ = std::make_unique<const BitBlockMatrix>(
-                            to_bitblocks(ctx, *coo_));
-                        break;
-                    case Format::Dense:
-                        bb_ = std::make_unique<const BitBlockMatrix>(
-                            to_bitblocks(ctx, *dense_));
-                        break;
-                    case Format::BitBlocks: break;  // unreachable: slot non-null
-                }
-                storage::stats().format_conversions.fetch_add(
-                    1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
-                telemetry::count(telemetry::Counter::StorageConversions);
-                store_secondary(Format::BitBlocks);
-            }
-            bb_pub_.store(bb_.get(), std::memory_order_release);
+            fill(bb_, bb_pub_, f, "storage.convert_to_bitblock",
+                 [&](const auto& m) { return to_bitblocks(ctx, m); });
             break;
     }
+}
+
+template <class T>
+const T& Matrix::rep(Format f, const std::atomic<const T*>& pub,
+                     backend::Context& ctx) const {
+    if (const T* published = pub.load(std::memory_order_acquire)) {
+        if (primary_ != f) {
+            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
+            SPBLA_PROF_COUNT(repr_cache_hits, 1);
+            telemetry::count(telemetry::Counter::StorageCacheHits);
+        }
+        return *published;
+    }
+    util::LockGuard lock{repr_mutex_};
+    materialise(f, ctx);
+    return *pub.load(std::memory_order_relaxed);  // published under our lock
 }
 
 const CsrMatrix& Matrix::csr(backend::Context& ctx) const {
-    if (const CsrMatrix* pub = csr_pub_.load(std::memory_order_acquire)) {
-        if (primary_ != Format::Csr) {
-            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
-            telemetry::count(telemetry::Counter::StorageCacheHits);
-        }
-        return *pub;
-    }
-    util::LockGuard lock{repr_mutex_};
-    materialise(Format::Csr, ctx);
-    return *csr_;
+    return rep(Format::Csr, csr_pub_, ctx);
 }
 
 const CooMatrix& Matrix::coo(backend::Context& ctx) const {
-    if (const CooMatrix* pub = coo_pub_.load(std::memory_order_acquire)) {
-        if (primary_ != Format::Coo) {
-            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
-            telemetry::count(telemetry::Counter::StorageCacheHits);
-        }
-        return *pub;
-    }
-    util::LockGuard lock{repr_mutex_};
-    materialise(Format::Coo, ctx);
-    return *coo_;
+    return rep(Format::Coo, coo_pub_, ctx);
 }
 
 const DenseMatrix& Matrix::dense(backend::Context& ctx) const {
-    if (const DenseMatrix* pub = dense_pub_.load(std::memory_order_acquire)) {
-        if (primary_ != Format::Dense) {
-            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
-            telemetry::count(telemetry::Counter::StorageCacheHits);
-        }
-        return *pub;
-    }
-    util::LockGuard lock{repr_mutex_};
-    materialise(Format::Dense, ctx);
-    return *dense_;
+    return rep(Format::Dense, dense_pub_, ctx);
 }
 
 const BitBlockMatrix& Matrix::bitblocks(backend::Context& ctx) const {
-    if (const BitBlockMatrix* pub = bb_pub_.load(std::memory_order_acquire)) {
-        if (primary_ != Format::BitBlocks) {
-            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
-            telemetry::count(telemetry::Counter::StorageCacheHits);
-        }
-        return *pub;
-    }
-    util::LockGuard lock{repr_mutex_};
-    materialise(Format::BitBlocks, ctx);
-    return *bb_;
+    return rep(Format::BitBlocks, bb_pub_, ctx);
 }
 
 void Matrix::convert_to(Format f, backend::Context& ctx) {
@@ -592,31 +484,11 @@ double Matrix::density() const noexcept {
 }
 
 bool Matrix::get(Index r, Index c) const {
-    switch (primary_) {
-        case Format::Csr:
-            return csr_pub_.load(std::memory_order_acquire)->get(r, c);
-        case Format::Coo:
-            return coo_pub_.load(std::memory_order_acquire)->get(r, c);
-        case Format::Dense:
-            return dense_pub_.load(std::memory_order_acquire)->get(r, c);
-        case Format::BitBlocks:
-            return bb_pub_.load(std::memory_order_acquire)->get(r, c);
-    }
-    return false;
+    return visit_primary([&](const auto& m) { return m.get(r, c); });
 }
 
 std::vector<Coord> Matrix::to_coords() const {
-    switch (primary_) {
-        case Format::Csr:
-            return csr_pub_.load(std::memory_order_acquire)->to_coords();
-        case Format::Coo:
-            return coo_pub_.load(std::memory_order_acquire)->to_coords();
-        case Format::Dense:
-            return dense_pub_.load(std::memory_order_acquire)->to_coords();
-        case Format::BitBlocks:
-            return bb_pub_.load(std::memory_order_acquire)->to_coords();
-    }
-    return {};
+    return visit_primary([](const auto& m) { return m.to_coords(); });
 }
 
 Index Matrix::max_row_nnz() const {

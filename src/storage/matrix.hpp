@@ -57,23 +57,21 @@ inline constexpr std::size_t kNumFormats = 4;
 
 namespace storage {
 
-/// Process-wide storage-engine counters. Always compiled (they are a handful
-/// of relaxed atomics); the same events are also mirrored into spbla::prof
-/// counters so they appear in traces and bench JSON.
+/// Process-wide conversion-cache counters. Always compiled (they are a
+/// handful of relaxed atomics); the same events are also mirrored into
+/// spbla::prof counters so they appear in traces and bench JSON. Per-format
+/// dispatch picks are counted once, as the spbla.dispatch.<format> telemetry
+/// counters (and their spbla::prof per-span mirrors).
 struct Stats {
     std::atomic<std::uint64_t> format_conversions{0};  ///< concrete conversions run
     std::atomic<std::uint64_t> repr_cache_hits{0};     ///< secondary rep reused
     std::atomic<std::uint64_t> repr_cache_stores{0};   ///< secondary rep retained
     std::atomic<std::uint64_t> repr_cache_drops{0};    ///< secondary rep released
-    std::atomic<std::uint64_t> dispatch_csr{0};        ///< ops routed to CSR kernels
-    std::atomic<std::uint64_t> dispatch_coo{0};        ///< ops routed to COO kernels
-    std::atomic<std::uint64_t> dispatch_dense{0};      ///< ops routed to dense kernels
-    std::atomic<std::uint64_t> dispatch_bitblock{0};   ///< ops routed to bitblock kernels
 };
 
 [[nodiscard]] Stats& stats() noexcept;
 
-/// Zero every dispatch/conversion counter (not the cached-byte gauge).
+/// Zero every conversion-cache counter (not the cached-byte gauge).
 void reset_stats() noexcept;
 
 /// Bytes of cached secondary representations currently alive process-wide.
@@ -290,6 +288,23 @@ private:
     /// publish it through its atomic slot pointer. Idempotent.
     void materialise(Format f, backend::Context& ctx) const
         SPBLA_REQUIRES(repr_mutex_);
+
+    /// materialise() for one slot: if \p slot is empty, fill it with
+    /// \p convert applied to the primary (under prof span \p span) and
+    /// charge it as a secondary; then publish it through \p pub.
+    template <class T, class Convert>
+    void fill(std::unique_ptr<const T>& slot, std::atomic<const T*>& pub, Format f,
+              const char* span, const Convert& convert) const SPBLA_REQUIRES(repr_mutex_);
+
+    /// Body of the representation accessors: \p pub's rep, materialised
+    /// as format \p f on a miss.
+    template <class T>
+    const T& rep(Format f, const std::atomic<const T*>& pub, backend::Context& ctx) const
+        SPBLA_EXCLUDES(repr_mutex_);
+
+    /// \p fn applied to the published primary representation.
+    template <class Fn>
+    decltype(auto) visit_primary(Fn&& fn) const;
 
     backend::Context* ctx_;
     Index nrows_{0};

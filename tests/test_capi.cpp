@@ -115,6 +115,34 @@ TEST_F(CApiTest, BuildOutOfRangeFails) {
     ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
 }
 
+TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderDenseHint) {
+    // 65537 * 65536 result rows overflow spbla_Index; the forced dense route
+    // must reject the product like the CSR one does.
+    spbla_Matrix a = nullptr, b = nullptr, r = nullptr;
+    ASSERT_EQ(spbla_Matrix_New(&a, 65537, 1), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_New(&b, 65536, 1), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_New(&r, 1, 1), SPBLA_STATUS_SUCCESS);
+    const spbla_Index zero = 0;
+    ASSERT_EQ(spbla_Matrix_Build(a, &zero, &zero, 1, SPBLA_HINT_NO), SPBLA_STATUS_SUCCESS);
+    std::vector<spbla_Index> rows(65536), cols(65536, 0);
+    for (spbla_Index i = 0; i < 65536; ++i) rows[i] = i;
+    ASSERT_EQ(spbla_Matrix_Build(b, rows.data(), cols.data(), 65536, SPBLA_HINT_NO),
+              SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_SetFormatHint(a, SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_SetFormatHint(b, SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
+
+    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
+    EXPECT_NE(spbla_Kronecker(r, a, b), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
+    spbla_Index nrows = 0;
+    ASSERT_EQ(spbla_Matrix_Nrows(r, &nrows), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(nrows, 1u) << "failed kronecker must leave the result untouched";
+
+    ASSERT_EQ(spbla_Matrix_Free(&a), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&b), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&r), SPBLA_STATUS_SUCCESS);
+}
+
 TEST_F(CApiTest, ExtractIntoTooSmallBuffer) {
     spbla_Matrix m = nullptr;
     ASSERT_EQ(spbla_Matrix_New(&m, 2, 2), SPBLA_STATUS_SUCCESS);
