@@ -1,5 +1,7 @@
 #include "cfpq/tensor.hpp"
 
+#include <vector>
+
 #include "core/validate.hpp"
 #include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
@@ -32,18 +34,24 @@ TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
         return it != index.nt_matrix.end() ? it->second : graph.matrix(s);
     };
 
+    // The RSM side of every term is fixed across rounds; only the graph
+    // side grows as nonterminal edges are harvested.
+    const auto symbols = rsm.symbols();
+    std::vector<Matrix> box_matrices;
+    for (const auto& symbol : symbols) box_matrices.push_back(rsm.matrix(symbol));
+    std::vector<storage::KroneckerTerm> terms;
+
     for (;;) {
         ++index.rounds;
         SPBLA_PROF_SPAN_ITER("cfpq.tensor.round", index.rounds);
 
-        // M = sum over RSM symbols of RSM_s (x) G_s.
-        Matrix product{k * n, k * n};
-        for (const auto& symbol : rsm.symbols()) {
-            const Matrix& gm = symbol_matrix(symbol);
-            if (gm.nnz() == 0) continue;
-            product = storage::ewise_add(
-                ctx, product, storage::kronecker(ctx, rsm.matrix(symbol), gm));
+        // M = sum over RSM symbols of RSM_s (x) G_s, written in one pass.
+        terms.clear();
+        for (std::size_t s = 0; s < symbols.size(); ++s) {
+            const Matrix& gm = symbol_matrix(symbols[s]);
+            if (gm.nnz() != 0) terms.push_back({&box_matrices[s], &gm});
         }
+        Matrix product = storage::kronecker_sum(ctx, k * n, k * n, terms);
         if (opts.incremental_closure) {
             // Valid warm start: closure(closure(Mprev) | M) == closure(M)
             // because Mprev is a submatrix of M (edges only get added).

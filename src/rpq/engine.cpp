@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/validate.hpp"
 #include "prof/prof.hpp"
@@ -19,14 +20,17 @@ RpqIndex build_index(backend::Context& ctx, const data::LabeledGraph& graph,
     const Index n = graph.num_vertices();
     const Index k = query.num_states;
 
-    // M = sum over symbols of Q_s (x) G_s.
-    Matrix product{k * n, k * n};
-    for (const auto& symbol : query.symbols()) {
+    // M = sum over symbols of Q_s (x) G_s, written in one pass.
+    const auto symbols = query.symbols();
+    std::vector<Matrix> automaton;
+    automaton.reserve(symbols.size());  // the terms point into it
+    std::vector<storage::KroneckerTerm> terms;
+    for (const auto& symbol : symbols) {
         if (!graph.has_label(symbol)) continue;
-        const Matrix kron =
-            storage::kronecker(ctx, query.matrix(symbol), graph.matrix(symbol));
-        product = storage::ewise_add(ctx, product, kron);
+        automaton.push_back(query.matrix(symbol));
+        terms.push_back({&automaton.back(), &graph.matrix(symbol)});
     }
+    Matrix product = storage::kronecker_sum(ctx, k * n, k * n, terms);
 
     RpqIndex index;
     index.product_nnz = product.nnz();

@@ -28,6 +28,7 @@
 #include <optional>
 #include <tuple>
 #include <type_traits>
+#include <vector>
 
 #include "backend/arena.hpp"
 #include "ops/ops.hpp"
@@ -295,16 +296,38 @@ struct OpSpec<Out(backend::Context&, Args...)> {
     bool row_vector = false;
 };
 
+using KroneckerTerms = std::span<const KroneckerTerm>;
+
+/// The operands a cost pick, shard probe or hysteresis anchor sees. A term
+/// span is not among them: its op has neither a cost model nor a bridge.
 template <class T>
 [[nodiscard]] auto matrix_operand(const T& x) noexcept {
     if constexpr (std::is_same_v<T, Matrix>) return std::tuple<const Matrix*>{&x};
     else return std::tuple<>{};
 }
 
+/// Calls \p f on every Matrix an argument holds, term spans included.
+template <class T, class F>
+void for_each_matrix(const T& x, const F& f) {
+    if constexpr (std::is_same_v<T, Matrix>) {
+        f(x);
+    } else if constexpr (std::is_same_v<T, KroneckerTerms>) {
+        for (const auto& [a, b] : x) {
+            f(*a);
+            f(*b);
+        }
+    }
+}
+
 template <class T>
 [[nodiscard]] std::uint64_t nnz_of(const T& x) noexcept {
-    if constexpr (std::is_same_v<T, Matrix> || std::is_same_v<T, SpVector>) return x.nnz();
-    else return 0;
+    if constexpr (std::is_same_v<T, Matrix> || std::is_same_v<T, SpVector>) {
+        return x.nnz();
+    } else {
+        std::uint64_t total = 0;
+        for_each_matrix(x, [&](const Matrix& m) { total += m.nnz(); });
+        return total;
+    }
 }
 
 /// The one routing skeleton: span, telemetry scope, empty-operand shortcut,
@@ -358,7 +381,7 @@ auto route(backend::Context& ctx, const Ts&... args) {
             return *std::move(out);
         }
     }
-    if (Op.bridge != nullptr) {
+    if constexpr (Op.bridge != nullptr) {
         const DistBridge* db = dist_bridge();
         if (db != nullptr &&
             std::apply([db](auto... m) { return db->should_shard({m...}); }, operands)) {
@@ -376,7 +399,7 @@ auto route(backend::Context& ctx, const Ts&... args) {
         // A forced format the op has no row for falls back to CSR, which
         // every op implements, so forced sweeps compute identical results.
         if (has_row(*want)) f = *want;
-    } else if (Op.work != nullptr) {
+    } else if constexpr (Op.work != nullptr) {
         const Matrix& first = *std::get<0>(operands);
         Format preferred = first.format();
         if constexpr (Op.anchor == Anchor::Dominant) {
@@ -391,7 +414,7 @@ auto route(backend::Context& ctx, const Ts&... args) {
     // Keep the operands' caches under the process-wide budget now that the
     // kernel's borrowed references are dead.
     if (cached_bytes() > cache_budget()) {
-        std::apply([](auto... m) { (m->trim_cache(), ...); }, operands);
+        (for_each_matrix(args, [](const Matrix& m) { m.trim_cache(); }), ...);
     }
     return out;
 }
@@ -591,6 +614,25 @@ constexpr OpSpec<decltype(kronecker)> kKronecker{
         }},
 };
 
+// One fused pass over every term, reading each term's CSR rows directly:
+// there is no per-term product for another format to hold, so the op has a
+// CSR row only and no cost model (Auto routes CSR, as it does kronecker).
+constexpr OpSpec<decltype(kronecker_sum)> kKroneckerSum{
+    .span = "storage.dispatch.kronecker_sum",
+    .flight = "kronecker_sum",
+    .rows = {.csr = [](auto& ctx, Index nrows, Index ncols, KroneckerTerms terms) {
+        if (terms.empty()) return Matrix{nrows, ncols, ctx};
+        std::vector<ops::KroneckerTerm> csr_terms;
+        csr_terms.reserve(terms.size());
+        for (const auto& [a, b] : terms) csr_terms.push_back({&a->csr(ctx), &b->csr(ctx)});
+        CsrMatrix out = ops::kronecker_sum(ctx, csr_terms);
+        SPBLA_REQUIRE(out.nrows() == nrows && out.ncols() == ncols,
+                      Status::DimensionMismatch,
+                      "kronecker_sum: terms disagree with the declared shape");
+        return Matrix{std::move(out), ctx};
+    }},
+};
+
 constexpr OpSpec<decltype(transpose)> kTranspose{
     .span = "storage.dispatch.transpose",
     .flight = "transpose",
@@ -738,6 +780,10 @@ Matrix ewise_diff(backend::Context& ctx, const Matrix& a, const Matrix& b) {
 
 Matrix kronecker(backend::Context& ctx, const Matrix& a, const Matrix& b) {
     return route<kKronecker>(ctx, a, b);
+}
+
+Matrix kronecker_sum(backend::Context& ctx, Index nrows, Index ncols, KroneckerTerms terms) {
+    return route<kKroneckerSum>(ctx, nrows, ncols, terms);
 }
 
 Matrix transpose(backend::Context& ctx, const Matrix& a) { return route<kTranspose>(ctx, a); }

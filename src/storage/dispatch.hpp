@@ -16,7 +16,13 @@
 /// a forced format the op has a kernel row for is used as is, any other
 /// falls back to CSR, which every operation supports, so a forced sweep
 /// still computes identical results.
+///
+/// kronecker_sum has a CSR row only and no cost model: it builds the RPQ and
+/// tensor-CFPQ product matrix M = OR_s Q_s (x) G_s straight from the terms'
+/// CSR rows, so there is no per-term product another format could carry.
 #pragma once
+
+#include <span>
 
 #include "backend/context.hpp"
 #include "core/spvector.hpp"
@@ -44,6 +50,20 @@ namespace spbla::storage {
 
 /// C = A (x) B (Kronecker product).
 [[nodiscard]] Matrix kronecker(backend::Context& ctx, const Matrix& a, const Matrix& b);
+
+/// One term A (x) B of a Kronecker sum.
+struct KroneckerTerm {
+    const Matrix* a;
+    const Matrix* b;
+};
+
+/// C = OR over terms of A_t (x) B_t, written in one pass: no per-term product
+/// and no pairwise accumulation. Every A_t has one shape and every B_t
+/// another, and their product shape must be \p nrows x \p ncols
+/// (DimensionMismatch otherwise); an empty \p terms gives the all-zero
+/// matrix of that shape.
+[[nodiscard]] Matrix kronecker_sum(backend::Context& ctx, Index nrows, Index ncols,
+                                   std::span<const KroneckerTerm> terms);
 
 /// C = A^T.
 [[nodiscard]] Matrix transpose(backend::Context& ctx, const Matrix& a);

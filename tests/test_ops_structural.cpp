@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "ops/ewise_add.hpp"
 #include "ops/ewise_mult.hpp"
 #include "ops/kronecker.hpp"
 #include "ops/masked.hpp"
@@ -90,6 +91,37 @@ INSTANTIATE_TEST_SUITE_P(Cases, KroneckerSweep,
                          ::testing::Combine(::testing::Values(1, 3, 8, 16),
                                             ::testing::Values(1, 4, 9),
                                             ::testing::Values(0.2, 0.6)));
+
+TEST_F(Kronecker, SumMatchesFoldOnBothBackends) {
+    // NFA-shaped automata (several targets per state) whose terms share
+    // blocks, over B factors large enough to span many launch chunks.
+    std::vector<CsrMatrix> as, bs;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+        as.push_back(random_csr(6, 6, 0.35, 60 + t));
+        bs.push_back(random_csr(300, 170, t == 3 ? 0.0 : 0.02, 70 + t));
+    }
+    as.push_back(as.front());  // a fifth term on exactly the blocks of the first
+    bs.push_back(random_csr(300, 170, 0.02, 75));
+    std::vector<ops::KroneckerTerm> terms;
+    CsrMatrix fold{6 * 300, 6 * 170};
+    for (std::size_t t = 0; t < as.size(); ++t) {
+        terms.push_back({&as[t], &bs[t]});
+        fold = ops::ewise_add(ctx(), fold, ops::kronecker(ctx(), as[t], bs[t]));
+    }
+    const auto par = ops::kronecker_sum(ctx(), terms);
+    par.validate();
+    EXPECT_EQ(par, fold);
+    EXPECT_EQ(ops::kronecker_sum(seq_ctx(), terms), fold);
+}
+
+TEST_F(Kronecker, SumOfNoTermsIsRejected) {
+    try {
+        (void)ops::kronecker_sum(ctx(), {});
+        FAIL() << "an empty Kronecker sum has no shape to return";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.status(), Status::InvalidArgument);
+    }
+}
 
 // ------------------------------- transpose -------------------------------
 

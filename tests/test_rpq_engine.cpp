@@ -8,6 +8,7 @@
 #include "helpers.hpp"
 #include "rpq/engine.hpp"
 #include "rpq/query_templates.hpp"
+#include "storage/dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace spbla::rpq {
@@ -171,8 +172,19 @@ TEST_P(EngineAgreement, MatchesReferenceBfs) {
     const auto q = minimize(determinize(glushkov(*tpl.instantiate(alphabet))));
     for (const std::uint64_t seed : {1u, 2u}) {
         const auto g = random_labeled_graph(14, alphabet, 0.004, seed * 31 + 7);
-        EXPECT_EQ(evaluate(ctx(), g, q), evaluate_reference(g, q))
+        const RpqIndex index = build_index(ctx(), g, q);
+        EXPECT_EQ(index.reachable, evaluate_reference(g, q))
             << tpl.name << " seed " << seed;
+        // The fused product matrix equals the per-symbol fold cell for cell.
+        const Index kn = q.num_states * g.num_vertices();
+        Matrix fold{kn, kn, ctx()};
+        for (const auto& symbol : q.symbols()) {
+            if (!g.has_label(symbol)) continue;
+            fold = storage::ewise_add(
+                ctx(), fold, storage::kronecker(ctx(), q.matrix(symbol), g.matrix(symbol)));
+        }
+        EXPECT_EQ(index.product, fold) << tpl.name << " seed " << seed;
+        EXPECT_EQ(index.product_nnz, fold.nnz()) << tpl.name << " seed " << seed;
     }
 }
 

@@ -183,6 +183,166 @@ TEST_P(FormatSweep, KroneckerShapeOverflowIsRejected) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// kronecker_sum: the fused one-pass Kronecker sum must equal the
+// kronecker + ewise_add fold it replaces, and fail cleanly.
+// ---------------------------------------------------------------------------
+
+/// A Kronecker sum input: the declared shape and the (A, B) factor pairs.
+struct KronSumCase {
+    const char* name;
+    Index nrows, ncols;
+    std::vector<std::pair<Matrix, Matrix>> factors;
+
+    [[nodiscard]] std::vector<storage::KroneckerTerm> terms() const {
+        std::vector<storage::KroneckerTerm> out;
+        for (const auto& [a, b] : factors) out.push_back({&a, &b});
+        return out;
+    }
+};
+
+Matrix coords_matrix(Index nrows, Index ncols, std::vector<Coord> coords) {
+    return Matrix{CsrMatrix::from_coords(nrows, ncols, std::move(coords)), ctx()};
+}
+
+/// Random matrix whose even rows are all empty.
+Matrix odd_rows_only(Index nrows, Index ncols, double density, std::uint64_t seed) {
+    auto coords = testing::random_csr(nrows, ncols, density, seed).to_coords();
+    std::erase_if(coords, [](const Coord& c) { return c.row % 2 == 0; });
+    return coords_matrix(nrows, ncols, std::move(coords));
+}
+
+/// The fold the drivers ran before kronecker_sum existed.
+Matrix kron_fold(backend::Context& cx, const KronSumCase& c) {
+    Matrix acc{c.nrows, c.ncols, cx};
+    for (const auto& [a, b] : c.factors) {
+        acc = storage::ewise_add(cx, acc, storage::kronecker(cx, a, b));
+    }
+    return acc;
+}
+
+KronSumCase make_kron_sum_case(int which) {
+    // An NFA-shaped automaton: two targets from every state.
+    const auto nfa = [] {
+        return coords_matrix(4, 4, {{0, 1}, {0, 2}, {1, 2}, {1, 3},
+                                    {2, 0}, {2, 3}, {3, 0}, {3, 1}});
+    };
+    switch (which) {
+        case 0:
+            return {"nfa_shaped", 4 * 30, 4 * 30,
+                    {{nfa(), testing::random_matrix(30, 30, 0.2, 5001)}}};
+        case 1: {
+            // Three terms hit block (0, 1); two carry the same B, the third
+            // overlaps it at random.
+            KronSumCase c{"shared_block", 4 * 30, 4 * 30, {}};
+            const auto b1 = testing::random_matrix(30, 30, 0.25, 5002);
+            c.factors.emplace_back(nfa(), b1);
+            c.factors.emplace_back(coords_matrix(4, 4, {{0, 1}, {3, 3}}),
+                                   testing::random_matrix(30, 30, 0.25, 5003));
+            c.factors.emplace_back(coords_matrix(4, 4, {{0, 1}, {2, 0}, {2, 1}}), b1);
+            return c;
+        }
+        case 2:
+            return {"empty_rows", 5 * 31, 5 * 29,
+                    {{odd_rows_only(5, 5, 0.5, 5004), odd_rows_only(31, 29, 0.2, 5005)},
+                     {testing::random_matrix(5, 5, 0.3, 5006), odd_rows_only(31, 29, 0.3, 5007)},
+                     {Matrix{5, 5, ctx()}, testing::random_matrix(31, 29, 0.2, 5008)}}};
+        case 3:
+            return {"one_term", 3 * 7, 5 * 4,
+                    {{testing::random_matrix(3, 5, 0.4, 5009),
+                      testing::random_matrix(7, 4, 0.4, 5010)}}};
+        default:
+            return {"zero_terms", 12, 20, {}};
+    }
+}
+
+TEST_P(FormatSweep, KroneckerSumMatchesTheFold) {
+    const auto par_base = ctx().tracker().current_bytes();
+    const auto seq_base = testing::seq_ctx().tracker().current_bytes();
+    for (backend::Context* cx : {&ctx(), &testing::seq_ctx()}) {
+        const char* policy = cx == &ctx() ? "parallel" : "sequential";
+        for (int which = 0; which < 5; ++which) {
+            {
+                const KronSumCase c = make_kron_sum_case(which);
+                const auto terms = c.terms();
+                const Matrix got = storage::kronecker_sum(*cx, c.nrows, c.ncols, terms);
+                EXPECT_EQ(got.nrows(), c.nrows) << c.name;
+                EXPECT_EQ(got.ncols(), c.ncols) << c.name;
+                EXPECT_EQ(got, kron_fold(*cx, c)) << c.name << " on " << policy;
+                if (which == 4) {
+                    EXPECT_EQ(got.nnz(), 0u);
+                }
+            }
+            EXPECT_EQ(ctx().tracker().current_bytes(), par_base) << which;
+            EXPECT_EQ(testing::seq_ctx().tracker().current_bytes(), seq_base) << which;
+        }
+    }
+}
+
+TEST_P(FormatSweep, KroneckerSumRejectsBadTermsWithoutAResult) {
+    const auto par_base = ctx().tracker().current_bytes();
+    const auto seq_base = testing::seq_ctx().tracker().current_bytes();
+    const auto full = [](Index nrows, Index ncols, Index from_row, Index to_row) {
+        std::vector<Coord> coords;
+        for (Index i = from_row; i < to_row; ++i) {
+            for (Index j = 0; j < ncols; ++j) coords.push_back({i, j});
+        }
+        return coords_matrix(nrows, ncols, std::move(coords));
+    };
+    struct Bad {
+        const char* name;
+        Status status;
+        std::function<KronSumCase()> make;
+    };
+    const Bad cases[] = {
+        {"a_shapes_differ", Status::DimensionMismatch,
+         [] {
+             return KronSumCase{"", 12, 12,
+                                {{testing::random_matrix(3, 3, 0.5, 1), testing::random_matrix(4, 4, 0.5, 2)},
+                                 {testing::random_matrix(3, 4, 0.5, 3), testing::random_matrix(4, 3, 0.5, 4)}}};
+         }},
+        {"b_shapes_differ", Status::DimensionMismatch,
+         [] {
+             return KronSumCase{"", 12, 12,
+                                {{testing::random_matrix(3, 3, 0.5, 5), testing::random_matrix(4, 4, 0.5, 6)},
+                                 {testing::random_matrix(3, 3, 0.5, 7), testing::random_matrix(4, 5, 0.5, 8)}}};
+         }},
+        {"declared_shape_differs", Status::DimensionMismatch,
+         [] {
+             return KronSumCase{"", 12, 13,
+                                {{testing::random_matrix(3, 3, 0.5, 9), testing::random_matrix(4, 4, 0.5, 10)}}};
+         }},
+        {"shape_overflows", Status::OutOfRange,
+         // 65537 * 65536 rows wrap to 65536 in 32 bits.
+         [&] { return KronSumCase{"", 1, 1, {{full(65537, 1, 0, 1), full(65536, 1, 0, 65536)}}}; }},
+        {"term_nnz_overflows", Status::OutOfRange,
+         // 65536 * 65792 cells: one term alone is past 2^32.
+         [&] { return KronSumCase{"", 256 * 256, 256 * 257,
+                                  {{full(256, 256, 0, 256), full(256, 257, 0, 256)}}}; }},
+        {"union_nnz_overflows", Status::OutOfRange,
+         // Each half fits; only their disjoint union passes 2^32.
+         [&] { return KronSumCase{"", 256 * 256, 256 * 257,
+                                  {{full(256, 256, 0, 128), full(256, 257, 0, 256)},
+                                   {full(256, 256, 128, 256), full(256, 257, 0, 256)}}}; }},
+    };
+    for (backend::Context* cx : {&ctx(), &testing::seq_ctx()}) {
+        for (const Bad& bad : cases) {
+            {
+                const KronSumCase c = bad.make();
+                const auto terms = c.terms();
+                try {
+                    (void)storage::kronecker_sum(*cx, c.nrows, c.ncols, terms);
+                    ADD_FAILURE() << bad.name << ": accepted";
+                } catch (const Error& e) {
+                    EXPECT_EQ(e.status(), bad.status) << bad.name << ": " << e.what();
+                }
+            }
+            EXPECT_EQ(ctx().tracker().current_bytes(), par_base) << bad.name;
+            EXPECT_EQ(testing::seq_ctx().tracker().current_bytes(), seq_base) << bad.name;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Hints, FormatSweep, ::testing::ValuesIn(kHints),
                          hint_name);
 
@@ -279,6 +439,13 @@ TEST_F(DispatchRoutes, AutoPicksArePinnedPerOpAndRung) {
          {"csr", "csr", "csr", "csr", "csr", "csr", "dense"}},
         {"kronecker",
          [](auto& cx, const auto& o) { (void)storage::kronecker(cx, o.a, o.s); },
+         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+        {"kronecker_sum",
+         [](auto& cx, const auto& o) {
+             const storage::KroneckerTerm terms[] = {{&o.s, &o.a}, {&o.s, &o.b}};
+             (void)storage::kronecker_sum(cx, o.s.nrows() * o.a.nrows(),
+                                          o.s.ncols() * o.a.ncols(), terms);
+         },
          {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
         {"transpose",
          [](auto& cx, const auto& o) { (void)storage::transpose(cx, o.a); },
