@@ -24,10 +24,6 @@
 #include "common.hpp"
 #include "core/convert.hpp"
 #include "data/rmat.hpp"
-// The strong-scaling ladder reads per-device busy time straight off the
-// group (benchmarks are a sanctioned import site for the tile headers).
-#include "dist/device_group.hpp"  // lint:allow(format-leak)
-#include "dist/dist.hpp"
 #include "data/kernel_alias.hpp"
 #include "data/lubm.hpp"
 #include "incr/incremental.hpp"
@@ -541,135 +537,6 @@ void write_formats_trajectory() {
                 path, geo_best, geo_worst, geo_bb);
 }
 
-// ------------- Sharded strong-scaling ladder (BENCH_dist.json) -------------
-
-/// Strong-scaling ladder for sharded SpGEMM: the same C = A * A on the same
-/// 8x8 tile grid, executed across 1 -> 8 simulated devices. The host has a
-/// single physical core, so wall clock cannot show cross-device overlap;
-/// the scaling metric is the busy-ns makespan instead — per device the group
-/// accumulates the time it spent executing tiles, and the rung's cost is the
-/// busiest device's share (exactly the wall clock an n-GPU host would see).
-/// Wall time is still recorded per rung for the single-stream sanity story.
-void write_dist_trajectory() {
-    const char* path = std::getenv("SPBLA_BENCH_DIST_JSON");
-    if (path == nullptr) path = "BENCH_dist.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench_ops_micro: cannot open %s for writing\n", path);
-        return;
-    }
-    constexpr std::size_t kLadder[] = {1, 2, 4, 8};
-    constexpr int kDistRuns = 3;
-    struct Input {
-        const char* name;
-        CsrMatrix m;
-    };
-    const Input inputs[] = {
-        {"rmat-11-8", data::make_rmat(11, 8).csr()},
-        {"rmat-12-8", data::make_rmat(12, 8).csr()},
-        {"zipf-4096-16", data::make_zipf(4096, 4096, 16, 1.0).csr()},
-    };
-    // Pool reuse over the whole ladder: SUMMA rounds recycle superseded
-    // accumulators and assemble outputs through the per-device BufferPools,
-    // so the hit ratio measures how much of the tile traffic the free lists
-    // absorb (telemetry counters are process-wide; the delta brackets the
-    // ladder).
-    const auto pool_before = backend::Context::metrics_snapshot();
-    bench::JsonWriter w(f);
-    w.begin_object();
-    w.field("bench", "dist");
-    w.field("operation", "C = A * A (SUMMA over an 8x8 tile grid)");
-    w.field("scaling_model",
-            "busy-ns makespan: max over devices of tile-execution time; "
-            "single-core host, so modeled device overlap, measured wall");
-    w.field("runs", static_cast<std::uint64_t>(kDistRuns));
-    w.begin_array("inputs");
-    double log_sum = 0.0;
-    std::size_t n_inputs = 0;
-    for (const Input& input : inputs) {
-        w.begin_object();
-        w.field("name", input.name);
-        w.field("nrows", static_cast<std::uint64_t>(input.m.nrows()));
-        w.field("nnz", static_cast<std::uint64_t>(input.m.nnz()));
-        w.begin_array("rungs");
-        double makespan1_ms = 0.0, speedup4 = 0.0;
-        for (const std::size_t devices : kLadder) {
-            dist::Config cfg;
-            cfg.devices = devices;
-            cfg.threads_per_device = 1;
-            cfg.grid_rows = 8;
-            cfg.grid_cols = 8;
-            dist::configure(cfg);
-            const Matrix a{input.m, ctx()};
-            (void)dist::multiply(ctx(), a, a);  // builds + caches the sharding
-            dist::reset_stats();
-            const auto before = dist::group().busy_ns();
-            const auto wall = bench::time_stats(
-                [&] { (void)dist::multiply(ctx(), a, a); }, kDistRuns);
-            const auto after = dist::group().busy_ns();
-            std::uint64_t makespan_ns = 0, busy_total_ns = 0;
-            for (std::size_t d = 0; d < after.size(); ++d) {
-                const std::uint64_t delta = after[d] - before[d];
-                busy_total_ns += delta;
-                makespan_ns = std::max(makespan_ns, delta);
-            }
-            // time_stats runs the body kDistRuns + 1 times (one warm-up).
-            const double makespan_ms =
-                static_cast<double>(makespan_ns) / 1e6 / (kDistRuns + 1);
-            if (devices == 1) makespan1_ms = makespan_ms;
-            const double speedup =
-                makespan_ms > 0 ? makespan1_ms / makespan_ms : 0.0;
-            if (devices == 4) speedup4 = speedup;
-            const dist::Stats& ds = dist::stats();
-            w.begin_object();
-            w.field("devices", static_cast<std::uint64_t>(devices));
-            w.field("wall", wall);
-            w.field("makespan_ms", makespan_ms);
-            w.field("busy_total_ms",
-                    static_cast<double>(busy_total_ns) / 1e6 / (kDistRuns + 1));
-            w.field("modeled_speedup", speedup);
-            w.field("tiles_processed",
-                    ds.tiles_processed.load(std::memory_order_relaxed));
-            w.field("tile_steals", ds.tile_steals.load(std::memory_order_relaxed));
-            w.field("tile_transfers",
-                    ds.tile_transfers.load(std::memory_order_relaxed));
-            w.field("transfer_bytes",
-                    ds.transfer_bytes.load(std::memory_order_relaxed));
-            w.end_object();
-        }
-        w.end_array();
-        w.field("modeled_speedup_4dev", speedup4);
-        log_sum += std::log(speedup4 > 0 ? speedup4 : 1.0);
-        ++n_inputs;
-        w.end_object();
-    }
-    w.end_array();
-    const double geomean =
-        n_inputs > 0 ? std::exp(log_sum / static_cast<double>(n_inputs)) : 0.0;
-    w.field("geomean_speedup_4dev", geomean);
-    const auto pool_after = backend::Context::metrics_snapshot();
-    const std::uint64_t pool_hits =
-        pool_after.counter(telemetry::Counter::PoolBufferHits) -
-        pool_before.counter(telemetry::Counter::PoolBufferHits);
-    const std::uint64_t pool_misses =
-        pool_after.counter(telemetry::Counter::PoolBufferMisses) -
-        pool_before.counter(telemetry::Counter::PoolBufferMisses);
-    const double reuse_ratio =
-        pool_hits + pool_misses > 0
-            ? static_cast<double>(pool_hits) /
-                  static_cast<double>(pool_hits + pool_misses)
-            : 0.0;
-    w.field("pool_hits", pool_hits);
-    w.field("pool_misses", pool_misses);
-    w.field("pool_reuse_ratio", reuse_ratio);
-    w.end_object();
-    std::fclose(f);
-    dist::disable();
-    std::printf("Sharded strong-scaling ladder written to %s "
-                "(modeled 4-device geomean speedup %.2fx)\n",
-                path, geomean);
-}
-
 // ------- Incremental update-latency ladder (BENCH_incremental.json) --------
 
 /// Update latency vs batch size: transitive-closure maintenance on LUBM and
@@ -823,19 +690,16 @@ void write_incremental_trajectory() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Four trajectory ladders plus the benchmark loop overflow the default
+    // Three trajectory ladders plus the benchmark loop overflow the default
     // per-thread trace ring (the incremental ladder's semi-naive rounds
-    // would lap the dist.* spans out of the exit trace), so size the rings
-    // for the whole smoke run before the first span is recorded.
+    // would lap the earlier ladders' spans out of the exit trace), so size
+    // the rings for the whole smoke run before the first span is recorded.
     prof::set_ring_capacity(1 << 16);
     // The formats ladder runs second: the spgemm ladder resets the profiling
     // counters per config, so this order leaves the dispatch counter story
     // (picks, conversions, cache hits) intact in the exit trace dump.
     write_spgemm_trajectory();
     write_formats_trajectory();
-    // The dist ladder runs last for the same reason: its dist_* counters
-    // must survive into the exit trace for check_trace.py --require-dist.
-    write_dist_trajectory();
     // The incremental ladder follows: its spbla.incr.* counters and
     // incr.closure.round spans feed check_trace.py --require-incr.
     write_incremental_trajectory();

@@ -149,29 +149,6 @@ spbla_Status spbla_SetCacheBudget(uint64_t bytes);
  *  SPBLA_FORMAT_AUTO is invalid here. */
 spbla_Status spbla_Matrix_SetFormatHint(spbla_Matrix matrix, spbla_FormatHint hint);
 
-/* ---------------------------- multi-device -----------------------------
- * The library can 2D block-partition matrices across a group of simulated
- * devices and run the hot operations tile-wise with cross-device overlap.
- * Once configured, operations whose operands cross the thresholds execute
- * sharded transparently; smaller ones stay on the single-device path. */
-
-/** Grid/device knobs for sharded execution. Zero means "library default"
- *  for every field except n_devices. */
-typedef struct spbla_DistConfig {
-    uint32_t n_devices;         /**< simulated devices; 0 disables sharding */
-    uint32_t threads_per_device;/**< pool workers per device (0 or 1: one lane) */
-    uint32_t grid_rows;         /**< explicit tile grid; 0 = auto from nnz */
-    uint32_t grid_cols;         /**< explicit tile grid; 0 = auto from nnz */
-    uint64_t tile_budget_bytes; /**< per-tile memory target; 0 = default */
-    uint64_t min_nnz;           /**< route threshold: combined operand nnz */
-    uint32_t min_dim;           /**< route threshold: largest dimension */
-} spbla_DistConfig;
-
-/** Enable sharded execution across `config->n_devices` simulated devices
- *  (rebuilding the device group), or disable it when `config` is NULL or
- *  `n_devices` is 0. Do not call with operations in flight. */
-spbla_Status spbla_DistConfigure(const spbla_DistConfig* config);
-
 /* -------------------------------- matrix ------------------------------- */
 
 /** Create an empty nrows x ncols matrix. */

@@ -3,7 +3,7 @@
 ///
 /// Kernel scratch (per-row SpGEMM accumulators, bit-block panels, conversion
 /// cursors) used to churn raw std::vectors through the general allocator on
-/// every row, tile and SUMMA round — invisible to MemoryTracker and paid in
+/// every row and tile — invisible to MemoryTracker and paid in
 /// malloc/free on the hottest paths. This header provides the two memory
 /// tiers that replace that churn:
 ///
@@ -16,7 +16,7 @@
 ///
 ///   BufferPool — size-classed free lists for long-lived index buffers that
 ///     outlive one op (CSR row-offset/column arrays of cached secondary
-///     representations, SUMMA accumulator tiles). Dropping a cached rep
+///     representations, kernel output arrays). Dropping a cached rep
 ///     returns its arrays in O(1); the next conversion re-acquires them.
 ///
 /// Tracker veneer: a slab is counted once by MemoryTracker::on_alloc at its
@@ -238,7 +238,7 @@ private:
 };
 
 /// Size-classed free lists for index buffers that outlive one op (cached CSR
-/// representations, SUMMA accumulator tiles). Class c parks vectors whose
+/// representations, kernel output arrays). Class c parks vectors whose
 /// capacity is in [2^c, 2^(c+1)); acquire(n) serves from the first class
 /// whose every member fits n. Thread-safe (ops on different pool threads
 /// release tiles concurrently); held buffers are outside the tracker and

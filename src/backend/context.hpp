@@ -120,7 +120,7 @@ public:
     }
 
     /// Size-classed free lists for index buffers that outlive one op (cached
-    /// secondary representations, SUMMA accumulator tiles).
+    /// secondary representations, kernel output arrays).
     [[nodiscard]] BufferPool& buffer_pool() const noexcept { return *buffer_pool_; }
 
     /// Release retained scratch (arena slabs + pooled buffers) back to the

@@ -13,7 +13,6 @@
 
 #include "algorithms/closure.hpp"
 #include "backend/context.hpp"
-#include "dist/dist.hpp"
 #include "incr/incremental.hpp"
 #include "incr/memo.hpp"
 #include "prof/prof.hpp"
@@ -209,30 +208,6 @@ spbla_Status spbla_SetFormatHint(spbla_FormatHint hint) {
 spbla_Status spbla_SetCacheBudget(uint64_t bytes) {
     return guarded([&]() -> spbla_Status {
         spbla::storage::set_cache_budget(static_cast<std::size_t>(bytes));
-        return SPBLA_STATUS_SUCCESS;
-    });
-}
-
-spbla_Status spbla_DistConfigure(const spbla_DistConfig* config) {
-    return guarded([&]() -> spbla_Status {
-        if (config == nullptr || config->n_devices == 0) {
-            spbla::dist::disable();
-            return SPBLA_STATUS_SUCCESS;
-        }
-        spbla::dist::Config cfg;
-        cfg.devices = config->n_devices;
-        cfg.threads_per_device =
-            config->threads_per_device == 0 ? 1 : config->threads_per_device;
-        cfg.grid_rows = config->grid_rows;
-        cfg.grid_cols = config->grid_cols;
-        if (config->tile_budget_bytes != 0) {
-            cfg.tile_budget_bytes = static_cast<std::size_t>(config->tile_budget_bytes);
-        }
-        if (config->min_nnz != 0) {
-            cfg.min_nnz = static_cast<std::size_t>(config->min_nnz);
-        }
-        if (config->min_dim != 0) cfg.min_dim = config->min_dim;
-        spbla::dist::configure(cfg);
         return SPBLA_STATUS_SUCCESS;
     });
 }

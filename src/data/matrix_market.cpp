@@ -50,9 +50,15 @@ Matrix load_matrix_market(std::istream& is) {
           "matrix market: malformed size line");
     check(nrows <= 0xFFFFFFFFull && ncols <= 0xFFFFFFFFull, Status::OutOfRange,
           "matrix market: shape exceeds Index range");
+    // Both factors fit in 32 bits, so the cell count cannot overflow.
+    check(nnz <= nrows * ncols, Status::OutOfRange,
+          "matrix market: entry count exceeds the number of cells");
 
+    // The header's count is a claim, not a size: reserve a bounded prefix and
+    // let the entries actually read grow the vector.
+    constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 16;
     std::vector<Coord> coords;
-    coords.reserve(symmetry == "symmetric" ? 2 * nnz : nnz);
+    coords.reserve(static_cast<std::size_t>(std::min(nnz, kMaxReserve)));
     for (std::uint64_t k = 0; k < nnz; ++k) {
         std::uint64_t r = 0, c = 0;
         check(static_cast<bool>(is >> r >> c), Status::InvalidArgument,

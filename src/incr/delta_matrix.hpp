@@ -4,7 +4,7 @@
 /// A DeltaMatrix keeps a base matrix untouched across a stream of small
 /// insert/delete batches and accumulates the net change in two overlay
 /// matrices, so downstream consumers that cache work keyed by the *base's*
-/// content version (the dist shard cache, the incr op memo) keep hitting
+/// content version (the incr op memo) keep hitting
 /// while edits pour in. The overlay is held normalized —
 ///
 ///     add ∩ base = ∅      (inserts are genuinely new cells)

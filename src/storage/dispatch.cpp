@@ -22,7 +22,6 @@
 #include "storage/dispatch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -281,8 +280,6 @@ struct OpSpec<Out(backend::Context&, Args...)> {
     Anchor anchor = Anchor::First;
     /// Empty-operand fast path: the result when it applies, else nullopt.
     std::optional<Out> (*shortcut)(backend::Context&, Args...) = nullptr;
-    /// Sharded entry point in the multi-device bridge, if the op has one.
-    Out (*DistBridge::*bridge)(backend::Context&, Args...) = nullptr;
     /// Modelled kernel work of each row (infinite: never picked by the
     /// model), evaluated under FormatHint::Auto only; an op without a model
     /// routes CSR under Auto.
@@ -298,8 +295,8 @@ struct OpSpec<Out(backend::Context&, Args...)> {
 
 using KroneckerTerms = std::span<const KroneckerTerm>;
 
-/// The operands a cost pick, shard probe or hysteresis anchor sees. A term
-/// span is not among them: its op has neither a cost model nor a bridge.
+/// The operands a cost pick or hysteresis anchor sees. A term span is not
+/// among them: its op has no cost model.
 template <class T>
 [[nodiscard]] auto matrix_operand(const T& x) noexcept {
     if constexpr (std::is_same_v<T, Matrix>) return std::tuple<const Matrix*>{&x};
@@ -331,8 +328,7 @@ template <class T>
 }
 
 /// The one routing skeleton: span, telemetry scope, empty-operand shortcut,
-/// multi-device probe, hint or cost pick, route count, kernel, telemetry
-/// close, cache trim.
+/// hint or cost pick, route count, kernel, telemetry close, cache trim.
 template <const auto& Op, class... Ts>
 auto route(backend::Context& ctx, const Ts&... args) {
     SPBLA_PROF_SPAN(Op.span);
@@ -381,15 +377,6 @@ auto route(backend::Context& ctx, const Ts&... args) {
             return *std::move(out);
         }
     }
-    if constexpr (Op.bridge != nullptr) {
-        const DistBridge* db = dist_bridge();
-        if (db != nullptr &&
-            std::apply([db](auto... m) { return db->should_shard({m...}); }, operands)) {
-            auto out = (db->*Op.bridge)(ctx, args...);
-            done(telemetry::Histogram::OpLatencyShardedNs, "sharded", out);
-            return out;
-        }
-    }
 
     const auto has_row = [&](Format f) {
         return Op.rows[f] != nullptr && (Op.admits == nullptr || Op.admits(f, args...));
@@ -434,7 +421,6 @@ constexpr OpSpec<decltype(multiply)> kMultiply{
                       "multiply: inner dimensions disagree");
         return Matrix{a.nrows(), b.ncols(), ctx};
     },
-    .bridge = &DistBridge::multiply,
     .work = [](const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
         const bool dense_ok = dense_eligible(a) && dense_eligible(b) &&
@@ -476,7 +462,6 @@ constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
                       Status::DimensionMismatch, "multiply_add: accumulator shape disagrees");
         return Matrix{c};
     },
-    .bridge = &DistBridge::multiply_add,
     .work = [](const Matrix& c, const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
         const bool dense_ok = dense_eligible(a) && dense_eligible(b) && dense_eligible(c) &&
@@ -508,7 +493,6 @@ constexpr OpSpec<decltype(ewise_add)> kEwiseAdd{
     .span = "storage.dispatch.ewise_add",
     .flight = "ewise_add",
     .anchor = Anchor::Dominant,
-    .bridge = &DistBridge::ewise_add,
     .work = [](const Matrix& a, const Matrix& b) {
         // CSR pays the per-row merge bookkeeping; the flat COO merge is the
         // natural very-sparse winner; dense is one OR sweep over the words;
@@ -543,7 +527,6 @@ constexpr OpSpec<decltype(ewise_mult)> kEwiseMult{
     .span = "storage.dispatch.ewise_mult",
     .flight = "ewise_mult",
     .anchor = Anchor::Dominant,
-    .bridge = &DistBridge::ewise_mult,
     .work = [](const Matrix& a, const Matrix& b) {
         // The bitblock intersection expands both sides of every matched tile
         // pair (~5 word sweeps, as in ewise_add); the occupied-tile sum is
@@ -594,7 +577,6 @@ constexpr OpSpec<decltype(ewise_diff)> kEwiseDiff{
 constexpr OpSpec<decltype(kronecker)> kKronecker{
     .span = "storage.dispatch.kronecker",
     .flight = "kronecker",
-    .bridge = &DistBridge::kronecker,
     .admits = [](Format f, const Matrix& a, const Matrix& b) {
         if (f != Format::Dense) return true;
         // The output shape in 64 bits: a wrapped 32-bit product would pass.
@@ -636,7 +618,6 @@ constexpr OpSpec<decltype(kronecker_sum)> kKroneckerSum{
 constexpr OpSpec<decltype(transpose)> kTranspose{
     .span = "storage.dispatch.transpose",
     .flight = "transpose",
-    .bridge = &DistBridge::transpose,
     .work = [](const Matrix& a) {
         // COO transpose is swap + sort; CSR is a counting pass + scatter;
         // bitblock is ~384 register word ops per occupied tile.
@@ -692,7 +673,6 @@ constexpr OpSpec<decltype(submatrix)> kSubmatrix{
 constexpr OpSpec<decltype(reduce_to_column)> kReduceToColumn{
     .span = "storage.dispatch.reduce_to_column",
     .flight = "reduce_to_col",
-    .bridge = &DistBridge::reduce_to_column,
     .work = [](const Matrix& a) {
         // All kernels are linear; whichever representation exists wins.
         return Costs{.csr = 0.5 * static_cast<double>(a.nrows()),
@@ -717,7 +697,6 @@ constexpr OpSpec<decltype(reduce_to_row)> kReduceToRow{
 constexpr OpSpec<decltype(mxv)> kMxv{
     .span = "storage.dispatch.mxv",
     .flight = "mxv",
-    .bridge = &DistBridge::mxv,
     .work = [](const Matrix& a, const SpVector&) {
         // CSR walks the rows the frontier lands on; bitblock tests one packed
         // word per (tile row, frontier tile) and wins once the matrix is
@@ -745,14 +724,11 @@ constexpr OpSpec<decltype(vxm)> kVxm{
 constexpr OpSpec<decltype(multiply_masked)> kMultiplyMasked{
     .span = "storage.dispatch.multiply_masked",
     .flight = "mxm_masked",
-    .bridge = &DistBridge::multiply_masked,
     .rows = {.csr = [](auto& ctx, const auto& mask, const auto& a, const auto& bt, bool complement) {
         return Matrix{ops::multiply_masked(ctx, mask.csr(ctx), a.csr(ctx), bt.csr(ctx), complement),
                       ctx};
     }},
 };
-
-std::atomic<const DistBridge*> g_dist_bridge{nullptr};
 
 }  // namespace
 
@@ -814,14 +790,6 @@ SpVector vxm(backend::Context& ctx, const SpVector& x, const Matrix& a) {
 Matrix multiply_masked(backend::Context& ctx, const Matrix& mask, const Matrix& a,
                        const Matrix& b_transposed, bool complement) {
     return route<kMultiplyMasked>(ctx, mask, a, b_transposed, complement);
-}
-
-void set_dist_bridge(const DistBridge* bridge) noexcept {
-    g_dist_bridge.store(bridge, std::memory_order_release);
-}
-
-const DistBridge* dist_bridge() noexcept {
-    return g_dist_bridge.load(std::memory_order_acquire);
 }
 
 }  // namespace spbla::storage

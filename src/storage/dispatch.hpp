@@ -92,35 +92,4 @@ struct KroneckerTerm {
                                      const Matrix& a, const Matrix& b_transposed,
                                      bool complement = false);
 
-// ---- Multi-device bridge --------------------------------------------------
-
-/// Hook the sharded multi-device layer (src/dist) installs at configure time
-/// so above-threshold ops route through it transparently. A function-pointer
-/// table (rather than a direct call) keeps the dependency one-way: dist links
-/// against storage, never the reverse. Entries may be null for ops the layer
-/// does not shard; `should_shard` is consulted per call with the routed op's
-/// matrix operands.
-struct DistBridge {
-    bool (*should_shard)(std::initializer_list<const Matrix*> operands);
-    Matrix (*multiply)(backend::Context&, const Matrix&, const Matrix&,
-                       const ops::SpGemmOptions&);
-    Matrix (*multiply_add)(backend::Context&, const Matrix&, const Matrix&, const Matrix&,
-                           const ops::SpGemmOptions&);
-    Matrix (*multiply_masked)(backend::Context&, const Matrix&, const Matrix&,
-                              const Matrix&, bool);
-    Matrix (*ewise_add)(backend::Context&, const Matrix&, const Matrix&);
-    Matrix (*ewise_mult)(backend::Context&, const Matrix&, const Matrix&);
-    Matrix (*kronecker)(backend::Context&, const Matrix&, const Matrix&);
-    Matrix (*transpose)(backend::Context&, const Matrix&);
-    SpVector (*reduce_to_column)(backend::Context&, const Matrix&);
-    SpVector (*mxv)(backend::Context&, const Matrix&, const SpVector&);
-};
-
-/// Install (or, with nullptr, remove) the sharded-execution bridge. The
-/// pointed-to table must outlive every routed call.
-void set_dist_bridge(const DistBridge* bridge) noexcept;
-
-/// The active bridge, or nullptr when sharded execution is not configured.
-[[nodiscard]] const DistBridge* dist_bridge() noexcept;
-
 }  // namespace spbla::storage

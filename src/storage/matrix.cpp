@@ -6,9 +6,9 @@
 /// *published* slot (atomic pointer). Readers take one acquire load of the
 /// published pointer; a miss takes the mutex, runs the conversion exactly
 /// once, charges the tracker, and release-publishes the pointer. Concurrent
-/// first materialisation from many pool threads is therefore safe — the PR 6
-/// dist prewarm workaround this replaces is gone — while the hot path stays
-/// a single atomic load (within noise on the format/dist bench ladders).
+/// first materialisation from many pool threads is therefore safe, while the
+/// hot path stays a single atomic load (within noise on the format bench
+/// ladder).
 
 #include "storage/matrix.hpp"
 

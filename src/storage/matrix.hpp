@@ -163,7 +163,7 @@ public:
     /// Content version of this handle: a process-unique stamp assigned when
     /// the cell set is (re)built and carried across copies/moves of the same
     /// content. Any mutation (assignment, `+=`, `multiply_add`) installs a
-    /// fresh stamp, so derived caches — e.g. the dist layer's shardings —
+    /// fresh stamp, so derived caches — e.g. the incr layer's op memo —
     /// compare versions to detect staleness. 0 only on moved-from handles
     /// (never considered current).
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
@@ -213,8 +213,8 @@ public:
     /// by both deltas ends up present. Both deltas must match this shape.
     /// A no-op batch (both deltas empty) keeps the content stamp; any other
     /// batch installs a fresh version() even when the resulting cell set is
-    /// value-equal, so every version-keyed derived cache (dist shardings, the
-    /// incr layer's op memo) treats the handle as new content.
+    /// value-equal, so every version-keyed derived cache (the incr layer's op
+    /// memo) treats the handle as new content.
     void apply_delta(const Matrix& adds, const Matrix& removes, backend::Context& ctx);
     void apply_delta(const Matrix& adds, const Matrix& removes) {
         apply_delta(adds, removes, *ctx_);

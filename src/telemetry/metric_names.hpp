@@ -30,13 +30,6 @@ enum class Counter : std::uint16_t {
     StorageCacheHits,     ///< secondary-representation cache hits
     StorageCacheStores,   ///< secondary representations cached
     StorageCacheDrops,    ///< cached representations evicted
-    DistShardedOps,       ///< ops executed on the sharded multi-device path
-    DistShardBuilds,      ///< shardings materialised
-    DistShardCacheHits,   ///< shardings reused by content version
-    DistTilesProcessed,   ///< tile tasks executed across the device group
-    DistTileSteals,       ///< tile tasks run off their owner's queue
-    DistTileTransfers,    ///< non-resident tile reads
-    DistTransferBytes,    ///< bytes moved between simulated devices
     PoolTasks,            ///< discrete pool jobs completed
     PoolBulkLaunches,     ///< dynamic bulk launches (parallel_for ticket sets)
     PoolTickets,          ///< tickets issued by bulk launches
@@ -82,7 +75,9 @@ enum class Histogram : std::uint16_t {
     OpLatencyCooNs,       ///< dispatcher op wall-time, COO route
     OpLatencyDenseNs,     ///< dispatcher op wall-time, dense route
     OpLatencyBitBlocksNs, ///< dispatcher op wall-time, bit-block route
-    OpLatencyShardedNs,   ///< dispatcher op wall-time, multi-device route
+    /// Retired multi-device route: nothing observes it, so it stays at count
+    /// 0. Kept because the end-to-end benchmark still reads it.
+    OpLatencyShardedNs,
     OpNnzIn,              ///< combined operand nnz per dispatched op
     OpNnzOut,             ///< result nnz per dispatched op
     ProfSpanNs,           ///< prof span durations (only when profiling enabled)
@@ -106,13 +101,6 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::StorageCacheHits: return "spbla.storage.cache_hits";
         case Counter::StorageCacheStores: return "spbla.storage.cache_stores";
         case Counter::StorageCacheDrops: return "spbla.storage.cache_drops";
-        case Counter::DistShardedOps: return "spbla.dist.sharded_ops";
-        case Counter::DistShardBuilds: return "spbla.dist.shard_builds";
-        case Counter::DistShardCacheHits: return "spbla.dist.shard_cache_hits";
-        case Counter::DistTilesProcessed: return "spbla.dist.tiles_processed";
-        case Counter::DistTileSteals: return "spbla.dist.tile_steals";
-        case Counter::DistTileTransfers: return "spbla.dist.tile_transfers";
-        case Counter::DistTransferBytes: return "spbla.dist.transfer_bytes";
         case Counter::PoolTasks: return "spbla.pool.tasks";
         case Counter::PoolBulkLaunches: return "spbla.pool.bulk_launches";
         case Counter::PoolTickets: return "spbla.pool.tickets";

@@ -5,26 +5,7 @@
 #include <chrono>
 #include <cstdint>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <ctime>
-#endif
-
 namespace spbla::util {
-
-/// Nanoseconds of CPU time consumed by the calling thread, or 0 when the
-/// platform offers no per-thread clock. Unlike wall clock this is immune to
-/// preemption, so threads multiplexed onto fewer cores than there are lanes
-/// (the simulated-device case) still report only the work they executed.
-[[nodiscard]] inline std::uint64_t thread_cpu_ns() noexcept {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    timespec ts{};
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-        return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-               static_cast<std::uint64_t>(ts.tv_nsec);
-    }
-#endif
-    return 0;
-}
 
 /// Monotonic wall-clock stopwatch.
 class Timer {

@@ -146,6 +146,14 @@ TEST(MatrixMarket, MalformedInputsRejected) {
         (void)parse("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n"),
         Error);
     EXPECT_THROW((void)parse("not a banner\n1 1 0\n"), Error);
+    // An entry count no shape can hold is rejected before anything is sized
+    // from it.
+    EXPECT_THROW((void)parse("%%MatrixMarket matrix coordinate pattern general\n"
+                             "2 2 4611686018427387904\n1 1\n"),
+                 Error);
+    EXPECT_THROW((void)parse("%%MatrixMarket matrix coordinate pattern general\n"
+                             "2 2 50000000000\n1 1\n"),
+                 Error);
 }
 
 TEST(MatrixMarket, FileRoundTrip) {

@@ -26,13 +26,6 @@
 #include "rpq/engine.hpp"
 #include "storage/dispatch.hpp"
 #include "baseline/generic_spgemm.hpp"
-// The sharded fuzz drives the tile kernels directly (tests are a sanctioned
-// import site for the private dist headers).
-#include "dist/device_group.hpp"    // lint:allow(format-leak)
-#include "dist/dist.hpp"
-#include "dist/partition.hpp"       // lint:allow(format-leak)
-#include "dist/sharded_matrix.hpp"  // lint:allow(format-leak)
-#include "dist/sharded_ops.hpp"     // lint:allow(format-leak)
 #include "core/validate.hpp"
 #include "helpers.hpp"
 #include "ops/ops.hpp"
@@ -330,117 +323,6 @@ TEST_P(BitBlockFuzzSweep, BitKernelsAgreeWithCsrKernelsAndDenseMirror) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitBlockFuzzSweep,
                          ::testing::Values(7, 19, 31, 47, 59, 71));
-
-// ---------------------------------------------------------------------------
-// Sharded-execution differential fuzz: random shapes (down to single
-// rows/columns), random grids (often larger than the extent, so empty and
-// sliver tiles are routine), random device counts and placements. Every
-// sharded result is checked against BOTH the single-device CSR kernel and
-// the dense mirror, so a divergence isolates the dist layer.
-// ---------------------------------------------------------------------------
-
-class DistFuzzSweep
-    : public ::spbla::testing::CheckedContextWithParam<std::uint64_t> {};
-
-TEST_P(DistFuzzSweep, ShardedOpsAgreeWithCsrKernelsAndDenseMirror) {
-    util::Rng rng{GetParam()};
-    dist::DeviceGroup group{1 + rng.below(4)};
-
-    const auto grid = [&rng] { return 1 + rng.below(5); };
-    const auto placement = [&rng] {
-        return rng.below(2) == 0 ? dist::Placement::RoundRobin
-                                 : dist::Placement::LoadBalanced;
-    };
-    const auto check = [](const Matrix& got, const CsrMatrix& want_csr,
-                          const DenseMatrix& want_dense, const char* op) {
-        ASSERT_NO_THROW(core::validate(got.csr())) << op;
-        ASSERT_EQ(got.csr(), want_csr) << op;
-        ASSERT_EQ(to_dense(got.csr()), want_dense) << op;
-    };
-
-    for (int step = 0; step < 20; ++step) {
-        const Index m = 1 + static_cast<Index>(rng.below(36));
-        const Index k = 1 + static_cast<Index>(rng.below(36));
-        const Index n = 1 + static_cast<Index>(rng.below(36));
-        const double density = 0.02 + rng.uniform() * 0.25;
-
-        const CsrMatrix ac = testing::random_csr(m, k, density, rng());
-        const Matrix a{ac, ctx()};
-        const dist::Partition pa = dist::Partition::uniform(m, k, grid(), grid());
-        const dist::ShardedMatrix sa{group, a, pa, placement()};
-
-        switch (rng.below(6)) {
-            case 0: {  // SUMMA multiply on a conformal random grid
-                const CsrMatrix bc = testing::random_csr(k, n, density, rng());
-                const Matrix b{bc, ctx()};
-                const auto inner = pa.col_splits();
-                const dist::Partition pb_cols =
-                    dist::Partition::uniform(k, n, 1, grid());
-                const auto bcols = pb_cols.col_splits();
-                const dist::Partition pb{{inner.begin(), inner.end()},
-                                         {bcols.begin(), bcols.end()}};
-                const dist::ShardedMatrix sb{group, b, pb, placement()};
-                check(dist::sharded_multiply(ctx(), sa, sb),
-                      ops::multiply(ctx(), ac, bc),
-                      to_dense(ac).multiply(to_dense(bc)), "dist.multiply");
-                break;
-            }
-            case 1: {  // ewise_add / ewise_mult on the same grid
-                const CsrMatrix bc = testing::random_csr(m, k, density, rng());
-                const Matrix b{bc, ctx()};
-                const dist::ShardedMatrix sb{group, b, pa, placement()};
-                check(dist::sharded_ewise_add(ctx(), sa, sb),
-                      ops::ewise_add(ctx(), ac, bc),
-                      to_dense(ac).ewise_or(to_dense(bc)), "dist.ewise_add");
-                DenseMatrix and_mirror{m, k};
-                const DenseMatrix bd = to_dense(bc);
-                for (const auto& c : to_dense(ac).to_coords()) {
-                    if (bd.get(c.row, c.col)) and_mirror.set(c.row, c.col);
-                }
-                check(dist::sharded_ewise_mult(ctx(), sa, sb),
-                      ops::ewise_mult(ctx(), ac, bc), and_mirror,
-                      "dist.ewise_mult");
-                break;
-            }
-            case 2:  // transpose lands tiles on the transposed grid
-                check(dist::sharded_transpose(ctx(), sa),
-                      ops::transpose(ctx(), ac), to_dense(ac).transpose(),
-                      "dist.transpose");
-                break;
-            case 3: {  // kronecker broadcasts whole B
-                const CsrMatrix bc =
-                    testing::random_csr(1 + static_cast<Index>(rng.below(6)),
-                                        1 + static_cast<Index>(rng.below(6)),
-                                        0.4, rng());
-                const Matrix b{bc, ctx()};
-                const Matrix got = dist::sharded_kronecker(ctx(), sa, b);
-                const CsrMatrix want = ops::kronecker(ctx(), ac, bc);
-                ASSERT_NO_THROW(core::validate(got.csr())) << "dist.kronecker";
-                ASSERT_EQ(got.csr(), want) << "dist.kronecker";
-                break;
-            }
-            case 4: {  // reduce_to_column
-                const SpVector got = dist::sharded_reduce_to_column(ctx(), sa);
-                ASSERT_EQ(got, ops::reduce_to_column(ctx(), ac)) << "dist.reduce";
-                break;
-            }
-            default: {  // mxv against a random vector slice pattern
-                std::vector<Index> set;
-                for (Index c = 0; c < k; ++c) {
-                    if (rng.below(3) == 0) set.push_back(c);
-                }
-                const SpVector x = SpVector::from_indices(k, std::move(set));
-                const SpVector got = dist::sharded_mxv(ctx(), sa, x);
-                ASSERT_EQ(got, ops::mxv(ctx(), ac, x)) << "dist.mxv";
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(group.balanced()) << group.leak_report();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DistFuzzSweep,
-                         ::testing::Values(17, 28, 39, 410, 511, 612));
 
 // ---------------------------------------------------------------------------
 // Incremental-evaluation differential fuzz. Random delta schedules are

@@ -8,8 +8,7 @@
 /// and LUBM-style graphs. Metamorphic checks (a batch followed by its exact
 /// inverse) pin the epoch semantics: value-equal but epoch-distinct. The
 /// epoch audit sweeps every mutating entry point of storage::Matrix and
-/// checks that neither the op memo nor the dist shard cache ever serves a
-/// stale entry across a mutation.
+/// checks that the op memo never serves a stale entry across a mutation.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +16,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "algorithms/closure.hpp"
@@ -24,9 +24,6 @@
 #include "cfpq/grammar.hpp"
 #include "data/labeled_graph.hpp"
 #include "data/lubm.hpp"
-#include "dist/dist.hpp"
-#include "dist/partition.hpp"       // lint:allow(format-leak)
-#include "dist/sharded_matrix.hpp"  // lint:allow(format-leak)
 #include "helpers.hpp"
 #include "incr/delta_matrix.hpp"
 #include "incr/incremental.hpp"
@@ -501,6 +498,22 @@ TEST_F(IncrementalNet, DeltaMatrixSnapshotIsCachedPerEpoch) {
 
 // ---- op memo --------------------------------------------------------------
 
+// The memo keys on content stamps, so pin what a stamp follows: a copy keeps
+// it, a mutation re-stamps, a moved-from handle reads 0.
+TEST_F(IncrementalNet, MutationInstallsFreshVersion) {
+    Matrix a = spbla::testing::random_matrix(20, 20, 0.2, 1301);
+    const auto v0 = a.version();
+    EXPECT_NE(v0, 0u);
+    const Matrix copy = a;
+    EXPECT_EQ(copy.version(), v0);  // same content, same stamp
+    a += Matrix::identity(20, ctx());
+    EXPECT_NE(a.version(), v0);     // mutation re-stamps
+    EXPECT_EQ(copy.version(), v0);  // the copy keeps the old content
+    Matrix moved = std::move(a);
+    EXPECT_NE(moved.version(), v0);
+    EXPECT_EQ(a.version(), 0u);  // NOLINT(bugprone-use-after-move): contract
+}
+
 TEST_F(IncrementalNet, MemoHitsOnRepeatAndMissesAfterMutation) {
     const auto a = uniform_graph(16, 40, 131);
     const auto b = uniform_graph(16, 40, 137);
@@ -590,44 +603,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EpochAuditCase>& info) {
         return std::string{info.param};
     });
-
-TEST_F(IncrementalNet, EpochAuditDistScatterGatherStaysInSync) {
-    // Force sharding on tiny operands so the shard cache actually engages.
-    dist::Config cfg;
-    cfg.devices = 2;
-    cfg.min_nnz = 1;
-    cfg.min_dim = 1;
-    dist::configure(cfg);
-    {
-        auto a = uniform_graph(24, 80, 151);
-        const auto b = uniform_graph(24, 80, 157);
-
-        // Scatter/gather round-trips the content and records the epoch.
-        dist::ShardedMatrix sharded{dist::group(), a,
-                                    dist::Partition::uniform(24, 24, 2, 2)};
-        EXPECT_EQ(sharded.source_version(), a.version());
-        EXPECT_TRUE(sharded.in_sync_with(a));
-        EXPECT_EQ(sharded.gather(ctx()), a);
-
-        // A sharded multiply, a mutation, then another multiply: the second
-        // result must reflect the new epoch, not a stale cached sharding.
-        const auto r1 = [&] {
-            dist::ScopedHint force{dist::Hint::ForceShard};
-            return storage::multiply(ctx(), a, b);
-        }();
-        EXPECT_EQ(r1, storage::multiply(ctx(), a, b));
-        a.apply_delta(cells(24, 24, {{23, 0}, {0, 23}}), Matrix{24, 24, ctx()}, ctx());
-        EXPECT_FALSE(sharded.in_sync_with(a)) << "mutation must invalidate shardings";
-        const auto r2 = [&] {
-            dist::ScopedHint force{dist::Hint::ForceShard};
-            return storage::multiply(ctx(), a, b);
-        }();
-        EXPECT_EQ(r2, storage::multiply(ctx(), a, b))
-            << "sharded result served a stale shard cache entry";
-        EXPECT_NE(r1, r2);
-    }
-    dist::disable();
-}
 
 TEST_F(IncrementalNet, EpochAuditNoStaleMemoAcrossDriverStream) {
     // Drive a full incremental stream and assert the invariant the trace

@@ -8,13 +8,6 @@
 
 #include "cfpq/azimov.hpp"
 #include "cfpq/worklist.hpp"
-// Sharded-law suites exercise the tile kernels on explicit mismatched grids
-// (tests are a sanctioned import site for the private dist headers).
-#include "dist/device_group.hpp"    // lint:allow(format-leak)
-#include "dist/dist.hpp"
-#include "dist/partition.hpp"       // lint:allow(format-leak)
-#include "dist/sharded_matrix.hpp"  // lint:allow(format-leak)
-#include "dist/sharded_ops.hpp"     // lint:allow(format-leak)
 #include "data/labeled_graph.hpp"
 #include "helpers.hpp"
 #include "ops/ops.hpp"
@@ -89,29 +82,6 @@ TEST(Laws, SubmatrixOfSubmatrixComposes) {
     EXPECT_EQ(twice, ops::submatrix(ctx(), m, 7, 8, 20, 22));
 }
 
-// ----------------------- sharded-execution laws --------------------------
-// The blocked kernels must satisfy the same semiring laws as the flat ones
-// even when every operand lives on a different tile grid — the laws hold at
-// the algebra level, not per lucky grid alignment.
-
-/// a x b through the SUMMA kernel with A on a (ga_r x ga_c) grid and B's
-/// column splits chosen independently (gb_c way); B's row splits are forced
-/// conformal with A's column splits, as the kernel requires.
-Matrix sharded_product(dist::DeviceGroup& grp, const Matrix& a, const Matrix& b,
-                       std::size_t ga_r, std::size_t ga_c, std::size_t gb_c) {
-    const dist::Partition pa =
-        dist::Partition::uniform(a.nrows(), a.ncols(), ga_r, ga_c);
-    const dist::Partition pb_probe =
-        dist::Partition::uniform(b.nrows(), b.ncols(), 1, gb_c);
-    const auto inner = pa.col_splits();
-    const auto outer = pb_probe.col_splits();
-    const dist::Partition pb{{inner.begin(), inner.end()},
-                             {outer.begin(), outer.end()}};
-    const dist::ShardedMatrix sa{grp, a, pa, dist::Placement::LoadBalanced};
-    const dist::ShardedMatrix sb{grp, b, pb, dist::Placement::RoundRobin};
-    return dist::sharded_multiply(ctx(), sa, sb);
-}
-
 // ----------------------- bit-block algebra laws --------------------------
 // Same algebraic identities, but computed entirely inside the broadword tier
 // (ops/bitblock_*), on the leak-checked fixture so every intermediate's
@@ -153,81 +123,6 @@ TEST_F(BitBlockLaws, EwiseAbsorption) {
     const auto b = to_bitblocks(ctx(), random_csr(75, 75, 0.15, 30));
     EXPECT_EQ(ops::ewise_add(ctx(), a, ops::ewise_mult(ctx(), a, b)), a);
     EXPECT_EQ(ops::ewise_mult(ctx(), a, ops::ewise_add(ctx(), a, b)), a);
-}
-
-TEST(ShardedLaws, BlockedMultiplyIsAssociativeAcrossGrids) {
-    dist::DeviceGroup grp{3};
-    for (const auto seed : {41, 42, 43}) {
-        const Matrix a{random_csr(30, 26, 0.15, seed), ctx()};
-        const Matrix b{random_csr(26, 22, 0.15, seed + 10), ctx()};
-        const Matrix c{random_csr(22, 34, 0.15, seed + 20), ctx()};
-        const Matrix ab = sharded_product(grp, a, b, 2, 3, 2);
-        const Matrix bc = sharded_product(grp, b, c, 3, 2, 4);
-        const Matrix lhs = sharded_product(grp, ab, c, 4, 2, 3);
-        const Matrix rhs = sharded_product(grp, a, bc, 3, 4, 2);
-        EXPECT_EQ(lhs.csr(), rhs.csr()) << seed;
-        EXPECT_EQ(lhs.csr(),
-                  ops::multiply(ctx(), ops::multiply(ctx(), a.csr(), b.csr()),
-                                c.csr()))
-            << seed;
-    }
-}
-
-TEST(ShardedLaws, BlockedMultiplyDistributesOverEwiseAdd) {
-    dist::DeviceGroup grp{2};
-    const Matrix a{random_csr(24, 20, 0.2, 51), ctx()};
-    const Matrix b{random_csr(20, 28, 0.2, 52), ctx()};
-    const Matrix c{random_csr(20, 28, 0.2, 53), ctx()};
-    const dist::Partition p = dist::Partition::uniform(20, 28, 3, 2);
-    const dist::ShardedMatrix sb{grp, b, p, dist::Placement::LoadBalanced};
-    const dist::ShardedMatrix sc{grp, c, p, dist::Placement::LoadBalanced};
-    const Matrix sum = dist::sharded_ewise_add(ctx(), sb, sc);
-    // A(B + C) == AB + AC, every product on its own grid.
-    const Matrix lhs = sharded_product(grp, a, sum, 2, 2, 3);
-    const Matrix ab = sharded_product(grp, a, b, 2, 3, 2);
-    const Matrix ac = sharded_product(grp, a, c, 3, 2, 2);
-    const dist::Partition pr = dist::Partition::uniform(24, 28, 2, 2);
-    const dist::ShardedMatrix sab{grp, ab, pr, dist::Placement::RoundRobin};
-    const dist::ShardedMatrix sac{grp, ac, pr, dist::Placement::RoundRobin};
-    EXPECT_EQ(lhs.csr(), dist::sharded_ewise_add(ctx(), sab, sac).csr());
-    EXPECT_EQ(lhs.csr(),
-              ops::multiply(ctx(), a.csr(),
-                            ops::ewise_add(ctx(), b.csr(), c.csr())));
-}
-
-TEST(ShardedLaws, TransposeIsAnInvolutionAcrossGrids) {
-    dist::DeviceGroup grp{4};
-    const Matrix a{random_csr(27, 33, 0.2, 61), ctx()};
-    const dist::Partition p = dist::Partition::uniform(27, 33, 3, 4);
-    const dist::ShardedMatrix sa{grp, a, p, dist::Placement::LoadBalanced};
-    const Matrix at = dist::sharded_transpose(ctx(), sa);
-    EXPECT_EQ(at.csr(), ops::transpose(ctx(), a.csr()));
-    // Re-shard the transpose on an unrelated grid before transposing back.
-    const dist::Partition pt = dist::Partition::uniform(33, 27, 2, 5);
-    const dist::ShardedMatrix sat{grp, at, pt, dist::Placement::RoundRobin};
-    EXPECT_EQ(dist::sharded_transpose(ctx(), sat).csr(), a.csr());
-}
-
-TEST(ShardedLaws, KroneckerTransposeCommuteAcrossGrids) {
-    dist::DeviceGroup grp{3};
-    const Matrix a{random_csr(5, 7, 0.3, 71), ctx()};
-    const Matrix b{random_csr(4, 3, 0.35, 72), ctx()};
-    // (A (x) B)^T via the sharded kernels ...
-    const dist::Partition pa = dist::Partition::uniform(5, 7, 2, 3);
-    const dist::ShardedMatrix sa{grp, a, pa, dist::Placement::LoadBalanced};
-    const Matrix kron = dist::sharded_kronecker(ctx(), sa, b);
-    const dist::Partition pk = dist::Partition::uniform(20, 21, 4, 2);
-    const dist::ShardedMatrix sk{grp, kron, pk, dist::Placement::RoundRobin};
-    const Matrix lhs = dist::sharded_transpose(ctx(), sk);
-    // ... must equal A^T (x) B^T with A^T sharded on yet another grid.
-    const Matrix at = dist::sharded_transpose(ctx(), sa);
-    const Matrix bt{ops::transpose(ctx(), b.csr()), ctx()};
-    const dist::Partition pat = dist::Partition::uniform(7, 5, 3, 2);
-    const dist::ShardedMatrix sat{grp, at, pat, dist::Placement::LoadBalanced};
-    const Matrix rhs = dist::sharded_kronecker(ctx(), sat, bt);
-    EXPECT_EQ(lhs.csr(), rhs.csr());
-    EXPECT_EQ(lhs.csr(),
-              ops::transpose(ctx(), ops::kronecker(ctx(), a.csr(), b.csr())));
 }
 
 // --------------------------- query-engine laws ---------------------------

@@ -282,8 +282,7 @@ TEST_F(TelemetryDispatch, OpsLandInExactlyOneLatencyHistogram) {
         snap.histogram(telemetry::Histogram::OpLatencyCsrNs).count +
         snap.histogram(telemetry::Histogram::OpLatencyCooNs).count +
         snap.histogram(telemetry::Histogram::OpLatencyDenseNs).count +
-        snap.histogram(telemetry::Histogram::OpLatencyBitBlocksNs).count +
-        snap.histogram(telemetry::Histogram::OpLatencyShardedNs).count;
+        snap.histogram(telemetry::Histogram::OpLatencyBitBlocksNs).count;
     EXPECT_EQ(routed, ops);
     EXPECT_EQ(snap.histogram(telemetry::Histogram::OpNnzIn).count, ops);
     EXPECT_EQ(snap.histogram(telemetry::Histogram::OpNnzOut).count, ops);

@@ -42,12 +42,6 @@ GATED_KEYS = {
         "geomean_bitblock_vs_hash_spgemm": "higher",
         "geomean_auto_vs_best_static": "lower",
     },
-    "BENCH_dist.json": {
-        "geomean_speedup_4dev": "higher",
-        # Fraction of tile-buffer acquires served by the per-device free
-        # lists across the SUMMA ladder (recycled accumulators/outputs).
-        "pool_reuse_ratio": "higher",
-    },
     "BENCH_incremental.json": {
         # Single-edge update latency of the semi-naive closure maintenance
         # vs a full recompute of the same post-batch graph (geomean over the

@@ -24,14 +24,6 @@ Checks, in order:
               trace involves more than one thread (on a single-core host the
               kernels legitimately fall back to serial execution), the pool
               recorded work (pool_tasks or pool_steals).
-  dist        (--require-dist) The trace demonstrably covers the sharded
-              multi-device layer (src/dist): dist.* operation spans were
-              recorded, every sharded op processed at least one tile
-              (dist_tiles >= dist_sharded_ops), shardings were built
-              (dist_shard_builds), the transfer counters are present with
-              dist_transfer_bytes >= dist_transfers (a transfer moves at
-              least one byte), and tile steals never exceed the tiles that
-              exist to steal (dist_steals <= dist_tiles).
   dispatch    (--require-dispatch) The trace demonstrably covers the
               format-dispatch layer (src/storage): at least one
               dispatch_csr / dispatch_coo / dispatch_dense pick was
@@ -85,7 +77,7 @@ Checks, in order:
               lines with strictly increasing seq, named ops and sane fields.
 
 Usage: tools/check_trace.py TRACE.json [--require-spgemm]
-           [--require-dispatch] [--require-dist] [--require-bitblock]
+           [--require-dispatch] [--require-bitblock]
            [--require-incr] [--require-metrics --metrics METRICS.json]
            [--require-arena]
            [--flight FLIGHT.jsonl]
@@ -260,39 +252,6 @@ class Checker:
                        "representations were never reused (or the counter "
                        "is unwired)")
 
-    def check_dist(self, spans: list[dict],
-                   counters: dict[tuple[str, str], int]) -> None:
-        def total(counter: str) -> int:
-            return sum(v for (s, c), v in counters.items() if c == counter)
-
-        if not any(str(e.get("name", "")).startswith("dist.") for e in spans):
-            self.error("no dist.* operation span recorded — the sharded "
-                       "layer never ran under tracing")
-        ops = total("dist_sharded_ops")
-        if ops == 0:
-            self.error("dist_sharded_ops is zero — no operation actually "
-                       "routed through sharded execution")
-        tiles = total("dist_tiles")
-        if tiles < ops:
-            self.error(f"dist_tiles ({tiles}) < dist_sharded_ops ({ops}) — "
-                       "every sharded op must process at least one tile")
-        if total("dist_shard_builds") == 0:
-            self.error("no dist_shard_builds recorded — matrices were never "
-                       "scattered into tile grids (or the counter is unwired)")
-        present = {c for (s, c) in counters}
-        for required in ("dist_transfers", "dist_transfer_bytes"):
-            if required not in present:
-                self.error(f"counter {required!r} missing — inter-device "
-                           "transfer accounting is unwired")
-        transfers, xfer_bytes = total("dist_transfers"), total("dist_transfer_bytes")
-        if xfer_bytes < transfers:
-            self.error(f"dist_transfer_bytes ({xfer_bytes}) < dist_transfers "
-                       f"({transfers}) — a transfer moves at least one byte")
-        steals = total("dist_steals")
-        if steals > tiles:
-            self.error(f"dist_steals ({steals}) exceeds dist_tiles ({tiles}) "
-                       "— only scheduled tiles can be stolen")
-
     def check_bitblock(self, spans: list[dict],
                        counters: dict[tuple[str, str], int],
                        dispatch_required: bool) -> None:
@@ -384,7 +343,6 @@ class Checker:
         "spbla.op.latency_ns.coo": "spbla.dispatch.coo",
         "spbla.op.latency_ns.dense": "spbla.dispatch.dense",
         "spbla.op.latency_ns.bitblock": "spbla.dispatch.bitblock",
-        "spbla.op.latency_ns.sharded": "spbla.dist.sharded_ops",
     }
 
     def check_metrics(self, path: Path) -> None:
@@ -608,9 +566,6 @@ def main() -> int:
     ap.add_argument("--require-dispatch", action="store_true",
                     help="additionally require the storage-dispatch counters "
                          "(format picks, conversions, cache hits)")
-    ap.add_argument("--require-dist", action="store_true",
-                    help="additionally require the sharded multi-device "
-                         "counters (tiles, shard builds, transfers, steals)")
     ap.add_argument("--require-bitblock", action="store_true",
                     help="additionally require the 64x64 bit-block tier "
                          "counters (blocks touched, words ANDed, "
@@ -656,8 +611,6 @@ def main() -> int:
             checker.check_spgemm(spans, counters)
         if args.require_dispatch:
             checker.check_dispatch(counters)
-        if args.require_dist:
-            checker.check_dist(spans, counters)
         if args.require_bitblock:
             checker.check_bitblock(spans, counters, args.require_dispatch)
         if args.require_incr:

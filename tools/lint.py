@@ -32,28 +32,22 @@ auditable (run as the `lint` ctest target; CI runs it on every push):
                     SPBLA_VALIDATE / SPBLA_CHECKED at its boundaries.
   format-leak       No concrete-format header (core/csr.hpp, core/coo.hpp,
                     core/dense.hpp, core/bitblocks.hpp) outside src/core,
-                    src/storage, src/ops,
-                    src/baseline and src/dist. Everything above the storage
-                    engine operates on the format-polymorphic spbla::Matrix
-                    through storage/dispatch.hpp, so the cost model keeps the
-                    final say over representations. The same rule keeps the
-                    concrete tile headers (dist/partition.hpp,
-                    dist/device_group.hpp, dist/sharded_matrix.hpp,
-                    dist/sharded_ops.hpp) private to src/dist/ — callers go
-                    through the dist/dist.hpp surface or, better, let the
-                    dispatcher route. Test oracles and kernel benchmarks that
-                    deliberately exercise one concrete format suppress
-                    inline.
+                    src/storage, src/ops and src/baseline. Everything above
+                    the storage engine operates on the format-polymorphic
+                    spbla::Matrix through storage/dispatch.hpp, so the cost
+                    model keeps the final say over representations. Test
+                    oracles and kernel benchmarks that deliberately exercise
+                    one concrete format suppress inline.
 
 Concurrency rules (token-based; the shapes Clang's -Wthread-safety pass
 cannot see because they cross a lambda/scheduling boundary):
 
   parallel-capture  No lazy-materialising Matrix accessor — csr(), coo(),
                     dense(), bitblocks(), max_row_nnz() — inside a
-                    parallel_for* / run_dynamic / submit* / group().run
-                    argument list, unless the same object's accessor runs
-                    earlier in the TU outside any parallel extent (a
-                    prewarm) or the call site is annotated safe. First
+                    parallel_for* / run_dynamic / submit* argument list,
+                    unless the same object's accessor runs earlier in the
+                    TU outside any parallel extent (a prewarm) or the call
+                    site is annotated safe. First
                     materialisation is synchronised per slot since the
                     repr-cache latch landed, so a suppression here means
                     "the latch covers this"; the rule still exists because
@@ -75,8 +69,8 @@ cannot see because they cross a lambda/scheduling boundary):
                     atomic step; use fetch_add/fetch_or/exchange.
   hot-alloc         No raw std::vector construction (or resize/assign/
                     reserve on a TU-declared std::vector) inside a parallel
-                    extent in src/ops/, src/dist/ or src/incr/ — per-row/
-                    per-tile heap churn bypasses the MemoryTracker and serialises
+                    extent in src/ops/ or src/incr/ — per-row/per-tile
+                    heap churn bypasses the MemoryTracker and serialises
                     workers on the allocator. Kernel scratch goes on the
                     op arena (backend::ArenaVector, Context::scratch_alloc)
                     or the context's BufferPool; deliberate cold-path
@@ -444,34 +438,24 @@ class Linter:
                         "SPBLA_CHECKED wiring at its op boundaries")
 
     def rule_format_leak(self, f: File) -> None:
-        allowed = ("src/core/", "src/storage/", "src/ops/", "src/baseline/",
-                   "src/dist/")
+        allowed = ("src/core/", "src/storage/", "src/ops/", "src/baseline/")
         core_pat = re.compile(
             r'#\s*include\s*"core/(csr|coo|dense|bitblocks)\.hpp"')
-        dist_pat = re.compile(
-            r'#\s*include\s*"dist/'
-            r'(partition|device_group|sharded_matrix|sharded_ops)\.hpp"')
+        if f.rel.startswith(allowed):
+            return
         for no, line in enumerate(f.raw_lines, start=1):
-            if not f.rel.startswith(allowed):
-                m = core_pat.search(line)
-                if m:
-                    self.report(f, no, "format-leak",
-                                f"concrete-format header core/{m.group(1)}.hpp "
-                                "included outside the storage/kernel layers — "
-                                "use storage/matrix.hpp + storage/dispatch.hpp")
-            if not f.rel.startswith("src/dist/"):
-                m = dist_pat.search(line)
-                if m:
-                    self.report(f, no, "format-leak",
-                                f"concrete tile header dist/{m.group(1)}.hpp "
-                                "included outside src/dist/ — use dist/dist.hpp "
-                                "(or let the dispatcher route)")
+            m = core_pat.search(line)
+            if m:
+                self.report(f, no, "format-leak",
+                            f"concrete-format header core/{m.group(1)}.hpp "
+                            "included outside the storage/kernel layers — "
+                            "use storage/matrix.hpp + storage/dispatch.hpp")
 
     # Dotted instrument-name prefixes owned by telemetry/metric_names.hpp.
     # The schema tag "spbla.metrics.v1" deliberately does not match: it names
     # the export format, not an instrument.
     METRIC_LITERAL_RE = re.compile(
-        r"spbla\.(dispatch|op|mem|storage|pool|dist|prof|arena|incr)"
+        r"spbla\.(dispatch|op|mem|storage|pool|prof|arena|incr)"
         r"\.[a-z0-9_.]+")
 
     def rule_metric_name_literal(self, f: File) -> None:
@@ -555,13 +539,6 @@ class Linter:
             if (t.text in self.PARALLEL_INTRODUCERS
                     and i + 1 < len(toks) and toks[i + 1].text == "("):
                 open_idx = i + 1
-            elif (t.text == "run" and i + 1 < len(toks)
-                    and toks[i + 1].text == "("
-                    and i >= 1 and toks[i - 1].text in (".", "->")):
-                # DeviceGroup::run — match `group.run(` / `group().run(`.
-                chain = object_chain(toks, i - 1)
-                if re.search(r"\bgroup(\(\))?$", chain):
-                    open_idx = i + 1
             if open_idx is not None:
                 extents.append((open_idx, match_paren(toks, open_idx)))
         return extents
@@ -605,8 +582,7 @@ class Linter:
                 "annotate the call site safe")
 
     def rule_hot_alloc(self, f: File) -> None:
-        if not (f.rel.startswith("src/ops/") or f.rel.startswith("src/dist/")
-                or f.rel.startswith("src/incr/")):
+        if not (f.rel.startswith("src/ops/") or f.rel.startswith("src/incr/")):
             return
         toks = f.tokens
         extents = self._parallel_extents(f)

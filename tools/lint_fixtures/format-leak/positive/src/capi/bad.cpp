@@ -1,4 +1,4 @@
-// Fixture: concrete format + tile headers included above the storage engine.
+// Fixture: concrete format headers included above the storage engine.
 #include "core/csr.hpp"
-#include "dist/partition.hpp"
+#include "core/bitblocks.hpp"
 void use() {}

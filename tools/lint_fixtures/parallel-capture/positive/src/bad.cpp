@@ -8,10 +8,9 @@ void hot_loop(backend::Context& ctx, const Matrix& m) {
         (void)i;
     });
 }
-void hot_tiles(dist::DeviceGroup& group, backend::Context& ctx, const Matrix& n) {
-    group.run(4, [&](std::size_t t) {
+void hot_job(util::ThreadPool& pool, backend::Context& ctx, const Matrix& n) {
+    pool.submit([&] {
         (void)n.bitblocks(ctx);
-        (void)t;
     });
 }
 }  // namespace spbla

@@ -34,10 +34,10 @@ EXPECTED_POSITIVE = {
     "bare-assert": 2,        # <cassert> include + assert() call
     "contracts-include": 1,
     "ops-validation": 1,
-    "format-leak": 2,        # concrete core header + concrete dist header
+    "format-leak": 2,        # two concrete core headers
     "metric-name-literal": 3,  # comparison literal + two named constants
     "ops-file-state": 1,
-    "parallel-capture": 2,   # parallel_for lambda + group().run lambda
+    "parallel-capture": 2,   # parallel_for lambda + submit lambda
     "hot-alloc": 4,          # per-row ctor, per-row resize, per-chunk temp,
                              # per-round ctor in src/incr/
     "guarded-mutable": 2,    # single-line and line-spanning declaration
