@@ -3,6 +3,7 @@
 #include <array>
 #include <vector>
 
+#include "capi/handles.hpp"  // white-box: the atomicity test reads epochs
 #include "spbla/spbla.h"
 
 namespace {
@@ -421,6 +422,46 @@ TEST_F(CApiTest, ClosureIncrementalTracksEdgeStream) {
     ASSERT_EQ(spbla_Matrix_Nvals(adj, &nvals), SPBLA_STATUS_SUCCESS);
     EXPECT_EQ(nvals, 3u) << "adjacency must be updated in place";
 
+    ASSERT_EQ(spbla_Matrix_Free(&adj), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&closure), SPBLA_STATUS_SUCCESS);
+}
+
+TEST_F(CApiTest, ClosureIncrementalShapeMismatchLeavesHandlesUntouched) {
+    // A 4x4 adjacency against a 5x5 closure: the call must fail before the
+    // batch reaches either handle.
+    spbla_Matrix adj = nullptr;
+    spbla_Matrix closure = nullptr;
+    ASSERT_EQ(spbla_Matrix_New(&adj, 4, 4), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_New(&closure, 5, 5), SPBLA_STATUS_SUCCESS);
+    const std::array<spbla_Index, 2> rows{0, 1};
+    const std::array<spbla_Index, 2> cols{1, 2};
+    ASSERT_EQ(spbla_Matrix_Build(adj, rows.data(), cols.data(), 2, SPBLA_HINT_NO),
+              SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Build(closure, rows.data(), cols.data(), 2, SPBLA_HINT_NO),
+              SPBLA_STATUS_SUCCESS);
+    const auto adj_version = adj->data.version();
+    const auto closure_version = closure->data.version();
+
+    const spbla_Index r = 2, c = 3;
+    EXPECT_EQ(spbla_ClosureIncremental(closure, adj, &r, &c, 1, nullptr, nullptr, 0),
+              SPBLA_STATUS_DIMENSION_MISMATCH);
+    spbla_Index nvals = 0;
+    ASSERT_EQ(spbla_Matrix_Nvals(adj, &nvals), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(nvals, 2u) << "a failed call must not apply the batch to adj";
+    EXPECT_EQ(adj->data.version(), adj_version);
+    ASSERT_EQ(spbla_Matrix_Nvals(closure, &nvals), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(nvals, 2u);
+    EXPECT_EQ(closure->data.version(), closure_version);
+
+    // A non-square adjacency is rejected the same way.
+    spbla_Matrix wide = nullptr;
+    ASSERT_EQ(spbla_Matrix_New(&wide, 4, 5), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(spbla_ClosureIncremental(closure, wide, &r, &c, 1, nullptr, nullptr, 0),
+              SPBLA_STATUS_DIMENSION_MISMATCH);
+    ASSERT_EQ(spbla_Matrix_Nvals(wide, &nvals), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(nvals, 0u);
+
+    ASSERT_EQ(spbla_Matrix_Free(&wide), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_Free(&adj), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_Free(&closure), SPBLA_STATUS_SUCCESS);
 }
