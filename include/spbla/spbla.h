@@ -223,7 +223,11 @@ spbla_Status spbla_MatrixApplyDelta(spbla_Matrix matrix, const spbla_Index* add_
  *  insert/delete batch. The batch is applied to adj in place; closure must
  *  hold the transitive closure of adj's pre-batch cells (pass an empty
  *  matrix to (re)compute it from scratch) and is updated semi-naively —
- *  only the change's frontier is multiplied against the base. */
+ *  only the change's frontier is multiplied against the base, and a delete
+ *  re-derives only the closure pairs whose paths used a deleted edge.
+ *  adj must be square and closure of the same shape, otherwise
+ *  SPBLA_STATUS_DIMENSION_MISMATCH. The call is atomic: on any error
+ *  neither adj nor closure changes (same cells, same content stamp). */
 spbla_Status spbla_ClosureIncremental(spbla_Matrix closure, spbla_Matrix adj,
                                       const spbla_Index* add_rows,
                                       const spbla_Index* add_cols, spbla_Index n_add,

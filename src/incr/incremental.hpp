@@ -10,8 +10,8 @@
 ///    the delta-sized step matrix S = Δ⁺·(I∪C) — every k-new-edge path is
 ///    X·S^(k-1), so rounds scale with new edges per path, not graph
 ///    diameter. Deletes run a DRed-style over-delete: suspect =
-///    (I∪C)·Δ⁻·(I∪C) is removed and the survivors re-derived semi-naively
-///    from keep ∪ A'.
+///    (I∪C)·Δ⁻·(I∪C), and only the suspect pairs are re-derived, seeded
+///    from the kept cells of their own rows (see update_closure).
 ///  - RPQ: the Kronecker product matrix is maintained cell-exactly under
 ///    per-label deltas (a product cell dies only when its last label
 ///    support dies), then the closure update above runs on the product.
@@ -19,10 +19,10 @@
 ///    CNF rules as D_B·T_C ∪ T_B·D_C until drained; deletions fall back to
 ///    a counted full rebuild (non-monotone CFPQ deletion is out of scope).
 ///
-/// Sub-expressions that repeat across batches (closure × delta, automaton ⊗
-/// delta) go through the epoch-keyed memo (incr/memo.hpp); all results are
-/// guarded by the differential stream-oracle net in tests/test_incremental
-/// .cpp, which checks every batch against full recompute.
+/// The automaton ⊗ label products that repeat across RPQ batches go through
+/// the epoch-keyed memo (incr/memo.hpp); all results are guarded by the
+/// differential stream-oracle net in tests/test_incremental.cpp, which
+/// checks every batch against full recompute.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,20 @@ struct ClosureUpdate {
 /// Update \p closure from C(A) to C(A') in place, where A' = \p adj_after
 /// and the effective deltas are normalized: add_eff ∩ A = ∅, del_eff ⊆ A,
 /// add_eff ∩ del_eff = ∅, A = (A' ⊖ add_eff) ⊕ del_eff. Deletions are
-/// processed first (DRed-style over-delete + re-derive), then insertions
-/// (one-new-edge seed + delta-sized step loop).
+/// processed first, then insertions (one-new-edge seed + delta-sized step
+/// loop).
+///
+/// Deletions over-delete DRed-style, suspect = left ∪ left·C with
+/// left = Δ⁻ ∪ C·Δ⁻, and re-derive over the suspect pairs only. With
+/// A_mid = A' ⊖ add_eff and K_S the kept cells of the rows that hold a
+/// suspect pair, the seed is R₀ = suspect ∩ (A_mid ∪ K_S·A_mid), the rounds
+/// are R_{k+1} = rest ∩ R_k·A_mid with rest the suspect pairs not re-derived
+/// yet, and one C ⊖ rest commits. The repair reads the closure through C·Δ⁻,
+/// left·C, the suspect rows and the commit only; the seed and the rounds run
+/// on matrices compacted to the suspect rows, so their work follows the
+/// suspect set, not the closure.
+///
+/// Strong guarantee: if an op throws, \p closure is left unchanged.
 [[nodiscard]] ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
                                            const Matrix& adj_after,
                                            const Matrix& add_eff,

@@ -1,9 +1,9 @@
 /// \file memo.hpp
 /// \brief Op-level memoization keyed by content-version epochs.
 ///
-/// The incremental drivers replay the same sub-expressions across batches:
-/// the base closure times a frontier, a query automaton Kronecker the same
-/// unchanged label matrix, the keep-set re-joined against the adjacency. The
+/// The incremental drivers replay the same sub-expressions across batches —
+/// the RPQ driver takes a query automaton Kronecker the same unchanged label
+/// matrix on every batch that touches that label. The
 /// storage engine already stamps every Matrix with a process-unique content
 /// version (PR 5's MVCC hook — see Matrix::version()), so an operation's
 /// result is fully determined by (op kind, operand versions): that tuple is
