@@ -99,15 +99,6 @@ void BM_EwiseAddCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_EwiseAddCsr)->Arg(10)->Arg(12)->Arg(14);
 
-void BM_EwiseAddCoo(benchmark::State& state) {
-    const auto a = to_coo(rmat(static_cast<int>(state.range(0))));
-    const auto at = to_coo(ops::transpose(ctx(), rmat(static_cast<int>(state.range(0)))));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ops::ewise_add(ctx(), a, at));
-    }
-}
-BENCHMARK(BM_EwiseAddCoo)->Arg(10)->Arg(12)->Arg(14);
-
 void BM_Kronecker(benchmark::State& state) {
     const auto& a = rmat(static_cast<int>(state.range(0)));
     const CsrMatrix small = data::make_rmat(4, 2, 77).csr();
@@ -347,8 +338,6 @@ void write_formats_trajectory() {
         // Materialise every representation up front (charged, cached).
         for (const Matrix* p : {&a, &b}) {
             (void)p->csr(ctx());
-            (void)p->coo(ctx());
-            (void)p->dense(ctx());
             (void)p->bitblocks(ctx());
         }
         return Input{nullptr, std::move(a), std::move(b)};
@@ -357,9 +346,9 @@ void write_formats_trajectory() {
     inputs.push_back(square(data::make_rmat(10, 8).csr()));
     inputs.back().name = "rmat-10-8";  // skewed sparse: the CSR home turf
     inputs.push_back(square(data::make_uniform(256, 256, 0.30, 5151).csr()));
-    inputs.back().name = "uniform-256-dense";  // 30% full: dense-bitmap turf
+    inputs.back().name = "uniform-256-dense";  // 30% full: bit-block turf
     inputs.push_back(square(data::make_uniform(2048, 2048, 0.001, 5252).csr()));
-    inputs.back().name = "uniform-2048-hyper";  // ~2/row: COO-friendly
+    inputs.back().name = "uniform-2048-hyper";  // ~2/row: below the bit-block gate
 
     const FormatOp ops[] = {
         {"multiply",
@@ -386,8 +375,6 @@ void write_formats_trajectory() {
     const HintCase hints[] = {
         {"auto", storage::FormatHint::Auto},
         {"csr", storage::FormatHint::ForceCsr},
-        {"coo", storage::FormatHint::ForceCoo},
-        {"dense", storage::FormatHint::ForceDense},
         {"bitblock", storage::FormatHint::ForceBitBlocks},
     };
 
@@ -398,8 +385,7 @@ void write_formats_trajectory() {
     w.field("policy", "parallel");
     w.field("runs", 17);
     w.field("aggregate", "min");
-    storage::reset_stats();
-    const auto picks_before = backend::Context::metrics_snapshot();
+    const auto counters_before = backend::Context::metrics_snapshot();
     w.begin_array("records");
     double log_vs_best = 0.0, log_vs_worst = 0.0;
     std::size_t n_records = 0, auto_beats_worst = 0;
@@ -491,19 +477,19 @@ void write_formats_trajectory() {
 
     // Counter story of the whole sweep: conversions happen only while the
     // reps warm up (bounded by inputs x formats); routed ops hit the cache.
-    const auto& s = storage::stats();
-    const auto picks_after = backend::Context::metrics_snapshot();
-    const auto picks = [&](telemetry::Counter c) {
-        return picks_after.counter(c) - picks_before.counter(c);
+    // dispatch_coo and dispatch_dense read the retired routes' counters and
+    // stay 0; they keep the record's field set unchanged.
+    const auto counters_after = backend::Context::metrics_snapshot();
+    const auto counted = [&](telemetry::Counter c) {
+        return counters_after.counter(c) - counters_before.counter(c);
     };
     w.begin_object("counters");
-    w.field("format_conversions",
-            s.format_conversions.load(std::memory_order_relaxed));
-    w.field("repr_cache_hits", s.repr_cache_hits.load(std::memory_order_relaxed));
-    w.field("dispatch_csr", picks(telemetry::Counter::DispatchCsr));
-    w.field("dispatch_coo", picks(telemetry::Counter::DispatchCoo));
-    w.field("dispatch_dense", picks(telemetry::Counter::DispatchDense));
-    w.field("dispatch_bitblock", picks(telemetry::Counter::DispatchBitBlocks));
+    w.field("format_conversions", counted(telemetry::Counter::StorageConversions));
+    w.field("repr_cache_hits", counted(telemetry::Counter::StorageCacheHits));
+    w.field("dispatch_csr", counted(telemetry::Counter::DispatchCsr));
+    w.field("dispatch_coo", counted(telemetry::Counter::DispatchCoo));
+    w.field("dispatch_dense", counted(telemetry::Counter::DispatchDense));
+    w.field("dispatch_bitblock", counted(telemetry::Counter::DispatchBitBlocks));
     w.end_object();
     if (prof::counting()) {
         // Replay once with cold caches so the exported trace carries the

@@ -31,7 +31,7 @@ int main() {
     print_matrix("B", b);
 
     // C += A x B over the Boolean semiring. The storage engine picks the
-    // representation (CSR, COO or dense bitmap) per operation.
+    // representation (CSR or 64x64 bit blocks) per operation.
     const auto c = storage::multiply_add(ctx, Matrix{4, 4, ctx}, a, b);
     print_matrix("A * B", c);
 

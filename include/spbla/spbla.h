@@ -48,12 +48,12 @@ typedef enum spbla_OpHint {
     SPBLA_HINT_ACCUMULATE = 1   /**< OR the result into the result operand */
 } spbla_OpHint;
 
-/** Storage-format hints for the storage engine's dispatch layer. */
+/** Storage-format hints for the storage engine's dispatch layer. The values
+ *  2 and 3 (formerly COO and dense) are no longer formats and are rejected
+ *  with SPBLA_STATUS_INVALID_ARGUMENT. */
 typedef enum spbla_FormatHint {
     SPBLA_FORMAT_AUTO = 0,     /**< cost-driven per-op format selection */
     SPBLA_FORMAT_CSR = 1,      /**< force the CSR (cuBool-style) backend */
-    SPBLA_FORMAT_COO = 2,      /**< force the COO (clBool-style) backend */
-    SPBLA_FORMAT_DENSE = 3,    /**< force the dense bit-packed backend */
     SPBLA_FORMAT_BITBLOCK = 4  /**< force the 64x64 tiled bit-block backend */
 } spbla_FormatHint;
 
@@ -131,14 +131,16 @@ spbla_Status spbla_MetricsDump(const char* path, spbla_MetricsFormat format);
 spbla_Status spbla_MetricsReset(void);
 
 /* --------------------------- storage engine ----------------------------
- * Matrices are format-polymorphic: the library stores each one in CSR, COO
- * or a dense bitmap and picks the representation per operation with a cost
- * model (conversions are cached under a memory budget). These calls are the
- * escape hatch when the caller knows better than the model. */
+ * Matrices are format-polymorphic: the library stores each one in CSR or a
+ * grid of 64x64 bit blocks and picks the representation per operation with
+ * a cost model (conversions are cached under a memory budget). These calls
+ * are the escape hatch when the caller knows better than the model. */
 
 /** Force every subsequent operation onto one backend (or restore AUTO).
  *  Operations the forced backend does not implement fall back to CSR, so
- *  results are always identical to AUTO. May be called any time. */
+ *  results are always identical to AUTO. May be called any time. A value
+ *  that names no hint (2 and 3 included) returns
+ *  SPBLA_STATUS_INVALID_ARGUMENT and leaves the current hint in place. */
 spbla_Status spbla_SetFormatHint(spbla_FormatHint hint);
 
 /** Bound, in bytes, on cached secondary representations kept alive across
@@ -146,7 +148,9 @@ spbla_Status spbla_SetFormatHint(spbla_FormatHint hint);
 spbla_Status spbla_SetCacheBudget(uint64_t bytes);
 
 /** Re-anchor one matrix's primary storage format (converting if needed).
- *  SPBLA_FORMAT_AUTO is invalid here. */
+ *  SPBLA_FORMAT_AUTO, and any value that names no format (2 and 3
+ *  included), returns SPBLA_STATUS_INVALID_ARGUMENT and leaves the matrix,
+ *  its format and its content version unchanged. */
 spbla_Status spbla_Matrix_SetFormatHint(spbla_Matrix matrix, spbla_FormatHint hint);
 
 /* -------------------------------- matrix ------------------------------- */

@@ -9,7 +9,7 @@
 ///  - Linear:    M <- M | M*Base  (O(d) rounds, cheaper per round)
 ///
 /// Operates on the format-polymorphic spbla::Matrix: the storage dispatch
-/// layer picks the representation per round (CSR while sparse, dense bitmap
+/// layer picks the representation per round (CSR while sparse, bit blocks
 /// once the closure saturates) with hysteresis, so a fixpoint run converts
 /// formats at most a constant number of times.
 #pragma once

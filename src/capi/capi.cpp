@@ -182,12 +182,6 @@ spbla_Status spbla_SetFormatHint(spbla_FormatHint hint) {
             case SPBLA_FORMAT_CSR:
                 spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceCsr);
                 break;
-            case SPBLA_FORMAT_COO:
-                spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceCoo);
-                break;
-            case SPBLA_FORMAT_DENSE:
-                spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceDense);
-                break;
             case SPBLA_FORMAT_BITBLOCK:
                 spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceBitBlocks);
                 break;
@@ -216,12 +210,6 @@ spbla_Status spbla_Matrix_SetFormatHint(spbla_Matrix matrix, spbla_FormatHint hi
         switch (hint) {
             case SPBLA_FORMAT_CSR:
                 matrix->data.convert_to(spbla::Format::Csr, *g_context);
-                break;
-            case SPBLA_FORMAT_COO:
-                matrix->data.convert_to(spbla::Format::Coo, *g_context);
-                break;
-            case SPBLA_FORMAT_DENSE:
-                matrix->data.convert_to(spbla::Format::Dense, *g_context);
                 break;
             case SPBLA_FORMAT_BITBLOCK:
                 matrix->data.convert_to(spbla::Format::BitBlocks, *g_context);

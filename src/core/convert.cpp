@@ -16,26 +16,20 @@ namespace {
 // ticket bookkeeping never dominates.
 constexpr std::size_t kRowGrain = 1024;
 
-/// Row pointers of a sorted COO: offsets[r] = first entry with row >= r,
-/// found independently per row (binary search), so the pass parallelises
-/// with no carried dependency — the two-pass count+scan the serial version
-/// used is replaced by nrows searches over the sorted rows array.
-std::vector<Index> coo_row_offsets(backend::Context& ctx, const CooMatrix& coo) {
-    const auto rows = coo.rows();
-    std::vector<Index> offsets(static_cast<std::size_t>(coo.nrows()) + 1, 0);
-    offsets[coo.nrows()] = static_cast<Index>(rows.size());
-    ctx.parallel_for(coo.nrows(), kRowGrain, [&](std::size_t r) {
-        offsets[r] = static_cast<Index>(
-            std::lower_bound(rows.begin(), rows.end(), static_cast<Index>(r)) -
-            rows.begin());
-    });
-    return offsets;
-}
-
 }  // namespace
 
 CsrMatrix to_csr(backend::Context& ctx, const CooMatrix& coo) {
-    std::vector<Index> row_offsets = coo_row_offsets(ctx, coo);
+    // Row pointers of a sorted COO: offsets[r] = first entry with row >= r,
+    // found independently per row (binary search), so the pass parallelises
+    // with no carried dependency.
+    const auto rows = coo.rows();
+    std::vector<Index> row_offsets(static_cast<std::size_t>(coo.nrows()) + 1, 0);
+    row_offsets[coo.nrows()] = static_cast<Index>(rows.size());
+    ctx.parallel_for(coo.nrows(), kRowGrain, [&](std::size_t r) {
+        row_offsets[r] = static_cast<Index>(
+            std::lower_bound(rows.begin(), rows.end(), static_cast<Index>(r)) -
+            rows.begin());
+    });
     std::vector<Index> cols(coo.cols().begin(), coo.cols().end());
     return CsrMatrix::from_raw(coo.nrows(), coo.ncols(), std::move(row_offsets),
                                std::move(cols));
@@ -53,16 +47,9 @@ CooMatrix to_coo(backend::Context& ctx, const CsrMatrix& csr) {
                                   std::move(cols));
 }
 
-namespace {
-
-/// Shared dense -> sparse pass: per-row popcount, exclusive scan for the
-/// destination offsets, then an independent per-row bit scatter.
-struct DenseScatter {
-    std::vector<Index> row_offsets;  // nrows + 1
-    std::vector<Index> cols;         // nnz, sorted within each row
-};
-
-DenseScatter dense_scatter(backend::Context& ctx, const DenseMatrix& dense) {
+CsrMatrix to_csr(backend::Context& ctx, const DenseMatrix& dense) {
+    // Per-row popcount, exclusive scan for the destination offsets, then an
+    // independent per-row bit scatter.
     const Index nrows = dense.nrows();
     std::vector<std::uint32_t> counts(nrows, 0);
     ctx.parallel_for(nrows, kRowGrain, [&](std::size_t r) {
@@ -70,43 +57,24 @@ DenseScatter dense_scatter(backend::Context& ctx, const DenseMatrix& dense) {
     });
     const std::uint64_t total = ctx.exclusive_scan(counts);
 
-    DenseScatter out;
-    out.cols.resize(total);
-    out.row_offsets.assign(static_cast<std::size_t>(nrows) + 1, 0);
-    out.row_offsets[nrows] = static_cast<Index>(total);
+    std::vector<Index> cols(total);
+    std::vector<Index> row_offsets(static_cast<std::size_t>(nrows) + 1, 0);
+    row_offsets[nrows] = static_cast<Index>(total);
     ctx.parallel_for(nrows, kRowGrain / 4, [&](std::size_t r) {
-        out.row_offsets[r] = static_cast<Index>(counts[r]);
+        row_offsets[r] = static_cast<Index>(counts[r]);
         std::size_t dst = counts[r];
         const auto words = dense.row_words(static_cast<Index>(r));
         for (std::size_t w = 0; w < words.size(); ++w) {
             std::uint64_t bits = words[w];
             while (bits != 0) {
-                out.cols[dst++] = static_cast<Index>(
+                cols[dst++] = static_cast<Index>(
                     w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
                 bits &= bits - 1;
             }
         }
     });
-    return out;
-}
-
-}  // namespace
-
-CsrMatrix to_csr(backend::Context& ctx, const DenseMatrix& dense) {
-    DenseScatter s = dense_scatter(ctx, dense);
-    return CsrMatrix::from_raw(dense.nrows(), dense.ncols(), std::move(s.row_offsets),
-                               std::move(s.cols));
-}
-
-CooMatrix to_coo(backend::Context& ctx, const DenseMatrix& dense) {
-    DenseScatter s = dense_scatter(ctx, dense);
-    std::vector<Index> rows(s.cols.size());
-    ctx.parallel_for(dense.nrows(), kRowGrain, [&](std::size_t r) {
-        std::fill(rows.begin() + s.row_offsets[r], rows.begin() + s.row_offsets[r + 1],
-                  static_cast<Index>(r));
-    });
-    return CooMatrix::from_sorted(dense.nrows(), dense.ncols(), std::move(rows),
-                                  std::move(s.cols));
+    return CsrMatrix::from_raw(nrows, dense.ncols(), std::move(row_offsets),
+                               std::move(cols));
 }
 
 DenseMatrix to_dense(backend::Context& ctx, const CsrMatrix& csr) {
@@ -121,24 +89,11 @@ DenseMatrix to_dense(backend::Context& ctx, const CsrMatrix& csr) {
     return out;
 }
 
-DenseMatrix to_dense(backend::Context& ctx, const CooMatrix& coo) {
-    DenseMatrix out{coo.nrows(), coo.ncols()};
-    const std::vector<Index> offsets = coo_row_offsets(ctx, coo);
-    const auto rows = coo.rows();
-    const auto cols = coo.cols();
-    ctx.parallel_for(coo.nrows(), kRowGrain / 4, [&](std::size_t r) {
-        for (Index k = offsets[r]; k < offsets[r + 1]; ++k) {
-            out.set(rows[k], cols[k]);
-        }
-    });
-    return out;
-}
-
 // ---------------------------------------------------------------------------
 // BitBlocks conversions. Tilings run per block row (64 matrix rows each):
 // a counting pass sizes the descriptor and pool demand per block row, serial
 // scans place the per-row bases, and an independent fill pass materialises
-// the tiles — the same count/scan/scatter shape as the dense conversions.
+// the tiles — the same count/scan/scatter shape as the dense -> CSR pass.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -269,95 +224,6 @@ BitBlockMatrix to_bitblocks(backend::Context& ctx, const CsrMatrix& csr) {
                                     std::move(words), std::move(entries));
 }
 
-BitBlockMatrix to_bitblocks(backend::Context& ctx, const CooMatrix& coo) {
-    return to_bitblocks(ctx, to_csr(ctx, coo));
-}
-
-BitBlockMatrix to_bitblocks(backend::Context& ctx, const DenseMatrix& dense) {
-    using BlockRef = BitBlockMatrix::BlockRef;
-    using BlockKind = BitBlockMatrix::BlockKind;
-    constexpr std::uint32_t kMin = BitBlockMatrix::kBitmapMinNnz;
-    const Index nrows = dense.nrows();
-    const Index brows = block_count(nrows);
-    const Index bcols = block_count(dense.ncols());
-
-    // Tile columns coincide with the dense rep's word columns, so a tile is
-    // the 64-word gather dense.row_words(r)[bc] for r in the block row.
-    const auto tile_pop = [&](Index r0, Index r1, Index bc) {
-        std::uint32_t pop = 0;
-        for (Index r = r0; r < r1; ++r) {
-            pop += static_cast<std::uint32_t>(util::popcount64(dense.row_words(r)[bc]));
-        }
-        return pop;
-    };
-
-    std::vector<std::uint32_t> blocks_in(brows, 0);
-    std::vector<std::uint32_t> words_in(brows, 0);
-    std::vector<std::uint32_t> entries_in(brows, 0);
-    ctx.parallel_for(brows, kBlockRowGrain, [&](std::size_t br) {
-        const Index r0 = static_cast<Index>(br) * 64;
-        const Index r1 = std::min<Index>(nrows, r0 + 64);
-        for (Index bc = 0; bc < bcols; ++bc) {
-            const std::uint32_t pop = tile_pop(r0, r1, bc);
-            if (pop == 0) continue;
-            ++blocks_in[br];
-            if (pop >= kMin) {
-                words_in[br] += BitBlockMatrix::kBlockWords;
-            } else {
-                entries_in[br] += pop;
-            }
-        }
-    });
-
-    const std::uint64_t total_blocks = place(blocks_in);
-    const std::uint64_t total_words = place(words_in);
-    const std::uint64_t total_entries = place(entries_in);
-
-    std::vector<Index> block_row_offsets(static_cast<std::size_t>(brows) + 1, 0);
-    for (Index br = 0; br < brows; ++br) block_row_offsets[br] = blocks_in[br];
-    block_row_offsets[brows] = static_cast<Index>(total_blocks);
-
-    std::vector<BlockRef> blocks(total_blocks);
-    std::vector<std::uint64_t> words(total_words, 0);
-    std::vector<std::uint16_t> entries(total_entries);
-    ctx.parallel_for(brows, kBlockRowGrain, [&](std::size_t br) {
-        const Index r0 = static_cast<Index>(br) * 64;
-        const Index r1 = std::min<Index>(nrows, r0 + 64);
-        std::uint32_t bcur = blocks_in[br];
-        std::uint32_t wcur = words_in[br];
-        std::uint32_t ecur = entries_in[br];
-        for (Index bc = 0; bc < bcols; ++bc) {
-            const std::uint32_t pop = tile_pop(r0, r1, bc);
-            if (pop == 0) continue;
-            BlockRef ref{};
-            ref.bcol = bc;
-            ref.nnz = static_cast<std::uint16_t>(pop);
-            if (pop >= kMin) {
-                ref.kind = BlockKind::Bitmap;
-                ref.offset = wcur;
-                for (Index r = r0; r < r1; ++r) {
-                    words[wcur + (r & 63)] = dense.row_words(r)[bc];
-                }
-                wcur += BitBlockMatrix::kBlockWords;
-            } else {
-                ref.kind = BlockKind::Sparse;
-                ref.offset = ecur;
-                for (Index r = r0; r < r1; ++r) {
-                    const Index rl = r & 63;
-                    util::for_each_set_bit(dense.row_words(r)[bc], [&](unsigned bit) {
-                        entries[ecur++] = static_cast<std::uint16_t>((rl << 6) | bit);
-                    });
-                }
-            }
-            blocks[bcur++] = ref;
-        }
-    });
-
-    return BitBlockMatrix::from_raw(dense.nrows(), dense.ncols(),
-                                    std::move(block_row_offsets), std::move(blocks),
-                                    std::move(words), std::move(entries));
-}
-
 CsrMatrix to_csr(backend::Context& ctx, const BitBlockMatrix& bb) {
     const Index nrows = bb.nrows();
     // This conversion materialises cached secondary representations, so its
@@ -423,67 +289,13 @@ CsrMatrix to_csr(backend::Context& ctx, const BitBlockMatrix& bb) {
                                std::move(cols));
 }
 
-CooMatrix to_coo(backend::Context& ctx, const BitBlockMatrix& bb) {
-    return to_coo(ctx, to_csr(ctx, bb));
-}
-
-DenseMatrix to_dense(backend::Context& ctx, const BitBlockMatrix& bb) {
-    DenseMatrix out{bb.nrows(), bb.ncols()};
-    const Index nrows = bb.nrows();
-    // Block rows own disjoint dense rows, so per-block-row writes don't race.
-    ctx.parallel_for(bb.brows(), kBlockRowGrain, [&](std::size_t br) {
-        const Index r0 = static_cast<Index>(br) * 64;
-        const Index live = std::min<Index>(nrows - r0, 64);
-        for (const auto& tile : bb.block_row(static_cast<Index>(br))) {
-            const Index cbase = tile.bcol * 64;
-            if (tile.kind == BitBlockMatrix::BlockKind::Bitmap) {
-                const auto w = bb.bitmap_words(tile);
-                for (Index rl = 0; rl < live; ++rl) {
-                    util::for_each_set_bit(w[rl], [&](unsigned bit) {
-                        out.set(r0 + rl, cbase + bit);
-                    });
-                }
-            } else {
-                for (const std::uint16_t e : bb.sparse_entries(tile)) {
-                    out.set(r0 + (e >> 6), cbase + (e & 63));
-                }
-            }
-        }
-    });
-    return out;
-}
-
 CsrMatrix to_csr(const CooMatrix& coo) { return to_csr(backend::default_context(), coo); }
 CooMatrix to_coo(const CsrMatrix& csr) { return to_coo(backend::default_context(), csr); }
 CsrMatrix to_csr(const DenseMatrix& dense) {
     return to_csr(backend::default_context(), dense);
 }
-CooMatrix to_coo(const DenseMatrix& dense) {
-    return to_coo(backend::default_context(), dense);
-}
 DenseMatrix to_dense(const CsrMatrix& csr) {
     return to_dense(backend::default_context(), csr);
-}
-DenseMatrix to_dense(const CooMatrix& coo) {
-    return to_dense(backend::default_context(), coo);
-}
-BitBlockMatrix to_bitblocks(const CsrMatrix& csr) {
-    return to_bitblocks(backend::default_context(), csr);
-}
-BitBlockMatrix to_bitblocks(const CooMatrix& coo) {
-    return to_bitblocks(backend::default_context(), coo);
-}
-BitBlockMatrix to_bitblocks(const DenseMatrix& dense) {
-    return to_bitblocks(backend::default_context(), dense);
-}
-CsrMatrix to_csr(const BitBlockMatrix& bb) {
-    return to_csr(backend::default_context(), bb);
-}
-CooMatrix to_coo(const BitBlockMatrix& bb) {
-    return to_coo(backend::default_context(), bb);
-}
-DenseMatrix to_dense(const BitBlockMatrix& bb) {
-    return to_dense(backend::default_context(), bb);
 }
 
 }  // namespace spbla

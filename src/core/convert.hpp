@@ -1,12 +1,12 @@
 /// \file convert.hpp
 /// \brief Conversions between the storage formats.
 ///
-/// cuBool (CSR) and clBool (COO) are distinct backends in the paper; this
-/// reproduction keeps both formats first-class and converts losslessly
-/// between them and the dense reference. The Context& overloads run on the
-/// device pool (parallel row passes + exclusive scan) — they are the hot
-/// path of the storage engine's format dispatch; the context-free overloads
-/// delegate to the process default context.
+/// The storage engine's two representations, CSR and the 64x64 bit-block
+/// grid, convert losslessly into each other; these Context& overloads run on
+/// the device pool (parallel row passes + exclusive scan) and are the hot
+/// path of format dispatch. CSR <-> COO serves the footprint comparison with
+/// the paper's clBool format, and CSR <-> dense the tests' reference oracle.
+/// The context-free overloads delegate to the process default context.
 #pragma once
 
 #include "backend/context.hpp"
@@ -26,47 +26,20 @@ namespace spbla {
 /// Dense -> CSR (parallel popcount + exclusive scan + parallel bit scatter).
 [[nodiscard]] CsrMatrix to_csr(backend::Context& ctx, const DenseMatrix& dense);
 
-/// Dense -> COO.
-[[nodiscard]] CooMatrix to_coo(backend::Context& ctx, const DenseMatrix& dense);
-
 /// CSR -> dense (parallel per-row bit fill).
 [[nodiscard]] DenseMatrix to_dense(backend::Context& ctx, const CsrMatrix& csr);
-
-/// COO -> dense.
-[[nodiscard]] DenseMatrix to_dense(backend::Context& ctx, const CooMatrix& coo);
 
 /// CSR -> BitBlocks (parallel per-block-row tiling; hybrid tiles chosen by
 /// population against BitBlockMatrix::kBitmapMinNnz).
 [[nodiscard]] BitBlockMatrix to_bitblocks(backend::Context& ctx, const CsrMatrix& csr);
 
-/// COO -> BitBlocks.
-[[nodiscard]] BitBlockMatrix to_bitblocks(backend::Context& ctx, const CooMatrix& coo);
-
-/// Dense -> BitBlocks (tile columns align with the dense word columns, so
-/// bitmap tiles are straight word gathers).
-[[nodiscard]] BitBlockMatrix to_bitblocks(backend::Context& ctx, const DenseMatrix& dense);
-
 /// BitBlocks -> CSR (parallel per-block-row expansion).
 [[nodiscard]] CsrMatrix to_csr(backend::Context& ctx, const BitBlockMatrix& bb);
-
-/// BitBlocks -> COO.
-[[nodiscard]] CooMatrix to_coo(backend::Context& ctx, const BitBlockMatrix& bb);
-
-/// BitBlocks -> dense.
-[[nodiscard]] DenseMatrix to_dense(backend::Context& ctx, const BitBlockMatrix& bb);
 
 /// Context-free conveniences (default context's pool).
 [[nodiscard]] CsrMatrix to_csr(const CooMatrix& coo);
 [[nodiscard]] CooMatrix to_coo(const CsrMatrix& csr);
 [[nodiscard]] CsrMatrix to_csr(const DenseMatrix& dense);
-[[nodiscard]] CooMatrix to_coo(const DenseMatrix& dense);
 [[nodiscard]] DenseMatrix to_dense(const CsrMatrix& csr);
-[[nodiscard]] DenseMatrix to_dense(const CooMatrix& coo);
-[[nodiscard]] BitBlockMatrix to_bitblocks(const CsrMatrix& csr);
-[[nodiscard]] BitBlockMatrix to_bitblocks(const CooMatrix& coo);
-[[nodiscard]] BitBlockMatrix to_bitblocks(const DenseMatrix& dense);
-[[nodiscard]] CsrMatrix to_csr(const BitBlockMatrix& bb);
-[[nodiscard]] CooMatrix to_coo(const BitBlockMatrix& bb);
-[[nodiscard]] DenseMatrix to_dense(const BitBlockMatrix& bb);
 
 }  // namespace spbla

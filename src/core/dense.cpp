@@ -45,22 +45,6 @@ DenseMatrix DenseMatrix::ewise_or(const DenseMatrix& other) const {
     return out;
 }
 
-DenseMatrix DenseMatrix::ewise_and(const DenseMatrix& other) const {
-    check(nrows_ == other.nrows_ && ncols_ == other.ncols_, Status::DimensionMismatch,
-          "DenseMatrix::ewise_and");
-    DenseMatrix out{nrows_, ncols_};
-    for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = words_[w] & other.words_[w];
-    return out;
-}
-
-DenseMatrix DenseMatrix::ewise_andnot(const DenseMatrix& other) const {
-    check(nrows_ == other.nrows_ && ncols_ == other.ncols_, Status::DimensionMismatch,
-          "DenseMatrix::ewise_andnot");
-    DenseMatrix out{nrows_, ncols_};
-    for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = words_[w] & ~other.words_[w];
-    return out;
-}
-
 Index DenseMatrix::row_nnz(Index r) const {
     check(r < nrows_, Status::OutOfRange, "DenseMatrix::row_nnz");
     const std::size_t row_base = static_cast<std::size_t>(r) * words_per_row_;

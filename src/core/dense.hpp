@@ -1,9 +1,9 @@
 /// \file dense.hpp
 /// \brief Dense bit-packed Boolean matrix.
 ///
-/// Used as (a) the exhaustive reference implementation every sparse kernel
-/// is tested against, and (b) the dense fallback for pathologically dense
-/// rows inside the hash SpGEMM (the Nsparse "global memory bin" analog).
+/// The exhaustive reference implementation every sparse kernel is tested
+/// against. It is not a storage-engine representation: spbla::Matrix holds
+/// CSR or bit blocks only.
 #pragma once
 
 #include <cstddef>
@@ -58,12 +58,6 @@ public:
     /// Element-wise OR; shapes must match.
     [[nodiscard]] DenseMatrix ewise_or(const DenseMatrix& other) const;
 
-    /// Element-wise AND; shapes must match.
-    [[nodiscard]] DenseMatrix ewise_and(const DenseMatrix& other) const;
-
-    /// Element-wise difference (this AND NOT other); shapes must match.
-    [[nodiscard]] DenseMatrix ewise_andnot(const DenseMatrix& other) const;
-
     /// Kronecker product.
     [[nodiscard]] DenseMatrix kronecker(const DenseMatrix& other) const;
 
@@ -75,11 +69,6 @@ public:
 
     /// Coordinate list of all true cells in (row, col) order.
     [[nodiscard]] std::vector<Coord> to_coords() const;
-
-    /// Simulated device footprint: one word per 64 columns per row.
-    [[nodiscard]] std::size_t device_bytes() const noexcept {
-        return words_.size() * sizeof(std::uint64_t);
-    }
 
     friend bool operator==(const DenseMatrix& a, const DenseMatrix& b) noexcept {
         return a.nrows_ == b.nrows_ && a.ncols_ == b.ncols_ && a.words_ == b.words_;

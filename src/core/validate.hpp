@@ -12,7 +12,6 @@
 #pragma once
 
 #include "core/bitblocks.hpp"
-#include "core/coo.hpp"
 #include "core/csr.hpp"
 #include "core/spvector.hpp"
 #include "util/contracts.hpp"
@@ -21,9 +20,6 @@ namespace spbla::core {
 
 /// Check all CsrMatrix storage invariants; throws Error(InvalidState).
 void validate(const CsrMatrix& m);
-
-/// Check all CooMatrix storage invariants; throws Error(InvalidState).
-void validate(const CooMatrix& m);
 
 /// Check all BitBlockMatrix storage invariants; throws Error(InvalidState).
 void validate(const BitBlockMatrix& m);

@@ -68,58 +68,4 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     return out;
 }
 
-CooMatrix ewise_add(backend::Context& ctx, const CooMatrix& a, const CooMatrix& b) {
-    SPBLA_REQUIRE(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
-                  Status::DimensionMismatch, "ewise_add: shape mismatch");
-    SPBLA_VALIDATE(a);
-    SPBLA_VALIDATE(b);
-    SPBLA_PROF_SPAN("ewise_add.coo");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
-    // One-pass merge into a buffer of size nnz(A) + nnz(B); duplicates
-    // (entries present in both operands) are dropped during the merge.
-    auto rows_buf = ctx.alloc<Index>(a.nnz() + b.nnz());
-    auto cols_buf = ctx.alloc<Index>(a.nnz() + b.nnz());
-
-    const auto ar = a.rows();
-    const auto ac = a.cols();
-    const auto br = b.rows();
-    const auto bc = b.cols();
-    std::size_t i = 0, j = 0, out = 0;
-    while (i < ar.size() && j < br.size()) {
-        const bool a_first = ar[i] < br[j] || (ar[i] == br[j] && ac[i] < bc[j]);
-        const bool equal = ar[i] == br[j] && ac[i] == bc[j];
-        if (equal) {
-            rows_buf[out] = ar[i];
-            cols_buf[out] = ac[i];
-            ++i;
-            ++j;
-        } else if (a_first) {
-            rows_buf[out] = ar[i];
-            cols_buf[out] = ac[i];
-            ++i;
-        } else {
-            rows_buf[out] = br[j];
-            cols_buf[out] = bc[j];
-            ++j;
-        }
-        ++out;
-    }
-    for (; i < ar.size(); ++i, ++out) {
-        rows_buf[out] = ar[i];
-        cols_buf[out] = ac[i];
-    }
-    for (; j < br.size(); ++j, ++out) {
-        rows_buf[out] = br[j];
-        cols_buf[out] = bc[j];
-    }
-
-    SPBLA_PROF_COUNT(nnz_out, out);
-    std::vector<Index> rows(rows_buf.begin(), rows_buf.begin() + static_cast<std::ptrdiff_t>(out));
-    std::vector<Index> cols(cols_buf.begin(), cols_buf.begin() + static_cast<std::ptrdiff_t>(out));
-    CooMatrix result =
-        CooMatrix::from_sorted(a.nrows(), a.ncols(), std::move(rows), std::move(cols));
-    SPBLA_VALIDATE(result);
-    return result;
-}
-
 }  // namespace spbla::ops

@@ -1,16 +1,12 @@
 /// \file ewise_add.hpp
 /// \brief Element-wise Boolean addition (OR) of sparse matrices.
 ///
-/// CSR path reproduces cuBool: a GPU-Merge-Path-style two-pass per-row merge
-/// — the first pass counts the union size of every row pair so the result is
-/// allocated exactly, the second pass merges. The COO path reproduces
-/// clBool: a classic one-pass merge into a single buffer of size
-/// nnz(A) + nnz(B) allocated up front (cheaper in passes, potentially larger
-/// transient footprint — exactly the trade-off the paper describes).
+/// Reproduces cuBool: a GPU-Merge-Path-style two-pass per-row merge — the
+/// first pass counts the union size of every row pair so the result is
+/// allocated exactly, the second pass merges.
 #pragma once
 
 #include "backend/context.hpp"
-#include "core/coo.hpp"
 #include "core/csr.hpp"
 
 namespace spbla::ops {
@@ -18,9 +14,5 @@ namespace spbla::ops {
 /// C = A | B for CSR matrices of equal shape (two-pass row merge).
 [[nodiscard]] CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a,
                                   const CsrMatrix& b);
-
-/// C = A | B for COO matrices of equal shape (one-pass whole-array merge).
-[[nodiscard]] CooMatrix ewise_add(backend::Context& ctx, const CooMatrix& a,
-                                  const CooMatrix& b);
 
 }  // namespace spbla::ops

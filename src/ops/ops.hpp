@@ -4,7 +4,6 @@
 
 #include "ops/bitblock_ops.hpp"  // IWYU pragma: export
 #include "ops/ewise_add.hpp"   // IWYU pragma: export
-#include "ops/coo_ops.hpp"     // IWYU pragma: export
 #include "ops/ewise_mult.hpp"  // IWYU pragma: export
 #include "ops/kronecker.hpp"   // IWYU pragma: export
 #include "ops/masked.hpp"      // IWYU pragma: export

@@ -22,7 +22,6 @@
 #include "storage/dispatch.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <tuple>
@@ -45,22 +44,15 @@ namespace {
 constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 
 /// Formats in the order the cost model scans them (ties go to the earlier).
-constexpr Format kFormats[] = {Format::Csr, Format::Coo, Format::Dense,
-                               Format::BitBlocks};
+constexpr Format kFormats[] = {Format::Csr, Format::BitBlocks};
 
 /// One value per storage format, so table entries read as {format -> value}.
 template <class T>
 struct PerFormat {
-    T csr{}, coo{}, dense{}, bitblock{};
+    T csr{}, bitblock{};
 
     [[nodiscard]] constexpr const T& operator[](Format f) const noexcept {
-        switch (f) {
-            case Format::Coo: return coo;
-            case Format::Dense: return dense;
-            case Format::BitBlocks: return bitblock;
-            case Format::Csr: break;
-        }
-        return csr;
+        return f == Format::BitBlocks ? bitblock : csr;
     }
 };
 
@@ -70,44 +62,13 @@ using Costs = PerFormat<double>;
 /// format to displace it — the anti-thrash margin.
 constexpr double kHysteresis = 2.0;
 
-// The density / byte-cap candidacy gates (kDenseMinDensity, kDenseByteCap,
-// kBitBlockMinDensity, kBitBlockByteCap) live in storage/thresholds.hpp so
-// the dense and bitblock tiers share one set of named crossovers.
+// The bitblock candidacy gate's crossovers (kBitBlockMinDensity,
+// kBitBlockByteCap) live in storage/thresholds.hpp.
 
 /// Broadword ops run ~one word per model "index touch" unit but each word
 /// carries 64 cells; this factor converts word-op counts into the sparse
-/// kernels' cost units. Shared by the dense and bitblock cost formulas.
+/// kernels' cost units.
 constexpr double kWordOpScale = 0.08;
-
-[[nodiscard]] double words_of(Index nrows, Index ncols) noexcept {
-    return static_cast<double>(nrows) *
-           static_cast<double>((static_cast<std::size_t>(ncols) + 63) / 64);
-}
-
-[[nodiscard]] std::size_t dense_bytes_of(Index nrows, Index ncols) noexcept {
-    return static_cast<std::size_t>(words_of(nrows, ncols)) * sizeof(std::uint64_t);
-}
-
-[[nodiscard]] bool dense_eligible(const Matrix& m) noexcept {
-    if (m.nrows() == 0 || m.ncols() == 0) return false;
-    if (m.has_format(Format::Dense)) return true;  // already paid for
-    return m.density() >= kDenseMinDensity &&
-           dense_bytes_of(m.nrows(), m.ncols()) <= kDenseByteCap;
-}
-
-[[nodiscard]] bool dense_output_eligible(Index nrows, Index ncols) noexcept {
-    return dense_bytes_of(nrows, ncols) <= kDenseByteCap;
-}
-
-/// Element-wise ops get a byte-cap-only dense gate: their dense cost is one
-/// exact word sweep (0.5 * words), so the cost comparison itself rejects
-/// oversized grids and the density floor — which exists for multiply, whose
-/// dense estimate is fuzzier — would only mask wins on small dense-ish inputs.
-[[nodiscard]] bool dense_ewise_eligible(const Matrix& m) noexcept {
-    if (m.nrows() == 0 || m.ncols() == 0) return false;
-    if (m.has_format(Format::Dense)) return true;  // already paid for
-    return dense_bytes_of(m.nrows(), m.ncols()) <= kDenseByteCap;
-}
 
 /// Non-empty tiles of the 64x64 block grid, estimated from the gate density:
 /// an admitted matrix carries at least ~8 entries per occupied tile, so the
@@ -122,11 +83,15 @@ constexpr double kWordOpScale = 0.08;
                     static_cast<double>(m.nnz()) / 8.0 + 1.0);
 }
 
-/// Worst-case BitBlocks footprint: never above the flat bitmap, and sparse
-/// inputs stay entry-bounded (2 bytes per cell plus tile descriptors).
+/// Worst-case BitBlocks footprint: never above the flat bitmap (one word per
+/// 64 cells), and sparse inputs stay entry-bounded (2 bytes per cell plus
+/// tile descriptors).
 [[nodiscard]] std::size_t bitblock_bytes_of(const Matrix& m) noexcept {
+    const auto bitmap_bound = static_cast<std::size_t>(m.nrows()) *
+                              ((static_cast<std::size_t>(m.ncols()) + 63) / 64) *
+                              sizeof(std::uint64_t);
     const auto entry_bound = static_cast<std::size_t>(m.nnz()) * 16;
-    return std::min(dense_bytes_of(m.nrows(), m.ncols()), entry_bound);
+    return std::min(bitmap_bound, entry_bound);
 }
 
 [[nodiscard]] bool bitblock_eligible(const Matrix& m) noexcept {
@@ -140,21 +105,11 @@ constexpr double kWordOpScale = 0.08;
 [[nodiscard]] double convert_cost(const Matrix& m, Format f) noexcept {
     if (m.has_format(f)) return 0.0;
     const auto nnz = static_cast<double>(m.nnz());
-    switch (f) {
-        case Format::Csr:
-        case Format::Coo:
-            // Sparse <-> sparse conversions are linear scans over the entries
-            // (plus the row-pointer pass for CSR targets).
-            return 2.0 * nnz + 0.5 * static_cast<double>(m.nrows());
-        case Format::Dense:
-            // Clearing the bitmap dominates for sparse sources.
-            return words_of(m.nrows(), m.ncols()) + nnz;
-        case Format::BitBlocks:
-            // Two parallel passes over the entries plus the occupied-tile
-            // bookkeeping; empty tile regions cost nothing.
-            return 2.0 * nnz + 8.0 * est_blocks(m);
-    }
-    return kInfiniteCost;
+    // Both directions are two parallel passes over the entries, plus the
+    // row-pointer pass for CSR or the occupied-tile bookkeeping for
+    // BitBlocks (empty tile regions cost nothing).
+    if (f == Format::BitBlocks) return 2.0 * nnz + 8.0 * est_blocks(m);
+    return 2.0 * nnz + 0.5 * static_cast<double>(m.nrows());
 }
 
 /// Estimated multiply kernel work per format.
@@ -162,22 +117,12 @@ constexpr double kWordOpScale = 0.08;
     const auto nnz_a = static_cast<double>(a.nnz());
     const auto nnz_b = static_cast<double>(b.nnz());
     // Expected FLOP proxy: each entry of A selects a row of B of average
-    // population nnz_b / nrows_b; row skew inflates the tail bins.
+    // population nnz_b / nrows_b.
     const double rows_b = std::max(1.0, static_cast<double>(b.nrows()));
     const double flops = nnz_a * (nnz_b / rows_b);
-    const double skew =
-        b.nrows() > 0
-            ? std::max(1.0, static_cast<double>(b.max_row_nnz()) / (nnz_b / rows_b + 1.0))
-            : 1.0;
     Costs costs{};
     // Hash SpGEMM: symbolic + numeric passes, hash probes ~ constant each.
     costs.csr = 4.0 * flops + 0.25 * static_cast<double>(a.nrows());
-    // Expand-sort-dedup: the sort pays log of the expanded list, and skewed
-    // rows expand multiplicatively.
-    costs.coo = flops * (1.0 + std::log2(flops + 2.0) * 0.25) * std::min(skew, 4.0);
-    // Bit-parallel row-OR: every entry of A ORs one row of B (word-wide).
-    costs.dense = kWordOpScale * nnz_a * (words_of(1, b.ncols())) +
-                  words_of(a.nrows(), b.ncols());
     // Tile-grid Gustavson: each (A tile, B tile) pair costs accumulator
     // traffic (64 words) plus the cheaper of per-cell row-ORs and the
     // Four-Russians bound (512 lookups + amortised table build).
@@ -202,10 +147,6 @@ struct RouteMetrics {
 constexpr PerFormat<RouteMetrics> kRouteMetrics{
     .csr = {telemetry::Counter::DispatchCsr, telemetry::Histogram::OpLatencyCsrNs,
             "dispatch_csr"},
-    .coo = {telemetry::Counter::DispatchCoo, telemetry::Histogram::OpLatencyCooNs,
-            "dispatch_coo"},
-    .dense = {telemetry::Counter::DispatchDense, telemetry::Histogram::OpLatencyDenseNs,
-              "dispatch_dense"},
     .bitblock = {telemetry::Counter::DispatchBitBlocks,
                  telemetry::Histogram::OpLatencyBitBlocksNs, "dispatch_bitblock"},
 };
@@ -215,8 +156,6 @@ void count_route(Format f) {
 #if SPBLA_PROFILE_LEVEL >= SPBLA_PROFILE_COUNTERS
     static const PerFormat<prof::SiteId> sites{
         prof::register_counter(kRouteMetrics.csr.prof_counter),
-        prof::register_counter(kRouteMetrics.coo.prof_counter),
-        prof::register_counter(kRouteMetrics.dense.prof_counter),
         prof::register_counter(kRouteMetrics.bitblock.prof_counter)};
     prof::count(sites[f], 1);
 #endif
@@ -226,8 +165,6 @@ void count_route(Format f) {
 [[nodiscard]] std::optional<Format> forced(FormatHint hint) noexcept {
     switch (hint) {
         case FormatHint::ForceCsr: return Format::Csr;
-        case FormatHint::ForceCoo: return Format::Coo;
-        case FormatHint::ForceDense: return Format::Dense;
         case FormatHint::ForceBitBlocks: return Format::BitBlocks;
         case FormatHint::Auto: break;
     }
@@ -284,8 +221,6 @@ struct OpSpec<Out(backend::Context&, Args...)> {
     /// model), evaluated under FormatHint::Auto only; an op without a model
     /// routes CSR under Auto.
     Costs (*work)(Args...) = nullptr;
-    /// Input-dependent row availability; null admits every row.
-    bool (*admits)(Format, Args...) = nullptr;
     /// Kernel rows; null where the op has no kernel in that format. Every
     /// op has a CSR row: it is where forced formats without a row fall back.
     PerFormat<Kernel> rows{};
@@ -378,9 +313,7 @@ auto route(backend::Context& ctx, const Ts&... args) {
         }
     }
 
-    const auto has_row = [&](Format f) {
-        return Op.rows[f] != nullptr && (Op.admits == nullptr || Op.admits(f, args...));
-    };
+    const auto has_row = [](Format f) { return Op.rows[f] != nullptr; };
     Format f = Format::Csr;
     if (const auto want = forced(global_hint())) {
         // A forced format the op has no row for falls back to CSR, which
@@ -423,23 +356,12 @@ constexpr OpSpec<decltype(multiply)> kMultiply{
     },
     .work = [](const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
-        const bool dense_ok = dense_eligible(a) && dense_eligible(b) &&
-                              dense_output_eligible(a.nrows(), b.ncols());
         const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
-        return Costs{.csr = k.csr,
-                     .coo = k.coo,
-                     .dense = dense_ok ? k.dense : kInfiniteCost,
-                     .bitblock = bb_ok ? k.bitblock : kInfiniteCost};
+        return Costs{.csr = k.csr, .bitblock = bb_ok ? k.bitblock : kInfiniteCost};
     },
     .rows = {
         .csr = [](auto& ctx, const auto& a, const auto& b, const auto& opts) {
             return Matrix{ops::multiply(ctx, a.csr(ctx), b.csr(ctx), opts), ctx};
-        },
-        .coo = [](auto& ctx, const auto& a, const auto& b, const auto&) {
-            return Matrix{ops::multiply(ctx, a.coo(ctx), b.coo(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, const auto& b, const auto&) {
-            return Matrix{a.dense(ctx).multiply(b.dense(ctx)), ctx};
         },
         .bitblock = [](auto& ctx, const auto& a, const auto& b, const auto&) {
             return Matrix{ops::multiply(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
@@ -464,13 +386,10 @@ constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
     },
     .work = [](const Matrix& c, const Matrix& a, const Matrix& b, const ops::SpGemmOptions&) {
         const auto k = multiply_costs(a, b);
-        const bool dense_ok = dense_eligible(a) && dense_eligible(b) && dense_eligible(c) &&
-                              dense_output_eligible(c.nrows(), c.ncols());
         const bool bb_ok =
             bitblock_eligible(a) && bitblock_eligible(b) && bitblock_eligible(c);
         return Costs{
             .csr = k.csr + 2.0 * static_cast<double>(c.nnz()),
-            .dense = dense_ok ? k.dense + words_of(c.nrows(), c.ncols()) : kInfiniteCost,
             .bitblock = bb_ok ? k.bitblock + kWordOpScale * 320.0 * est_blocks(c)
                               : kInfiniteCost};
     },
@@ -478,9 +397,6 @@ constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
         .csr = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto& opts) {
             return Matrix{ops::multiply_add(ctx, c.csr(ctx), a.csr(ctx), b.csr(ctx), opts),
                           ctx};
-        },
-        .dense = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto&) {
-            return Matrix{c.dense(ctx).ewise_or(a.dense(ctx).multiply(b.dense(ctx))), ctx};
         },
         .bitblock = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto&) {
             return Matrix{ops::ewise_add(ctx, c.bitblocks(ctx),
@@ -494,29 +410,19 @@ constexpr OpSpec<decltype(ewise_add)> kEwiseAdd{
     .flight = "ewise_add",
     .anchor = Anchor::Dominant,
     .work = [](const Matrix& a, const Matrix& b) {
-        // CSR pays the per-row merge bookkeeping; the flat COO merge is the
-        // natural very-sparse winner; dense is one OR sweep over the words;
-        // bitblock pays ~5 word sweeps per occupied tile (expand both sides,
-        // merge, then the popcount + pack of reassembly).
+        // CSR pays the per-row merge bookkeeping; bitblock pays ~5 word
+        // sweeps per occupied tile (expand both sides, merge, then the
+        // popcount + pack of reassembly).
         const auto total = static_cast<double>(a.nnz() + b.nnz());
-        const bool dense_ok = dense_ewise_eligible(a) && dense_ewise_eligible(b);
         const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
         return Costs{
             .csr = 2.0 * total + 0.5 * static_cast<double>(a.nrows()),
-            .coo = total,
-            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost,
             .bitblock = bb_ok ? kWordOpScale * 320.0 * (est_blocks(a) + est_blocks(b))
                               : kInfiniteCost};
     },
     .rows = {
         .csr = [](auto& ctx, const auto& a, const auto& b) {
             return Matrix{ops::ewise_add(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-        },
-        .coo = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{ops::ewise_add(ctx, a.coo(ctx), b.coo(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{a.dense(ctx).ewise_or(b.dense(ctx)), ctx};
         },
         .bitblock = [](auto& ctx, const auto& a, const auto& b) {
             return Matrix{ops::ewise_add(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
@@ -531,20 +437,15 @@ constexpr OpSpec<decltype(ewise_mult)> kEwiseMult{
         // The bitblock intersection expands both sides of every matched tile
         // pair (~5 word sweeps, as in ewise_add); the occupied-tile sum is
         // the upper bound on matches and keeps disjoint patterns on CSR.
-        const bool dense_ok = dense_ewise_eligible(a) && dense_ewise_eligible(b);
         const bool bb_ok = bitblock_eligible(a) && bitblock_eligible(b);
         return Costs{
             .csr = 2.0 * static_cast<double>(a.nnz() + b.nnz()),
-            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost,
             .bitblock = bb_ok ? kWordOpScale * 320.0 * (est_blocks(a) + est_blocks(b))
                               : kInfiniteCost};
     },
     .rows = {
         .csr = [](auto& ctx, const auto& a, const auto& b) {
             return Matrix{ops::ewise_mult(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{a.dense(ctx).ewise_and(b.dense(ctx)), ctx};
         },
         .bitblock = [](auto& ctx, const auto& a, const auto& b) {
             return Matrix{ops::ewise_mult(ctx, a.bitblocks(ctx), b.bitblocks(ctx)), ctx};
@@ -554,46 +455,19 @@ constexpr OpSpec<decltype(ewise_mult)> kEwiseMult{
 constexpr OpSpec<decltype(ewise_diff)> kEwiseDiff{
     .span = "storage.dispatch.ewise_diff",
     .flight = "ewise_diff",
-    .anchor = Anchor::Dominant,
-    .work = [](const Matrix& a, const Matrix& b) {
-        const bool dense_ok = dense_eligible(a) && dense_eligible(b);
-        return Costs{
-            .csr = 2.0 * static_cast<double>(a.nnz() + b.nnz()),
-            .dense = dense_ok ? 0.5 * words_of(a.nrows(), a.ncols()) : kInfiniteCost};
-    },
-    .rows = {
-        .csr = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{ops::ewise_diff(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{a.dense(ctx).ewise_andnot(b.dense(ctx)), ctx};
-        }},
+    .rows = {.csr = [](auto& ctx, const auto& a, const auto& b) {
+        return Matrix{ops::ewise_diff(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+    }},
 };
 
-// The CSR kernel's work is exactly the nnz_a * nnz_b output entries; the
-// dense nested loop touches every cell pair and only wins on tiny, saturated
-// blocks. So kronecker has no cost model (Auto routes CSR), and the dense row
-// runs only under an explicit force, on an output small enough to bitmap.
+// The CSR kernel's work is exactly the nnz_a * nnz_b output entries, so
+// kronecker has a CSR row only and no cost model.
 constexpr OpSpec<decltype(kronecker)> kKronecker{
     .span = "storage.dispatch.kronecker",
     .flight = "kronecker",
-    .admits = [](Format f, const Matrix& a, const Matrix& b) {
-        if (f != Format::Dense) return true;
-        // The output shape in 64 bits: a wrapped 32-bit product would pass.
-        const std::uint64_t rows = std::uint64_t{a.nrows()} * b.nrows();
-        const std::uint64_t cols = std::uint64_t{a.ncols()} * b.ncols();
-        constexpr std::uint64_t kMaxIndex = std::numeric_limits<Index>::max();
-        return rows <= kMaxIndex && cols <= kMaxIndex && dense_eligible(a) &&
-               dense_eligible(b) &&
-               dense_output_eligible(static_cast<Index>(rows), static_cast<Index>(cols));
-    },
-    .rows = {
-        .csr = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{ops::kronecker(ctx, a.csr(ctx), b.csr(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, const auto& b) {
-            return Matrix{a.dense(ctx).kronecker(b.dense(ctx)), ctx};
-        }},
+    .rows = {.csr = [](auto& ctx, const auto& a, const auto& b) {
+        return Matrix{ops::kronecker(ctx, a.csr(ctx), b.csr(ctx)), ctx};
+    }},
 };
 
 // One fused pass over every term, reading each term's CSR rows directly:
@@ -619,14 +493,11 @@ constexpr OpSpec<decltype(transpose)> kTranspose{
     .span = "storage.dispatch.transpose",
     .flight = "transpose",
     .work = [](const Matrix& a) {
-        // COO transpose is swap + sort; CSR is a counting pass + scatter;
-        // bitblock is ~384 register word ops per occupied tile.
+        // CSR is a counting pass + scatter; bitblock is ~384 register word
+        // ops per occupied tile.
         const auto nnz = static_cast<double>(a.nnz());
-        const auto cells = static_cast<double>(a.nrows()) * static_cast<double>(a.ncols());
         return Costs{
             .csr = 2.0 * nnz + 0.5 * static_cast<double>(a.ncols()),
-            .coo = nnz * (1.0 + 0.25 * std::log2(nnz + 2.0)),
-            .dense = dense_eligible(a) ? cells : kInfiniteCost,
             .bitblock = bitblock_eligible(a) ? kWordOpScale * 448.0 * est_blocks(a)
                                              : kInfiniteCost};
     },
@@ -634,10 +505,6 @@ constexpr OpSpec<decltype(transpose)> kTranspose{
         .csr = [](auto& ctx, const auto& a) {
             return Matrix{ops::transpose(ctx, a.csr(ctx)), ctx};
         },
-        .coo = [](auto& ctx, const auto& a) {
-            return Matrix{ops::transpose(ctx, a.coo(ctx)), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a) { return Matrix{a.dense(ctx).transpose(), ctx}; },
         .bitblock = [](auto& ctx, const auto& a) {
             return Matrix{ops::transpose(ctx, a.bitblocks(ctx)), ctx};
         }},
@@ -646,42 +513,23 @@ constexpr OpSpec<decltype(transpose)> kTranspose{
 constexpr OpSpec<decltype(submatrix)> kSubmatrix{
     .span = "storage.dispatch.submatrix",
     .flight = "submatrix",
-    .work = [](const Matrix& a, Index, Index, Index m, Index n) {
-        // CSR touches only the selected row windows; COO scans all entries.
-        const auto nnz = static_cast<double>(a.nnz());
-        const double row_fraction =
-            a.nrows() > 0 ? static_cast<double>(m) / static_cast<double>(a.nrows()) : 1.0;
-        const bool dense_ok = dense_eligible(a) && dense_output_eligible(m, n);
-        return Costs{
-            .csr = nnz * row_fraction + 8.0 * static_cast<double>(m),
-            .coo = nnz,
-            .dense = dense_ok ? static_cast<double>(m) * static_cast<double>(n)
-                              : kInfiniteCost};
-    },
-    .rows = {
-        .csr = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
-            return Matrix{ops::submatrix(ctx, a.csr(ctx), r0, c0, m, n), ctx};
-        },
-        .coo = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
-            return Matrix{ops::submatrix(ctx, a.coo(ctx), r0, c0, m, n), ctx};
-        },
-        .dense = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
-            return Matrix{a.dense(ctx).submatrix(r0, c0, m, n), ctx};
-        }},
+    .rows = {.csr = [](auto& ctx, const auto& a, auto r0, auto c0, auto m, auto n) {
+        return Matrix{ops::submatrix(ctx, a.csr(ctx), r0, c0, m, n), ctx};
+    }},
 };
 
 constexpr OpSpec<decltype(reduce_to_column)> kReduceToColumn{
     .span = "storage.dispatch.reduce_to_column",
     .flight = "reduce_to_col",
     .work = [](const Matrix& a) {
-        // All kernels are linear; whichever representation exists wins.
+        // Both kernels are linear; whichever representation exists wins. The
+        // gate keeps a hypersparse CSR operand from paying a tiling per call.
         return Costs{.csr = 0.5 * static_cast<double>(a.nrows()),
-                     .coo = static_cast<double>(a.nnz()),
-                     .bitblock = kWordOpScale * 64.0 * est_blocks(a)};
+                     .bitblock = bitblock_eligible(a) ? kWordOpScale * 64.0 * est_blocks(a)
+                                                      : kInfiniteCost};
     },
     .rows = {
         .csr = [](auto& ctx, const auto& a) { return ops::reduce_to_column(ctx, a.csr(ctx)); },
-        .coo = [](auto& ctx, const auto& a) { return ops::reduce_to_column(ctx, a.coo(ctx)); },
         .bitblock = [](auto& ctx, const auto& a) {
             return ops::reduce_to_column(ctx, a.bitblocks(ctx));
         }},

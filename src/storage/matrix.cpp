@@ -12,7 +12,6 @@
 
 #include "storage/matrix.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <type_traits>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/bit_ops.hpp"
 #include "util/contracts.hpp"
 
 namespace spbla {
@@ -40,19 +38,6 @@ std::atomic<std::size_t> g_cache_budget{kDefaultCacheBudget};
 std::atomic<FormatHint> g_hint{FormatHint::Auto};
 
 }  // namespace
-
-Stats& stats() noexcept {
-    static Stats instance;
-    return instance;
-}
-
-void reset_stats() noexcept {
-    auto& s = stats();
-    s.format_conversions.store(0, std::memory_order_relaxed);
-    s.repr_cache_hits.store(0, std::memory_order_relaxed);
-    s.repr_cache_stores.store(0, std::memory_order_relaxed);
-    s.repr_cache_drops.store(0, std::memory_order_relaxed);
-}
 
 std::size_t cached_bytes() noexcept {
     return g_cached_bytes.load(std::memory_order_relaxed);
@@ -110,24 +95,6 @@ Matrix::Matrix(CsrMatrix data, backend::Context& ctx)
     version_ = next_version();
 }
 
-Matrix::Matrix(CooMatrix data, backend::Context& ctx)
-    : ctx_{&ctx},
-      primary_{Format::Coo},
-      coo_{std::make_unique<const CooMatrix>(std::move(data))} {
-    publish_primary();
-    adopt_shape();
-    version_ = next_version();
-}
-
-Matrix::Matrix(DenseMatrix data, backend::Context& ctx)
-    : ctx_{&ctx},
-      primary_{Format::Dense},
-      dense_{std::make_unique<const DenseMatrix>(std::move(data))} {
-    publish_primary();
-    adopt_shape();
-    version_ = next_version();
-}
-
 Matrix::Matrix(BitBlockMatrix data, backend::Context& ctx)
     : ctx_{&ctx},
       primary_{Format::BitBlocks},
@@ -155,14 +122,6 @@ Matrix::Matrix(const Matrix& other) : ctx_{other.ctx_}, primary_{other.primary_}
         case Format::Csr:
             csr_ = std::make_unique<const CsrMatrix>(
                 *other.csr_pub_.load(std::memory_order_acquire));
-            break;
-        case Format::Coo:
-            coo_ = std::make_unique<const CooMatrix>(
-                *other.coo_pub_.load(std::memory_order_acquire));
-            break;
-        case Format::Dense:
-            dense_ = std::make_unique<const DenseMatrix>(
-                *other.dense_pub_.load(std::memory_order_acquire));
             break;
         case Format::BitBlocks:
             bb_ = std::make_unique<const BitBlockMatrix>(
@@ -205,29 +164,17 @@ void Matrix::steal_from(Matrix& other) noexcept SPBLA_NO_THREAD_SAFETY_ANALYSIS 
     primary_ = other.primary_;
     version_ = other.version_;
     csr_ = std::move(other.csr_);
-    coo_ = std::move(other.coo_);
-    dense_ = std::move(other.dense_);
     bb_ = std::move(other.bb_);
     for (std::size_t i = 0; i < kNumFormats; ++i) {
         charge_[i] = other.charge_[i];
         other.charge_[i] = SlotCharge{};
     }
     csr_pub_.store(csr_.get(), std::memory_order_relaxed);
-    coo_pub_.store(coo_.get(), std::memory_order_relaxed);
-    dense_pub_.store(dense_.get(), std::memory_order_relaxed);
     bb_pub_.store(bb_.get(), std::memory_order_relaxed);
     other.csr_pub_.store(nullptr, std::memory_order_relaxed);
-    other.coo_pub_.store(nullptr, std::memory_order_relaxed);
-    other.dense_pub_.store(nullptr, std::memory_order_relaxed);
     other.bb_pub_.store(nullptr, std::memory_order_relaxed);
-    max_row_nnz_.store(other.max_row_nnz_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    max_row_nnz_valid_.store(
-        other.max_row_nnz_valid_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     other.nnz_ = 0;
     other.version_ = 0;
-    other.max_row_nnz_valid_.store(false, std::memory_order_relaxed);
 }
 
 std::uint64_t Matrix::next_version() noexcept {
@@ -238,19 +185,12 @@ std::uint64_t Matrix::next_version() noexcept {
 void Matrix::publish_primary() noexcept {
     util::LockGuard lock{repr_mutex_};
     csr_pub_.store(csr_.get(), std::memory_order_release);
-    coo_pub_.store(coo_.get(), std::memory_order_release);
-    dense_pub_.store(dense_.get(), std::memory_order_release);
     bb_pub_.store(bb_.get(), std::memory_order_release);
 }
 
 template <class Fn>
 decltype(auto) Matrix::visit_primary(Fn&& fn) const {
-    switch (primary_) {
-        case Format::Coo: return fn(*coo_pub_.load(std::memory_order_acquire));
-        case Format::Dense: return fn(*dense_pub_.load(std::memory_order_acquire));
-        case Format::BitBlocks: return fn(*bb_pub_.load(std::memory_order_acquire));
-        case Format::Csr: break;
-    }
+    if (primary_ == Format::BitBlocks) return fn(*bb_pub_.load(std::memory_order_acquire));
     return fn(*csr_pub_.load(std::memory_order_acquire));
 }
 
@@ -260,19 +200,14 @@ void Matrix::adopt_shape() noexcept {
         ncols_ = m.ncols();
         nnz_ = m.nnz();
     });
-    max_row_nnz_valid_.store(false, std::memory_order_relaxed);
 }
 
 void Matrix::release_all() noexcept {
     util::LockGuard lock{repr_mutex_};
     for (std::size_t i = 0; i < kNumFormats; ++i) drop_slot(static_cast<Format>(i));
     csr_pub_.store(nullptr, std::memory_order_relaxed);
-    coo_pub_.store(nullptr, std::memory_order_relaxed);
-    dense_pub_.store(nullptr, std::memory_order_relaxed);
     bb_pub_.store(nullptr, std::memory_order_relaxed);
     csr_.reset();
-    coo_.reset();
-    dense_.reset();
     bb_.reset();
 }
 
@@ -281,34 +216,19 @@ void Matrix::release_all() noexcept {
 // ---------------------------------------------------------------------------
 
 bool Matrix::has_format(Format f) const noexcept {
-    switch (f) {
-        case Format::Csr:
-            return csr_pub_.load(std::memory_order_acquire) != nullptr;
-        case Format::Coo:
-            return coo_pub_.load(std::memory_order_acquire) != nullptr;
-        case Format::Dense:
-            return dense_pub_.load(std::memory_order_acquire) != nullptr;
-        case Format::BitBlocks:
-            return bb_pub_.load(std::memory_order_acquire) != nullptr;
-    }
-    return false;
+    if (f == Format::BitBlocks) return bb_pub_.load(std::memory_order_acquire) != nullptr;
+    return csr_pub_.load(std::memory_order_acquire) != nullptr;
 }
 
 void Matrix::store_secondary(Format f) const {
-    std::size_t bytes = 0;
-    switch (f) {
-        case Format::Csr: bytes = csr_->device_bytes(); break;
-        case Format::Coo: bytes = coo_->device_bytes(); break;
-        case Format::Dense: bytes = dense_->device_bytes(); break;
-        case Format::BitBlocks: bytes = bb_->device_bytes(); break;
-    }
+    const std::size_t bytes =
+        f == Format::BitBlocks ? bb_->device_bytes() : csr_->device_bytes();
     // The charge always lands on the handle's own context: a conversion may
     // run on a borrowed context's pool, but the cached bytes live as long as
     // the handle, whose lifetime is bounded by its bound context.
     ctx_->tracker().on_alloc(bytes);
     charge_[static_cast<std::size_t>(f)] = SlotCharge{&ctx_->tracker(), bytes};
     storage::gauge_add(bytes);
-    storage::stats().repr_cache_stores.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::Counter::StorageCacheStores);
 }
 
@@ -317,39 +237,26 @@ void Matrix::drop_slot(Format f) const noexcept {
     if (charge.tracker == nullptr) return;
     charge.tracker->on_free(charge.bytes);
     storage::gauge_sub(charge.bytes);
-    storage::stats().repr_cache_drops.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::Counter::StorageCacheDrops);
     charge = SlotCharge{};
     // Retract the published pointer before destroying the rep so late
     // readers miss and fall through to the mutex (where they re-materialise)
     // instead of dereferencing a freed slot.
-    switch (f) {
-        case Format::Csr:
-            csr_pub_.store(nullptr, std::memory_order_relaxed);
-            if (csr_ != nullptr) {
-                // This handle uniquely owns the dropped rep (readers were
-                // retracted above), so un-consting it to recycle its arrays
-                // through the context's pool is safe — the next conversion
-                // re-acquires them in O(1) instead of reallocating.
-                auto [offsets, cols] =
-                    std::move(const_cast<CsrMatrix&>(*csr_)).release_raw();
-                ctx_->buffer_pool().release(std::move(offsets));
-                ctx_->buffer_pool().release(std::move(cols));
-                csr_.reset();
-            }
-            break;
-        case Format::Coo:
-            coo_pub_.store(nullptr, std::memory_order_relaxed);
-            coo_.reset();
-            break;
-        case Format::Dense:
-            dense_pub_.store(nullptr, std::memory_order_relaxed);
-            dense_.reset();
-            break;
-        case Format::BitBlocks:
-            bb_pub_.store(nullptr, std::memory_order_relaxed);
-            bb_.reset();
-            break;
+    if (f == Format::BitBlocks) {
+        bb_pub_.store(nullptr, std::memory_order_relaxed);
+        bb_.reset();
+        return;
+    }
+    csr_pub_.store(nullptr, std::memory_order_relaxed);
+    if (csr_ != nullptr) {
+        // This handle uniquely owns the dropped rep (readers were retracted
+        // above), so un-consting it to recycle its arrays through the
+        // context's pool is safe — the next conversion re-acquires them in
+        // O(1) instead of reallocating.
+        auto [offsets, cols] = std::move(const_cast<CsrMatrix&>(*csr_)).release_raw();
+        ctx_->buffer_pool().release(std::move(offsets));
+        ctx_->buffer_pool().release(std::move(cols));
+        csr_.reset();
     }
 }
 
@@ -395,7 +302,6 @@ void Matrix::fill(std::unique_ptr<const T>& slot, std::atomic<const T*>& pub, Fo
                 return std::make_unique<const T>(convert(primary));
             }
         });
-        storage::stats().format_conversions.fetch_add(1, std::memory_order_relaxed);
         SPBLA_PROF_COUNT(format_conversions, 1);
         telemetry::count(telemetry::Counter::StorageConversions);
         store_secondary(f);
@@ -404,23 +310,12 @@ void Matrix::fill(std::unique_ptr<const T>& slot, std::atomic<const T*>& pub, Fo
 }
 
 void Matrix::materialise(Format f, backend::Context& ctx) const {
-    switch (f) {
-        case Format::Csr:
-            fill(csr_, csr_pub_, f, "storage.convert_to_csr",
-                 [&](const auto& m) { return to_csr(ctx, m); });
-            break;
-        case Format::Coo:
-            fill(coo_, coo_pub_, f, "storage.convert_to_coo",
-                 [&](const auto& m) { return to_coo(ctx, m); });
-            break;
-        case Format::Dense:
-            fill(dense_, dense_pub_, f, "storage.convert_to_dense",
-                 [&](const auto& m) { return to_dense(ctx, m); });
-            break;
-        case Format::BitBlocks:
-            fill(bb_, bb_pub_, f, "storage.convert_to_bitblock",
-                 [&](const auto& m) { return to_bitblocks(ctx, m); });
-            break;
+    if (f == Format::BitBlocks) {
+        fill(bb_, bb_pub_, f, "storage.convert_to_bitblock",
+             [&](const auto& m) { return to_bitblocks(ctx, m); });
+    } else {
+        fill(csr_, csr_pub_, f, "storage.convert_to_csr",
+             [&](const auto& m) { return to_csr(ctx, m); });
     }
 }
 
@@ -429,7 +324,6 @@ const T& Matrix::rep(Format f, const std::atomic<const T*>& pub,
                      backend::Context& ctx) const {
     if (const T* published = pub.load(std::memory_order_acquire)) {
         if (primary_ != f) {
-            storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
             SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
@@ -442,14 +336,6 @@ const T& Matrix::rep(Format f, const std::atomic<const T*>& pub,
 
 const CsrMatrix& Matrix::csr(backend::Context& ctx) const {
     return rep(Format::Csr, csr_pub_, ctx);
-}
-
-const CooMatrix& Matrix::coo(backend::Context& ctx) const {
-    return rep(Format::Coo, coo_pub_, ctx);
-}
-
-const DenseMatrix& Matrix::dense(backend::Context& ctx) const {
-    return rep(Format::Dense, dense_pub_, ctx);
 }
 
 const BitBlockMatrix& Matrix::bitblocks(backend::Context& ctx) const {
@@ -489,59 +375,6 @@ bool Matrix::get(Index r, Index c) const {
 
 std::vector<Coord> Matrix::to_coords() const {
     return visit_primary([](const auto& m) { return m.to_coords(); });
-}
-
-Index Matrix::max_row_nnz() const {
-    if (max_row_nnz_valid_.load(std::memory_order_acquire))
-        return max_row_nnz_.load(std::memory_order_relaxed);
-    util::LockGuard lock{repr_mutex_};
-    // A racer may have filled the cache while we queued on the mutex.
-    if (max_row_nnz_valid_.load(std::memory_order_relaxed))
-        return max_row_nnz_.load(std::memory_order_relaxed);
-    Index best = 0;
-    switch (primary_) {
-        case Format::Csr: {
-            const auto* m = csr_pub_.load(std::memory_order_acquire);
-            for (Index r = 0; r < m->nrows(); ++r) best = std::max(best, m->row_nnz(r));
-            break;
-        }
-        case Format::Coo: {
-            // Rows are sorted, so row populations are run lengths.
-            const auto rows = coo_pub_.load(std::memory_order_acquire)->rows();
-            Index run = 0;
-            for (std::size_t k = 0; k < rows.size(); ++k) {
-                run = (k > 0 && rows[k] == rows[k - 1]) ? run + 1 : 1;
-                best = std::max(best, run);
-            }
-            break;
-        }
-        case Format::Dense: {
-            const auto* m = dense_pub_.load(std::memory_order_acquire);
-            for (Index r = 0; r < m->nrows(); ++r)
-                best = std::max(best, m->row_nnz(r));
-            break;
-        }
-        case Format::BitBlocks: {
-            const auto* m = bb_pub_.load(std::memory_order_acquire);
-            for (Index br = 0; br < m->brows(); ++br) {
-                Index pops[BitBlockMatrix::kBlockDim] = {};
-                for (const auto& t : m->block_row(br)) {
-                    if (t.kind == BitBlockMatrix::BlockKind::Bitmap) {
-                        const auto w = m->bitmap_words(t);
-                        for (std::size_t rl = 0; rl < BitBlockMatrix::kBlockWords; ++rl)
-                            pops[rl] += static_cast<Index>(util::popcount64(w[rl]));
-                    } else {
-                        for (const std::uint16_t e : m->sparse_entries(t)) ++pops[e >> 6];
-                    }
-                }
-                for (const Index p : pops) best = std::max(best, p);
-            }
-            break;
-        }
-    }
-    max_row_nnz_.store(best, std::memory_order_relaxed);
-    max_row_nnz_valid_.store(true, std::memory_order_release);
-    return best;
 }
 
 bool operator==(const Matrix& a, const Matrix& b) {

@@ -1,15 +1,19 @@
 /// \file matrix.hpp
 /// \brief Format-polymorphic Boolean matrix handle — the storage engine.
 ///
-/// The paper presents CSR (cuBool) and COO (clBool) as co-equal backends
-/// behind one API; this layer makes that literal. A spbla::Matrix owns one
-/// *primary* representation (CSR, COO or dense-bitmap) and may cache the
-/// other representations after a conversion, so that repeated dispatches to
-/// the same format pay the conversion once. Cached secondaries are charged
-/// to the converting Context's MemoryTracker (the simulated device memory),
-/// live under a process-wide byte budget, are invalidated whenever the
-/// handle's content changes, and are released — and therefore leak-checked —
-/// before Context teardown like any other device allocation.
+/// A spbla::Matrix owns one *primary* representation, CSR (the cuBool
+/// format) or the 64x64 bit-block grid, and may cache the other after a
+/// conversion, so that repeated dispatches to the same format pay the
+/// conversion once. Cached secondaries are charged to the converting
+/// Context's MemoryTracker (the simulated device memory), live under a
+/// process-wide byte budget, are invalidated whenever the handle's content
+/// changes, and are released — and therefore leak-checked — before Context
+/// teardown like any other device allocation.
+///
+/// The paper's COO (clBool) format and the dense bitmap are not handle
+/// representations: no paper workload's dispatch picked the dense bitmap,
+/// and COO took a handful of tiny ops. CooMatrix remains a core structure
+/// for the footprint comparison, DenseMatrix the tests' reference oracle.
 ///
 /// The handle deliberately exposes *no* mutable access to a concrete format:
 /// layers above (capi, algorithms, cfpq, rpq) operate on Matrix through the
@@ -27,9 +31,7 @@
 
 #include "backend/context.hpp"
 #include "core/bitblocks.hpp"
-#include "core/coo.hpp"
 #include "core/csr.hpp"
-#include "core/dense.hpp"
 #include "core/spvector.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -38,18 +40,14 @@ namespace spbla {
 /// Storage representation of a Boolean matrix.
 enum class Format : std::uint8_t {
     Csr = 0,       ///< compressed sparse row (the cuBool format)
-    Coo = 1,       ///< coordinate list (the clBool format)
-    Dense = 2,     ///< bit-packed dense rows (closure endgame / oracle format)
-    BitBlocks = 3, ///< sparse grid of 64x64-bit tiles (broadword kernel tier)
+    BitBlocks = 1, ///< sparse grid of 64x64-bit tiles (broadword kernel tier)
 };
 
-inline constexpr std::size_t kNumFormats = 4;
+inline constexpr std::size_t kNumFormats = 2;
 
 [[nodiscard]] constexpr const char* format_name(Format f) noexcept {
     switch (f) {
         case Format::Csr: return "csr";
-        case Format::Coo: return "coo";
-        case Format::Dense: return "dense";
         case Format::BitBlocks: return "bitblock";
     }
     return "unknown";
@@ -57,22 +55,10 @@ inline constexpr std::size_t kNumFormats = 4;
 
 namespace storage {
 
-/// Process-wide conversion-cache counters. Always compiled (they are a
-/// handful of relaxed atomics); the same events are also mirrored into
-/// spbla::prof counters so they appear in traces and bench JSON. Per-format
-/// dispatch picks are counted once, as the spbla.dispatch.<format> telemetry
-/// counters (and their spbla::prof per-span mirrors).
-struct Stats {
-    std::atomic<std::uint64_t> format_conversions{0};  ///< concrete conversions run
-    std::atomic<std::uint64_t> repr_cache_hits{0};     ///< secondary rep reused
-    std::atomic<std::uint64_t> repr_cache_stores{0};   ///< secondary rep retained
-    std::atomic<std::uint64_t> repr_cache_drops{0};    ///< secondary rep released
-};
-
-[[nodiscard]] Stats& stats() noexcept;
-
-/// Zero every conversion-cache counter (not the cached-byte gauge).
-void reset_stats() noexcept;
+// Conversions and cache events are counted once each, as the telemetry
+// counters spbla.storage.{conversions,cache_hits,cache_stores,cache_drops}
+// (with spbla::prof per-span mirrors of conversions and hits); per-format
+// dispatch picks are the spbla.dispatch.<format> counters.
 
 /// Bytes of cached secondary representations currently alive process-wide.
 [[nodiscard]] std::size_t cached_bytes() noexcept;
@@ -89,9 +75,7 @@ void set_cache_budget(std::size_t bytes) noexcept;
 enum class FormatHint : std::uint8_t {
     Auto = 0,
     ForceCsr = 1,
-    ForceCoo = 2,
-    ForceDense = 3,
-    ForceBitBlocks = 4,
+    ForceBitBlocks = 2,
 };
 
 [[nodiscard]] FormatHint global_hint() noexcept;
@@ -126,8 +110,6 @@ public:
 
     /// Adopt a concrete representation as the primary.
     explicit Matrix(CsrMatrix data, backend::Context& ctx = backend::default_context());
-    explicit Matrix(CooMatrix data, backend::Context& ctx = backend::default_context());
-    explicit Matrix(DenseMatrix data, backend::Context& ctx = backend::default_context());
     explicit Matrix(BitBlockMatrix data, backend::Context& ctx = backend::default_context());
 
     /// Build from a coordinate list (duplicates collapse); CSR primary.
@@ -168,10 +150,6 @@ public:
     /// (never considered current).
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-    /// Largest row population of the matrix (0 for empty). Computed once per
-    /// handle content and cached; the dispatch cost model's skew signal.
-    [[nodiscard]] Index max_row_nnz() const;
-
     /// Representation accessors. If the requested format is not materialised
     /// the primary is converted through core/convert (parallel, on \p ctx);
     /// the conversion result is retained as a cached secondary — charged to
@@ -190,14 +168,10 @@ public:
     /// Mutation (assignment, convert_to, +=, multiply_add, destruction) still
     /// requires exclusive access to the handle, like any value type.
     [[nodiscard]] const CsrMatrix& csr(backend::Context& ctx) const;
-    [[nodiscard]] const CooMatrix& coo(backend::Context& ctx) const;
-    [[nodiscard]] const DenseMatrix& dense(backend::Context& ctx) const;
     [[nodiscard]] const BitBlockMatrix& bitblocks(backend::Context& ctx) const;
 
     /// Convenience accessors on the handle's own context.
     [[nodiscard]] const CsrMatrix& csr() const { return csr(*ctx_); }
-    [[nodiscard]] const CooMatrix& coo() const { return coo(*ctx_); }
-    [[nodiscard]] const DenseMatrix& dense() const { return dense(*ctx_); }
     [[nodiscard]] const BitBlockMatrix& bitblocks() const { return bitblocks(*ctx_); }
 
     /// Column indices of row \p r (sorted). Materialises the CSR rep.
@@ -313,9 +287,9 @@ private:
     Format primary_{Format::Csr};
     std::uint64_t version_{0};  // content stamp; see version()
 
-    /// Guards slot ownership, cache charges and the max_row_nnz fill; held
-    /// only while materialising, dropping or moving representations — every
-    /// read goes through the atomic published pointers below. Leaf lock: no
+    /// Guards slot ownership and cache charges; held only while
+    /// materialising, dropping or moving representations — every read goes
+    /// through the atomic published pointers below. Leaf lock: no
     /// other spbla mutex is ever acquired while it is held (the conversions
     /// it covers launch onto the pool, whose own mutex is release-before-run).
     mutable util::Mutex repr_mutex_;
@@ -323,8 +297,6 @@ private:
     // One ownership slot per Format; primary_ names the owned one, any other
     // non-null slot is a cached secondary with its charge recorded below.
     mutable std::unique_ptr<const CsrMatrix> csr_ SPBLA_GUARDED_BY(repr_mutex_);
-    mutable std::unique_ptr<const CooMatrix> coo_ SPBLA_GUARDED_BY(repr_mutex_);
-    mutable std::unique_ptr<const DenseMatrix> dense_ SPBLA_GUARDED_BY(repr_mutex_);
     mutable std::unique_ptr<const BitBlockMatrix> bb_ SPBLA_GUARDED_BY(repr_mutex_);
     mutable SlotCharge charge_[kNumFormats] SPBLA_GUARDED_BY(repr_mutex_) {};
 
@@ -332,13 +304,7 @@ private:
     // release-published here; readers take one acquire load and never the
     // mutex. Null means "not materialised — take the mutex and convert".
     mutable std::atomic<const CsrMatrix*> csr_pub_{nullptr};
-    mutable std::atomic<const CooMatrix*> coo_pub_{nullptr};
-    mutable std::atomic<const DenseMatrix*> dense_pub_{nullptr};
     mutable std::atomic<const BitBlockMatrix*> bb_pub_{nullptr};
-
-    // max_row_nnz cache: value is release-published by the valid flag.
-    mutable std::atomic<Index> max_row_nnz_{0};
-    mutable std::atomic<bool> max_row_nnz_valid_{false};
 };
 
 }  // namespace spbla

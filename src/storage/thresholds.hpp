@@ -1,26 +1,16 @@
 /// \file thresholds.hpp
 /// \brief Named crossover constants of the storage engine's cost model.
 ///
-/// Every density / byte-cap gate the dispatcher uses to admit a format as a
-/// candidate lives here, in one place, so the dense-bitmap and BitBlocks
-/// tiers share one definition instead of each op carrying its own copy. The
-/// constants are crossovers, not laws: the bench ladder
-/// (bench_ops_micro --formats, BENCH_formats.json) keeps them honest against
-/// the acceptance bar (auto within 10% of the best static format).
+/// The density / byte-cap gate the dispatcher uses to admit the bit-block
+/// tier as a candidate lives here, in one place. The constants are
+/// crossovers, not laws: the bench ladder (bench_ops_micro --formats,
+/// BENCH_formats.json) keeps them honest against the acceptance bar (auto
+/// within 10% of the best static format).
 #pragma once
 
 #include <cstddef>
 
 namespace spbla::storage {
-
-/// Dense candidacy gates: a matrix qualifies for the dense bit-parallel
-/// kernels only when it is dense enough that one 64-bit word carries about
-/// one set bit...
-inline constexpr double kDenseMinDensity = 1.0 / 64.0;
-
-/// ...and small enough that materialising the full bitmap cannot blow the
-/// simulated device memory (bytes).
-inline constexpr std::size_t kDenseByteCap = std::size_t{64} << 20;  // 64 MiB
 
 /// BitBlocks candidacy gate: the tiled 64x64 bit format starts paying for
 /// its block bookkeeping once an average 64x64 tile region carries at least
@@ -30,9 +20,8 @@ inline constexpr std::size_t kDenseByteCap = std::size_t{64} << 20;  // 64 MiB
 inline constexpr double kBitBlockMinDensity = 8.0 / 4096.0;
 
 /// BitBlocks byte cap. The worst case (every non-empty block bitmapped) is
-/// bounded by the dense footprint, but the grid stays sparse — empty block
-/// regions cost nothing — so the format is admitted on a larger envelope
-/// than the flat bitmap.
+/// bounded by the flat bitmap's footprint, but the grid stays sparse — empty
+/// block regions cost nothing.
 inline constexpr std::size_t kBitBlockByteCap = std::size_t{256} << 20;  // 256 MiB
 
 }  // namespace spbla::storage

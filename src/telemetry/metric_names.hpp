@@ -23,8 +23,10 @@ namespace spbla::telemetry {
 enum class Counter : std::uint16_t {
     DispatchOps = 0,      ///< storage-dispatcher ops completed (any route)
     DispatchCsr,          ///< ops routed to the CSR kernels
-    DispatchCoo,          ///< ops routed to the COO kernels
-    DispatchDense,        ///< ops routed to the dense bit-matrix kernels
+    /// Retired COO and dense-bitmap routes: nothing counts them, so they
+    /// stay at 0. Kept because the end-to-end benchmark still reads them.
+    DispatchCoo,
+    DispatchDense,
     DispatchBitBlocks,    ///< ops routed to the 64x64 bit-block tier
     StorageConversions,   ///< format conversions materialised
     StorageCacheHits,     ///< secondary-representation cache hits
@@ -72,8 +74,11 @@ enum class Gauge : std::uint16_t {
 /// [2^(i-1), 2^i - 1].
 enum class Histogram : std::uint16_t {
     OpLatencyCsrNs = 0,   ///< dispatcher op wall-time, CSR route
-    OpLatencyCooNs,       ///< dispatcher op wall-time, COO route
-    OpLatencyDenseNs,     ///< dispatcher op wall-time, dense route
+    /// Retired COO and dense-bitmap routes: nothing observes them, so they
+    /// stay at count 0. Kept because the end-to-end benchmark still reads
+    /// them.
+    OpLatencyCooNs,
+    OpLatencyDenseNs,
     OpLatencyBitBlocksNs, ///< dispatcher op wall-time, bit-block route
     /// Retired multi-device route: nothing observes it, so it stays at count
     /// 0. Kept because the end-to-end benchmark still reads it.

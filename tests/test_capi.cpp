@@ -3,7 +3,7 @@
 #include <array>
 #include <vector>
 
-#include "capi/handles.hpp"  // white-box: the atomicity test reads epochs
+#include "capi/handles.hpp"  // white-box: reads handle formats and epochs
 #include "spbla/spbla.h"
 
 namespace {
@@ -116,9 +116,9 @@ TEST_F(CApiTest, BuildOutOfRangeFails) {
     ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
 }
 
-TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderDenseHint) {
-    // 65537 * 65536 result rows overflow spbla_Index; the forced dense route
-    // must reject the product like the CSR one does.
+TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderEveryHint) {
+    // 65537 * 65536 result rows overflow spbla_Index; every route must
+    // reject the product and leave the result untouched.
     spbla_Matrix a = nullptr, b = nullptr, r = nullptr;
     ASSERT_EQ(spbla_Matrix_New(&a, 65537, 1), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_New(&b, 65536, 1), SPBLA_STATUS_SUCCESS);
@@ -129,19 +129,54 @@ TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderDenseHint) {
     for (spbla_Index i = 0; i < 65536; ++i) rows[i] = i;
     ASSERT_EQ(spbla_Matrix_Build(b, rows.data(), cols.data(), 65536, SPBLA_HINT_NO),
               SPBLA_STATUS_SUCCESS);
-    ASSERT_EQ(spbla_Matrix_SetFormatHint(a, SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
-    ASSERT_EQ(spbla_Matrix_SetFormatHint(b, SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
 
-    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_DENSE), SPBLA_STATUS_SUCCESS);
-    EXPECT_NE(spbla_Kronecker(r, a, b), SPBLA_STATUS_SUCCESS);
-    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
-    spbla_Index nrows = 0;
-    ASSERT_EQ(spbla_Matrix_Nrows(r, &nrows), SPBLA_STATUS_SUCCESS);
-    EXPECT_EQ(nrows, 1u) << "failed kronecker must leave the result untouched";
+    for (const spbla_FormatHint hint :
+         {SPBLA_FORMAT_AUTO, SPBLA_FORMAT_CSR, SPBLA_FORMAT_BITBLOCK}) {
+        if (hint != SPBLA_FORMAT_AUTO) {
+            ASSERT_EQ(spbla_Matrix_SetFormatHint(a, hint), SPBLA_STATUS_SUCCESS);
+            ASSERT_EQ(spbla_Matrix_SetFormatHint(b, hint), SPBLA_STATUS_SUCCESS);
+        }
+        ASSERT_EQ(spbla_SetFormatHint(hint), SPBLA_STATUS_SUCCESS);
+        EXPECT_NE(spbla_Kronecker(r, a, b), SPBLA_STATUS_SUCCESS) << hint;
+        ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
+        spbla_Index nrows = 0;
+        ASSERT_EQ(spbla_Matrix_Nrows(r, &nrows), SPBLA_STATUS_SUCCESS);
+        EXPECT_EQ(nrows, 1u) << "failed kronecker must leave the result untouched";
+    }
 
     ASSERT_EQ(spbla_Matrix_Free(&a), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_Free(&b), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_Free(&r), SPBLA_STATUS_SUCCESS);
+}
+
+TEST_F(CApiTest, RetiredFormatValuesAreRejected) {
+    // 2 and 3 named the COO and dense formats, which are no longer
+    // representations: both calls refuse them and change nothing.
+    spbla_Matrix m = nullptr;
+    ASSERT_EQ(spbla_Matrix_New(&m, 4, 4), SPBLA_STATUS_SUCCESS);
+    const std::array<spbla_Index, 2> rows{0, 3}, cols{1, 2};
+    ASSERT_EQ(spbla_Matrix_Build(m, rows.data(), cols.data(), 2, SPBLA_HINT_NO),
+              SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_SetFormatHint(m, SPBLA_FORMAT_BITBLOCK), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_CSR), SPBLA_STATUS_SUCCESS);
+    const auto version = m->data.version();
+
+    for (const int raw : {2, 3}) {
+        const auto hint = static_cast<spbla_FormatHint>(raw);
+        EXPECT_EQ(spbla_SetFormatHint(hint), SPBLA_STATUS_INVALID_ARGUMENT) << raw;
+        EXPECT_EQ(spbla::storage::global_hint(), spbla::storage::FormatHint::ForceCsr)
+            << raw;
+        EXPECT_EQ(spbla_Matrix_SetFormatHint(m, hint), SPBLA_STATUS_INVALID_ARGUMENT)
+            << raw;
+        EXPECT_EQ(m->data.format(), spbla::Format::BitBlocks) << raw;
+        EXPECT_EQ(m->data.version(), version) << raw;
+        spbla_Index nvals = 0;
+        ASSERT_EQ(spbla_Matrix_Nvals(m, &nvals), SPBLA_STATUS_SUCCESS);
+        EXPECT_EQ(nvals, 2u) << raw;
+    }
+
+    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
 }
 
 TEST_F(CApiTest, ExtractIntoTooSmallBuffer) {

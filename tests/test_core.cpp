@@ -202,7 +202,6 @@ TEST(Convert, DenseRoundTrip) {
     d.set(3, 1);
     d.set(1, 3);
     EXPECT_EQ(to_dense(to_csr(d)), d);
-    EXPECT_EQ(to_dense(to_coo(d)), d);
 }
 
 TEST(Convert, EmptyMatrixRoundTrip) {

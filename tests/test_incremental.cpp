@@ -237,8 +237,7 @@ using RouteCase = std::tuple<bool, storage::FormatHint>;
 using ClosureRoutes = spbla::testing::CheckedContextWithParam<RouteCase>;
 
 std::string route_name(const ::testing::TestParamInfo<RouteCase>& info) {
-    static constexpr const char* kHints[] = {"Auto", "Csr", "Coo", "Dense",
-                                             "BitBlocks"};
+    static constexpr const char* kHints[] = {"Auto", "Csr", "BitBlocks"};
     return std::string{std::get<0>(info.param) ? "Sequential" : "Parallel"} +
            kHints[static_cast<int>(std::get<1>(info.param))];
 }
@@ -259,8 +258,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(storage::FormatHint::Auto,
                                          storage::FormatHint::ForceCsr,
-                                         storage::FormatHint::ForceCoo,
-                                         storage::FormatHint::ForceDense,
                                          storage::FormatHint::ForceBitBlocks)),
     route_name);
 
@@ -693,7 +690,7 @@ TEST_P(EpochAudit, MutatingEntryPointsRestampCorrectly) {
         EXPECT_EQ(moved.version(), v0);
         EXPECT_EQ(m.version(), 0u) << "moved-from handles are epoch-zero";  // NOLINT
     } else if (which == "convert_keeps_epoch") {
-        m.convert_to(Format::Dense, ctx());
+        m.convert_to(Format::BitBlocks, ctx());
         EXPECT_EQ(m.version(), v0) << "format conversion does not change content";
         m.drop_cached();
         EXPECT_EQ(m.version(), v0) << "cached-rep drop does not change content";

@@ -16,7 +16,6 @@ using testing::seq_ctx;
 // Op suites run on the shared contexts; CheckedContext asserts the
 // MemoryTracker leak report is clean after every test.
 using EwiseAddCsr = ::spbla::testing::CheckedContext;
-using EwiseAddCoo = ::spbla::testing::CheckedContext;
 using EwiseMult = ::spbla::testing::CheckedContext;
 using EwiseDiff = ::spbla::testing::CheckedContext;
 
@@ -76,37 +75,6 @@ TEST_F(EwiseAddCsr, BackendsAgree) {
     const auto a = random_csr(80, 80, 0.05, 49);
     const auto b = random_csr(80, 80, 0.05, 50);
     EXPECT_EQ(ops::ewise_add(ctx(), a, b), ops::ewise_add(seq_ctx(), a, b));
-}
-
-TEST_F(EwiseAddCoo, MatchesCsrPath) {
-    const auto a = random_csr(40, 40, 0.1, 51);
-    const auto b = random_csr(40, 40, 0.1, 52);
-    const auto coo_sum = ops::ewise_add(ctx(), to_coo(a), to_coo(b));
-    coo_sum.validate();
-    EXPECT_EQ(to_csr(coo_sum), ops::ewise_add(ctx(), a, b));
-}
-
-TEST_F(EwiseAddCoo, ShapeMismatchThrows) {
-    const CooMatrix a{4, 4}, b{5, 4};
-    EXPECT_THROW((void)ops::ewise_add(ctx(), a, b), Error);
-}
-
-TEST_F(EwiseAddCoo, DuplicateEntriesMergeOnce) {
-    const auto a = CooMatrix::from_coords(3, 3, {{0, 0}, {1, 1}});
-    const auto b = CooMatrix::from_coords(3, 3, {{0, 0}, {2, 2}});
-    const auto c = ops::ewise_add(ctx(), a, b);
-    EXPECT_EQ(c.nnz(), 3u);
-    c.validate();
-}
-
-TEST_F(EwiseAddCoo, TrackedBufferIsTransient) {
-    backend::Context local{backend::Policy::Sequential};
-    const auto a = to_coo(random_csr(30, 30, 0.2, 53));
-    const auto b = to_coo(random_csr(30, 30, 0.2, 54));
-    (void)ops::ewise_add(local, a, b);
-    EXPECT_EQ(local.tracker().current_bytes(), 0u);
-    // The one-pass merge allocates nnz(A)+nnz(B) up front, in both arrays.
-    EXPECT_GE(local.tracker().peak_bytes(), (a.nnz() + b.nnz()) * 2 * sizeof(Index));
 }
 
 // ------------------------------ ewise_mult -------------------------------
@@ -189,7 +157,6 @@ TEST_P(EwiseAddSweep, MatchesDenseReference) {
     const auto csr_sum = ops::ewise_add(ctx(), a, b);
     csr_sum.validate();
     EXPECT_EQ(csr_sum, expected);
-    EXPECT_EQ(to_csr(ops::ewise_add(ctx(), to_coo(a), to_coo(b))), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

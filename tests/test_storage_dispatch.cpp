@@ -1,7 +1,7 @@
 /// \file test_storage_dispatch.cpp
 /// \brief Format sweep over the storage engine: every public dispatch
-/// operation must compute the identical result under forced-CSR, forced-COO,
-/// forced-dense and cost-model (auto) routing. Also pins down the cache
+/// operation must compute the identical result under forced-CSR,
+/// forced-bit-block and cost-model (auto) routing. Also pins down the cache
 /// accounting contract (secondaries charged to the tracker, budget respected,
 /// no leaks on teardown) and the no-thrash property of the hysteresis.
 #include <gtest/gtest.h>
@@ -28,8 +28,6 @@ using testing::ctx;
 const storage::FormatHint kHints[] = {
     storage::FormatHint::Auto,
     storage::FormatHint::ForceCsr,
-    storage::FormatHint::ForceCoo,
-    storage::FormatHint::ForceDense,
     storage::FormatHint::ForceBitBlocks,
 };
 
@@ -37,8 +35,6 @@ std::string hint_name(const ::testing::TestParamInfo<storage::FormatHint>& info)
     switch (info.param) {
         case storage::FormatHint::Auto: return "Auto";
         case storage::FormatHint::ForceCsr: return "ForceCsr";
-        case storage::FormatHint::ForceCoo: return "ForceCoo";
-        case storage::FormatHint::ForceDense: return "ForceDense";
         case storage::FormatHint::ForceBitBlocks: return "ForceBitBlocks";
     }
     return "Unknown";
@@ -131,21 +127,17 @@ TEST_P(FormatSweep, ReductionAndVectorFamilyMatchesCsrKernels) {
 }
 
 TEST_P(FormatSweep, PrimaryFormatOfInputsDoesNotChangeResults) {
-    // Feed each op the same content anchored in all four primaries; every
+    // Feed each op the same content anchored in both primaries; every
     // combination must agree cell-for-cell.
     const auto seed = testing::random_matrix(24, 24, 0.2, 1010);
     Matrix as_csr = seed;
     as_csr.convert_to(Format::Csr, ctx());
-    Matrix as_coo = seed;
-    as_coo.convert_to(Format::Coo, ctx());
-    Matrix as_dense = seed;
-    as_dense.convert_to(Format::Dense, ctx());
     Matrix as_bitblocks = seed;
     as_bitblocks.convert_to(Format::BitBlocks, ctx());
 
     const auto expect_sq = storage::multiply(ctx(), seed, seed);
-    for (const Matrix* lhs : {&as_csr, &as_coo, &as_dense, &as_bitblocks}) {
-        for (const Matrix* rhs : {&as_csr, &as_coo, &as_dense, &as_bitblocks}) {
+    for (const Matrix* lhs : {&as_csr, &as_bitblocks}) {
+        for (const Matrix* rhs : {&as_csr, &as_bitblocks}) {
             EXPECT_EQ(storage::multiply(ctx(), *lhs, *rhs), expect_sq)
                 << format_name(lhs->format()) << " x " << format_name(rhs->format());
             EXPECT_EQ(storage::ewise_add(ctx(), *lhs, *rhs), seed);
@@ -168,13 +160,11 @@ TEST_P(FormatSweep, DegenerateShapesSurvive) {
 
 TEST_P(FormatSweep, KroneckerShapeOverflowIsRejected) {
     // 65537 * 65536 output rows do not fit a 32-bit Index (wrapped, they
-    // would pass for 65536). Every route, dense included, must refuse.
-    DenseMatrix tall{65537, 1};
-    tall.set(0, 0);
-    DenseMatrix full{65536, 1};
-    for (Index i = 0; i < 65536; ++i) full.set(i, 0);
-    const Matrix a{std::move(tall), ctx()};
-    const Matrix b{std::move(full), ctx()};
+    // would pass for 65536). Every route must refuse.
+    std::vector<Coord> column;
+    for (Index i = 0; i < 65536; ++i) column.push_back({i, 0});
+    const auto a = Matrix::from_coords(65537, 1, {{0, 0}}, ctx());
+    const auto b = Matrix::from_coords(65536, 1, std::move(column), ctx());
     try {
         (void)storage::kronecker(ctx(), a, b);
         FAIL() << "kronecker accepted a result shape that overflows Index";
@@ -353,24 +343,22 @@ INSTANTIATE_TEST_SUITE_P(Hints, FormatSweep, ::testing::ValuesIn(kHints),
 // change to the dispatcher moves a decision.
 // ---------------------------------------------------------------------------
 
-/// One rung of the input ladder: square operands of one shape and density,
-/// optionally re-anchored in another primary or carrying a cached secondary.
+/// One rung of the input ladder: square CSR operands of one shape and
+/// density, optionally carrying cached bit-block tiles.
 struct Rung {
     const char* name;
     Index n;
     double density;
-    Format primary;
     bool cache_bitblocks;
 };
 
 const Rung kRungs[] = {
-    {"hypersparse", 1024, 0.0003, Format::Csr, false},
-    {"sparse", 512, 0.0015, Format::Csr, false},
-    {"sparse_coo_primary", 512, 0.0015, Format::Coo, false},
-    {"above_bitblock_gate", 512, 0.008, Format::Csr, false},
-    {"above_bitblock_gate_cached", 512, 0.008, Format::Csr, true},
-    {"denseish", 128, 0.3, Format::Csr, false},
-    {"denseish_dense_primary", 128, 0.3, Format::Dense, false},
+    {"tiny", 1024, 16.0 / (1024.0 * 1024.0), false},  // 16 cells
+    {"hypersparse", 1024, 0.0003, false},
+    {"sparse", 512, 0.0015, false},
+    {"above_bitblock_gate", 512, 0.008, false},
+    {"above_bitblock_gate_cached", 512, 0.008, true},
+    {"denseish", 128, 0.3, false},
 };
 
 struct RungOperands {
@@ -384,7 +372,6 @@ RungOperands make_rung(const Rung& r) {
                    testing::random_matrix(r.n, r.n, r.density, 4003),
                    testing::random_matrix(3, 3, 0.5, 4004), SpVector{}};
     for (Matrix* m : {&o.a, &o.b, &o.c}) {
-        if (r.primary != Format::Csr) m->convert_to(r.primary, ctx());
         if (r.cache_bitblocks) (void)m->bitblocks(ctx());
     }
     std::vector<Index> set;
@@ -395,17 +382,15 @@ RungOperands make_rung(const Rung& r) {
 
 /// The format the single dispatched op inside \p run was routed to.
 std::string routed(const std::function<void()>& run) {
-    const telemetry::Counter picks[] = {
-        telemetry::Counter::DispatchCsr, telemetry::Counter::DispatchCoo,
-        telemetry::Counter::DispatchDense, telemetry::Counter::DispatchBitBlocks};
-    const Format formats[] = {Format::Csr, Format::Coo, Format::Dense,
-                              Format::BitBlocks};
+    const telemetry::Counter picks[] = {telemetry::Counter::DispatchCsr,
+                                        telemetry::Counter::DispatchBitBlocks};
+    const Format formats[] = {Format::Csr, Format::BitBlocks};
     const auto before = telemetry::snapshot();
     run();
     const auto after = telemetry::snapshot();
     std::string route;
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < kNumFormats; ++i) {
         const auto delta = after.counter(picks[i]) - before.counter(picks[i]);
         total += delta;
         if (delta > 0) route = format_name(formats[i]);
@@ -424,54 +409,54 @@ TEST_F(DispatchRoutes, AutoPicksArePinnedPerOpAndRung) {
     const PinnedOp ops[] = {
         {"multiply",
          [](auto& cx, const auto& o) { (void)storage::multiply(cx, o.a, o.b); },
-         {"csr", "csr", "csr", "bitblock", "bitblock", "dense", "dense"}},
+         {"csr", "csr", "csr", "bitblock", "bitblock", "bitblock"}},
         {"multiply_add",
          [](auto& cx, const auto& o) { (void)storage::multiply_add(cx, o.c, o.a, o.b); },
-         {"csr", "csr", "csr", "csr", "bitblock", "dense", "dense"}},
+         {"csr", "csr", "csr", "csr", "bitblock", "bitblock"}},
         {"ewise_add",
          [](auto& cx, const auto& o) { (void)storage::ewise_add(cx, o.a, o.b); },
-         {"csr", "csr", "coo", "csr", "bitblock", "csr", "dense"}},
+         {"csr", "csr", "csr", "csr", "bitblock", "csr"}},
         {"ewise_mult",
          [](auto& cx, const auto& o) { (void)storage::ewise_mult(cx, o.a, o.b); },
-         {"csr", "csr", "csr", "csr", "bitblock", "csr", "dense"}},
+         {"csr", "csr", "csr", "csr", "bitblock", "csr"}},
         {"ewise_diff",
          [](auto& cx, const auto& o) { (void)storage::ewise_diff(cx, o.a, o.b); },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "dense"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"kronecker",
          [](auto& cx, const auto& o) { (void)storage::kronecker(cx, o.a, o.s); },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"kronecker_sum",
          [](auto& cx, const auto& o) {
              const storage::KroneckerTerm terms[] = {{&o.s, &o.a}, {&o.s, &o.b}};
              (void)storage::kronecker_sum(cx, o.s.nrows() * o.a.nrows(),
                                           o.s.ncols() * o.a.ncols(), terms);
          },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"transpose",
          [](auto& cx, const auto& o) { (void)storage::transpose(cx, o.a); },
-         {"csr", "csr", "coo", "csr", "csr", "csr", "dense"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"submatrix",
          [](auto& cx, const auto& o) {
              (void)storage::submatrix(cx, o.a, 0, 0, o.a.nrows() / 2, o.a.ncols() / 2);
          },
-         {"coo", "csr", "coo", "csr", "csr", "csr", "dense"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"reduce_to_column",
          [](auto& cx, const auto& o) { (void)storage::reduce_to_column(cx, o.a); },
-         {"csr", "csr", "coo", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"reduce_to_row",
          [](auto& cx, const auto& o) { (void)storage::reduce_to_row(cx, o.a); },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"mxv",
          [](auto& cx, const auto& o) { (void)storage::mxv(cx, o.a, o.x); },
-         {"csr", "csr", "csr", "csr", "bitblock", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "bitblock", "csr"}},
         {"vxm",
          [](auto& cx, const auto& o) { (void)storage::vxm(cx, o.x, o.a); },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
         {"multiply_masked",
          [](auto& cx, const auto& o) {
              (void)storage::multiply_masked(cx, o.c, o.a, o.b);
          },
-         {"csr", "csr", "csr", "csr", "csr", "csr", "csr"}},
+         {"csr", "csr", "csr", "csr", "csr", "csr"}},
     };
     storage::ScopedHint automatic{storage::FormatHint::Auto};
     for (const auto& op : ops) {
@@ -499,10 +484,10 @@ TEST_F(StorageCache, SecondaryRepresentationChargesTracker) {
     const auto base = ctx().tracker().current_bytes();
     const auto gauge_base = storage::cached_bytes();
 
-    const auto& coo = m.coo(ctx());
-    EXPECT_EQ(ctx().tracker().current_bytes(), base + coo.device_bytes());
-    EXPECT_EQ(m.cached_bytes(), coo.device_bytes());
-    EXPECT_EQ(storage::cached_bytes(), gauge_base + coo.device_bytes());
+    const auto& tiles = m.bitblocks(ctx());
+    EXPECT_EQ(ctx().tracker().current_bytes(), base + tiles.device_bytes());
+    EXPECT_EQ(m.cached_bytes(), tiles.device_bytes());
+    EXPECT_EQ(storage::cached_bytes(), gauge_base + tiles.device_bytes());
 
     m.drop_cached();
     EXPECT_EQ(ctx().tracker().current_bytes(), base);
@@ -512,8 +497,7 @@ TEST_F(StorageCache, SecondaryRepresentationChargesTracker) {
 
 TEST_F(StorageCache, MutationInvalidatesCachedSecondaries) {
     auto m = testing::random_matrix(32, 32, 0.2, 2002);
-    (void)m.coo(ctx());
-    (void)m.dense(ctx());
+    (void)m.bitblocks(ctx());
     ASSERT_GT(m.cached_bytes(), 0u);
 
     m += Matrix::identity(32, ctx());  // content change
@@ -527,10 +511,11 @@ TEST_F(StorageCache, DispatchTrimsCachesBackUnderBudget) {
     {
         const auto a = testing::random_matrix(48, 48, 0.2, 2003);
         const auto b = testing::random_matrix(48, 48, 0.2, 2004);
-        storage::ScopedHint force{storage::FormatHint::ForceCoo};
+        storage::ScopedHint force{storage::FormatHint::ForceBitBlocks};
         (void)storage::multiply(ctx(), a, b);
-        // The forced-COO multiply had to convert, but with a zero budget the
-        // trim pass must have dropped every retained secondary again.
+        // The forced bit-block multiply had to convert, but with a zero
+        // budget the trim pass must have dropped every retained secondary
+        // again.
         EXPECT_EQ(a.cached_bytes(), 0u);
         EXPECT_EQ(b.cached_bytes(), 0u);
     }
@@ -539,13 +524,16 @@ TEST_F(StorageCache, DispatchTrimsCachesBackUnderBudget) {
 
 TEST_F(StorageCache, RepeatedDispatchHitsTheCache) {
     const auto a = testing::random_matrix(48, 48, 0.2, 2005);
-    storage::ScopedHint force{storage::FormatHint::ForceCoo};
-    storage::reset_stats();
+    storage::ScopedHint force{storage::FormatHint::ForceBitBlocks};
+    const auto before = telemetry::snapshot();
     for (int i = 0; i < 8; ++i) (void)storage::transpose(ctx(), a);
-    const auto conversions =
-        storage::stats().format_conversions.load(std::memory_order_relaxed);
-    const auto hits = storage::stats().repr_cache_hits.load(std::memory_order_relaxed);
-    // One conversion to COO on the first round; the other seven reuse it.
+    const auto after = telemetry::snapshot();
+    const auto conversions = after.counter(telemetry::Counter::StorageConversions) -
+                             before.counter(telemetry::Counter::StorageConversions);
+    const auto hits = after.counter(telemetry::Counter::StorageCacheHits) -
+                      before.counter(telemetry::Counter::StorageCacheHits);
+    // One conversion to bit blocks on the first round; the other seven
+    // reuse it.
     EXPECT_LE(conversions, 1u);
     EXPECT_GE(hits, 7u);
 }
@@ -557,13 +545,18 @@ TEST_F(StorageCache, RepeatedDispatchHitsTheCache) {
 
 using DispatchStability = testing::CheckedContext;
 
+/// Format conversions run inside \p run (the telemetry counter's delta).
+std::uint64_t conversions_during(const std::function<void()>& run) {
+    const auto before = telemetry::snapshot().counter(telemetry::Counter::StorageConversions);
+    run();
+    return telemetry::snapshot().counter(telemetry::Counter::StorageConversions) - before;
+}
+
 TEST_F(DispatchStability, RepeatedMultiplyConvertsAtMostOncePerOperand) {
     const auto a = testing::random_matrix(96, 96, 0.05, 3001);
     const auto b = testing::random_matrix(96, 96, 0.05, 3002);
-    storage::reset_stats();
-    for (int i = 0; i < 12; ++i) (void)storage::multiply(ctx(), a, b);
-    const auto conversions =
-        storage::stats().format_conversions.load(std::memory_order_relaxed);
+    const auto conversions = conversions_during(
+        [&] { for (int i = 0; i < 12; ++i) (void)storage::multiply(ctx(), a, b); });
     // Two live operands, at most kNumFormats - 1 secondary conversions each;
     // a thrashing dispatcher would instead pay per iteration (>= 12).
     EXPECT_LE(conversions, 2 * (kNumFormats - 1));
@@ -572,12 +565,10 @@ TEST_F(DispatchStability, RepeatedMultiplyConvertsAtMostOncePerOperand) {
 TEST_F(DispatchStability, TransitiveClosureConversionCountIsBoundedPerRun) {
     const auto adj = data::make_rmat(8, 8, 31);
     algorithms::ClosureStats stats;
-    storage::reset_stats();
-    (void)algorithms::transitive_closure(ctx(), adj,
-                                         algorithms::ClosureStrategy::Squaring,
-                                         &stats);
-    const auto conversions =
-        storage::stats().format_conversions.load(std::memory_order_relaxed);
+    const auto conversions = conversions_during([&] {
+        (void)algorithms::transitive_closure(
+            ctx(), adj, algorithms::ClosureStrategy::Squaring, &stats);
+    });
     ASSERT_GT(stats.rounds, 0u);
     // Each squaring round creates at most one fresh handle; hysteresis means
     // a handle converts at most once on the way into the loop's format plus

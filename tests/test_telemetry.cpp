@@ -280,8 +280,6 @@ TEST_F(TelemetryDispatch, OpsLandInExactlyOneLatencyHistogram) {
     EXPECT_GE(ops, 3u);  // >= because dispatch may convert via other ops
     const std::uint64_t routed =
         snap.histogram(telemetry::Histogram::OpLatencyCsrNs).count +
-        snap.histogram(telemetry::Histogram::OpLatencyCooNs).count +
-        snap.histogram(telemetry::Histogram::OpLatencyDenseNs).count +
         snap.histogram(telemetry::Histogram::OpLatencyBitBlocksNs).count;
     EXPECT_EQ(routed, ops);
     EXPECT_EQ(snap.histogram(telemetry::Histogram::OpNnzIn).count, ops);
@@ -312,10 +310,6 @@ TEST_F(TelemetryDispatch, PerFormatPickCountersDominateHistogramCounts) {
     } routes[] = {
         {telemetry::Counter::DispatchCsr,
          telemetry::Histogram::OpLatencyCsrNs},
-        {telemetry::Counter::DispatchCoo,
-         telemetry::Histogram::OpLatencyCooNs},
-        {telemetry::Counter::DispatchDense,
-         telemetry::Histogram::OpLatencyDenseNs},
         {telemetry::Counter::DispatchBitBlocks,
          telemetry::Histogram::OpLatencyBitBlocksNs},
     };

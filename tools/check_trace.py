@@ -26,8 +26,8 @@ Checks, in order:
               recorded work (pool_tasks or pool_steals).
   dispatch    (--require-dispatch) The trace demonstrably covers the
               format-dispatch layer (src/storage): at least one
-              dispatch_csr / dispatch_coo / dispatch_dense pick was
-              recorded, format conversions were counted (the warm-up
+              dispatch_csr / dispatch_bitblock pick was recorded, format
+              conversions were counted (the warm-up
               converts between representations), and the secondary-
               representation cache registered hits — all three families
               missing means dispatch ran untraced or its counters are
@@ -238,12 +238,11 @@ class Checker:
         def total(counter: str) -> int:
             return sum(v for (s, c), v in counters.items() if c == counter)
 
-        picks = sum(total(c) for c in ("dispatch_csr", "dispatch_coo",
-                                       "dispatch_dense", "dispatch_bitblock"))
+        picks = sum(total(c) for c in ("dispatch_csr", "dispatch_bitblock"))
         if picks == 0:
-            self.error("no dispatch_csr/dispatch_coo/dispatch_dense picks "
-                       "recorded — the storage dispatch layer never ran or "
-                       "its counters are unwired")
+            self.error("no dispatch_csr/dispatch_bitblock picks recorded — "
+                       "the storage dispatch layer never ran or its counters "
+                       "are unwired")
         if not any(c == "format_conversions" for (s, c) in counters):
             self.error("no format_conversions counter recorded — "
                        "representation conversion is untraced")

@@ -42,12 +42,12 @@ auditable (run as the `lint` ctest target; CI runs it on every push):
 Concurrency rules (token-based; the shapes Clang's -Wthread-safety pass
 cannot see because they cross a lambda/scheduling boundary):
 
-  parallel-capture  No lazy-materialising Matrix accessor — csr(), coo(),
-                    dense(), bitblocks(), max_row_nnz() — inside a
-                    parallel_for* / run_dynamic / submit* argument list,
-                    unless the same object's accessor runs earlier in the
-                    TU outside any parallel extent (a prewarm) or the call
-                    site is annotated safe. First
+  parallel-capture  No lazy-materialising Matrix accessor — csr() or
+                    bitblocks() — inside a parallel_for* / run_dynamic /
+                    submit* argument list, unless the same object's
+                    accessor runs earlier in the TU outside any parallel
+                    extent (a prewarm) or the call site is annotated safe.
+                    First
                     materialisation is synchronised per slot since the
                     repr-cache latch landed, so a suppression here means
                     "the latch covers this"; the rule still exists because
@@ -519,7 +519,7 @@ class Linter:
 
     #: Matrix accessors that may materialise a representation (take the
     #: handle's repr mutex on a cache miss).
-    LAZY_ACCESSORS = frozenset({"csr", "coo", "dense", "bitblocks", "max_row_nnz"})
+    LAZY_ACCESSORS = frozenset({"csr", "bitblocks"})
 
     #: Call spellings whose argument list is a parallel extent: the lambdas
     #: inside run concurrently on pool workers.
