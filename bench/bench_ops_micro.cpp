@@ -189,10 +189,10 @@ std::vector<SpGemmConfig> spgemm_ladder() {
 /// returns full-pipeline speedup over the pre-PR baseline rung. The "ms"
 /// field stays the minimum (the trajectory metric tracked across PRs); the
 /// "time" object adds the dispersion and, when the library was built with
-/// SPBLA_PROFILE=counters|trace, each rung carries a "counters" object from
-/// one instrumented (untimed) multiplication — nnz, bin occupancy, hash
-/// probe/collision rates and pool steals per rung, so the ladder attributes
-/// not just time but also the mechanism-level effects.
+/// SPBLA_PROFILE=counters|trace, each rung carries a "counters" object: the
+/// telemetry counter deltas of one instrumented (untimed) multiplication —
+/// bin occupancy, hash probe/collision rates and pool work per rung, so the
+/// ladder attributes not just time but also the mechanism-level effects.
 double write_spgemm_record(bench::JsonWriter& w, const char* name,
                            const CsrMatrix& a) {
     const auto configs = spgemm_ladder();
@@ -213,9 +213,9 @@ double write_spgemm_record(bench::JsonWriter& w, const char* name,
         w.field("ms", ms);
         w.field("time", stats);
         if (prof::counting()) {
-            prof::reset();
+            const auto before = telemetry::snapshot();
             (void)ops::multiply(ctx(), a, a, configs[i].opts);
-            bench::write_prof_counters(w);
+            bench::write_counter_deltas(w, before, telemetry::snapshot());
         }
         w.end_object();
     }
@@ -427,8 +427,8 @@ void write_formats_trajectory() {
     // SpGEMM on uniform inputs at and above the 1/64 dense-bin threshold —
     // the regime the 64x64 tile format was built for. The tracked claim:
     // the bit tier wins by >= 4x geomean here. ewise_mult rides along so the
-    // instrumented replay exercises the AND counter (bitblock_words_anded),
-    // not just the multiply's OR paths.
+    // instrumented replay exercises the AND counter
+    // (spbla.bitblock.words_anded), not just the multiply's OR paths.
     struct Rung {
         const char* name;
         Index n;
@@ -495,16 +495,13 @@ void write_formats_trajectory() {
         // Replay once with cold caches so the exported trace carries the
         // whole counter story: conversions while the secondary reps rebuild,
         // cache hits when the next op reuses them, and one pick per dispatch.
-        // No prof::reset() here — the spgemm ladder's final counters must
-        // survive into the exit trace dump alongside the dispatch counters,
-        // so the snapshot below also includes them; the "counters" object
-        // above is the sweep-only tally.
+        const auto before = telemetry::snapshot();
         for (auto& input : inputs) {
             input.a.drop_cached();
             input.b.drop_cached();
             for (const auto& op : ops) op.run(input.a, input.b);
         }
-        bench::write_prof_counters(w, "prof_counters");
+        bench::write_counter_deltas(w, before, telemetry::snapshot(), "replay_counters");
     }
     const double geo_best =
         n_records > 0 ? std::exp(log_vs_best / static_cast<double>(n_records)) : 0.0;
@@ -702,13 +699,8 @@ int main(int argc, char** argv) {
     // would lap the earlier ladders' spans out of the exit trace), so size
     // the rings for the whole smoke run before the first span is recorded.
     prof::set_ring_capacity(1 << 16);
-    // The formats ladder runs second: the spgemm ladder resets the profiling
-    // counters per config, so this order leaves the dispatch counter story
-    // (picks, conversions, cache hits) intact in the exit trace dump.
     write_spgemm_trajectory();
     write_formats_trajectory();
-    // The incremental ladder follows: its spbla.incr.* counters and
-    // incr.closure.round spans feed check_trace.py --require-incr.
     write_incremental_trajectory();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

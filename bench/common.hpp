@@ -12,6 +12,7 @@
 
 #include "backend/context.hpp"
 #include "prof/prof.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace spbla::bench {
@@ -195,14 +196,18 @@ private:
     std::vector<bool> first_;  ///< one entry per open scope; true until first item
 };
 
-/// Emit every profiling counter aggregated since the last prof::reset() as a
-/// "span/counter" keyed object. Empty when the library was built with
-/// SPBLA_PROFILE=off (the counter tables stay silent) or profiling is
-/// disabled at runtime.
-inline void write_prof_counters(JsonWriter& w, const char* key = "counters") {
+/// Emit the telemetry counters that moved from \p before to \p after as an
+/// object keyed by their dotted names (telemetry/metric_names.hpp), the
+/// names a metrics dump and the Chrome trace's embedded snapshot use.
+inline void write_counter_deltas(JsonWriter& w, const telemetry::Snapshot& before,
+                                 const telemetry::Snapshot& after,
+                                 const char* key = "counters") {
     w.begin_object(key);
-    for (const auto& row : prof::counter_rows()) {
-        w.field((row.span + "/" + row.counter).c_str(), row.value);
+    for (std::size_t c = 0; c < telemetry::kNumCounters; ++c) {
+        if (after.counters[c] != before.counters[c]) {
+            w.field(telemetry::name(static_cast<telemetry::Counter>(c)),
+                    after.counters[c] - before.counters[c]);
+        }
     }
     w.end_object();
 }

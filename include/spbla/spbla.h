@@ -88,21 +88,27 @@ uint64_t spbla_GetLiveObjects(void);
 
 /* ------------------------------ profiling ------------------------------
  * The library can be built with SPBLA_PROFILE=off|counters|trace. At "off"
- * (the default release configuration) all instrumentation is compiled out
- * and these calls are accepted but have no observable effect. At "counters"
- * or "trace" they move the runtime level within what was compiled in.
- * Setting the environment variable SPBLA_TRACE=<path> before the first
- * library call is equivalent to enabling level 2 and dumping a trace to
- * <path> at process exit. */
+ * (the default release configuration) all span instrumentation is compiled
+ * out and these calls are accepted but have no observable effect. At
+ * "counters" or "trace" they move the runtime level within what was
+ * compiled in. Profiling records spans only; every count lives in the
+ * telemetry registry below, which profiling builds extend with kernel-work
+ * tallies (hash probes, SpGEMM bins, bit-block tiles). Setting the
+ * environment variable SPBLA_TRACE=<path> before the first library call is
+ * equivalent to enabling level 2 and dumping a trace to <path> at process
+ * exit. */
 
-/** Set the runtime profiling level: 0 = off, 1 = per-span counters,
- *  2 = counters + Chrome-trace span recording. Levels above what the
- *  library was compiled with record nothing for the compiled-out macro
- *  sites. May be called before spbla_Initialize. */
+/** Set the runtime profiling level: 0 = off, 1 = span aggregates (calls and
+ *  time per span, plus the kernel-work tallies), 2 = those plus the
+ *  Chrome-trace event ring. Levels above what the library was compiled with
+ *  record nothing for the compiled-out macro sites. May be called before
+ *  spbla_Initialize. */
 spbla_Status spbla_ProfEnable(int level);
 
-/** Write everything recorded so far as Chrome trace-event JSON (loadable in
- *  chrome://tracing or Perfetto) to the file at `path`. Call at a quiescent
+/** Write the spans recorded so far as Chrome trace-event JSON (loadable in
+ *  chrome://tracing or Perfetto) to the file at `path`. The file also embeds
+ *  a telemetry snapshot under "spbla_metrics": the same counters, under the
+ *  same dotted names, that spbla_MetricsDump writes. Call at a quiescent
  *  point (no operation in flight). May be called before spbla_Initialize. */
 spbla_Status spbla_ProfDump(const char* path);
 

@@ -1,6 +1,7 @@
 #include "algorithms/closure.hpp"
 
 #include "prof/prof.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace spbla::algorithms {
 namespace {
@@ -16,7 +17,7 @@ Matrix closure_delta(backend::Context& ctx, const Matrix& adj,
     while (!frontier.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("closure.round", rounds);
-        SPBLA_PROF_COUNT(frontier_nnz, frontier.nnz());
+        telemetry::count(telemetry::Counter::ClosureFrontierNnz, frontier.nnz());
         const Matrix extended = storage::multiply(ctx, frontier, adj, opts);
         frontier = storage::ewise_diff(ctx, extended, m);
         m = storage::ewise_add(ctx, m, frontier);

@@ -132,8 +132,8 @@ public:
     }
 
     /// Hierarchical profiling summary for work launched through this (or
-    /// any) context: span tree with call counts, totals, percentages, and
-    /// per-span counters. Empty-ish unless built with SPBLA_PROFILE=counters
+    /// any) context: span tree with call counts, totals and percentages.
+    /// Empty-ish unless built with SPBLA_PROFILE=counters
     /// or trace (the prof registry is process-wide; kernels record into
     /// per-thread logs, so the summary covers every context's launches).
     [[nodiscard]] static std::string profile_summary();

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace spbla::backend {
@@ -40,11 +39,6 @@ public:
         const auto live = telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
                                                static_cast<std::int64_t>(bytes));
         telemetry::gauge_max(telemetry::Gauge::MemPeakBytes, live);
-        // Fold the post-alloc total into the active span's device-memory
-        // high-water mark (mem_high_bytes) and event counters.
-        if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-            prof::note_alloc(bytes, cur);
-        }
     }
 
     /// Bring \p bytes of retained arena/pool memory back into the live
@@ -62,9 +56,6 @@ public:
         const auto live = telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
                                                static_cast<std::int64_t>(bytes));
         telemetry::gauge_max(telemetry::Gauge::MemPeakBytes, live);
-        if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-            prof::note_alloc(bytes, cur);
-        }
     }
 
     /// Park \p bytes as retained (idle) arena/pool memory: the inverse of
@@ -74,9 +65,6 @@ public:
         current_.fetch_sub(bytes, std::memory_order_relaxed);
         telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
                              -static_cast<std::int64_t>(bytes));
-        if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-            prof::note_free(bytes);
-        }
     }
 
     /// Record a deallocation of \p bytes.
@@ -86,9 +74,6 @@ public:
         telemetry::count(telemetry::Counter::MemFrees);
         telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
                              -static_cast<std::int64_t>(bytes));
-        if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-            prof::note_free(bytes);
-        }
     }
 
     /// Bytes currently allocated.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/contracts.hpp"
@@ -27,7 +26,6 @@ void DeltaMatrix::apply(const Matrix& adds, const Matrix& removes,
         telemetry::count(telemetry::Counter::IncrBatches);
         telemetry::count(telemetry::Counter::IncrDeltaNnz,
                          adds.nnz() + removes.nnz());
-        SPBLA_PROF_COUNT(incr_delta_nnz, adds.nnz() + removes.nnz());
         // Renormalize the overlay for effective' = (effective ⊖ R) ⊕ A:
         //   del' = (del ⊕ (R ∩ base)) ⊖ A   — still ⊆ base, insert wins
         //   add' = ((add ⊖ R) ⊕ A) ⊖ (base ⊖ del')
@@ -50,8 +48,11 @@ void DeltaMatrix::apply(const Matrix& adds, const Matrix& removes,
 void DeltaMatrix::consolidate(backend::Context& ctx) {
     if (overlay_empty()) return;
     telemetry::count(telemetry::Counter::IncrConsolidations);
-    SPBLA_PROF_COUNT(incr_consolidations, 1);
-    base_.apply_delta(add_, del_, ctx);
+    // Folded here rather than through Matrix::apply_delta, which would book
+    // the overlay a second time as a new batch: apply() already counted the
+    // caller's batch and its cells.
+    Matrix next = del_.empty() ? base_ : storage::ewise_diff(ctx, base_, del_);
+    base_ = add_.empty() ? std::move(next) : storage::ewise_add(ctx, next, add_);
     add_ = Matrix{base_.nrows(), base_.ncols(), ctx};
     del_ = Matrix{base_.nrows(), base_.ncols(), ctx};
     snapshot_.reset();

@@ -14,7 +14,7 @@
 /// — which makes the effective cell set exactly (base ⊖ del) ⊕ add with
 /// nnz = base.nnz − del.nnz + add.nnz, O(1) from the invariants. Once the
 /// overlay grows past a configurable fraction of the base it is folded in
-/// (Matrix::apply_delta — one fresh epoch) so overlay cost stays bounded.
+/// (one fresh epoch) so overlay cost stays bounded.
 #pragma once
 
 #include <cstddef>
@@ -54,10 +54,14 @@ public:
     /// Fold one insert/delete batch into the overlay (delete-then-insert, so
     /// a cell named by both deltas ends up present), renormalizing against
     /// the base; consolidates into the base when the overlay crosses the
-    /// threshold. Invalidates any cached snapshot.
+    /// threshold. Invalidates any cached snapshot. A non-empty batch books
+    /// one spbla.incr.batches and its own cells in spbla.incr.delta_nnz; an
+    /// empty batch books nothing.
     void apply(const Matrix& adds, const Matrix& removes, backend::Context& ctx);
 
-    /// Force the overlay into the base now (no-op when empty).
+    /// Force the overlay into the base now (no-op when empty). Books one
+    /// consolidation; the folded cells were booked by the apply() calls that
+    /// staged them, so no batch is counted here.
     void consolidate(backend::Context& ctx);
 
     /// Epoch-stamped materialisation of the effective cell set. When the

@@ -38,7 +38,7 @@ std::size_t saturate(backend::Context& ctx, Matrix& m, Matrix frontier,
     while (!frontier.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("incr.closure.round", rounds);
-        SPBLA_PROF_COUNT(incr_frontier_nnz, frontier.nnz());
+        telemetry::count(telemetry::Counter::IncrFrontierNnz, frontier.nnz());
         const Matrix ext = storage::multiply(ctx, frontier, step, opts);
         frontier = storage::ewise_diff(ctx, ext, m);
         m = storage::ewise_add(ctx, m, frontier);
@@ -81,7 +81,7 @@ Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect
     while (!frontier.empty() && !rest.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("incr.closure.round", rounds);
-        SPBLA_PROF_COUNT(incr_frontier_nnz, frontier.nnz());
+        telemetry::count(telemetry::Counter::IncrFrontierNnz, frontier.nnz());
         frontier =
             storage::ewise_mult(ctx, rest, storage::multiply(ctx, frontier, a_mid, opts));
         rest = storage::ewise_diff(ctx, rest, frontier);
@@ -99,9 +99,7 @@ void account_batch(IncrStats& stats, std::size_t rounds_used) {
                                     : 0;
     stats.iterations_saved += saved;
     telemetry::count(telemetry::Counter::IncrIterationsSaved, saved);
-    SPBLA_PROF_COUNT(incr_batches, 1);
-    SPBLA_PROF_COUNT(incr_baseline_rounds, stats.baseline_rounds);
-    SPBLA_PROF_COUNT(incr_iterations_saved, saved);
+    telemetry::count(telemetry::Counter::IncrBaselineRounds, stats.baseline_rounds);
 }
 
 }  // namespace

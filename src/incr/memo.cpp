@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -11,7 +10,6 @@ namespace spbla::incr {
 std::shared_ptr<const Matrix> MemoTable::get_or_compute(
     const MemoKey& key, const std::function<Matrix()>& compute) {
     telemetry::count(telemetry::Counter::IncrMemoLookups);
-    SPBLA_PROF_COUNT(incr_memo_lookups, 1);
 
     std::shared_ptr<Entry> entry;
     {
@@ -48,14 +46,12 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
             ++stats_.stores;
         }
         telemetry::count(telemetry::Counter::IncrMemoStores);
-        SPBLA_PROF_COUNT(incr_memo_stores, 1);
     } else {
         {
             util::LockGuard slk{mu_};
             ++stats_.hits;
         }
         telemetry::count(telemetry::Counter::IncrMemoHits);
-        SPBLA_PROF_COUNT(incr_memo_hits, 1);
     }
     return entry->value;
 }

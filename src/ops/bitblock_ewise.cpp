@@ -3,7 +3,7 @@
 /// Both kernels are a per-block-row merge of the two tile lists by block
 /// column. OR keeps every tile (unmatched tiles copy through, matched pairs
 /// OR word-wise); AND keeps only matched pairs, 64 word ANDs each — that is
-/// the counter bitblock_words_anded, the broadword tier's unit of useful
+/// the counter spbla.bitblock.words_anded, the broadword tier's unit of useful
 /// work (one AND = 64 Boolean cell products). Sparse-kind tiles are
 /// expanded into a 64-word scratch first; at < 32 entries the expansion is
 /// a memset plus a handful of stores, cheaper than a dedicated entry-merge
@@ -40,7 +40,6 @@ BitBlockMatrix ewise_add(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.ewise_add");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     std::vector<detail::BlockRowStage> stages(static_cast<std::size_t>(brows));
@@ -72,11 +71,10 @@ BitBlockMatrix ewise_add(backend::Context& ctx, const BitBlockMatrix& a,
             }
             ++tiles;
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
+        SPBLA_PROF_TALLY(BitblockBlocksTouched, tiles);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), a.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }
@@ -88,7 +86,6 @@ BitBlockMatrix ewise_mult(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.ewise_mult");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     std::vector<detail::BlockRowStage> stages(static_cast<std::size_t>(brows));
@@ -118,12 +115,11 @@ BitBlockMatrix ewise_mult(backend::Context& ctx, const BitBlockMatrix& a,
                 ++j;
             }
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
-        SPBLA_PROF_COUNT(bitblock_words_anded, anded);
+        SPBLA_PROF_TALLY(BitblockBlocksTouched, tiles);
+        SPBLA_PROF_TALLY(BitblockWordsAnded, anded);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), a.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

@@ -17,8 +17,8 @@
 ///
 /// The lookup path turns per-row work from O(row popcount) into O(8): at
 /// tile density 1/4 and up it does 4-8x fewer word ops, which is the bench
-/// ladder's headline. Counters: bitblock_blocks_touched counts tile pairs,
-/// bitblock_lookup_hits counts table probes.
+/// ladder's headline. Counters: spbla.bitblock.blocks_touched counts tile
+/// pairs, spbla.bitblock.lookup_hits counts table probes.
 #include <algorithm>
 #include <cstring>
 #include <utility>
@@ -81,7 +81,6 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.multiply");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     const Index bcols_out = b.bcols();
@@ -219,14 +218,13 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
             }
             t = e;
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, pairs);
-        SPBLA_PROF_COUNT(bitblock_lookup_hits, lookups);
+        SPBLA_PROF_TALLY(BitblockBlocksTouched, pairs);
+        SPBLA_PROF_TALLY(BitblockLookupHits, lookups);
         };
         for (std::size_t p = p0; p < p1; ++p) run_panel(p);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), b.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

@@ -8,8 +8,8 @@
 /// and an 8-bit Four-Russians lookup table for dense tiles); transpose() is
 /// an in-register 64x64 bit transpose per tile; the element-wise family and
 /// mxv/reduce are word-wide sweeps. Work is observable through the
-/// bitblock_* prof counter family (blocks touched, words ANDed, lookup
-/// hits).
+/// spbla.bitblock.* telemetry tallies of profiling builds (blocks touched,
+/// words ANDed, lookup hits).
 #pragma once
 
 #include "backend/context.hpp"

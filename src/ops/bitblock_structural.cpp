@@ -9,7 +9,7 @@
 ///
 /// reduce_to_column() folds each tile into one 64-bit row-occupancy mask;
 /// mxv() packs the operand vector into one word per block column so a tile
-/// row is tested with a single AND (counted in bitblock_words_anded).
+/// row is tested with a single AND (counted in spbla.bitblock.words_anded).
 #include <algorithm>
 #include <vector>
 
@@ -35,9 +35,7 @@ BitBlockMatrix transpose(backend::Context& ctx, const BitBlockMatrix& a) {
     (void)ctx;  // grid histogram + per-tile register transpose; single-launch
     SPBLA_VALIDATE(a);
     SPBLA_PROF_SPAN("bitblock.transpose");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz());
-    SPBLA_PROF_COUNT(nnz_out, a.nnz());
-    SPBLA_PROF_COUNT(bitblock_blocks_touched, a.blocks().size());
+    SPBLA_PROF_TALLY(BitblockBlocksTouched, a.blocks().size());
 
     const Index obrows = a.bcols();
     std::vector<Index> offsets(static_cast<std::size_t>(obrows) + 1, 0);
@@ -100,7 +98,6 @@ BitBlockMatrix transpose(backend::Context& ctx, const BitBlockMatrix& a) {
 SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
     SPBLA_VALIDATE(a);
     SPBLA_PROF_SPAN("bitblock.reduce_to_column");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz());
 
     const Index brows = a.brows();
     std::vector<std::uint64_t> masks(static_cast<std::size_t>(brows), 0);
@@ -121,7 +118,7 @@ SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
             ++tiles;
         }
         masks[bri] = mask;
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
+        SPBLA_PROF_TALLY(BitblockBlocksTouched, tiles);
     });
 
     std::vector<Index> indices;
@@ -131,7 +128,6 @@ SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
         });
     }
     SpVector out = SpVector::from_indices(a.nrows(), std::move(indices));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }
@@ -141,7 +137,6 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(x);
     SPBLA_PROF_SPAN("bitblock.mxv");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + x.nnz());
 
     // One word per block column: tile row r intersects x iff
     // words[r] & xw[bcol] != 0 — a 64-way Boolean dot product per AND.
@@ -173,8 +168,8 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
             }
         }
         masks[bri] = mask;
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
-        SPBLA_PROF_COUNT(bitblock_words_anded, anded);
+        SPBLA_PROF_TALLY(BitblockBlocksTouched, tiles);
+        SPBLA_PROF_TALLY(BitblockWordsAnded, anded);
     });
 
     std::vector<Index> indices;
@@ -184,7 +179,6 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
         });
     }
     SpVector out = SpVector::from_indices(a.nrows(), std::move(indices));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

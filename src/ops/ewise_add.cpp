@@ -35,7 +35,6 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_add");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
 
     // Pass 1: exact union size per row (enables precise allocation), scanned
@@ -47,10 +46,8 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     });
     const std::uint64_t total = ctx.exclusive_scan(row_offsets);
     check(total <= 0xFFFFFFFFull, Status::OutOfRange, "ewise_add: nnz overflows Index");
-    SPBLA_PROF_COUNT(nnz_out, total);
     // Merge length: candidate entries fed to the two-pointer merge vs the
     // union that survives — the gap is the duplicate (overlap) work.
-    SPBLA_PROF_COUNT(merge_len, a.nnz() + b.nnz());
 
     // Pass 2: merge each row pair into its exact slot.
     std::vector<Index> cols(static_cast<std::size_t>(total));

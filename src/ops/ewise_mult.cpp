@@ -15,7 +15,6 @@ CsrMatrix ewise_mult(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_mult");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
 
     // Pass 1: intersection size per row.
@@ -42,7 +41,6 @@ CsrMatrix ewise_mult(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
 
-    SPBLA_PROF_COUNT(nnz_out, row_offsets[m]);
 
     // Pass 2: emit the intersections.
     std::vector<Index> cols(row_offsets[m]);
@@ -66,7 +64,6 @@ CsrMatrix ewise_diff(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_diff");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
 
     auto row_sizes = ctx.alloc<Index>(m);
@@ -92,7 +89,6 @@ CsrMatrix ewise_diff(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
 
-    SPBLA_PROF_COUNT(nnz_out, row_offsets[m]);
     std::vector<Index> cols(row_offsets[m]);
     ctx.parallel_for(m, 512, [&](std::size_t i) {
         const auto r = static_cast<Index>(i);

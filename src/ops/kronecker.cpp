@@ -139,7 +139,6 @@ CsrMatrix kronecker_sum(backend::Context& ctx, std::span<const KroneckerTerm> te
                       Status::OutOfRange, "kronecker_sum: result nnz overflows Index");
     }
     SPBLA_PROF_SPAN("kronecker_sum");
-    SPBLA_PROF_COUNT(nnz_in, in_total);
 
     const Index m = static_cast<Index>(out_rows);
     const Index b_rows = b0.nrows();
@@ -167,7 +166,6 @@ CsrMatrix kronecker_sum(backend::Context& ctx, std::span<const KroneckerTerm> te
     const std::uint64_t total = ctx.exclusive_scan(row_offsets);
     SPBLA_REQUIRE(total <= 0xFFFFFFFFull, Status::OutOfRange,
                   "kronecker_sum: result nnz overflows Index");
-    SPBLA_PROF_COUNT(nnz_out, total);
 
     // Pass 2: every row written straight into its exact slot.
     auto cols = ctx.buffer_pool().acquire(static_cast<std::size_t>(total));

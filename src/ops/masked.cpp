@@ -40,8 +40,6 @@ CsrMatrix multiply_masked(backend::Context& ctx, const CsrMatrix& mask,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b_transposed);
     SPBLA_PROF_SPAN("multiply_masked");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b_transposed.nnz());
-    SPBLA_PROF_COUNT(mask_nnz, mask.nnz());
 
     if (complement) {
         // The complement mask permits almost everything; the dot formulation
@@ -68,7 +66,6 @@ CsrMatrix multiply_masked(backend::Context& ctx, const CsrMatrix& mask,
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
 
-    SPBLA_PROF_COUNT(nnz_out, row_offsets[m]);
 
     // Pass 2: emit survivors (mask rows are sorted, so output rows are too).
     std::vector<Index> cols(row_offsets[m]);

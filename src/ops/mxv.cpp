@@ -16,7 +16,6 @@ SpVector mxv(backend::Context& ctx, const CsrMatrix& m, const SpVector& x) {
     SPBLA_VALIDATE(m);
     SPBLA_VALIDATE(x);
     SPBLA_PROF_SPAN("mxv");
-    SPBLA_PROF_COUNT(nnz_in, m.nnz() + x.nnz());
     const auto xs = x.indices();
     std::vector<std::uint8_t> hit(m.nrows(), 0);
     ctx.parallel_for(m.nrows(), 512, [&](std::size_t i) {
@@ -38,7 +37,6 @@ SpVector mxv(backend::Context& ctx, const CsrMatrix& m, const SpVector& x) {
     for (Index i = 0; i < m.nrows(); ++i) {
         if (hit[i]) out.push_back(i);
     }
-    SPBLA_PROF_COUNT(nnz_out, out.size());
     SpVector result = SpVector::from_indices(m.nrows(), std::move(out));
     SPBLA_VALIDATE(result);
     return result;
@@ -51,7 +49,6 @@ SpVector vxm(backend::Context& ctx, const SpVector& x, const CsrMatrix& m) {
     SPBLA_VALIDATE(m);
     SPBLA_VALIDATE(x);
     SPBLA_PROF_SPAN("vxm");
-    SPBLA_PROF_COUNT(nnz_in, m.nnz() + x.nnz());
     // Union of the rows selected by the frontier.
     std::vector<std::uint8_t> hit(m.ncols(), 0);
     for (const auto i : x.indices()) {
@@ -61,7 +58,6 @@ SpVector vxm(backend::Context& ctx, const SpVector& x, const CsrMatrix& m) {
     for (Index c = 0; c < m.ncols(); ++c) {
         if (hit[c]) out.push_back(c);
     }
-    SPBLA_PROF_COUNT(nnz_out, out.size());
     SpVector result = SpVector::from_indices(m.ncols(), std::move(out));
     SPBLA_VALIDATE(result);
     return result;

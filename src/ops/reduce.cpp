@@ -13,12 +13,10 @@ SpVector reduce_to_column(backend::Context& ctx, const CsrMatrix& m) {
     (void)ctx;
     SPBLA_VALIDATE(m);
     SPBLA_PROF_SPAN("reduce.to_column");
-    SPBLA_PROF_COUNT(nnz_in, m.nnz());
     std::vector<Index> indices;
     for (Index r = 0; r < m.nrows(); ++r) {
         if (m.row_nnz(r) > 0) indices.push_back(r);
     }
-    SPBLA_PROF_COUNT(nnz_out, indices.size());
     SpVector out = SpVector::from_indices(m.nrows(), std::move(indices));
     SPBLA_VALIDATE(out);
     return out;
@@ -28,14 +26,12 @@ SpVector reduce_to_row(backend::Context& ctx, const CsrMatrix& m) {
     (void)ctx;
     SPBLA_VALIDATE(m);
     SPBLA_PROF_SPAN("reduce.to_row");
-    SPBLA_PROF_COUNT(nnz_in, m.nnz());
     std::vector<bool> seen(m.ncols(), false);
     for (const auto c : m.cols()) seen[c] = true;
     std::vector<Index> indices;
     for (Index c = 0; c < m.ncols(); ++c) {
         if (seen[c]) indices.push_back(c);
     }
-    SPBLA_PROF_COUNT(nnz_out, indices.size());
     SpVector out = SpVector::from_indices(m.ncols(), std::move(indices));
     SPBLA_VALIDATE(out);
     return out;

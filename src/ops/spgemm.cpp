@@ -199,8 +199,8 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                         }
                     }
                 }
-                SPBLA_PROF_COUNT(hash_probes, probes);
-                SPBLA_PROF_COUNT(hash_collisions, collisions);
+                SPBLA_PROF_TALLY(SpgemmHashProbes, probes);
+                SPBLA_PROF_TALLY(SpgemmHashCollisions, collisions);
                 if (need_columns) {
                     s.extracted.reserve(count);
                     for (std::size_t slot = 0; slot < want; ++slot) {
@@ -234,8 +234,8 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                     }
                 }
             }
-            SPBLA_PROF_COUNT(hash_probes, probes);
-            SPBLA_PROF_COUNT(hash_collisions, collisions);
+            SPBLA_PROF_TALLY(SpgemmHashProbes, probes);
+            SPBLA_PROF_TALLY(SpgemmHashCollisions, collisions);
             const Index count = static_cast<Index>(s.inserted.size());
             if (static_cast<std::uint64_t>(count) * 2 >= want) {
                 std::fill(s.hash_slots.begin(),
@@ -338,7 +338,6 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("spgemm.multiply");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
     const util::Schedule sched =
         opts.use_ticket_scheduler ? util::Schedule::Dynamic : util::Schedule::Static;
@@ -361,22 +360,22 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     BinSchedule bins;
     if (opts.use_bin_scheduler) bins.build(ub.data(), m, b.ncols(), opts);
 
-    // Bin-occupancy counters: an O(m) classify tally on the calling thread,
-    // so the numbers land deterministically on this span's trace event.
+    // Bin-occupancy tally: an O(m) classify pass on the calling thread,
+    // paid only in profiling builds.
     if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
         if (prof::counting()) {
+            using telemetry::Counter;
             std::array<std::uint64_t, kNumKinds> tally{};
             for (Index i = 0; i < m; ++i) {
                 ++tally[static_cast<std::size_t>(classify_row(ub[i], b.ncols(), opts))];
             }
-            SPBLA_PROF_COUNT(rows_total, m);
-            SPBLA_PROF_COUNT(rows_empty, tally[static_cast<std::size_t>(RowKind::Empty)]);
-            SPBLA_PROF_COUNT(rows_tiny, tally[static_cast<std::size_t>(RowKind::Tiny)]);
-            SPBLA_PROF_COUNT(rows_hash_small,
-                             tally[static_cast<std::size_t>(RowKind::HashSmall)]);
-            SPBLA_PROF_COUNT(rows_hash_large,
-                             tally[static_cast<std::size_t>(RowKind::HashLarge)]);
-            SPBLA_PROF_COUNT(rows_dense, tally[static_cast<std::size_t>(RowKind::Dense)]);
+            const auto rows = [&](RowKind k) { return tally[static_cast<std::size_t>(k)]; };
+            telemetry::count(Counter::SpgemmRowsTotal, m);
+            telemetry::count(Counter::SpgemmRowsEmpty, rows(RowKind::Empty));
+            telemetry::count(Counter::SpgemmRowsTiny, rows(RowKind::Tiny));
+            telemetry::count(Counter::SpgemmRowsHashSmall, rows(RowKind::HashSmall));
+            telemetry::count(Counter::SpgemmRowsHashLarge, rows(RowKind::HashLarge));
+            telemetry::count(Counter::SpgemmRowsDense, rows(RowKind::Dense));
         }
     }
     const auto launch_rows = [&](const std::function<void(Index, RowScratch&)>& row_fn) {
@@ -481,12 +480,11 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
                   cols.begin() + row_offsets[i]);
     });
     }
-    SPBLA_PROF_COUNT(nnz_out, total);
     if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
         if (caching && prof::counting()) {
             std::uint64_t kept = 0;
             for (Index i = 0; i < m; ++i) kept += cached[i];
-            SPBLA_PROF_COUNT(cached_rows, kept);
+            telemetry::count(telemetry::Counter::SpgemmCachedRows, kept);
         }
     }
 

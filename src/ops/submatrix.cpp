@@ -16,7 +16,6 @@ CsrMatrix submatrix(backend::Context& ctx, const CsrMatrix& src, Index row0, Ind
                   Status::OutOfRange, "submatrix: window exceeds source shape");
     SPBLA_VALIDATE(src);
     SPBLA_PROF_SPAN("submatrix");
-    SPBLA_PROF_COUNT(nnz_in, src.nnz());
 
     // Pass 1: per-row count via two binary searches into [col0, col0 + n).
     auto row_sizes = ctx.alloc<Index>(m);
@@ -30,7 +29,6 @@ CsrMatrix submatrix(backend::Context& ctx, const CsrMatrix& src, Index row0, Ind
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
 
-    SPBLA_PROF_COUNT(nnz_out, row_offsets[m]);
 
     // Pass 2: copy and rebase the column indices.
     std::vector<Index> cols(row_offsets[m]);

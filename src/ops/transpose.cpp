@@ -12,8 +12,6 @@ CsrMatrix transpose(backend::Context& ctx, const CsrMatrix& n) {
     (void)ctx;  // histogram + placement are cheap; kept single-launch
     SPBLA_VALIDATE(n);
     SPBLA_PROF_SPAN("transpose");
-    SPBLA_PROF_COUNT(nnz_in, n.nnz());
-    SPBLA_PROF_COUNT(nnz_out, n.nnz());
     std::vector<Index> row_offsets(static_cast<std::size_t>(n.ncols()) + 1, 0);
     for (const auto c : n.cols()) ++row_offsets[c + 1];
     for (Index c = 0; c < n.ncols(); ++c) row_offsets[c + 1] += row_offsets[c];

@@ -1,134 +1,81 @@
 #include "prof/prof.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <array>
-#include <chrono>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 
-#include "telemetry/metrics.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace spbla::prof {
 namespace {
 
-// Dense site-id bounds. Registrations past a bound fold into the final
-// "(overflow)" slot so instrumentation can never fail; at ~40 spans and ~30
-// counters in the whole library the headroom is generous.
+// Dense site-id bound. Registrations past it fold into the final
+// "(overflow)" slot so instrumentation can never fail; at ~40 spans in the
+// whole library the headroom is generous.
 constexpr std::size_t kMaxSpanSites = 128;
-constexpr std::size_t kMaxCounterSites = 64;
-
-/// Counters a frame accumulates inline before spilling to the thread table.
-constexpr std::size_t kFrameCounters = 16;
-
-/// Counter args carried on one trace event.
-constexpr std::size_t kMaxEventArgs = 12;
 
 constexpr std::size_t kDefaultRingCapacity = 8192;
+
+/// Span site 0 is the implicit "(root)" the summary tree hangs off.
+constexpr SiteId kRootSpan = 0;
 
 struct Event {
     std::uint64_t start_ns{0};
     std::uint64_t dur_ns{0};
     std::uint64_t iter{kNoIter};
     SiteId site{kNoSite};
-    std::uint32_t n_args{0};
-    struct Arg {
-        SiteId id;
-        std::uint64_t value;
-    };
-    std::array<Arg, kMaxEventArgs> args{};
 };
 
 struct Frame {
     SiteId site{kNoSite};
     std::uint64_t start_ns{0};
     std::uint64_t iter{kNoIter};
-    bool borrowed{false};
-    std::uint32_t n_counters{0};
-    std::array<Event::Arg, kFrameCounters> counters{};
+    bool borrowed{false};  ///< a WorkerScope frame: traced, not counted
 };
 
-class Registry;
-Registry& registry();
-
 /// Everything one thread writes: its frame stack (strictly thread-local),
-/// its (span x counter) aggregation table and span statistics (atomics the
-/// exporter reads with relaxed loads), and its trace-event ring (entries
-/// published via a release store on `head`).
+/// its span statistics (atomics the exporter reads with relaxed loads), and
+/// its trace-event ring (entries published via a release store on `head`).
 struct ThreadLog {
     explicit ThreadLog(std::uint32_t id) : tid{id} {}
 
     std::uint32_t tid;
     std::vector<Frame> frames;
-
-    // Lazily sized on first write: kMaxSpanSites * kMaxCounterSites slots.
-    std::vector<std::atomic<std::uint64_t>> counters;
     std::array<std::atomic<std::uint64_t>, kMaxSpanSites> span_calls{};
     std::array<std::atomic<std::uint64_t>, kMaxSpanSites> span_ns{};
 
     std::vector<Event> ring;  // lazily sized on first traced span
     std::atomic<std::uint64_t> head{0};
-
-    void merge_counter(SiteId span, SiteId counter, std::uint64_t value,
-                       CounterKind kind) noexcept {
-        if (span >= kMaxSpanSites || counter >= kMaxCounterSites) return;
-        if (counters.empty()) {
-            counters = std::vector<std::atomic<std::uint64_t>>(kMaxSpanSites *
-                                                               kMaxCounterSites);
-        }
-        auto& slot = counters[span * kMaxCounterSites + counter];
-        if (kind == CounterKind::Sum) {
-            slot.fetch_add(value, std::memory_order_relaxed);
-        } else {
-            auto cur = slot.load(std::memory_order_relaxed);
-            while (cur < value && !slot.compare_exchange_weak(
-                                      cur, value, std::memory_order_relaxed)) {
-            }
-        }
-    }
 };
 
 class Registry {
 public:
     Registry() {
-        epoch_ = std::chrono::steady_clock::now();
         span_names_.reserve(kMaxSpanSites);
         span_names_.emplace_back("(root)");  // kRootSpan
         for (auto& p : span_parents_) p.store(kNoSite, std::memory_order_relaxed);
-        counter_names_.reserve(kMaxCounterSites);
         runtime_level_.store(kCompiledLevel, std::memory_order_relaxed);
     }
 
     std::atomic<int> runtime_level_{0};
     std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
 
-    std::uint64_t now_ns() const noexcept {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - epoch_)
-                .count());
-    }
-
     SiteId register_span(const char* name) SPBLA_EXCLUDES(mutex_) {
         util::LockGuard lock{mutex_};
-        return register_name(span_names_, kMaxSpanSites, name);
-    }
-
-    SiteId register_counter(const char* name, CounterKind kind)
-        SPBLA_EXCLUDES(mutex_) {
-        util::LockGuard lock{mutex_};
-        const SiteId id = register_name(counter_names_, kMaxCounterSites, name);
-        counter_kinds_[id].store(static_cast<std::uint8_t>(kind),
-                                 std::memory_order_relaxed);
-        return id;
-    }
-
-    CounterKind counter_kind(SiteId id) const noexcept {
-        if (id >= kMaxCounterSites) return CounterKind::Sum;
-        return static_cast<CounterKind>(
-            counter_kinds_[id].load(std::memory_order_relaxed));
+        for (std::size_t i = 0; i < span_names_.size(); ++i) {
+            if (span_names_[i] == name) return static_cast<SiteId>(i);
+        }
+        if (span_names_.size() + 1 >= kMaxSpanSites) {  // final slot: overflow
+            if (span_names_.size() + 1 == kMaxSpanSites) {
+                span_names_.emplace_back("(overflow)");
+            }
+            return static_cast<SiteId>(kMaxSpanSites - 1);
+        }
+        span_names_.emplace_back(name);
+        return static_cast<SiteId>(span_names_.size() - 1);
     }
 
     /// Record the enclosing span the first time \p site is pushed; the tree
@@ -143,8 +90,7 @@ public:
 
     ThreadLog& local() {
         thread_local std::shared_ptr<ThreadLog> log = [this] {
-            auto created = std::make_shared<ThreadLog>(
-                next_tid_.fetch_add(1, std::memory_order_relaxed));
+            auto created = std::make_shared<ThreadLog>(telemetry::thread_id());
             util::LockGuard lock{mutex_};
             logs_.push_back(created);
             return created;
@@ -152,16 +98,11 @@ public:
         return *log;
     }
 
-    // --- aggregation / export (locks out registration, not recording) ------
+    // --- export (locks out registration, not recording) --------------------
 
     std::vector<std::shared_ptr<ThreadLog>> logs_snapshot() SPBLA_EXCLUDES(mutex_) {
         util::LockGuard lock{mutex_};
         return logs_;
-    }
-
-    std::string span_name(SiteId id) SPBLA_EXCLUDES(mutex_) {
-        util::LockGuard lock{mutex_};
-        return id < span_names_.size() ? span_names_[id] : "(unknown)";
     }
 
     std::vector<std::string> span_names() SPBLA_EXCLUDES(mutex_) {
@@ -169,19 +110,12 @@ public:
         return span_names_;
     }
 
-    std::vector<std::string> counter_names() SPBLA_EXCLUDES(mutex_) {
-        util::LockGuard lock{mutex_};
-        return counter_names_;
-    }
-
     SiteId find_span(std::string_view name) SPBLA_EXCLUDES(mutex_) {
         util::LockGuard lock{mutex_};
-        return find_name(span_names_, name);
-    }
-
-    SiteId find_counter(std::string_view name) SPBLA_EXCLUDES(mutex_) {
-        util::LockGuard lock{mutex_};
-        return find_name(counter_names_, name);
+        for (std::size_t i = 0; i < span_names_.size(); ++i) {
+            if (span_names_[i] == name) return static_cast<SiteId>(i);
+        }
+        return kNoSite;
     }
 
     SiteId span_parent(SiteId id) const noexcept {
@@ -189,74 +123,11 @@ public:
         return span_parents_[id].load(std::memory_order_relaxed);
     }
 
-    void reset() SPBLA_EXCLUDES(mutex_) {
-        util::LockGuard lock{mutex_};
-        for (const auto& log : logs_) {
-            for (auto& c : log->counters) c.store(0, std::memory_order_relaxed);
-            for (auto& c : log->span_calls) c.store(0, std::memory_order_relaxed);
-            for (auto& c : log->span_ns) c.store(0, std::memory_order_relaxed);
-            log->head.store(0, std::memory_order_relaxed);
-        }
-    }
-
-    // Pre-registered bookkeeping counters (pool + device memory).
-    SiteId id_pool_steals() { return cached(id_pool_steals_, "pool_steals"); }
-    SiteId id_pool_busy_ns() { return cached(id_pool_busy_ns_, "pool_busy_ns"); }
-    SiteId id_mem_allocs() { return cached(id_mem_allocs_, "mem_allocs"); }
-    SiteId id_mem_frees() { return cached(id_mem_frees_, "mem_frees"); }
-    SiteId id_mem_alloc_bytes() {
-        return cached(id_mem_alloc_bytes_, "mem_alloc_bytes");
-    }
-    SiteId id_mem_high_bytes() {
-        return cached(id_mem_high_bytes_, "mem_high_bytes", CounterKind::Max);
-    }
-
 private:
-    SiteId register_name(std::vector<std::string>& names, std::size_t cap,
-                         const char* name) SPBLA_REQUIRES(mutex_) {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (names[i] == name) return static_cast<SiteId>(i);
-        }
-        if (names.size() + 1 >= cap) {  // reserve the final slot for overflow
-            if (names.size() + 1 == cap) names.emplace_back("(overflow)");
-            return static_cast<SiteId>(cap - 1);
-        }
-        names.emplace_back(name);
-        return static_cast<SiteId>(names.size() - 1);
-    }
-
-    static SiteId find_name(const std::vector<std::string>& names,
-                            std::string_view name) {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (names[i] == name) return static_cast<SiteId>(i);
-        }
-        return kNoSite;
-    }
-
-    SiteId cached(std::atomic<SiteId>& slot, const char* name,
-                  CounterKind kind = CounterKind::Sum) {
-        SiteId id = slot.load(std::memory_order_acquire);
-        if (id == 0) {  // 0 is never a valid cached value before first store
-            id = register_counter(name, kind) + 1;
-            slot.store(id, std::memory_order_release);
-        }
-        return id - 1;
-    }
-
     util::Mutex mutex_;
-    std::chrono::steady_clock::time_point epoch_;  // set once in the ctor
     std::vector<std::string> span_names_ SPBLA_GUARDED_BY(mutex_);
-    std::vector<std::string> counter_names_ SPBLA_GUARDED_BY(mutex_);
-    std::array<std::atomic<std::uint8_t>, kMaxCounterSites> counter_kinds_{};
     std::array<std::atomic<SiteId>, kMaxSpanSites> span_parents_{};
     std::vector<std::shared_ptr<ThreadLog>> logs_ SPBLA_GUARDED_BY(mutex_);
-    std::atomic<std::uint32_t> next_tid_{0};
-    std::atomic<SiteId> id_pool_steals_{0};
-    std::atomic<SiteId> id_pool_busy_ns_{0};
-    std::atomic<SiteId> id_mem_allocs_{0};
-    std::atomic<SiteId> id_mem_frees_{0};
-    std::atomic<SiteId> id_mem_alloc_bytes_{0};
-    std::atomic<SiteId> id_mem_high_bytes_{0};
 };
 
 std::string g_env_trace_path;  // set once before threads exist
@@ -295,66 +166,52 @@ Registry& registry() {
     return *instance;
 }
 
-void flush_frame(ThreadLog& log, const Frame& frame) {
+void push_frame(SiteId site, std::uint64_t iter, bool borrowed) {
     Registry& reg = registry();
-    for (std::uint32_t i = 0; i < frame.n_counters; ++i) {
-        log.merge_counter(frame.site, frame.counters[i].id,
-                          frame.counters[i].value,
-                          reg.counter_kind(frame.counters[i].id));
+    ThreadLog& log = reg.local();
+    if (!borrowed) {
+        reg.note_parent(site,
+                        log.frames.empty() ? kRootSpan : log.frames.back().site);
     }
+    log.frames.push_back({site, telemetry::now_ns(), iter, borrowed});
 }
 
 void append_event(ThreadLog& log, const Frame& frame, std::uint64_t end_ns) {
-    Registry& reg = registry();
     // Capacity is applied when a thread's ring is first created; changing it
     // later leaves existing rings alone (resizing would tear head arithmetic).
     if (log.ring.empty()) {
-        log.ring.resize(reg.ring_capacity_.load(std::memory_order_relaxed));
+        log.ring.resize(registry().ring_capacity_.load(std::memory_order_relaxed));
     }
     const std::uint64_t h = log.head.load(std::memory_order_relaxed);
-    Event& e = log.ring[h % log.ring.size()];
-    e.start_ns = frame.start_ns;
-    e.dur_ns = end_ns - frame.start_ns;
-    e.iter = frame.iter;
-    e.site = frame.site;
-    e.n_args = std::min<std::uint32_t>(frame.n_counters, kMaxEventArgs);
-    for (std::uint32_t i = 0; i < e.n_args; ++i) e.args[i] = frame.counters[i];
+    log.ring[h % log.ring.size()] = {frame.start_ns, end_ns - frame.start_ns,
+                                     frame.iter, frame.site};
     log.head.store(h + 1, std::memory_order_release);
 }
 
-void add_to_frame(Frame& frame, ThreadLog& log, SiteId counter,
-                  std::uint64_t value, CounterKind kind) noexcept {
-    for (std::uint32_t i = 0; i < frame.n_counters; ++i) {
-        if (frame.counters[i].id == counter) {
-            if (kind == CounterKind::Sum) {
-                frame.counters[i].value += value;
-            } else if (frame.counters[i].value < value) {
-                frame.counters[i].value = value;
-            }
-            return;
+void pop_frame() {
+    ThreadLog& log = registry().local();
+    const Frame frame = log.frames.back();
+    log.frames.pop_back();
+    const std::uint64_t end = telemetry::now_ns();
+    if (!frame.borrowed) {
+        if (frame.site < kMaxSpanSites) {
+            log.span_calls[frame.site].fetch_add(1, std::memory_order_relaxed);
+            log.span_ns[frame.site].fetch_add(end - frame.start_ns,
+                                              std::memory_order_relaxed);
         }
+        // Closed spans also feed the always-on telemetry registry, so a
+        // metrics scrape of an instrumented build shows profiling pressure
+        // (zero when profiling is off or compiled out).
+        telemetry::count(telemetry::Counter::ProfSpans);
+        telemetry::observe(telemetry::Histogram::ProfSpanNs, end - frame.start_ns);
     }
-    if (frame.n_counters < kFrameCounters) {
-        frame.counters[frame.n_counters++] = {counter, value};
-        return;
-    }
-    log.merge_counter(frame.site, counter, value, kind);  // spill
+    if (tracing()) append_event(log, frame, end);
 }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
+void append_ts(std::string& out, std::uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1e3);
+    out += buf;
 }
 
 }  // namespace
@@ -374,153 +231,42 @@ bool tracing() noexcept { return runtime_level() >= SPBLA_PROFILE_TRACE; }
 
 SiteId register_span(const char* name) { return registry().register_span(name); }
 
-SiteId register_counter(const char* name, CounterKind kind) {
-    return registry().register_counter(name, kind);
-}
-
-std::uint32_t thread_id() noexcept { return registry().local().tid; }
-
 SiteId current_span_site() noexcept {
     const ThreadLog& log = registry().local();
     return log.frames.empty() ? kNoSite : log.frames.back().site;
 }
 
-void count(SiteId counter, std::uint64_t value) noexcept {
-    if (!counting()) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    const CounterKind kind = reg.counter_kind(counter);
-    if (log.frames.empty()) {
-        log.merge_counter(kRootSpan, counter, value, kind);
-        return;
-    }
-    add_to_frame(log.frames.back(), log, counter, value, kind);
-}
-
-void note_alloc(std::size_t bytes, std::size_t current_after) noexcept {
-    if (!counting()) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    if (log.frames.empty()) {
-        log.merge_counter(kRootSpan, reg.id_mem_allocs(), 1, CounterKind::Sum);
-        log.merge_counter(kRootSpan, reg.id_mem_alloc_bytes(), bytes,
-                          CounterKind::Sum);
-        log.merge_counter(kRootSpan, reg.id_mem_high_bytes(), current_after,
-                          CounterKind::Max);
-        return;
-    }
-    Frame& top = log.frames.back();
-    add_to_frame(top, log, reg.id_mem_allocs(), 1, CounterKind::Sum);
-    add_to_frame(top, log, reg.id_mem_alloc_bytes(), bytes, CounterKind::Sum);
-    add_to_frame(top, log, reg.id_mem_high_bytes(), current_after,
-                 CounterKind::Max);
-}
-
-void note_free(std::size_t bytes) noexcept {
-    static_cast<void>(bytes);
-    if (!counting()) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    if (log.frames.empty()) {
-        log.merge_counter(kRootSpan, reg.id_mem_frees(), 1, CounterKind::Sum);
-        return;
-    }
-    add_to_frame(log.frames.back(), log, reg.id_mem_frees(), 1,
-                 CounterKind::Sum);
-}
-
-SpanScope::SpanScope(SiteId site, std::uint64_t iter) noexcept : active_{false} {
-    if (!counting() || site == kNoSite) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    reg.note_parent(site,
-                    log.frames.empty() ? kRootSpan : log.frames.back().site);
-    Frame frame;
-    frame.site = site;
-    frame.start_ns = reg.now_ns();
-    frame.iter = iter;
-    log.frames.push_back(frame);
-    active_ = true;
+SpanScope::SpanScope(SiteId site, std::uint64_t iter) noexcept
+    : active_{counting() && site != kNoSite} {
+    if (active_) push_frame(site, iter, /*borrowed=*/false);
 }
 
 SpanScope::~SpanScope() {
-    if (!active_) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    const Frame frame = log.frames.back();
-    log.frames.pop_back();
-    const std::uint64_t end = reg.now_ns();
-    if (frame.site < kMaxSpanSites) {
-        log.span_calls[frame.site].fetch_add(1, std::memory_order_relaxed);
-        log.span_ns[frame.site].fetch_add(end - frame.start_ns,
-                                          std::memory_order_relaxed);
-    }
-    // Closed spans also feed the always-on telemetry registry, so a metrics
-    // scrape of an instrumented build shows profiling pressure alongside the
-    // production instruments (zero when profiling is off or compiled out).
-    telemetry::count(telemetry::Counter::ProfSpans);
-    telemetry::observe(telemetry::Histogram::ProfSpanNs, end - frame.start_ns);
-    flush_frame(log, frame);
-    if (tracing()) append_event(log, frame, end);
+    if (active_) pop_frame();
 }
 
 WorkerScope::WorkerScope(SiteId site, std::uint32_t launcher_tid) noexcept
-    : active_{false} {
-    if (!counting() || site == kNoSite) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    if (log.tid == launcher_tid) return;  // launcher keeps its real frame
-    Frame frame;
-    frame.site = site;
-    frame.start_ns = reg.now_ns();
-    frame.borrowed = true;
-    log.frames.push_back(frame);
-    start_ns_ = frame.start_ns;
-    active_ = true;
+    : active_{counting() && site != kNoSite && telemetry::thread_id() != launcher_tid} {
+    if (active_) push_frame(site, kNoIter, /*borrowed=*/true);
 }
 
 WorkerScope::~WorkerScope() {
-    if (!active_) return;
-    Registry& reg = registry();
-    ThreadLog& log = reg.local();
-    Frame frame = log.frames.back();
-    log.frames.pop_back();
-    const std::uint64_t end = reg.now_ns();
-    // Steal + busy-time bookkeeping for the pool: this chunk ran on a thread
-    // that did not launch it.
-    add_to_frame(frame, log, reg.id_pool_steals(), 1, CounterKind::Sum);
-    add_to_frame(frame, log, reg.id_pool_busy_ns(), end - start_ns_,
-                 CounterKind::Sum);
-    flush_frame(log, frame);
-    if (tracing()) append_event(log, frame, end);
+    if (active_) pop_frame();
 }
 
 std::vector<SnapshotEvent> snapshot_events() {
     Registry& reg = registry();
     const auto logs = reg.logs_snapshot();
     const auto span_names = reg.span_names();
-    const auto counter_names = reg.counter_names();
     std::vector<SnapshotEvent> out;
     for (const auto& log : logs) {
         const std::uint64_t head = log->head.load(std::memory_order_acquire);
         if (log->ring.empty()) continue;
         const std::uint64_t cap = log->ring.size();
-        const std::uint64_t lo = head > cap ? head - cap : 0;
-        for (std::uint64_t i = lo; i < head; ++i) {
+        for (std::uint64_t i = head > cap ? head - cap : 0; i < head; ++i) {
             const Event& e = log->ring[i % cap];
-            SnapshotEvent ev;
-            ev.name = e.site < span_names.size() ? span_names[e.site] : "(unknown)";
-            ev.tid = log->tid;
-            ev.start_ns = e.start_ns;
-            ev.dur_ns = e.dur_ns;
-            ev.iter = e.iter;
-            for (std::uint32_t a = 0; a < e.n_args; ++a) {
-                const auto id = e.args[a].id;
-                ev.args.emplace_back(
-                    id < counter_names.size() ? counter_names[id] : "(unknown)",
-                    e.args[a].value);
-            }
-            out.push_back(std::move(ev));
+            out.push_back({e.site < span_names.size() ? span_names[e.site] : "(unknown)",
+                           log->tid, e.start_ns, e.dur_ns, e.iter});
         }
     }
     std::sort(out.begin(), out.end(),
@@ -528,70 +274,6 @@ std::vector<SnapshotEvent> snapshot_events() {
                   return a.start_ns < b.start_ns;
               });
     return out;
-}
-
-std::vector<CounterRow> counter_rows() {
-    Registry& reg = registry();
-    const auto logs = reg.logs_snapshot();
-    const auto span_names = reg.span_names();
-    const auto counter_names = reg.counter_names();
-    std::vector<CounterRow> out;
-    for (std::size_t s = 0; s < span_names.size() && s < kMaxSpanSites; ++s) {
-        for (std::size_t c = 0; c < counter_names.size() && c < kMaxCounterSites;
-             ++c) {
-            const CounterKind kind = reg.counter_kind(static_cast<SiteId>(c));
-            std::uint64_t total = 0;
-            for (const auto& log : logs) {
-                if (log->counters.empty()) continue;
-                const std::uint64_t v =
-                    log->counters[s * kMaxCounterSites + c].load(
-                        std::memory_order_relaxed);
-                total = kind == CounterKind::Sum ? total + v
-                                                 : std::max(total, v);
-            }
-            if (total != 0) {
-                out.push_back({span_names[s], counter_names[c], kind, total});
-            }
-        }
-    }
-    return out;
-}
-
-std::uint64_t counter_value(std::string_view span, std::string_view counter) {
-    Registry& reg = registry();
-    const SiteId s = span == "(root)" ? kRootSpan : reg.find_span(span);
-    const SiteId c = reg.find_counter(counter);
-    if (s == kNoSite || c == kNoSite || s >= kMaxSpanSites ||
-        c >= kMaxCounterSites) {
-        return 0;
-    }
-    const CounterKind kind = reg.counter_kind(c);
-    std::uint64_t total = 0;
-    for (const auto& log : reg.logs_snapshot()) {
-        if (log->counters.empty()) continue;
-        const std::uint64_t v =
-            log->counters[s * kMaxCounterSites + c].load(std::memory_order_relaxed);
-        total = kind == CounterKind::Sum ? total + v : std::max(total, v);
-    }
-    return total;
-}
-
-std::uint64_t counter_total(std::string_view counter) {
-    Registry& reg = registry();
-    const SiteId c = reg.find_counter(counter);
-    if (c == kNoSite || c >= kMaxCounterSites) return 0;
-    const CounterKind kind = reg.counter_kind(c);
-    std::uint64_t total = 0;
-    for (const auto& log : reg.logs_snapshot()) {
-        if (log->counters.empty()) continue;
-        for (std::size_t s = 0; s < kMaxSpanSites; ++s) {
-            const std::uint64_t v =
-                log->counters[s * kMaxCounterSites + c].load(
-                    std::memory_order_relaxed);
-            total = kind == CounterKind::Sum ? total + v : std::max(total, v);
-        }
-    }
-    return total;
 }
 
 std::uint64_t span_calls(std::string_view span) {
@@ -606,13 +288,13 @@ std::uint64_t span_calls(std::string_view span) {
 }
 
 std::string chrome_trace_json() {
-    Registry& reg = registry();
     const auto events = snapshot_events();
-    const auto rows = counter_rows();
-    const auto logs = reg.logs_snapshot();
+    const auto logs = registry().logs_snapshot();
+    std::string metrics = telemetry::to_json(telemetry::snapshot());
+    while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
 
     std::string out;
-    out.reserve(events.size() * 160 + rows.size() * 96 + 512);
+    out.reserve(events.size() * 120 + metrics.size() + 512);
     out += "{\n  \"displayTimeUnit\": \"ms\",\n";
     out += "  \"otherData\": {\"spbla_profile_compiled\": \"";
     out += compiled_level_name();
@@ -620,22 +302,10 @@ std::string chrome_trace_json() {
     out += std::to_string(runtime_level());
     out += ", \"threads\": ";
     out += std::to_string(logs.size());
-    out += "},\n  \"spbla_counters\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        out += "    {\"span\": \"";
-        out += json_escape(rows[i].span);
-        out += "\", \"counter\": \"";
-        out += json_escape(rows[i].counter);
-        out += "\", \"kind\": \"";
-        out += rows[i].kind == CounterKind::Sum ? "sum" : "max";
-        out += "\", \"value\": ";
-        out += std::to_string(rows[i].value);
-        out += "}";
-        out += i + 1 < rows.size() ? ",\n" : "\n";
-    }
-    out += "  ],\n  \"traceEvents\": [\n";
+    out += "},\n  \"spbla_metrics\": ";
+    out += metrics;
+    out += ",\n  \"traceEvents\": [\n";
     bool first = true;
-    char buf[64];
     for (const auto& log : logs) {
         if (!first) out += ",\n";
         first = false;
@@ -650,33 +320,19 @@ std::string chrome_trace_json() {
         if (!first) out += ",\n";
         first = false;
         out += "    {\"name\": \"";
-        out += json_escape(e.name);
-        out += "\", \"cat\": \"spbla\", \"ph\": \"X\", \"ts\": ";
-        std::snprintf(buf, sizeof buf, "%.3f",
-                      static_cast<double>(e.start_ns) / 1e3);
-        out += buf;
+        out += telemetry::json_escape(e.name);
+        out += "\", \"ph\": \"X\", \"ts\": ";
+        append_ts(out, e.start_ns);
         out += ", \"dur\": ";
-        std::snprintf(buf, sizeof buf, "%.3f",
-                      static_cast<double>(e.dur_ns) / 1e3);
-        out += buf;
+        append_ts(out, e.dur_ns);
         out += ", \"pid\": 1, \"tid\": ";
         out += std::to_string(e.tid);
-        out += ", \"args\": {";
-        bool first_arg = true;
         if (e.iter != kNoIter) {
-            out += "\"iter\": ";
+            out += ", \"args\": {\"iter\": ";
             out += std::to_string(e.iter);
-            first_arg = false;
+            out += "}";
         }
-        for (const auto& [name, value] : e.args) {
-            if (!first_arg) out += ", ";
-            first_arg = false;
-            out += "\"";
-            out += json_escape(name);
-            out += "\": ";
-            out += std::to_string(value);
-        }
-        out += "}}";
+        out += "}";
     }
     out += "\n  ]\n}\n";
     return out;
@@ -686,17 +342,14 @@ bool write_chrome_trace(const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
     const std::string json = chrome_trace_json();
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = written == json.size() && std::fclose(f) == 0;
-    if (written != json.size()) std::fclose(f);
-    return ok;
+    const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 std::string text_summary() {
     Registry& reg = registry();
     const auto logs = reg.logs_snapshot();
     const auto span_names = reg.span_names();
-    const auto rows = counter_rows();
 
     struct Agg {
         std::uint64_t calls{0};
@@ -760,35 +413,12 @@ std::string text_summary() {
                       static_cast<unsigned long long>(agg[site].calls),
                       static_cast<double>(agg[site].ns) / 1e6, pct);
         out += buf;
-        std::string counters_line;
-        for (const auto& row : rows) {
-            if (row.span != span_names[site]) continue;
-            counters_line += counters_line.empty() ? "" : " ";
-            counters_line += row.counter + "=" + std::to_string(row.value);
-        }
-        if (!counters_line.empty()) {
-            out += std::string(static_cast<std::size_t>(depth) * 2 + 2, ' ') +
-                   "[" + counters_line + "]\n";
-        }
         for (auto it = children[site].rbegin(); it != children[site].rend();
              ++it) {
             stack.push_back({*it, depth + 1});
         }
     }
-    std::string root_counters;
-    for (const auto& row : rows) {
-        if (row.span != "(root)") continue;
-        root_counters += root_counters.empty() ? "" : " ";
-        root_counters += row.counter + "=" + std::to_string(row.value);
-    }
-    if (!root_counters.empty()) out += "(root) [" + root_counters + "]\n";
     return out;
-}
-
-void reset() { registry().reset(); }
-
-std::size_t ring_capacity() noexcept {
-    return registry().ring_capacity_.load(std::memory_order_relaxed);
 }
 
 void set_ring_capacity(std::size_t events) noexcept {

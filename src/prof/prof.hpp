@@ -1,31 +1,31 @@
 /// \file prof.hpp
-/// \brief Compile-time-gated profiling layer: scoped spans, named counters,
-/// Chrome-trace export.
+/// \brief Compile-time-gated profiling layer: scoped spans, Chrome-trace and
+/// text-summary export.
 ///
-/// The Boolean kernels earn their speedups from internals the result never
-/// shows — bin occupancy, hash probe/collision rates, work-stealing
-/// behaviour, device-memory high-water. This layer records them with three
-/// primitives, mirroring how GraphBLAST and OpSparse attribute their tuning
-/// wins to per-kernel counter profiles:
+/// Two primitives record where a run spends its time:
 ///
 ///  - SPBLA_PROF_SPAN("spgemm.numeric"): a scoped span on the calling
 ///    thread. Span begin/end pairs nest; at trace level each completed span
 ///    is appended to a lock-free per-thread ring buffer and can be exported
 ///    as Chrome trace-event JSON (chrome://tracing / Perfetto) or as a
 ///    hierarchical text summary with totals and percentages.
-///  - SPBLA_PROF_COUNT(hash_probes, n): adds n to a named counter,
-///    attributed to the innermost active span. Workers launched through
-///    Context::parallel_for inherit the launching thread's span, so kernel
-///    counters incremented on the pool aggregate under the op that launched
-///    them.
 ///  - SPBLA_PROF_SPAN_ITER(name, i): a span carrying an iteration number
 ///    (fixpoint rounds in the CFPQ/RPQ drivers).
+///
+/// Spans count nothing. Every event count lives in the always-on telemetry
+/// registry (telemetry/metric_names.hpp), and the Chrome trace embeds one
+/// telemetry snapshot, so a trace and a metrics dump report the same
+/// numbers under the same names. Kernel-work counters that cost work to
+/// compute (hash probes, the SpGEMM bin tally, bit-block tiles) are
+/// telemetry counters too, recorded through SPBLA_PROF_TALLY so they exist
+/// only in profiling builds.
 ///
 /// Gating mirrors SPBLA_CHECKS: the CMake knob SPBLA_PROFILE=off|counters|
 /// trace defines SPBLA_PROFILE_LEVEL to 0/1/2. At "off" every macro expands
 /// to a no-op (zero overhead — the release configuration). "counters" and
 /// "trace" both compile the instrumentation in and differ only in the
-/// *default* runtime level; the level can be moved at runtime via
+/// *default* runtime level: 1 keeps per-span call counts and times, 2 also
+/// fills the trace rings. The level can be moved at runtime via
 /// set_runtime_level / spbla_ProfEnable / the SPBLA_TRACE environment
 /// variable (which also arms a dump-at-exit hook).
 ///
@@ -33,20 +33,25 @@
 /// compiled, so tests exercise it in every build through the direct API;
 /// only the macro instrumentation in library code is compile-time gated.
 ///
-/// Thread-safety: every hot-path write lands in thread-local storage
-/// (frame stacks) or per-thread atomic tables read with relaxed loads by
-/// the aggregating exporter — no locks, TSan-clean. Ring-buffer entries are
-/// published with a release store on the head index; snapshots are intended
-/// for quiescent points (between launches), as a writer lapping a concurrent
-/// reader may hand it a torn event.
+/// Timestamps and thread ids are telemetry::now_ns() and
+/// telemetry::thread_id(), the clock and ids the flight recorder stamps its
+/// records with, so a post-mortem can line the two up.
+///
+/// Thread-safety: every hot-path write lands in thread-local storage (frame
+/// stacks) or per-thread atomics read with relaxed loads by the exporter —
+/// no locks, TSan-clean. Ring-buffer entries are published with a release
+/// store on the head index; snapshots are intended for quiescent points
+/// (between launches), as a writer lapping a concurrent reader may hand it a
+/// torn event.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
+
+#include "telemetry/metrics.hpp"
 
 #define SPBLA_PROFILE_OFF 0
 #define SPBLA_PROFILE_COUNTERS 1
@@ -70,22 +75,13 @@ inline constexpr int kCompiledLevel = SPBLA_PROFILE_LEVEL;
                                                       : "off";
 }
 
-/// Identifier of a registered span or counter site. Span and counter ids
-/// live in separate namespaces; both are dense and bounded (kMaxSpanSites /
-/// kMaxCounterSites — registrations past the bound fold into an "(overflow)"
-/// slot so instrumentation can never fail).
+/// Identifier of a registered span site. Ids are dense and bounded
+/// (registrations past the bound fold into an "(overflow)" slot so
+/// instrumentation can never fail).
 using SiteId = std::uint32_t;
 
 inline constexpr SiteId kNoSite = 0xFFFFFFFFu;
 inline constexpr std::uint64_t kNoIter = 0xFFFFFFFFFFFFFFFFull;
-
-/// Span site 0 is the implicit "(root)": counters incremented outside any
-/// span (pool bookkeeping, allocations during setup) aggregate there.
-inline constexpr SiteId kRootSpan = 0;
-
-/// How a counter merges across increments: Sum accumulates, Max keeps the
-/// largest observed value (device-memory high-water).
-enum class CounterKind : std::uint8_t { Sum, Max };
 
 /// Active runtime level (defaults to the compiled level). Raising it above
 /// the compiled level only affects direct API callers — macro sites compiled
@@ -93,7 +89,7 @@ enum class CounterKind : std::uint8_t { Sum, Max };
 [[nodiscard]] int runtime_level() noexcept;
 void set_runtime_level(int level) noexcept;
 
-/// True iff counters/spans record at the current runtime level.
+/// True iff spans (and kernel-work tallies) record at the current level.
 [[nodiscard]] bool counting() noexcept;
 /// True iff completed spans are appended to the trace ring buffers.
 [[nodiscard]] bool tracing() noexcept;
@@ -102,30 +98,12 @@ void set_runtime_level(int level) noexcept;
 /// function-local static so registration runs once).
 [[nodiscard]] SiteId register_span(const char* name);
 
-/// Register a counter site.
-[[nodiscard]] SiteId register_counter(const char* name,
-                                      CounterKind kind = CounterKind::Sum);
-
-/// Add \p value to \p counter, attributed to the calling thread's innermost
-/// active span (or to "(root)" when no span is active).
-void count(SiteId counter, std::uint64_t value) noexcept;
-
-/// Small dense id of the calling thread (assigned on first use; used as the
-/// Chrome-trace tid).
-[[nodiscard]] std::uint32_t thread_id() noexcept;
-
 /// Site of the calling thread's innermost active span (kNoSite if none).
 [[nodiscard]] SiteId current_span_site() noexcept;
 
-/// Device-memory hooks called by backend::MemoryTracker: record the
-/// allocation event counters and fold the post-alloc byte total into the
-/// active span's high-water mark.
-void note_alloc(std::size_t bytes, std::size_t current_after) noexcept;
-void note_free(std::size_t bytes) noexcept;
-
 /// RAII span. Pushes a frame on the calling thread's stack; on destruction
-/// flushes the frame's counters into the per-thread aggregation tables and,
-/// at trace level, appends one complete ("X") event to the thread's ring.
+/// adds the span's call and time to the per-thread statistics and, at trace
+/// level, appends one complete ("X") event to the thread's ring.
 class SpanScope {
 public:
     explicit SpanScope(SiteId site, std::uint64_t iter = kNoIter) noexcept;
@@ -138,13 +116,12 @@ private:
     bool active_;
 };
 
-/// RAII span-inheritance scope for pool workers: Context::parallel_for wraps
-/// kernel bodies in one of these so counters incremented on a worker
-/// aggregate under the span that launched the kernel. A borrowed frame
-/// contributes counters (plus pool_steals / pool_busy_ns bookkeeping) but
-/// not calls/time — the launcher's own span owns the elapsed time. On the
-/// launching thread itself this is a no-op (its real frame is already on the
-/// stack).
+/// RAII span scope for pool workers: Context::parallel_for wraps kernel
+/// bodies in one of these so a chunk run on a worker shows up in the trace
+/// under the launching span's name, and spans nested in it hang under that
+/// span in the summary. It adds no calls or time — the launcher's own span
+/// owns the elapsed time. On the launching thread itself it is a no-op (its
+/// real frame is already on the stack).
 class WorkerScope {
 public:
     WorkerScope(SiteId site, std::uint32_t launcher_tid) noexcept;
@@ -155,70 +132,44 @@ public:
 
 private:
     bool active_;
-    std::uint64_t start_ns_{0};
 };
 
 // ---------------------------------------------------------------------------
-// Aggregation, export and test surface (always available; call at quiescent
-// points — no kernel in flight).
+// Export and test surface (always available; call at quiescent points — no
+// kernel in flight).
 // ---------------------------------------------------------------------------
 
-/// One completed span pulled out of the ring buffers (test/export surface).
+/// One completed span pulled out of the ring buffers.
 struct SnapshotEvent {
     std::string name;
-    std::uint32_t tid{0};
-    std::uint64_t start_ns{0};
+    std::uint32_t tid{0};         ///< telemetry::thread_id() of the recorder
+    std::uint64_t start_ns{0};    ///< telemetry::now_ns() at span entry
     std::uint64_t dur_ns{0};
     std::uint64_t iter{kNoIter};
-    std::vector<std::pair<std::string, std::uint64_t>> args;  ///< frame counters
 };
 
-/// Aggregated value of one counter under one span.
-struct CounterRow {
-    std::string span;
-    std::string counter;
-    CounterKind kind{CounterKind::Sum};
-    std::uint64_t value{0};
-};
-
-/// All events currently held in the ring buffers, oldest first per thread.
+/// All events currently held in the ring buffers, ordered by start time.
 [[nodiscard]] std::vector<SnapshotEvent> snapshot_events();
-
-/// All non-zero (span, counter) aggregates across every thread.
-[[nodiscard]] std::vector<CounterRow> counter_rows();
-
-/// Aggregated value of \p counter under \p span (0 if never counted).
-[[nodiscard]] std::uint64_t counter_value(std::string_view span,
-                                          std::string_view counter);
-
-/// Aggregated value of \p counter across all spans (Max counters merge by
-/// max; Sum counters add).
-[[nodiscard]] std::uint64_t counter_total(std::string_view counter);
 
 /// Number of spans completed under \p span's site (all threads).
 [[nodiscard]] std::uint64_t span_calls(std::string_view span);
 
 /// Chrome trace-event JSON: {"traceEvents": [...], ...} with one "X" event
-/// per recorded span (args = the span's counters) plus an "spbla_counters"
-/// aggregate section tools/check_trace.py validates. Loadable in
-/// chrome://tracing and Perfetto, which ignore the extra keys.
+/// per recorded span (name, ts, dur, tid and iter only) plus an
+/// "spbla_metrics" section holding telemetry::to_json(telemetry::snapshot())
+/// that tools/check_trace.py validates. Loadable in chrome://tracing and
+/// Perfetto, which ignore the extra keys.
 [[nodiscard]] std::string chrome_trace_json();
 
 /// Write chrome_trace_json() to \p path; returns false on I/O failure.
 bool write_chrome_trace(const std::string& path);
 
 /// Hierarchical text summary: spans as a tree (parent = enclosing span at
-/// first use) with call counts, total milliseconds, percent of parent, and
-/// each span's counters.
+/// first use) with call counts, total milliseconds and percent of parent.
 [[nodiscard]] std::string text_summary();
 
-/// Clear every ring buffer, frame-counter table and span statistic. Callers
-/// must be quiescent (no kernel in flight).
-void reset();
-
 /// Ring-buffer capacity (events per thread) applied to rings created after
-/// the call; the default is 8192. Test hook.
-[[nodiscard]] std::size_t ring_capacity() noexcept;
+/// the call; the default is 8192.
 void set_ring_capacity(std::size_t events) noexcept;
 
 }  // namespace spbla::prof
@@ -249,23 +200,13 @@ void set_ring_capacity(std::size_t events) noexcept;
         SPBLA_PROF_CAT(spblaProfSite_, __LINE__),                             \
         static_cast<std::uint64_t>(iter))
 
-#define SPBLA_PROF_COUNT(counter, n)                                          \
+/// Add n to the kernel-work telemetry counter telemetry::Counter::counter.
+#define SPBLA_PROF_TALLY(counter, n)                                          \
     do {                                                                      \
-        static const ::spbla::prof::SiteId SPBLA_PROF_CAT(spblaProfCtr_,      \
-                                                          __LINE__) =         \
-            ::spbla::prof::register_counter(#counter);                        \
-        ::spbla::prof::count(SPBLA_PROF_CAT(spblaProfCtr_, __LINE__),         \
-                             static_cast<std::uint64_t>(n));                  \
-    } while (false)
-
-#define SPBLA_PROF_COUNT_MAX(counter, n)                                      \
-    do {                                                                      \
-        static const ::spbla::prof::SiteId SPBLA_PROF_CAT(spblaProfCtr_,      \
-                                                          __LINE__) =         \
-            ::spbla::prof::register_counter(#counter,                         \
-                                            ::spbla::prof::CounterKind::Max); \
-        ::spbla::prof::count(SPBLA_PROF_CAT(spblaProfCtr_, __LINE__),         \
-                             static_cast<std::uint64_t>(n));                  \
+        if (::spbla::prof::counting()) {                                      \
+            ::spbla::telemetry::count(::spbla::telemetry::Counter::counter,   \
+                                      static_cast<std::uint64_t>(n));         \
+        }                                                                     \
     } while (false)
 
 #else  // SPBLA_PROFILE_LEVEL == off: every macro is a checked no-op.
@@ -273,9 +214,8 @@ void set_ring_capacity(std::size_t events) noexcept;
 #define SPBLA_PROF_SPAN(name) static_cast<void>(0)
 #define SPBLA_PROF_SPAN_ITER(name, iter) \
     static_cast<void>(sizeof(static_cast<std::uint64_t>(iter)))
-#define SPBLA_PROF_COUNT(counter, n) \
-    static_cast<void>(sizeof(static_cast<std::uint64_t>(n)))
-#define SPBLA_PROF_COUNT_MAX(counter, n) \
-    static_cast<void>(sizeof(static_cast<std::uint64_t>(n)))
+#define SPBLA_PROF_TALLY(counter, n)                            \
+    static_cast<void>(sizeof(::spbla::telemetry::Counter::counter) + \
+                      sizeof(static_cast<std::uint64_t>(n)))
 
 #endif  // SPBLA_PROFILE_LEVEL

@@ -141,25 +141,15 @@ constexpr double kWordOpScale = 0.08;
 struct RouteMetrics {
     telemetry::Counter picks;
     telemetry::Histogram latency;
-    const char* prof_counter;  ///< per-span pick counter (check_trace --require-dispatch)
 };
 
 constexpr PerFormat<RouteMetrics> kRouteMetrics{
-    .csr = {telemetry::Counter::DispatchCsr, telemetry::Histogram::OpLatencyCsrNs,
-            "dispatch_csr"},
+    .csr = {telemetry::Counter::DispatchCsr, telemetry::Histogram::OpLatencyCsrNs},
     .bitblock = {telemetry::Counter::DispatchBitBlocks,
-                 telemetry::Histogram::OpLatencyBitBlocksNs, "dispatch_bitblock"},
+                 telemetry::Histogram::OpLatencyBitBlocksNs},
 };
 
-void count_route(Format f) {
-    telemetry::count(kRouteMetrics[f].picks);
-#if SPBLA_PROFILE_LEVEL >= SPBLA_PROFILE_COUNTERS
-    static const PerFormat<prof::SiteId> sites{
-        prof::register_counter(kRouteMetrics.csr.prof_counter),
-        prof::register_counter(kRouteMetrics.bitblock.prof_counter)};
-    prof::count(sites[f], 1);
-#endif
-}
+void count_route(Format f) { telemetry::count(kRouteMetrics[f].picks); }
 
 /// The format a forced hint names; nullopt under Auto.
 [[nodiscard]] std::optional<Format> forced(FormatHint hint) noexcept {
@@ -306,7 +296,6 @@ auto route(backend::Context& ctx, const Ts&... args) {
         // and closes the telemetry scope, so the dispatch invariants hold.
         if (auto out = Op.shortcut(ctx, args...)) {
             telemetry::count(telemetry::Counter::IncrShortCircuits);
-            SPBLA_PROF_COUNT(incr_shortcircuit, 1);
             count_route(Format::Csr);
             done(kRouteMetrics.csr.latency, format_name(Format::Csr), *out);
             return *std::move(out);

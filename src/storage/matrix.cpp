@@ -302,7 +302,6 @@ void Matrix::fill(std::unique_ptr<const T>& slot, std::atomic<const T*>& pub, Fo
                 return std::make_unique<const T>(convert(primary));
             }
         });
-        SPBLA_PROF_COUNT(format_conversions, 1);
         telemetry::count(telemetry::Counter::StorageConversions);
         store_secondary(f);
     }
@@ -324,7 +323,6 @@ const T& Matrix::rep(Format f, const std::atomic<const T*>& pub,
                      backend::Context& ctx) const {
     if (const T* published = pub.load(std::memory_order_acquire)) {
         if (primary_ != f) {
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
         return *published;
@@ -405,10 +403,10 @@ void Matrix::apply_delta(const Matrix& adds, const Matrix& removes,
                   Status::DimensionMismatch, "apply_delta: insert delta shape");
     SPBLA_REQUIRE(removes.nrows() == nrows_ && removes.ncols() == ncols_,
                   Status::DimensionMismatch, "apply_delta: delete delta shape");
+    if (adds.empty() && removes.empty()) return;  // no-op batch: stamp kept
     telemetry::count(telemetry::Counter::IncrBatches);
     telemetry::count(telemetry::Counter::IncrDeltaNnz,
                      adds.nnz() + removes.nnz());
-    if (adds.empty() && removes.empty()) return;  // no-op batch: stamp kept
     Matrix next =
         removes.empty() ? *this : storage::ewise_diff(ctx, *this, removes);
     if (!adds.empty()) next = storage::ewise_add(ctx, next, adds);

@@ -56,9 +56,8 @@ inline constexpr std::size_t kNumFormats = 2;
 namespace storage {
 
 // Conversions and cache events are counted once each, as the telemetry
-// counters spbla.storage.{conversions,cache_hits,cache_stores,cache_drops}
-// (with spbla::prof per-span mirrors of conversions and hits); per-format
-// dispatch picks are the spbla.dispatch.<format> counters.
+// counters spbla.storage.{conversions,cache_hits,cache_stores,cache_drops};
+// per-format dispatch picks are the spbla.dispatch.<format> counters.
 
 /// Bytes of cached secondary representations currently alive process-wide.
 [[nodiscard]] std::size_t cached_bytes() noexcept;
@@ -185,8 +184,9 @@ public:
     /// Apply an insert/delete batch in place:
     /// this := (this \ removes) | adds — delete-then-insert, so a cell named
     /// by both deltas ends up present. Both deltas must match this shape.
-    /// A no-op batch (both deltas empty) keeps the content stamp; any other
-    /// batch installs a fresh version() even when the resulting cell set is
+    /// A no-op batch (both deltas empty) keeps the content stamp and books
+    /// nothing; any other batch books one spbla.incr.batches plus its cells
+    /// in spbla.incr.delta_nnz, and installs a fresh version() even when the resulting cell set is
     /// value-equal, so every version-keyed derived cache (the incr layer's op
     /// memo) treats the handle as new content.
     void apply_delta(const Matrix& adds, const Matrix& removes, backend::Context& ctx);

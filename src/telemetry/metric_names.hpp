@@ -1,9 +1,10 @@
 /// \file metric_names.hpp
 /// \brief The curated namespace of exported telemetry instruments.
 ///
-/// Every counter, gauge and histogram the always-on telemetry layer exports
-/// is declared here, once, as an enum entry plus its exported name. The rest
-/// of src/ refers to instruments only through these enums — the lint rule
+/// Every counter, gauge and histogram the library exports is declared here,
+/// once, as an enum entry plus its exported name: this is the only counter
+/// registry (spbla::prof records spans, not counts). The rest of src/
+/// refers to instruments only through these enums — the lint rule
 /// `metric-name-literal` flags any spbla.* metric-name string literal that
 /// appears in src/ outside this header, so the scrape surface stays a single
 /// reviewable list instead of drifting per call site.
@@ -50,6 +51,24 @@ enum class Counter : std::uint16_t {
     IncrIterationsSaved,  ///< fixpoint rounds skipped vs full recompute
     IncrConsolidations,   ///< delta overlays folded into their base matrix
     IncrShortCircuits,    ///< dispatcher ops answered by the empty-delta fast path
+    IncrFrontierNnz,      ///< frontier cells entering each incremental closure round
+    IncrBaselineRounds,   ///< from-scratch fixpoint rounds of each driver batch
+    ClosureFrontierNnz,   ///< frontier cells entering each semi-naive closure round
+    /// Kernel-work tallies: they cost kernel work to compute, so only
+    /// profiling builds (SPBLA_PROFILE != off) record them, through
+    /// SPBLA_PROF_TALLY. A release build reads 0.
+    SpgemmHashProbes,     ///< hash-accumulator slot probes
+    SpgemmHashCollisions, ///< probes that hit another column's slot
+    SpgemmRowsTotal,      ///< rows classified by the bin schedule
+    SpgemmRowsEmpty,      ///< rows binned empty (no product terms)
+    SpgemmRowsTiny,       ///< rows binned tiny
+    SpgemmRowsHashSmall,  ///< rows binned to the small hash table
+    SpgemmRowsHashLarge,  ///< rows binned to the large hash table
+    SpgemmRowsDense,      ///< rows binned to the dense bitmap accumulator
+    SpgemmCachedRows,     ///< rows the numeric pass copied from the symbolic cache
+    BitblockBlocksTouched,///< 64x64 tiles visited by the bit-block kernels
+    BitblockWordsAnded,   ///< 64-bit words ANDed (ewise_mult / mxv)
+    BitblockLookupHits,   ///< Four-Russians lookup-table probes (multiply)
     Count_,               ///< sentinel — keep last
 };
 
@@ -124,6 +143,21 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::IncrIterationsSaved: return "spbla.incr.iterations_saved";
         case Counter::IncrConsolidations: return "spbla.incr.consolidations";
         case Counter::IncrShortCircuits: return "spbla.incr.shortcircuit_ops";
+        case Counter::IncrFrontierNnz: return "spbla.incr.frontier_nnz";
+        case Counter::IncrBaselineRounds: return "spbla.incr.baseline_rounds";
+        case Counter::ClosureFrontierNnz: return "spbla.closure.frontier_nnz";
+        case Counter::SpgemmHashProbes: return "spbla.spgemm.hash_probes";
+        case Counter::SpgemmHashCollisions: return "spbla.spgemm.hash_collisions";
+        case Counter::SpgemmRowsTotal: return "spbla.spgemm.rows_total";
+        case Counter::SpgemmRowsEmpty: return "spbla.spgemm.rows_empty";
+        case Counter::SpgemmRowsTiny: return "spbla.spgemm.rows_tiny";
+        case Counter::SpgemmRowsHashSmall: return "spbla.spgemm.rows_hash_small";
+        case Counter::SpgemmRowsHashLarge: return "spbla.spgemm.rows_hash_large";
+        case Counter::SpgemmRowsDense: return "spbla.spgemm.rows_dense";
+        case Counter::SpgemmCachedRows: return "spbla.spgemm.cached_rows";
+        case Counter::BitblockBlocksTouched: return "spbla.bitblock.blocks_touched";
+        case Counter::BitblockWordsAnded: return "spbla.bitblock.words_anded";
+        case Counter::BitblockLookupHits: return "spbla.bitblock.lookup_hits";
         case Counter::Count_: break;
     }
     return "spbla.unknown.counter";

@@ -1,19 +1,13 @@
 /// \file metrics.hpp
 /// \brief Always-on, lock-free process metrics: counters, gauges, histograms.
 ///
-/// PR 3's spbla::prof is a compile-time-gated dev profiler — a release build
-/// exposes nothing. This layer is the production counterpart the serve
-/// front-end will scrape: always compiled, always on, built from relaxed
-/// atomics sharded per thread so the hot path is one thread-local pointer
-/// load plus one uncontended fetch_add (measured <2% on the SpGEMM ladder;
-/// see EXPERIMENTS.md).
-///
-/// Division of labour with spbla::prof: prof answers "where did this run
-/// spend its time" (span trees, Chrome traces, dev builds only); telemetry
-/// answers "what is this process doing right now" (op rates, latency
-/// quantiles, memory/cache/pool pressure, always). When profiling is
-/// compiled in and enabled, closed spans additionally feed the ProfSpans /
-/// ProfSpanNs instruments here, so one scrape shows both worlds.
+/// This is the library's one counter registry: always compiled, always on,
+/// built from relaxed atomics sharded per thread so the hot path is one
+/// thread-local pointer load plus one uncontended fetch_add (measured <2% on
+/// the SpGEMM ladder; see EXPERIMENTS.md). The compile-time-gated
+/// spbla::prof layer records spans only; its Chrome trace embeds a snapshot
+/// of this registry, and the few kernel-work tallies that cost work to
+/// compute are counters here that only profiling builds record.
 ///
 /// Instruments are fixed at compile time — the enums in metric_names.hpp are
 /// the registry's schema, and that header is the only sanctioned home of
@@ -74,10 +68,11 @@ std::int64_t gauge_add(Gauge g, std::int64_t delta) noexcept;
 void gauge_max(Gauge g, std::int64_t value) noexcept;
 
 /// Nanoseconds since the telemetry registry was initialised (the epoch every
-/// flight-recorder record is stamped with).
+/// flight-recorder record and prof span is stamped with).
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
-/// Small dense id of the calling thread's shard (stable per thread).
+/// Small dense id of the calling thread's shard (stable per thread; also the
+/// flight-recorder thread and the Chrome-trace tid).
 [[nodiscard]] std::uint32_t thread_id() noexcept;
 
 // ---- snapshots and export -------------------------------------------------

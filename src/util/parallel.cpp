@@ -54,14 +54,13 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
         body(0, n);
         return;
     }
-    // Workers inherit the launcher's innermost span so kernel counters
-    // incremented on the pool aggregate under the op that launched them
-    // (plus pool_steals / pool_busy_ns bookkeeping per stolen chunk).
+    // Workers inherit the launcher's innermost span, so a chunk run on the
+    // pool shows up in the trace under the op that launched it.
     if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
         if (prof::counting()) {
             const prof::SiteId site = prof::current_span_site();
             if (site != prof::kNoSite) {
-                const std::uint32_t launcher = prof::thread_id();
+                const std::uint32_t launcher = telemetry::thread_id();
                 dispatch_chunks(
                     pool, n, chunk,
                     [&body, site, launcher](std::size_t begin, std::size_t end) {

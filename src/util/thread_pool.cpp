@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace spbla::util {
@@ -76,10 +75,6 @@ void ThreadPool::execute_bulk(BulkTask& task) {
 void ThreadPool::run_dynamic(std::size_t num_tickets,
                              const std::function<void(std::size_t)>& body) {
     if (num_tickets == 0) return;
-    // Attributed on the launching thread, so the counters land under the
-    // span of the op doing the launch.
-    SPBLA_PROF_COUNT(pool_bulk_launches, 1);
-    SPBLA_PROF_COUNT(pool_tickets, num_tickets);
     telemetry::count(telemetry::Counter::PoolBulkLaunches);
     telemetry::count(telemetry::Counter::PoolTickets, num_tickets);
     auto task = std::make_shared<BulkTask>();
@@ -119,7 +114,6 @@ void ThreadPool::worker_loop() {
             job();
             telemetry::gauge_add(telemetry::Gauge::PoolBusyWorkers, -1);
             telemetry::gauge_add(telemetry::Gauge::PoolInFlight, -1);
-            SPBLA_PROF_COUNT(pool_tasks, 1);
             telemetry::count(telemetry::Counter::PoolTasks);
             LockGuard lock{mutex_};
             if (--in_flight_ == 0) cv_idle_.notify_all();

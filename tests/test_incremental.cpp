@@ -31,6 +31,7 @@
 #include "rpq/dfa.hpp"
 #include "rpq/engine.hpp"
 #include "storage/dispatch.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -589,6 +590,32 @@ TEST_F(IncrementalNet, DeltaMatrixConsolidatesPastThreshold) {
     EXPECT_EQ(d.base(), expect);
     EXPECT_EQ(d.snapshot(ctx()).version(), d.base().version())
         << "empty-overlay snapshot must share the base's epoch";
+}
+
+/// One caller batch books one spbla.incr.batches and only its own cells; an
+/// empty batch books nothing, whichever entry point it comes through.
+TEST_F(IncrementalNet, EachCallerBatchIsBookedOnce) {
+    using telemetry::Counter;
+    const auto booked = [](const telemetry::Snapshot& before, Counter c) {
+        return telemetry::snapshot().counter(c) - before.counter(c);
+    };
+    // A 2-cell insert into a 4-cell base at fraction 0.25 crosses the
+    // threshold, so apply() consolidates the overlay it just staged.
+    DeltaMatrix d{cells(8, 8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+                  /*consolidate_fraction=*/0.25};
+    auto before = telemetry::snapshot();
+    d.apply(cells(8, 8, {{4, 5}, {5, 6}}), Matrix{8, 8, ctx()}, ctx());
+    EXPECT_TRUE(d.overlay_empty());
+    EXPECT_EQ(booked(before, Counter::IncrConsolidations), 1u);
+    EXPECT_EQ(booked(before, Counter::IncrBatches), 1u);
+    EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 2u);
+
+    before = telemetry::snapshot();
+    d.apply(Matrix{8, 8, ctx()}, Matrix{8, 8, ctx()}, ctx());
+    Matrix m = cells(8, 8, {{0, 1}});
+    m.apply_delta(Matrix{8, 8, ctx()}, Matrix{8, 8, ctx()}, ctx());
+    EXPECT_EQ(booked(before, Counter::IncrBatches), 0u);
+    EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 0u);
 }
 
 TEST_F(IncrementalNet, DeltaMatrixSnapshotIsCachedPerEpoch) {

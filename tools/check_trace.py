@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace-event JSON file produced by spbla::prof.
 
+Every counter check reads the telemetry snapshot the trace embeds under
+"spbla_metrics" (schema spbla.metrics.v1), by the dotted names of
+src/telemetry/metric_names.hpp — the names spbla_MetricsDump writes. The
+counters are whole-run totals; span events carry only timing.
+
 Checks, in order:
 
   structure   The file parses as JSON and has the sections the exporter
               promises: "traceEvents" (list) plus the spbla-specific
-              "spbla_counters" aggregate and "otherData" metadata (which
+              "spbla_metrics" snapshot and "otherData" metadata (which
               chrome://tracing / Perfetto simply ignore).
   events      Every trace event is well-formed: metadata ("M") events name a
               thread, duration ("X") events carry numeric ts/dur/pid/tid and
@@ -14,46 +19,44 @@ Checks, in order:
   balance     Per thread, span windows [ts, ts+dur] properly nest: any two
               either contain one another or are disjoint. A partial overlap
               means a corrupted ring entry or a broken scope stack.
-  counters    "spbla_counters" rows are {span, counter, kind, value} with
-              kind in {sum, max}; value is a non-negative integer.
+  counters    The embedded snapshot carries the schema tag and a "counters"
+              object of non-negative integers.
   spgemm      (--require-spgemm) The trace demonstrably covers the SpGEMM
-              pipeline: "spgemm.multiply" spans exist; under that span the
-              nnz_in / nnz_out counters are present; the bin classes
-              partition the rows (empty + tiny + hash_small + hash_large +
-              dense == total); hash_probes >= hash_collisions; and, when the
-              trace involves more than one thread (on a single-core host the
-              kernels legitimately fall back to serial execution), the pool
-              recorded work (pool_tasks or pool_steals).
+              pipeline: "spgemm.multiply" spans exist; rows were binned
+              (spbla.spgemm.rows_total) and the bin classes partition them
+              (empty + tiny + hash_small + hash_large + dense == total);
+              hash probes were counted and probes >= collisions; and, when
+              the trace involves more than one thread (on a single-core host
+              the kernels legitimately fall back to serial execution), the
+              pool recorded work (spbla.pool.tasks or bulk_launches).
   dispatch    (--require-dispatch) The trace demonstrably covers the
               format-dispatch layer (src/storage): at least one
-              dispatch_csr / dispatch_bitblock pick was recorded, format
-              conversions were counted (the warm-up
-              converts between representations), and the secondary-
-              representation cache registered hits — all three families
-              missing means dispatch ran untraced or its counters are
-              unwired.
+              spbla.dispatch.csr / .bitblock pick was recorded, format
+              conversions were counted (the warm-up converts between
+              representations), and the secondary-representation cache
+              registered hits — all three missing means dispatch ran
+              untraced or its counters are unwired.
   bitblock    (--require-bitblock) The trace demonstrably covers the
               64x64 tile broadword tier (src/ops/bitblock_*): bitblock.*
-              operation spans were recorded, every bitblock op visited at
-              least one tile (bitblock_blocks_touched), the element-wise /
-              mxv AND paths counted word ops (bitblock_words_anded), and
-              the Four-Russians lookup table was actually probed on the
-              dense rungs (bitblock_lookup_hits). A dispatch_bitblock pick
-              must exist when --require-dispatch also passed, proving the
-              cost model routes work here on its own.
-
+              operation spans were recorded, the kernels visited tiles
+              (spbla.bitblock.blocks_touched), the element-wise / mxv AND
+              paths counted word ops (spbla.bitblock.words_anded), and the
+              Four-Russians lookup table was actually probed on the dense
+              rungs (spbla.bitblock.lookup_hits). A spbla.dispatch.bitblock
+              pick must exist when --require-dispatch also passed, proving
+              the cost model routes work here on its own.
   incr        (--require-incr) The trace demonstrably covers the incremental
               evaluation layer (src/incr): incr.* spans were recorded
               including at least one semi-naive round span, the op-memo
               accounting is sane (lookups > 0, hits were observed, and
               hits + stores never exceed lookups — a racing creator may
-              count neither), every recorded round carried frontier work
-              (incr_frontier_nnz), batches flowed through a driver
-              (incr_batches with the baseline/saved-iterations pair, where
-              iterations_saved <= baseline_rounds and any batch that used
-              rounds left round spans behind), the delta overlay absorbed
-              cells (incr_delta_nnz), and the dispatcher's empty-operand
-              short-circuit fired (incr_shortcircuit).
+              count neither), rounds carried frontier work
+              (spbla.incr.frontier_nnz), batches flowed through
+              (spbla.incr.batches, with iterations_saved <= baseline_rounds
+              and round spans left behind when a batch used rounds), the
+              delta overlay absorbed cells (spbla.incr.delta_nnz), and the
+              dispatcher's empty-operand short-circuit fired
+              (spbla.incr.shortcircuit_ops).
 
   metrics     (--require-metrics, with --metrics PATH) A telemetry snapshot
               dumped by SPBLA_METRICS / spbla_MetricsDump validates: the
@@ -110,7 +113,7 @@ class Checker:
         if not isinstance(doc, dict):
             self.error("top level is not a JSON object")
             return None
-        for key, kind in (("traceEvents", list), ("spbla_counters", list),
+        for key, kind in (("traceEvents", list), ("spbla_metrics", dict),
                           ("otherData", dict)):
             if key not in doc:
                 self.error(f"missing top-level key {key!r}")
@@ -171,115 +174,97 @@ class Checker:
                         f"ending at {stack[-1]:.3f} — spans must nest")
                 stack.append(end)
 
-    def check_counters(self, rows: list) -> dict[tuple[str, str], int]:
-        table: dict[tuple[str, str], int] = {}
-        for i, row in enumerate(rows):
-            where = f"spbla_counters[{i}]"
-            if not isinstance(row, dict):
-                self.error(f"{where}: not an object")
-                continue
-            span, counter = row.get("span"), row.get("counter")
-            if not isinstance(span, str) or not isinstance(counter, str):
-                self.error(f"{where}: missing span/counter names")
-                continue
-            if row.get("kind") not in ("sum", "max"):
-                self.error(f"{where}: kind must be 'sum' or 'max'")
-            value = row.get("value")
+    def check_counters(self, doc: dict, where: str) -> dict[str, int]:
+        """Schema tag and counters of a telemetry snapshot document."""
+        if doc.get("schema") != "spbla.metrics.v1":
+            self.error(f"{where}: schema is {doc.get('schema')!r}, "
+                       "expected 'spbla.metrics.v1'")
+        counters = doc.get("counters")
+        if not isinstance(counters, dict):
+            self.error(f"{where}: missing 'counters' object")
+            return {}
+        table: dict[str, int] = {}
+        for name, value in counters.items():
             if not isinstance(value, int) or value < 0:
-                self.error(f"{where}: value must be a non-negative integer")
+                self.error(f"{where}: counter {name} is not a "
+                           f"non-negative integer: {value!r}")
                 continue
-            table[(span, counter)] = value
+            table[name] = value
         return table
 
-    def check_spgemm(self, spans: list[dict],
-                     counters: dict[tuple[str, str], int]) -> None:
-        names = {e.get("name") for e in spans}
-        if "spgemm.multiply" not in names:
+    def check_spgemm(self, spans: list[dict], counters: dict[str, int]) -> None:
+        if not any(e.get("name") == "spgemm.multiply" for e in spans):
             self.error("no 'spgemm.multiply' span recorded")
+        total = counters.get("spbla.spgemm.rows_total", 0)
+        if total == 0:
+            self.error("spbla.spgemm.rows_total is zero — no SpGEMM row was "
+                       "binned (or the bin tally is unwired)")
+        bins = ["empty", "tiny", "hash_small", "hash_large", "dense"]
+        got = sum(counters.get(f"spbla.spgemm.rows_{b}", 0) for b in bins)
+        if got != total:
+            self.error(f"bin classes sum to {got}, expected "
+                       f"spbla.spgemm.rows_total = {total} (bins must "
+                       "partition the rows)")
 
-        def under_multiply(counter: str) -> int | None:
-            return counters.get(("spgemm.multiply", counter))
-
-        for required in ("nnz_in", "nnz_out", "rows_total"):
-            if under_multiply(required) is None:
-                self.error(f"counter {required!r} missing under spgemm.multiply")
-        total = under_multiply("rows_total")
-        if total is not None:
-            bins = ["rows_empty", "rows_tiny", "rows_hash_small",
-                    "rows_hash_large", "rows_dense"]
-            got = sum(under_multiply(b) or 0 for b in bins)
-            if got != total:
-                self.error(f"bin classes sum to {got}, expected rows_total "
-                           f"= {total} (bins must partition the rows)")
-
-        probes = sum(v for (s, c), v in counters.items() if c == "hash_probes")
-        collisions = sum(v for (s, c), v in counters.items()
-                         if c == "hash_collisions")
+        probes = counters.get("spbla.spgemm.hash_probes", 0)
+        collisions = counters.get("spbla.spgemm.hash_collisions", 0)
         if probes == 0:
-            self.error("no hash_probes recorded — the hash kernel never ran "
-                       "or its counters are unwired")
+            self.error("spbla.spgemm.hash_probes is zero — the hash kernel "
+                       "never ran or its counters are unwired")
         if collisions > probes:
-            self.error(f"hash_collisions ({collisions}) exceeds hash_probes "
-                       f"({probes}) — every collision is a probe")
+            self.error(f"spbla.spgemm.hash_collisions ({collisions}) exceeds "
+                       f"spbla.spgemm.hash_probes ({probes}) — every "
+                       "collision is a probe")
 
         # On a single-core host every launch takes the serial fallback, so
         # only a genuinely multi-threaded trace must show pool bookkeeping.
         tids = {e.get("tid") for e in spans}
         if len(tids) > 1:
-            pool_work = sum(v for (s, c), v in counters.items()
-                            if c in ("pool_tasks", "pool_steals",
-                                     "pool_bulk_launches"))
+            pool_work = (counters.get("spbla.pool.tasks", 0)
+                         + counters.get("spbla.pool.bulk_launches", 0))
             if pool_work == 0:
-                self.error("multi-threaded trace but no pool_tasks/"
-                           "pool_steals/pool_bulk_launches recorded — the "
+                self.error("multi-threaded trace but spbla.pool.tasks and "
+                           "spbla.pool.bulk_launches are zero — the "
                            "thread-pool counters are unwired")
 
-    def check_dispatch(self, counters: dict[tuple[str, str], int]) -> None:
-        def total(counter: str) -> int:
-            return sum(v for (s, c), v in counters.items() if c == counter)
-
-        picks = sum(total(c) for c in ("dispatch_csr", "dispatch_bitblock"))
+    def check_dispatch(self, counters: dict[str, int]) -> None:
+        picks = (counters.get("spbla.dispatch.csr", 0)
+                 + counters.get("spbla.dispatch.bitblock", 0))
         if picks == 0:
-            self.error("no dispatch_csr/dispatch_bitblock picks recorded — "
-                       "the storage dispatch layer never ran or its counters "
-                       "are unwired")
-        if not any(c == "format_conversions" for (s, c) in counters):
-            self.error("no format_conversions counter recorded — "
-                       "representation conversion is untraced")
-        if total("repr_cache_hits") == 0:
-            self.error("no repr_cache_hits recorded — cached secondary "
+            self.error("no spbla.dispatch.csr/bitblock picks recorded — the "
+                       "storage dispatch layer never ran or its counters are "
+                       "unwired")
+        if counters.get("spbla.storage.conversions", 0) == 0:
+            self.error("spbla.storage.conversions is zero — representation "
+                       "conversion is untraced")
+        if counters.get("spbla.storage.cache_hits", 0) == 0:
+            self.error("spbla.storage.cache_hits is zero — cached secondary "
                        "representations were never reused (or the counter "
                        "is unwired)")
 
-    def check_bitblock(self, spans: list[dict],
-                       counters: dict[tuple[str, str], int],
+    def check_bitblock(self, spans: list[dict], counters: dict[str, int],
                        dispatch_required: bool) -> None:
-        def total(counter: str) -> int:
-            return sum(v for (s, c), v in counters.items() if c == counter)
-
         if not any(str(e.get("name", "")).startswith("bitblock.")
                    for e in spans):
             self.error("no bitblock.* operation span recorded — the broadword "
                        "tier never ran under tracing")
-        if total("bitblock_blocks_touched") == 0:
-            self.error("bitblock_blocks_touched is zero — no bitblock kernel "
-                       "visited a tile (or the counter is unwired)")
-        if total("bitblock_words_anded") == 0:
-            self.error("bitblock_words_anded is zero — the AND paths "
-                       "(ewise_mult / mxv) never ran under tracing")
-        if total("bitblock_lookup_hits") == 0:
-            self.error("bitblock_lookup_hits is zero — no tile crossed the "
-                       "Four-Russians threshold, so the lookup path is "
-                       "untested (run the dense density-ladder rungs)")
-        if dispatch_required and total("dispatch_bitblock") == 0:
-            self.error("no dispatch_bitblock pick recorded — the cost model "
-                       "never routed an operation to the bitblock tier on "
-                       "its own")
+        for name, why in (
+                ("blocks_touched", "no bitblock kernel visited a tile"),
+                ("words_anded", "the AND paths (ewise_mult / mxv) never ran "
+                                "under tracing"),
+                ("lookup_hits", "no tile crossed the Four-Russians threshold, "
+                                "so the lookup path is untested (run the "
+                                "dense density-ladder rungs)")):
+            if counters.get(f"spbla.bitblock.{name}", 0) == 0:
+                self.error(f"spbla.bitblock.{name} is zero — {why}")
+        if dispatch_required and counters.get("spbla.dispatch.bitblock", 0) == 0:
+            self.error("no spbla.dispatch.bitblock pick recorded — the cost "
+                       "model never routed an operation to the bitblock tier "
+                       "on its own")
 
-    def check_incr(self, spans: list[dict],
-                   counters: dict[tuple[str, str], int]) -> None:
-        def total(counter: str) -> int:
-            return sum(v for (s, c), v in counters.items() if c == counter)
+    def check_incr(self, spans: list[dict], counters: dict[str, int]) -> None:
+        def total(name: str) -> int:
+            return counters.get(f"spbla.incr.{name}", 0)
 
         names = [str(e.get("name", "")) for e in spans]
         if not any(n.startswith("incr.") for n in names):
@@ -291,49 +276,47 @@ class Checker:
             self.error("no incr.closure.round / incr.cfpq.round span "
                        "recorded — no semi-naive round ever executed")
 
-        lookups = total("incr_memo_lookups")
-        hits = total("incr_memo_hits")
-        stores = total("incr_memo_stores")
+        lookups, hits = total("memo_lookups"), total("memo_hits")
+        stores = total("memo_stores")
         if lookups == 0:
-            self.error("incr_memo_lookups is zero — the epoch-keyed op memo "
-                       "never consulted (or its counters are unwired)")
+            self.error("spbla.incr.memo_lookups is zero — the epoch-keyed op "
+                       "memo was never consulted (or its counters are unwired)")
         if hits == 0:
-            self.error("incr_memo_hits is zero — no delta product was ever "
-                       "replayed from the memo (run the replay rung)")
+            self.error("spbla.incr.memo_hits is zero — no delta product was "
+                       "ever replayed from the memo (run the replay rung)")
         # A creator that loses the compute-rendezvous race counts neither a
         # hit nor a store, so the pair bounds lookups from below only.
         if hits + stores > lookups:
-            self.error(f"incr_memo_hits + incr_memo_stores ({hits} + {stores})"
-                       f" exceeds incr_memo_lookups ({lookups}) — every hit "
-                       "and store is a lookup")
+            self.error(f"memo hits + stores ({hits} + {stores}) exceeds "
+                       f"lookups ({lookups}) — every hit and store is a lookup")
 
-        if total("incr_frontier_nnz") == 0:
-            self.error("incr_frontier_nnz is zero — semi-naive rounds ran "
-                       "without frontier work (or the counter is unwired)")
+        if total("frontier_nnz") == 0:
+            self.error("spbla.incr.frontier_nnz is zero — semi-naive rounds "
+                       "ran without frontier work (or the counter is unwired)")
 
-        batches = total("incr_batches")
-        baseline = total("incr_baseline_rounds")
-        saved = total("incr_iterations_saved")
+        batches = total("batches")
+        baseline = total("baseline_rounds")
+        saved = total("iterations_saved")
         if batches == 0:
-            self.error("incr_batches is zero — no batch flowed through an "
-                       "incremental driver (or the counter is unwired)")
+            self.error("spbla.incr.batches is zero — no delta batch was "
+                       "applied (or the counter is unwired)")
         if saved > baseline:
-            self.error(f"incr_iterations_saved ({saved}) exceeds "
-                       f"incr_baseline_rounds ({baseline}) — a batch cannot "
-                       "save more rounds than the from-scratch baseline")
+            self.error(f"spbla.incr.iterations_saved ({saved}) exceeds "
+                       f"baseline_rounds ({baseline}) — a batch cannot save "
+                       "more rounds than the from-scratch baseline")
         if batches > 0 and saved < baseline and rounds == 0:
-            self.error(f"incr_baseline_rounds ({baseline}) exceeds "
-                       f"incr_iterations_saved ({saved}) yet no round span "
-                       "was recorded — the rounds that were used left no "
-                       "trace")
+            self.error(f"spbla.incr.baseline_rounds ({baseline}) exceeds "
+                       f"iterations_saved ({saved}) yet no round span was "
+                       "recorded — the rounds that were used left no trace")
 
-        if total("incr_delta_nnz") == 0:
-            self.error("incr_delta_nnz is zero — no cells were ever folded "
-                       "into a delta overlay (or the counter is unwired)")
-        if total("incr_shortcircuit") == 0:
-            self.error("incr_shortcircuit is zero — the dispatcher's "
-                       "empty-operand short-circuit never fired (or the "
-                       "counter is unwired)")
+        if total("delta_nnz") == 0:
+            self.error("spbla.incr.delta_nnz is zero — no cells were ever "
+                       "folded into a delta overlay (or the counter is "
+                       "unwired)")
+        if total("shortcircuit_ops") == 0:
+            self.error("spbla.incr.shortcircuit_ops is zero — the "
+                       "dispatcher's empty-operand short-circuit never fired "
+                       "(or the counter is unwired)")
 
     # --- telemetry metrics snapshot --------------------------------------
 
@@ -351,22 +334,14 @@ class Checker:
         except (OSError, json.JSONDecodeError) as exc:
             self.error(f"{where}: cannot load metrics JSON: {exc}")
             return
-        if doc.get("schema") != "spbla.metrics.v1":
-            self.error(f"{where}: schema is {doc.get('schema')!r}, "
-                       "expected 'spbla.metrics.v1'")
-        counters = doc.get("counters")
+        counters = self.check_counters(doc, where)
         gauges = doc.get("gauges")
         histograms = doc.get("histograms")
-        for key, section in (("counters", counters), ("gauges", gauges),
-                             ("histograms", histograms)):
+        for key, section in (("gauges", gauges), ("histograms", histograms)):
             if not isinstance(section, dict):
                 self.error(f"{where}: missing '{key}' object")
                 return
 
-        for name, value in counters.items():
-            if not isinstance(value, int) or value < 0:
-                self.error(f"{where}: counter {name} is not a "
-                           f"non-negative integer: {value!r}")
         for name, value in gauges.items():
             if not isinstance(value, int):
                 self.error(f"{where}: gauge {name} is not an integer: {value!r}")
@@ -605,7 +580,7 @@ def main() -> int:
     if top is not None:
         spans = checker.check_events(top["traceEvents"])
         checker.check_balance(spans)
-        counters = checker.check_counters(top["spbla_counters"])
+        counters = checker.check_counters(top["spbla_metrics"], "spbla_metrics")
         if args.require_spgemm:
             checker.check_spgemm(spans, counters)
         if args.require_dispatch:
@@ -629,7 +604,7 @@ def main() -> int:
         print(f"check_trace: {args.trace}: {err}", file=sys.stderr)
     status = "FAILED" if checker.errors else "ok"
     print(f"check_trace: {args.trace}: {n_spans} span event(s), "
-          f"{n_counters} counter row(s), {len(checker.errors)} error(s) — "
+          f"{n_counters} counter(s), {len(checker.errors)} error(s) — "
           f"{status}")
     return 1 if checker.errors else 0
 

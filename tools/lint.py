@@ -21,10 +21,10 @@ auditable (run as the `lint` ctest target; CI runs it on every push):
                     SPBLA_ASSERT / SPBLA_CHECKED so they obey the
                     SPBLA_CHECKS level instead of vanishing under NDEBUG.
   raw-chrono        No direct `std::chrono` (or <chrono> include) in src/
-                    outside util/timer.hpp and src/prof/ — timing goes
-                    through util::Timer and the profiling layer so kernels
-                    never grow ad-hoc clocks the SPBLA_PROFILE=off build
-                    would still pay for.
+                    outside util/timer.hpp — timing goes through util::Timer
+                    (and telemetry::now_ns, the one clock spans and flight
+                    records share) so kernels never grow ad-hoc clocks the
+                    SPBLA_PROFILE=off build would still pay for.
   contracts-include Files using SPBLA_* contract macros must include
                     util/contracts.hpp (or core/validate.hpp, which
                     re-exports it).
@@ -401,13 +401,13 @@ class Linter:
     def rule_raw_chrono(self, f: File) -> None:
         if not f.rel.startswith("src/"):
             return
-        if f.rel == "src/util/timer.hpp" or f.rel.startswith("src/prof/"):
+        if f.rel == "src/util/timer.hpp":
             return
         for no, line in enumerate(f.code_lines, start=1):
             if "std::chrono" in line:
                 self.report(f, no, "raw-chrono",
-                            "direct std::chrono — use util::Timer or the "
-                            "spbla::prof span/counter layer")
+                            "direct std::chrono — use util::Timer, "
+                            "telemetry::now_ns or a spbla::prof span")
         for no, line in enumerate(f.raw_lines, start=1):
             if re.search(r"#\s*include\s*<chrono>", line):
                 self.report(f, no, "raw-chrono",
@@ -455,8 +455,8 @@ class Linter:
     # The schema tag "spbla.metrics.v1" deliberately does not match: it names
     # the export format, not an instrument.
     METRIC_LITERAL_RE = re.compile(
-        r"spbla\.(dispatch|op|mem|storage|pool|prof|arena|incr)"
-        r"\.[a-z0-9_.]+")
+        r"spbla\.(dispatch|op|mem|storage|pool|prof|arena|incr|closure|"
+        r"spgemm|bitblock)\.[a-z0-9_.]+")
 
     def rule_metric_name_literal(self, f: File) -> None:
         if not f.rel.startswith("src/"):

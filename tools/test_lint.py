@@ -35,7 +35,7 @@ EXPECTED_POSITIVE = {
     "contracts-include": 1,
     "ops-validation": 1,
     "format-leak": 2,        # two concrete core headers
-    "metric-name-literal": 3,  # comparison literal + two named constants
+    "metric-name-literal": 4,  # comparison literal + three named constants
     "ops-file-state": 1,
     "parallel-capture": 2,   # parallel_for lambda + submit lambda
     "hot-alloc": 4,          # per-row ctor, per-row resize, per-chunk temp,
