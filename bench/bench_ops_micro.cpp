@@ -22,7 +22,6 @@
 #include "backend/context.hpp"
 #include "baseline/generic_spgemm.hpp"
 #include "common.hpp"
-#include "core/convert.hpp"
 #include "data/rmat.hpp"
 #include "data/kernel_alias.hpp"
 #include "data/lubm.hpp"
@@ -302,224 +301,6 @@ void write_spgemm_trajectory() {
                 geomean);
 }
 
-// ------------- Format-dispatch trajectory (BENCH_formats.json) -------------
-
-/// One dispatch-visible operation timed by the format ladder.
-struct FormatOp {
-    const char* name;
-    std::function<void(const Matrix&, const Matrix&)> run;
-};
-
-/// The cost-model acceptance ladder: every public op is timed on every input
-/// under auto routing and under each forced format, and the record keeps
-/// auto / best-static / worst-static ratios. The tracked claims: auto stays
-/// within 10% of the best static choice (geomean) and strictly beats the
-/// worst one — i.e. the cost model earns its keep over any fixed format.
-/// All representations are materialised before timing, so the ladder
-/// measures routing quality, not one-off conversion noise; the conversion
-/// and cache-hit counters are reported separately from an instrumented pass.
-void write_formats_trajectory() {
-    const char* path = std::getenv("SPBLA_BENCH_FORMATS_JSON");
-    if (path == nullptr) path = "BENCH_formats.json";
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench_ops_micro: cannot open %s for writing\n", path);
-        return;
-    }
-
-    struct Input {
-        const char* name;
-        Matrix a;
-        Matrix b;
-    };
-    const auto square = [&](CsrMatrix m) {
-        Matrix a{std::move(m), ctx()};
-        Matrix b = storage::transpose(ctx(), a);
-        // Materialise every representation up front (charged, cached).
-        for (const Matrix* p : {&a, &b}) {
-            (void)p->csr(ctx());
-            (void)p->bitblocks(ctx());
-        }
-        return Input{nullptr, std::move(a), std::move(b)};
-    };
-    std::vector<Input> inputs;
-    inputs.push_back(square(data::make_rmat(10, 8).csr()));
-    inputs.back().name = "rmat-10-8";  // skewed sparse: the CSR home turf
-    inputs.push_back(square(data::make_uniform(256, 256, 0.30, 5151).csr()));
-    inputs.back().name = "uniform-256-dense";  // 30% full: bit-block turf
-    inputs.push_back(square(data::make_uniform(2048, 2048, 0.001, 5252).csr()));
-    inputs.back().name = "uniform-2048-hyper";  // ~2/row: below the bit-block gate
-
-    const FormatOp ops[] = {
-        {"multiply",
-         [](const Matrix& a, const Matrix& b) { (void)storage::multiply(ctx(), a, b); }},
-        {"ewise_add",
-         [](const Matrix& a, const Matrix& b) { (void)storage::ewise_add(ctx(), a, b); }},
-        {"ewise_mult",
-         [](const Matrix& a, const Matrix& b) { (void)storage::ewise_mult(ctx(), a, b); }},
-        {"transpose",
-         [](const Matrix& a, const Matrix&) { (void)storage::transpose(ctx(), a); }},
-        {"submatrix",
-         [](const Matrix& a, const Matrix&) {
-             (void)storage::submatrix(ctx(), a, a.nrows() / 4, a.ncols() / 4,
-                                      a.nrows() / 2, a.ncols() / 2);
-         }},
-        {"reduce_to_column",
-         [](const Matrix& a, const Matrix&) { (void)storage::reduce_to_column(ctx(), a); }},
-    };
-
-    struct HintCase {
-        const char* name;
-        storage::FormatHint hint;
-    };
-    const HintCase hints[] = {
-        {"auto", storage::FormatHint::Auto},
-        {"csr", storage::FormatHint::ForceCsr},
-        {"bitblock", storage::FormatHint::ForceBitBlocks},
-    };
-
-    bench::JsonWriter w(f);
-    w.begin_object();
-    w.field("bench", "formats");
-    w.field("operation", "storage dispatch vs forced formats");
-    w.field("policy", "parallel");
-    w.field("runs", 17);
-    w.field("aggregate", "min");
-    const auto counters_before = backend::Context::metrics_snapshot();
-    w.begin_array("records");
-    double log_vs_best = 0.0, log_vs_worst = 0.0;
-    std::size_t n_records = 0, auto_beats_worst = 0;
-    for (const auto& op : ops) {
-        for (const auto& input : inputs) {
-            w.begin_object();
-            w.field("op", op.name);
-            w.field("input", input.name);
-            w.field("nrows", static_cast<std::uint64_t>(input.a.nrows()));
-            w.field("nnz", static_cast<std::uint64_t>(input.a.nnz()));
-            double auto_ms = 0.0, best_ms = 0.0, worst_ms = 0.0;
-            for (const auto& h : hints) {
-                storage::ScopedHint scope{h.hint};
-                const auto stats = bench::time_stats(
-                    [&] { op.run(input.a, input.b); }, 17);
-                const double ms = stats.min_ms();
-                w.field(h.name, stats);
-                if (h.hint == storage::FormatHint::Auto) {
-                    auto_ms = ms;
-                } else {
-                    if (best_ms == 0.0 || ms < best_ms) best_ms = ms;
-                    if (ms > worst_ms) worst_ms = ms;
-                }
-            }
-            w.field("auto_vs_best_static", best_ms > 0 ? auto_ms / best_ms : 0.0);
-            w.field("auto_vs_worst_static", worst_ms > 0 ? auto_ms / worst_ms : 0.0);
-            if (auto_ms > 0 && best_ms > 0 && worst_ms > 0) {
-                log_vs_best += std::log(auto_ms / best_ms);
-                log_vs_worst += std::log(auto_ms / worst_ms);
-                if (auto_ms < worst_ms) ++auto_beats_worst;
-                ++n_records;
-            }
-            w.end_object();
-        }
-    }
-    w.end_array();
-
-    // Dense-bin density ladder: the broadword tier against the generic hash
-    // SpGEMM on uniform inputs at and above the 1/64 dense-bin threshold —
-    // the regime the 64x64 tile format was built for. The tracked claim:
-    // the bit tier wins by >= 4x geomean here. ewise_mult rides along so the
-    // instrumented replay exercises the AND counter
-    // (spbla.bitblock.words_anded), not just the multiply's OR paths.
-    struct Rung {
-        const char* name;
-        Index n;
-        double density;
-    };
-    const Rung rungs[] = {
-        {"uniform-1024-d1/64", 1024, 1.0 / 64},
-        {"uniform-1024-d1/16", 1024, 1.0 / 16},
-        {"uniform-512-d1/4", 512, 0.25},
-    };
-    constexpr int kBitRuns = 5;
-    w.begin_array("bitblock_ladder");
-    double log_bb = 0.0;
-    std::size_t n_bb = 0;
-    for (const Rung& r : rungs) {
-        const CsrMatrix a = data::make_uniform(r.n, r.n, r.density, 6161).csr();
-        const BitBlockMatrix ab = to_bitblocks(ctx(), a);
-        const auto g = baseline::GenericCsr::from_boolean(a);
-        const auto bit = bench::time_stats(
-            [&] { (void)ops::multiply(ctx(), ab, ab); }, kBitRuns);
-        const auto hash = bench::time_stats(
-            [&] { (void)baseline::multiply_hash(ctx(), g, g); }, kBitRuns);
-        const auto bit_and = bench::time_stats(
-            [&] { (void)ops::ewise_mult(ctx(), ab, ab); }, kBitRuns);
-        const double speedup =
-            bit.min_ms() > 0 ? hash.min_ms() / bit.min_ms() : 0.0;
-        w.begin_object();
-        w.field("input", r.name);
-        w.field("nrows", static_cast<std::uint64_t>(r.n));
-        w.field("nnz", static_cast<std::uint64_t>(a.nnz()));
-        w.field("density", r.density);
-        w.field("bitblock_multiply", bit);
-        w.field("hash_spgemm", hash);
-        w.field("bitblock_ewise_mult", bit_and);
-        w.field("bitblock_vs_hash", speedup);
-        w.end_object();
-        if (speedup > 0) {
-            log_bb += std::log(speedup);
-            ++n_bb;
-        }
-    }
-    w.end_array();
-    const double geo_bb =
-        n_bb > 0 ? std::exp(log_bb / static_cast<double>(n_bb)) : 0.0;
-    w.field("geomean_bitblock_vs_hash_spgemm", geo_bb);
-
-    // Counter story of the whole sweep: conversions happen only while the
-    // reps warm up (bounded by inputs x formats); routed ops hit the cache.
-    // dispatch_coo and dispatch_dense read the retired routes' counters and
-    // stay 0; they keep the record's field set unchanged.
-    const auto counters_after = backend::Context::metrics_snapshot();
-    const auto counted = [&](telemetry::Counter c) {
-        return counters_after.counter(c) - counters_before.counter(c);
-    };
-    w.begin_object("counters");
-    w.field("format_conversions", counted(telemetry::Counter::StorageConversions));
-    w.field("repr_cache_hits", counted(telemetry::Counter::StorageCacheHits));
-    w.field("dispatch_csr", counted(telemetry::Counter::DispatchCsr));
-    w.field("dispatch_coo", counted(telemetry::Counter::DispatchCoo));
-    w.field("dispatch_dense", counted(telemetry::Counter::DispatchDense));
-    w.field("dispatch_bitblock", counted(telemetry::Counter::DispatchBitBlocks));
-    w.end_object();
-    if (prof::counting()) {
-        // Replay once with cold caches so the exported trace carries the
-        // whole counter story: conversions while the secondary reps rebuild,
-        // cache hits when the next op reuses them, and one pick per dispatch.
-        const auto before = telemetry::snapshot();
-        for (auto& input : inputs) {
-            input.a.drop_cached();
-            input.b.drop_cached();
-            for (const auto& op : ops) op.run(input.a, input.b);
-        }
-        bench::write_counter_deltas(w, before, telemetry::snapshot(), "replay_counters");
-    }
-    const double geo_best =
-        n_records > 0 ? std::exp(log_vs_best / static_cast<double>(n_records)) : 0.0;
-    const double geo_worst =
-        n_records > 0 ? std::exp(log_vs_worst / static_cast<double>(n_records)) : 0.0;
-    w.field("geomean_auto_vs_best_static", geo_best);
-    w.field("geomean_auto_vs_worst_static", geo_worst);
-    w.field("auto_beats_worst_static",
-            static_cast<std::uint64_t>(auto_beats_worst));
-    w.field("n_records", static_cast<std::uint64_t>(n_records));
-    w.end_object();
-    std::fclose(f);
-    std::printf("Format-dispatch ladder written to %s "
-                "(auto vs best static %.2fx, vs worst static %.2fx, "
-                "bitblock vs hash-SpGEMM %.2fx)\n",
-                path, geo_best, geo_worst, geo_bb);
-}
-
 // ------- Incremental update-latency ladder (BENCH_incremental.json) --------
 
 /// Update latency vs batch size: transitive-closure maintenance on LUBM and
@@ -694,13 +475,12 @@ void write_incremental_trajectory() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Three trajectory ladders plus the benchmark loop overflow the default
+    // Two trajectory ladders plus the benchmark loop overflow the default
     // per-thread trace ring (the incremental ladder's semi-naive rounds
     // would lap the earlier ladders' spans out of the exit trace), so size
     // the rings for the whole smoke run before the first span is recorded.
     prof::set_ring_capacity(1 << 16);
     write_spgemm_trajectory();
-    write_formats_trajectory();
     write_incremental_trajectory();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -22,6 +22,15 @@
 extern "C" {
 #endif
 
+/* C++ sees the enums a caller passes in with an int underlying type, so a
+ * value outside the enumerators (which C allows) is still a valid C++ value
+ * and the library can reject it with SPBLA_STATUS_INVALID_ARGUMENT. */
+#ifdef __cplusplus
+#define SPBLA_ENUM_INT : int
+#else
+#define SPBLA_ENUM_INT
+#endif
+
 /** Index type of matrix coordinates (rows, columns). */
 typedef uint32_t spbla_Index;
 
@@ -37,24 +46,24 @@ typedef enum spbla_Status {
 } spbla_Status;
 
 /** Hints passed to spbla_Initialize. */
-typedef enum spbla_InitHint {
+typedef enum spbla_InitHint SPBLA_ENUM_INT {
     SPBLA_INIT_DEFAULT = 0,       /**< parallel backend (simulated device) */
     SPBLA_INIT_SEQUENTIAL = 1     /**< sequential CPU fallback backend */
 } spbla_InitHint;
 
 /** Hints passed to operation entry points. */
-typedef enum spbla_OpHint {
+typedef enum spbla_OpHint SPBLA_ENUM_INT {
     SPBLA_HINT_NO = 0,          /**< overwrite the result operand */
     SPBLA_HINT_ACCUMULATE = 1   /**< OR the result into the result operand */
 } spbla_OpHint;
 
-/** Storage-format hints for the storage engine's dispatch layer. The values
- *  2 and 3 (formerly COO and dense) are no longer formats and are rejected
- *  with SPBLA_STATUS_INVALID_ARGUMENT. */
-typedef enum spbla_FormatHint {
-    SPBLA_FORMAT_AUTO = 0,     /**< cost-driven per-op format selection */
-    SPBLA_FORMAT_CSR = 1,      /**< force the CSR (cuBool-style) backend */
-    SPBLA_FORMAT_BITBLOCK = 4  /**< force the 64x64 tiled bit-block backend */
+/** Storage-format hints. Every matrix is stored in CSR, so both values
+ *  change nothing. The values 2, 3 and 4 (formerly COO, dense and bit
+ *  blocks) are no longer formats and are rejected with
+ *  SPBLA_STATUS_INVALID_ARGUMENT. */
+typedef enum spbla_FormatHint SPBLA_ENUM_INT {
+    SPBLA_FORMAT_AUTO = 0,     /**< the library's choice (CSR) */
+    SPBLA_FORMAT_CSR = 1       /**< the CSR (cuBool-style) format */
 } spbla_FormatHint;
 
 /** Opaque sparse Boolean matrix handle. */
@@ -65,7 +74,8 @@ typedef struct spbla_Matrix_t* spbla_Matrix;
  *  path-querying layer needs). */
 typedef struct spbla_Vector_t* spbla_Vector;
 
-/** Initialise the library. Must be the first call. */
+/** Initialise the library. Must be the first call. An unknown hint returns
+ *  SPBLA_STATUS_INVALID_ARGUMENT and initialises nothing. */
 spbla_Status spbla_Initialize(spbla_InitHint hint);
 
 /** Tear the library down. Fails with INVALID_STATE if matrices are live. */
@@ -93,7 +103,7 @@ uint64_t spbla_GetLiveObjects(void);
  * "counters" or "trace" they move the runtime level within what was
  * compiled in. Profiling records spans only; every count lives in the
  * telemetry registry below, which profiling builds extend with kernel-work
- * tallies (hash probes, SpGEMM bins, bit-block tiles). Setting the
+ * tallies (hash probes, SpGEMM bins, cached rows). Setting the
  * environment variable SPBLA_TRACE=<path> before the first library call is
  * equivalent to enabling level 2 and dumping a trace to <path> at process
  * exit. */
@@ -122,7 +132,7 @@ spbla_Status spbla_ProfDump(const char* path);
  * <path>.flight. */
 
 /** Serialisation format for spbla_MetricsDump. */
-typedef enum spbla_MetricsFormat {
+typedef enum spbla_MetricsFormat SPBLA_ENUM_INT {
     SPBLA_METRICS_JSON = 0,      /**< JSON document (schema spbla.metrics.v1) */
     SPBLA_METRICS_PROMETHEUS = 1 /**< Prometheus text exposition format */
 } spbla_MetricsFormat;
@@ -137,26 +147,17 @@ spbla_Status spbla_MetricsDump(const char* path, spbla_MetricsFormat format);
 spbla_Status spbla_MetricsReset(void);
 
 /* --------------------------- storage engine ----------------------------
- * Matrices are format-polymorphic: the library stores each one in CSR or a
- * grid of 64x64 bit blocks and picks the representation per operation with
- * a cost model (conversions are cached under a memory budget). These calls
- * are the escape hatch when the caller knows better than the model. */
+ * Every matrix is stored in CSR, the cuBool format. The format-hint calls
+ * remain for source compatibility and change nothing. */
 
-/** Force every subsequent operation onto one backend (or restore AUTO).
- *  Operations the forced backend does not implement fall back to CSR, so
- *  results are always identical to AUTO. May be called any time. A value
- *  that names no hint (2 and 3 included) returns
- *  SPBLA_STATUS_INVALID_ARGUMENT and leaves the current hint in place. */
+/** Accepts SPBLA_FORMAT_AUTO and SPBLA_FORMAT_CSR, which change nothing.
+ *  May be called any time. Any other value (2, 3 and 4 included) returns
+ *  SPBLA_STATUS_INVALID_ARGUMENT. */
 spbla_Status spbla_SetFormatHint(spbla_FormatHint hint);
 
-/** Bound, in bytes, on cached secondary representations kept alive across
- *  operations (0 disables caching). Default: 256 MiB. */
-spbla_Status spbla_SetCacheBudget(uint64_t bytes);
-
-/** Re-anchor one matrix's primary storage format (converting if needed).
- *  SPBLA_FORMAT_AUTO, and any value that names no format (2 and 3
- *  included), returns SPBLA_STATUS_INVALID_ARGUMENT and leaves the matrix,
- *  its format and its content version unchanged. */
+/** Accepts SPBLA_FORMAT_CSR and leaves the matrix and its content version
+ *  unchanged. SPBLA_FORMAT_AUTO, and any value that names no format (2, 3
+ *  and 4 included), returns SPBLA_STATUS_INVALID_ARGUMENT. */
 spbla_Status spbla_Matrix_SetFormatHint(spbla_Matrix matrix, spbla_FormatHint hint);
 
 /* -------------------------------- matrix ------------------------------- */
@@ -168,7 +169,9 @@ spbla_Status spbla_Matrix_New(spbla_Matrix* matrix, spbla_Index nrows, spbla_Ind
 spbla_Status spbla_Matrix_Free(spbla_Matrix* matrix);
 
 /** Fill with nvals (rows[k], cols[k]) pairs; duplicates are merged.
- *  With SPBLA_HINT_ACCUMULATE the pairs are OR-ed into existing content. */
+ *  With SPBLA_HINT_ACCUMULATE the pairs are OR-ed into existing content.
+ *  An unknown hint returns SPBLA_STATUS_INVALID_ARGUMENT and leaves the
+ *  matrix unchanged. */
 spbla_Status spbla_Matrix_Build(spbla_Matrix matrix, const spbla_Index* rows,
                                 const spbla_Index* cols, spbla_Index nvals,
                                 spbla_OpHint hint);
@@ -191,7 +194,8 @@ spbla_Status spbla_Matrix_Duplicate(spbla_Matrix matrix, spbla_Matrix* duplicate
  * additionally participates as an accumulator, so its shape must match). */
 
 /** result (+)= a x b over the Boolean semiring.
- *  SPBLA_HINT_ACCUMULATE gives the paper's fused C += M x N. */
+ *  SPBLA_HINT_ACCUMULATE gives the paper's fused C += M x N. An unknown
+ *  hint returns SPBLA_STATUS_INVALID_ARGUMENT and leaves result unchanged. */
 spbla_Status spbla_MxM(spbla_Matrix result, spbla_Matrix a, spbla_Matrix b,
                        spbla_OpHint hint);
 
@@ -277,6 +281,8 @@ spbla_Status spbla_VxM(spbla_Vector result, spbla_Vector v, spbla_Matrix m);
 
 /** result = reduceToColumn(m) as a vector of non-empty rows. */
 spbla_Status spbla_Matrix_ReduceVector(spbla_Vector result, spbla_Matrix m);
+
+#undef SPBLA_ENUM_INT
 
 #ifdef __cplusplus
 }

@@ -8,10 +8,7 @@
 ///  - Squaring:  M <- M | M*M     (O(log d) rounds for diameter d)
 ///  - Linear:    M <- M | M*Base  (O(d) rounds, cheaper per round)
 ///
-/// Operates on the format-polymorphic spbla::Matrix: the storage dispatch
-/// layer picks the representation per round (CSR while sparse, bit blocks
-/// once the closure saturates) with hysteresis, so a fixpoint run converts
-/// formats at most a constant number of times.
+/// Operates on spbla::Matrix through the storage dispatch layer.
 #pragma once
 
 #include "backend/context.hpp"

@@ -7,9 +7,7 @@ namespace spbla::algorithms {
 std::uint64_t count_triangles(backend::Context& ctx, const Matrix& adj) {
     check(adj.nrows() == adj.ncols(), Status::DimensionMismatch,
           "count_triangles: matrix must be square");
-    // Materialise the row structure once, outside the parallel region — the
-    // handle's lazy conversion cache is not safe to fill concurrently.
-    const auto& rows = adj.csr(ctx);
+    const auto& rows = adj.csr();
     // Edge iterator: for each edge (u, v) with u < v, count common
     // neighbours w with w > v; each triangle u < v < w is counted once.
     std::atomic<std::uint64_t> total{0};

@@ -1,8 +1,7 @@
 /// \file arena.hpp
 /// \brief Scoped bump arenas and the pooled tile-buffer free lists.
 ///
-/// Kernel scratch (per-row SpGEMM accumulators, bit-block panels, conversion
-/// cursors) used to churn raw std::vectors through the general allocator on
+/// Kernel scratch (per-row SpGEMM accumulators, conversion cursors) used to churn raw std::vectors through the general allocator on
 /// every row and tile — invisible to MemoryTracker and paid in
 /// malloc/free on the hottest paths. This header provides the two memory
 /// tiers that replace that churn:
@@ -15,9 +14,8 @@
 ///     zero allocator traffic.
 ///
 ///   BufferPool — size-classed free lists for long-lived index buffers that
-///     outlive one op (CSR row-offset/column arrays of cached secondary
-///     representations, kernel output arrays). Dropping a cached rep
-///     returns its arrays in O(1); the next conversion re-acquires them.
+///     outlive one op (kernel output arrays). Releasing a buffer returns it
+///     in O(1); the next acquire of its size class re-uses it.
 ///
 /// Tracker veneer: a slab is counted once by MemoryTracker::on_alloc at its
 /// reserve and once by on_free at trim; in between, the arena charges the

@@ -119,8 +119,8 @@ public:
         return DeviceBuffer<T>::borrow(p, count);
     }
 
-    /// Size-classed free lists for index buffers that outlive one op (cached
-    /// secondary representations, kernel output arrays).
+    /// Size-classed free lists for index buffers that outlive one op (kernel
+    /// output arrays).
     [[nodiscard]] BufferPool& buffer_pool() const noexcept { return *buffer_pool_; }
 
     /// Release retained scratch (arena slabs + pooled buffers) back to the

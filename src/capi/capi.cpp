@@ -58,6 +58,13 @@ spbla_Status guarded(Body&& body) noexcept {
     }
 }
 
+/// True iff \p hint names an spbla_OpHint value; records the error if not.
+bool known_op_hint(spbla_OpHint hint, const char* where) {
+    if (hint == SPBLA_HINT_NO || hint == SPBLA_HINT_ACCUMULATE) return true;
+    g_last_error = std::string{where} + ": unknown op hint";
+    return false;
+}
+
 spbla_Status require_init() noexcept {
     if (!g_context) {
         g_last_error = "spbla is not initialized";
@@ -75,6 +82,10 @@ spbla_Status spbla_Initialize(spbla_InitHint hint) {
         if (g_context) {
             g_last_error = "spbla is already initialized";
             return SPBLA_STATUS_INVALID_STATE;
+        }
+        if (hint != SPBLA_INIT_DEFAULT && hint != SPBLA_INIT_SEQUENTIAL) {
+            g_last_error = "spbla_Initialize: unknown hint";
+            return SPBLA_STATUS_INVALID_ARGUMENT;
         }
         const auto policy = hint == SPBLA_INIT_SEQUENTIAL
                                 ? spbla::backend::Policy::Sequential
@@ -175,27 +186,10 @@ spbla_Status spbla_MetricsReset(void) {
 
 spbla_Status spbla_SetFormatHint(spbla_FormatHint hint) {
     return guarded([&]() -> spbla_Status {
-        switch (hint) {
-            case SPBLA_FORMAT_AUTO:
-                spbla::storage::set_global_hint(spbla::storage::FormatHint::Auto);
-                break;
-            case SPBLA_FORMAT_CSR:
-                spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceCsr);
-                break;
-            case SPBLA_FORMAT_BITBLOCK:
-                spbla::storage::set_global_hint(spbla::storage::FormatHint::ForceBitBlocks);
-                break;
-            default:
-                g_last_error = "spbla_SetFormatHint: unknown hint";
-                return SPBLA_STATUS_INVALID_ARGUMENT;
+        if (hint != SPBLA_FORMAT_AUTO && hint != SPBLA_FORMAT_CSR) {
+            g_last_error = "spbla_SetFormatHint: unknown hint";
+            return SPBLA_STATUS_INVALID_ARGUMENT;
         }
-        return SPBLA_STATUS_SUCCESS;
-    });
-}
-
-spbla_Status spbla_SetCacheBudget(uint64_t bytes) {
-    return guarded([&]() -> spbla_Status {
-        spbla::storage::set_cache_budget(static_cast<std::size_t>(bytes));
         return SPBLA_STATUS_SUCCESS;
     });
 }
@@ -207,17 +201,9 @@ spbla_Status spbla_Matrix_SetFormatHint(spbla_Matrix matrix, spbla_FormatHint hi
             g_last_error = "spbla_Matrix_SetFormatHint: null handle";
             return SPBLA_STATUS_INVALID_ARGUMENT;
         }
-        switch (hint) {
-            case SPBLA_FORMAT_CSR:
-                matrix->data.convert_to(spbla::Format::Csr, *g_context);
-                break;
-            case SPBLA_FORMAT_BITBLOCK:
-                matrix->data.convert_to(spbla::Format::BitBlocks, *g_context);
-                break;
-            case SPBLA_FORMAT_AUTO:
-            default:
-                g_last_error = "spbla_Matrix_SetFormatHint: hint must name a format";
-                return SPBLA_STATUS_INVALID_ARGUMENT;
+        if (hint != SPBLA_FORMAT_CSR) {
+            g_last_error = "spbla_Matrix_SetFormatHint: hint must name a format";
+            return SPBLA_STATUS_INVALID_ARGUMENT;
         }
         return SPBLA_STATUS_SUCCESS;
     });
@@ -260,6 +246,7 @@ spbla_Status spbla_Matrix_Build(spbla_Matrix matrix, const spbla_Index* rows,
             g_last_error = "spbla_Matrix_Build: null argument";
             return SPBLA_STATUS_INVALID_ARGUMENT;
         }
+        if (!known_op_hint(hint, "spbla_Matrix_Build")) return SPBLA_STATUS_INVALID_ARGUMENT;
         std::vector<spbla::Coord> coords;
         coords.reserve(nvals);
         for (spbla_Index k = 0; k < nvals; ++k) coords.push_back({rows[k], cols[k]});
@@ -342,6 +329,7 @@ spbla_Status spbla_MxM(spbla_Matrix result, spbla_Matrix a, spbla_Matrix b,
         if (auto s = require_init(); s != SPBLA_STATUS_SUCCESS) return s;
         if (result == nullptr || a == nullptr || b == nullptr)
             return SPBLA_STATUS_INVALID_ARGUMENT;
+        if (!known_op_hint(hint, "spbla_MxM")) return SPBLA_STATUS_INVALID_ARGUMENT;
         result->data = hint == SPBLA_HINT_ACCUMULATE
                            ? spbla::storage::multiply_add(*g_context, result->data,
                                                           a->data, b->data)

@@ -9,7 +9,7 @@ namespace spbla::cfpq {
 AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
                         const Grammar& g, const ops::SpGemmOptions& opts) {
     SPBLA_CHECKED(for (const auto& label : graph.labels())
-                      core::validate(graph.matrix(label).csr(ctx)));
+                      core::validate(graph.matrix(label).csr()));
     SPBLA_PROF_SPAN("cfpq.azimov");
     AzimovIndex index;
     index.cnf = to_cnf(g);
@@ -44,7 +44,7 @@ AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
             if (index.nt_matrix[a].nnz() != before) changed = true;
         }
     }
-    SPBLA_CHECKED(for (const auto& m : index.nt_matrix) core::validate(m.csr(ctx)));
+    SPBLA_CHECKED(for (const auto& m : index.nt_matrix) core::validate(m.csr()));
     return index;
 }
 

@@ -12,7 +12,7 @@ namespace spbla::cfpq {
 TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
                         const Grammar& g, const TensorOptions& opts) {
     SPBLA_CHECKED(for (const auto& label : graph.labels())
-                      core::validate(graph.matrix(label).csr(ctx)));
+                      core::validate(graph.matrix(label).csr()));
     SPBLA_PROF_SPAN("cfpq.tensor");
     const Rsm rsm = build_rsm(g);
     const Index n = graph.num_vertices();
@@ -79,8 +79,8 @@ TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
 
     index.closure = std::move(closure);
     SPBLA_CHECKED({
-        core::validate(index.closure.csr(ctx));
-        for (const auto& [nt, m] : index.nt_matrix) core::validate(m.csr(ctx));
+        core::validate(index.closure.csr());
+        for (const auto& [nt, m] : index.nt_matrix) core::validate(m.csr());
     });
     return index;
 }

@@ -3,7 +3,7 @@
 ///
 /// The exhaustive reference implementation every sparse kernel is tested
 /// against. It is not a storage-engine representation: spbla::Matrix holds
-/// CSR or bit blocks only.
+/// CSR only.
 #pragma once
 
 #include <cstddef>

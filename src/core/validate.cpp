@@ -4,8 +4,6 @@ namespace spbla::core {
 
 void validate(const CsrMatrix& m) { m.validate(); }
 
-void validate(const BitBlockMatrix& m) { m.validate(); }
-
 void validate(const SpVector& v) { v.validate(); }
 
 }  // namespace spbla::core

@@ -11,7 +11,6 @@
 /// of poisoning a later op.
 #pragma once
 
-#include "core/bitblocks.hpp"
 #include "core/csr.hpp"
 #include "core/spvector.hpp"
 #include "util/contracts.hpp"
@@ -20,9 +19,6 @@ namespace spbla::core {
 
 /// Check all CsrMatrix storage invariants; throws Error(InvalidState).
 void validate(const CsrMatrix& m);
-
-/// Check all BitBlockMatrix storage invariants; throws Error(InvalidState).
-void validate(const BitBlockMatrix& m);
 
 /// Check all SpVector storage invariants; throws Error(InvalidState).
 void validate(const SpVector& v);

@@ -15,7 +15,7 @@
 /// a per-entry mutex — the first computes, the rest block and reuse, so the
 /// kernel (and its device-memory charge) runs once per (epoch, op) no matter
 /// how many threads race it. This is the property IncrFuzzSweep pins by
-/// racing lookups against format conversions.
+/// racing same-key lookups.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 /// \brief Umbrella header for every Boolean kernel in the library.
 #pragma once
 
-#include "ops/bitblock_ops.hpp"  // IWYU pragma: export
 #include "ops/ewise_add.hpp"   // IWYU pragma: export
 #include "ops/ewise_mult.hpp"  // IWYU pragma: export
 #include "ops/kronecker.hpp"   // IWYU pragma: export

@@ -16,7 +16,7 @@
 /// registry (telemetry/metric_names.hpp), and the Chrome trace embeds one
 /// telemetry snapshot, so a trace and a metrics dump report the same
 /// numbers under the same names. Kernel-work counters that cost work to
-/// compute (hash probes, the SpGEMM bin tally, bit-block tiles) are
+/// compute (hash probes, the SpGEMM bin tally, cached rows) are
 /// telemetry counters too, recorded through SPBLA_PROF_TALLY so they exist
 /// only in profiling builds.
 ///

@@ -15,7 +15,7 @@ namespace spbla::rpq {
 RpqIndex build_index(backend::Context& ctx, const data::LabeledGraph& graph,
                      const Dfa& query, algorithms::ClosureStrategy strategy) {
     SPBLA_CHECKED(for (const auto& label : graph.labels())
-                      core::validate(graph.matrix(label).csr(ctx)));
+                      core::validate(graph.matrix(label).csr()));
     SPBLA_PROF_SPAN("rpq.build_index");
     const Index n = graph.num_vertices();
     const Index k = query.num_states;
@@ -53,9 +53,9 @@ RpqIndex build_index(backend::Context& ctx, const data::LabeledGraph& graph,
     index.product = std::move(product);
     index.reachable = std::move(reachable);
     SPBLA_CHECKED({
-        core::validate(index.product.csr(ctx));
-        core::validate(index.closure.csr(ctx));
-        core::validate(index.reachable.csr(ctx));
+        core::validate(index.product.csr());
+        core::validate(index.closure.csr());
+        core::validate(index.reachable.csr());
     });
     return index;
 }

@@ -1,28 +1,17 @@
 /// \file dispatch.hpp
-/// \brief Cost-driven routing of every public operation over spbla::Matrix.
+/// \brief Instrumented routing of every public operation over spbla::Matrix.
 ///
 /// Each function mirrors one kernel family in ops/ops.hpp but takes the
-/// format-polymorphic handle. Behind them sits one op table (dispatch.cpp):
-/// each op is an entry listing its kernel rows per format, its cost model
-/// and its routing traits, and one router runs every entry. There are two
-/// formats, CSR and the 64x64 bit-block grid. Every op has a CSR row; the
-/// ones with a bit-block row (multiply, multiply_add, ewise_add/mult,
-/// transpose, reduce_to_column, mxv) carry a small cost model over the
-/// signals the handle already tracks (nnz, density) plus the conversion cost
-/// of any representation the operands do not have materialised. The
-/// bit-block row is a candidate only above its density gate (or when the
-/// tiles are already cached). The router applies hysteresis — the primary
-/// format of the anchor operand is kept unless a rival is decisively (2x)
-/// cheaper — so fixpoint drivers (closure, CFPQ, RPQ) settle into a stable
-/// format instead of thrashing. Ops without a cost model route CSR.
+/// handle. Behind them sits one op table (dispatch.cpp): each op is an entry
+/// naming its prof span, flight-recorder name, optional empty-operand
+/// shortcut and CSR kernel, and one router runs every entry. The router
+/// opens the op's span and arena scope, then books one spbla.dispatch.ops,
+/// one spbla.dispatch.csr, the latency and nnz histograms and a flight
+/// record.
 ///
-/// The storage::FormatHint global (see matrix.hpp) bypasses the cost model:
-/// a forced format the op has a kernel row for is used as is, any other
-/// falls back to CSR, so a forced sweep still computes identical results.
-///
-/// kronecker_sum has a CSR row only: it builds the RPQ and tensor-CFPQ
-/// product matrix M = OR_s Q_s (x) G_s straight from the terms' CSR rows, so
-/// there is no per-term product another format could carry.
+/// kronecker_sum builds the RPQ and tensor-CFPQ product matrix
+/// M = OR_s Q_s (x) G_s straight from the terms' CSR rows, with no per-term
+/// product.
 #pragma once
 
 #include <span>
@@ -81,7 +70,7 @@ struct KroneckerTerm {
 /// V[j] = OR_i A[i, j].
 [[nodiscard]] SpVector reduce_to_row(backend::Context& ctx, const Matrix& a);
 
-/// Total number of set cells (format-independent, O(1) on the handle).
+/// Total number of set cells (O(1) on the handle).
 [[nodiscard]] std::size_t reduce_scalar(const Matrix& a) noexcept;
 
 /// y = A x (Boolean matrix-vector product).

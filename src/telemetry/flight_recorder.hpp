@@ -32,7 +32,7 @@ inline constexpr std::size_t kCapacity = 256;
 struct Record {
     std::uint64_t seq{0};         ///< 1-based publication id; 0 = empty slot
     char op[16]{};                ///< dispatcher op name, truncated
-    char format[12]{};            ///< routed format ("csr", "bitblock", ...)
+    char format[12]{};            ///< routed format (always "csr")
     std::uint32_t nrows{0};       ///< result rows
     std::uint32_t ncols{0};       ///< result cols
     std::uint64_t nnz_in{0};      ///< combined operand nnz

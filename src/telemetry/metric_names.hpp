@@ -23,16 +23,15 @@ namespace spbla::telemetry {
 /// telemetry::reset() / spbla_MetricsReset.
 enum class Counter : std::uint16_t {
     DispatchOps = 0,      ///< storage-dispatcher ops completed (any route)
-    DispatchCsr,          ///< ops routed to the CSR kernels
-    /// Retired COO and dense-bitmap routes: nothing counts them, so they
-    /// stay at 0. Kept because the end-to-end benchmark still reads them.
+    DispatchCsr,          ///< ops routed to the CSR kernels (every op)
+    /// Retired COO, dense-bitmap and bit-block routes and the retired
+    /// representation cache: nothing counts them, so they stay at 0. Kept
+    /// because the end-to-end benchmark still reads them.
     DispatchCoo,
     DispatchDense,
-    DispatchBitBlocks,    ///< ops routed to the 64x64 bit-block tier
-    StorageConversions,   ///< format conversions materialised
-    StorageCacheHits,     ///< secondary-representation cache hits
-    StorageCacheStores,   ///< secondary representations cached
-    StorageCacheDrops,    ///< cached representations evicted
+    DispatchBitBlocks,
+    StorageConversions,
+    StorageCacheHits,
     PoolTasks,            ///< discrete pool jobs completed
     PoolBulkLaunches,     ///< dynamic bulk launches (parallel_for ticket sets)
     PoolTickets,          ///< tickets issued by bulk launches
@@ -66,9 +65,6 @@ enum class Counter : std::uint16_t {
     SpgemmRowsHashLarge,  ///< rows binned to the large hash table
     SpgemmRowsDense,      ///< rows binned to the dense bitmap accumulator
     SpgemmCachedRows,     ///< rows the numeric pass copied from the symbolic cache
-    BitblockBlocksTouched,///< 64x64 tiles visited by the bit-block kernels
-    BitblockWordsAnded,   ///< 64-bit words ANDed (ewise_mult / mxv)
-    BitblockLookupHits,   ///< Four-Russians lookup-table probes (multiply)
     Count_,               ///< sentinel — keep last
 };
 
@@ -77,7 +73,6 @@ enum class Counter : std::uint16_t {
 enum class Gauge : std::uint16_t {
     MemLiveBytes = 0,     ///< tracked device bytes currently allocated (all contexts)
     MemPeakBytes,         ///< high-water mark of MemLiveBytes
-    StorageCachedBytes,   ///< bytes held by cached secondary representations
     PoolQueueDepth,       ///< jobs waiting in pool FIFO queues
     PoolInFlight,         ///< submitted jobs not yet completed
     PoolBusyWorkers,      ///< threads currently executing pool work
@@ -93,12 +88,12 @@ enum class Gauge : std::uint16_t {
 /// [2^(i-1), 2^i - 1].
 enum class Histogram : std::uint16_t {
     OpLatencyCsrNs = 0,   ///< dispatcher op wall-time, CSR route
-    /// Retired COO and dense-bitmap routes: nothing observes them, so they
-    /// stay at count 0. Kept because the end-to-end benchmark still reads
-    /// them.
+    /// Retired COO, dense-bitmap and bit-block routes: nothing observes
+    /// them, so they stay at count 0. Kept because the end-to-end benchmark
+    /// still reads them.
     OpLatencyCooNs,
     OpLatencyDenseNs,
-    OpLatencyBitBlocksNs, ///< dispatcher op wall-time, bit-block route
+    OpLatencyBitBlocksNs,
     /// Retired multi-device route: nothing observes it, so it stays at count
     /// 0. Kept because the end-to-end benchmark still reads it.
     OpLatencyShardedNs,
@@ -123,8 +118,6 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::DispatchBitBlocks: return "spbla.dispatch.bitblock";
         case Counter::StorageConversions: return "spbla.storage.conversions";
         case Counter::StorageCacheHits: return "spbla.storage.cache_hits";
-        case Counter::StorageCacheStores: return "spbla.storage.cache_stores";
-        case Counter::StorageCacheDrops: return "spbla.storage.cache_drops";
         case Counter::PoolTasks: return "spbla.pool.tasks";
         case Counter::PoolBulkLaunches: return "spbla.pool.bulk_launches";
         case Counter::PoolTickets: return "spbla.pool.tickets";
@@ -155,9 +148,6 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::SpgemmRowsHashLarge: return "spbla.spgemm.rows_hash_large";
         case Counter::SpgemmRowsDense: return "spbla.spgemm.rows_dense";
         case Counter::SpgemmCachedRows: return "spbla.spgemm.cached_rows";
-        case Counter::BitblockBlocksTouched: return "spbla.bitblock.blocks_touched";
-        case Counter::BitblockWordsAnded: return "spbla.bitblock.words_anded";
-        case Counter::BitblockLookupHits: return "spbla.bitblock.lookup_hits";
         case Counter::Count_: break;
     }
     return "spbla.unknown.counter";
@@ -168,7 +158,6 @@ inline constexpr std::size_t kNumHistograms =
     switch (g) {
         case Gauge::MemLiveBytes: return "spbla.mem.live_bytes";
         case Gauge::MemPeakBytes: return "spbla.mem.peak_bytes";
-        case Gauge::StorageCachedBytes: return "spbla.storage.cached_bytes";
         case Gauge::PoolQueueDepth: return "spbla.pool.queue_depth";
         case Gauge::PoolInFlight: return "spbla.pool.in_flight";
         case Gauge::PoolBusyWorkers: return "spbla.pool.busy_workers";

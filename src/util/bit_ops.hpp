@@ -1,10 +1,9 @@
 /// \file bit_ops.hpp
 /// \brief Small bit-manipulation helpers shared across kernels.
 ///
-/// The broadword primitives below (popcount64, bit_transpose_64x64,
-/// for_each_set_bit) are the substrate of the bit-parallel tier: the dense
-/// bitmap rep and the BitBlocks 64x64 tiles both pack 64 Boolean entries per
-/// machine word and lean on these instead of ad-hoc per-call loops.
+/// The broadword primitives below (popcount64, for_each_set_bit) serve the
+/// dense bitmap, which packs 64 Boolean entries per machine word, instead of
+/// ad-hoc per-call loops.
 #pragma once
 
 #include <bit>
@@ -67,22 +66,6 @@ inline void for_each_set_bit(std::uint64_t word, Fn&& fn) {
     while (word != 0) {
         fn(static_cast<unsigned>(std::countr_zero(word)));
         word &= word - 1;
-    }
-}
-
-/// In-place transpose of a 64x64 bit matrix: x[r] is row r, bit c is column
-/// c (LSB-first, matching DenseMatrix/BitBlockMatrix packing). Recursive
-/// quadrant swap (Hacker's Delight 7-3, re-derived for LSB-first order):
-/// log2(64) = 6 rounds of masked XOR swaps, ~384 word ops, no memory
-/// traffic beyond the 64 words themselves.
-inline void bit_transpose_64x64(std::uint64_t x[64]) noexcept {
-    std::uint64_t m = 0x00000000FFFFFFFFull;
-    for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const std::uint64_t t = ((x[k] >> j) ^ x[k | j]) & m;
-            x[k | j] ^= t;
-            x[k] ^= t << j;
-        }
     }
 }
 

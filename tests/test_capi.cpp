@@ -3,7 +3,7 @@
 #include <array>
 #include <vector>
 
-#include "capi/handles.hpp"  // white-box: reads handle formats and epochs
+#include "capi/handles.hpp"  // white-box: reads handle epochs
 #include "spbla/spbla.h"
 
 namespace {
@@ -46,6 +46,19 @@ TEST(CApiLifecycle, FinalizeWithLiveObjectsRejected) {
 TEST(CApiLifecycle, SequentialHintWorks) {
     ASSERT_EQ(spbla_Initialize(SPBLA_INIT_SEQUENTIAL), SPBLA_STATUS_SUCCESS);
     EXPECT_EQ(spbla_IsInitialized(), 1);
+    EXPECT_EQ(spbla_Finalize(), SPBLA_STATUS_SUCCESS);
+}
+
+TEST(CApiLifecycle, UnknownInitHintIsRejected) {
+    // Only 0 (default) and 1 (sequential) are hints; any other value used to
+    // initialise a parallel context.
+    for (const int raw : {2, 7, -1}) {
+        EXPECT_EQ(spbla_Initialize(static_cast<spbla_InitHint>(raw)),
+                  SPBLA_STATUS_INVALID_ARGUMENT)
+            << raw;
+        EXPECT_EQ(spbla_IsInitialized(), 0) << raw;
+    }
+    ASSERT_EQ(spbla_Initialize(SPBLA_INIT_DEFAULT), SPBLA_STATUS_SUCCESS);
     EXPECT_EQ(spbla_Finalize(), SPBLA_STATUS_SUCCESS);
 }
 
@@ -117,8 +130,8 @@ TEST_F(CApiTest, BuildOutOfRangeFails) {
 }
 
 TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderEveryHint) {
-    // 65537 * 65536 result rows overflow spbla_Index; every route must
-    // reject the product and leave the result untouched.
+    // 65537 * 65536 result rows overflow spbla_Index; under every accepted
+    // hint the product must be rejected and the result left untouched.
     spbla_Matrix a = nullptr, b = nullptr, r = nullptr;
     ASSERT_EQ(spbla_Matrix_New(&a, 65537, 1), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_New(&b, 65536, 1), SPBLA_STATUS_SUCCESS);
@@ -130,8 +143,7 @@ TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderEveryHint) {
     ASSERT_EQ(spbla_Matrix_Build(b, rows.data(), cols.data(), 65536, SPBLA_HINT_NO),
               SPBLA_STATUS_SUCCESS);
 
-    for (const spbla_FormatHint hint :
-         {SPBLA_FORMAT_AUTO, SPBLA_FORMAT_CSR, SPBLA_FORMAT_BITBLOCK}) {
+    for (const spbla_FormatHint hint : {SPBLA_FORMAT_AUTO, SPBLA_FORMAT_CSR}) {
         if (hint != SPBLA_FORMAT_AUTO) {
             ASSERT_EQ(spbla_Matrix_SetFormatHint(a, hint), SPBLA_STATUS_SUCCESS);
             ASSERT_EQ(spbla_Matrix_SetFormatHint(b, hint), SPBLA_STATUS_SUCCESS);
@@ -149,33 +161,84 @@ TEST_F(CApiTest, KroneckerShapeOverflowFailsUnderEveryHint) {
     ASSERT_EQ(spbla_Matrix_Free(&r), SPBLA_STATUS_SUCCESS);
 }
 
-TEST_F(CApiTest, RetiredFormatValuesAreRejected) {
-    // 2 and 3 named the COO and dense formats, which are no longer
-    // representations: both calls refuse them and change nothing.
+/// Builds a 4x4 matrix holding (0, 1) and (3, 2).
+spbla_Matrix two_cell_matrix() {
     spbla_Matrix m = nullptr;
-    ASSERT_EQ(spbla_Matrix_New(&m, 4, 4), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(spbla_Matrix_New(&m, 4, 4), SPBLA_STATUS_SUCCESS);
     const std::array<spbla_Index, 2> rows{0, 3}, cols{1, 2};
-    ASSERT_EQ(spbla_Matrix_Build(m, rows.data(), cols.data(), 2, SPBLA_HINT_NO),
+    EXPECT_EQ(spbla_Matrix_Build(m, rows.data(), cols.data(), 2, SPBLA_HINT_NO),
               SPBLA_STATUS_SUCCESS);
-    ASSERT_EQ(spbla_Matrix_SetFormatHint(m, SPBLA_FORMAT_BITBLOCK), SPBLA_STATUS_SUCCESS);
-    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_CSR), SPBLA_STATUS_SUCCESS);
+    return m;
+}
+
+/// The cells of \p m, in (row, col) order.
+std::vector<std::array<spbla_Index, 2>> cells_of(spbla_Matrix m) {
+    spbla_Index nvals = 0;
+    EXPECT_EQ(spbla_Matrix_Nvals(m, &nvals), SPBLA_STATUS_SUCCESS);
+    std::vector<spbla_Index> rows(nvals), cols(nvals);
+    EXPECT_EQ(spbla_Matrix_ExtractPairs(m, rows.data(), cols.data(), &nvals),
+              SPBLA_STATUS_SUCCESS);
+    std::vector<std::array<spbla_Index, 2>> out;
+    for (spbla_Index k = 0; k < nvals; ++k) out.push_back({rows[k], cols[k]});
+    return out;
+}
+
+TEST_F(CApiTest, CsrFormatHintsChangeNothing) {
+    spbla_Matrix m = two_cell_matrix();
+    const auto cells = cells_of(m);
     const auto version = m->data.version();
 
-    for (const int raw : {2, 3}) {
+    EXPECT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_CSR), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(spbla_Matrix_SetFormatHint(m, SPBLA_FORMAT_CSR), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(m->data.version(), version);
+    EXPECT_EQ(cells_of(m), cells);
+    // AUTO names no format for a single matrix.
+    EXPECT_EQ(spbla_Matrix_SetFormatHint(m, SPBLA_FORMAT_AUTO),
+              SPBLA_STATUS_INVALID_ARGUMENT);
+    EXPECT_EQ(m->data.version(), version);
+
+    ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
+}
+
+TEST_F(CApiTest, RetiredFormatValuesAreRejected) {
+    // 2, 3 and 4 named the COO, dense and bit-block formats, which are no
+    // longer representations: both calls refuse them and change nothing.
+    spbla_Matrix m = two_cell_matrix();
+    const auto cells = cells_of(m);
+    const auto version = m->data.version();
+
+    for (const int raw : {2, 3, 4, 5, -1}) {
         const auto hint = static_cast<spbla_FormatHint>(raw);
         EXPECT_EQ(spbla_SetFormatHint(hint), SPBLA_STATUS_INVALID_ARGUMENT) << raw;
-        EXPECT_EQ(spbla::storage::global_hint(), spbla::storage::FormatHint::ForceCsr)
-            << raw;
         EXPECT_EQ(spbla_Matrix_SetFormatHint(m, hint), SPBLA_STATUS_INVALID_ARGUMENT)
             << raw;
-        EXPECT_EQ(m->data.format(), spbla::Format::BitBlocks) << raw;
         EXPECT_EQ(m->data.version(), version) << raw;
-        spbla_Index nvals = 0;
-        ASSERT_EQ(spbla_Matrix_Nvals(m, &nvals), SPBLA_STATUS_SUCCESS);
-        EXPECT_EQ(nvals, 2u) << raw;
+        EXPECT_EQ(cells_of(m), cells) << raw;
     }
 
-    ASSERT_EQ(spbla_SetFormatHint(SPBLA_FORMAT_AUTO), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
+}
+
+TEST_F(CApiTest, UnknownOpHintIsRejectedAndLeavesTheResult) {
+    // Any spbla_OpHint other than ACCUMULATE used to overwrite the result.
+    spbla_Matrix m = two_cell_matrix();
+    spbla_Matrix a = two_cell_matrix();
+    const auto cells = cells_of(m);
+    const auto version = m->data.version();
+    const spbla_Index r = 1, c = 1;
+
+    for (const int raw : {2, 7, -1}) {
+        const auto hint = static_cast<spbla_OpHint>(raw);
+        EXPECT_EQ(spbla_Matrix_Build(m, &r, &c, 1, hint), SPBLA_STATUS_INVALID_ARGUMENT)
+            << raw;
+        EXPECT_STRNE(spbla_GetLastError(), "") << raw;
+        EXPECT_EQ(spbla_MxM(m, a, a, hint), SPBLA_STATUS_INVALID_ARGUMENT) << raw;
+        EXPECT_EQ(m->data.version(), version) << raw;
+        EXPECT_EQ(cells_of(m), cells) << raw;
+    }
+
+    ASSERT_EQ(spbla_Matrix_Free(&a), SPBLA_STATUS_SUCCESS);
     ASSERT_EQ(spbla_Matrix_Free(&m), SPBLA_STATUS_SUCCESS);
 }
 

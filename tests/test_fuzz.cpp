@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <set>
 #include <string>
 #include <tuple>
@@ -156,88 +155,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707, 808));
 
 // ---------------------------------------------------------------------------
-// BitBlocks-backend differential fuzz. The broadword tier (ops/bitblock_*)
-// is a third implementation of multiply / ewise / transpose / reduce / mxv;
-// every random step is checked against BOTH the CSR kernel on converted
-// operands and the dense mirror (triple oracle), so a divergence isolates
-// which backend is wrong. Densities sweep the full regime the dispatcher can
-// route here, from far below the tile-occupancy gate (2^-10) up to 0.5,
-// and shapes straddle the 64-wide tile boundary on purpose.
-// ---------------------------------------------------------------------------
-
-class BitBlockFuzzSweep
-    : public ::spbla::testing::CheckedContextWithParam<std::uint64_t> {};
-
-TEST_P(BitBlockFuzzSweep, BitKernelsAgreeWithCsrKernelsAndDenseMirror) {
-    util::Rng rng{GetParam()};
-
-    for (int step = 0; step < 24; ++step) {
-        // Geometric density ladder: 2^-10 .. 2^-1 hits sparse tiles, hybrid
-        // flips and the Four-Russians threshold across steps.
-        const double density = std::ldexp(1.0, -1 - static_cast<int>(rng.below(10)));
-        const Index m = 1 + static_cast<Index>(rng.below(160));
-        const Index k = 1 + static_cast<Index>(rng.below(160));
-        const Index n = 1 + static_cast<Index>(rng.below(160));
-
-        const CsrMatrix ac = testing::random_csr(m, k, density, rng());
-        const CsrMatrix bc = testing::random_csr(k, n, density, rng());
-        const CsrMatrix cc = testing::random_csr(m, k, density, rng());
-        const BitBlockMatrix ab = to_bitblocks(ctx(), ac);
-        const BitBlockMatrix bb = to_bitblocks(ctx(), bc);
-        const BitBlockMatrix cb = to_bitblocks(ctx(), cc);
-
-        // Round trip is lossless.
-        ASSERT_EQ(to_csr(ctx(), ab), ac);
-
-        const auto check = [&](const BitBlockMatrix& got, const CsrMatrix& want,
-                               const DenseMatrix& mirror, const char* op) {
-            ASSERT_NO_THROW(core::validate(got)) << op;
-            const CsrMatrix flat = to_csr(ctx(), got);
-            ASSERT_NO_THROW(core::validate(flat)) << op;
-            ASSERT_EQ(flat, want) << op;
-            ASSERT_EQ(to_dense(flat), mirror) << op;
-        };
-
-        check(ops::multiply(ctx(), ab, bb), ops::multiply(ctx(), ac, bc),
-              to_dense(ac).multiply(to_dense(bc)), "bitblock.multiply");
-        check(ops::ewise_add(ctx(), ab, cb), ops::ewise_add(ctx(), ac, cc),
-              to_dense(ac).ewise_or(to_dense(cc)), "bitblock.ewise_add");
-        DenseMatrix and_mirror{m, k};
-        const DenseMatrix cd = to_dense(cc);
-        for (const auto& c : to_dense(ac).to_coords()) {
-            if (cd.get(c.row, c.col)) and_mirror.set(c.row, c.col);
-        }
-        check(ops::ewise_mult(ctx(), ab, cb), ops::ewise_mult(ctx(), ac, cc),
-              and_mirror, "bitblock.ewise_mult");
-        check(ops::transpose(ctx(), ab), ops::transpose(ctx(), ac),
-              to_dense(ac).transpose(), "bitblock.transpose");
-
-        ASSERT_EQ(ops::reduce_to_column(ctx(), ab),
-                  ops::reduce_to_column(ctx(), ac))
-            << "bitblock.reduce";
-
-        std::vector<Index> set;
-        for (Index c = 0; c < k; ++c) {
-            if (rng.below(3) == 0) set.push_back(c);
-        }
-        const SpVector x = SpVector::from_indices(k, std::move(set));
-        ASSERT_EQ(ops::mxv(ctx(), ab, x), ops::mxv(ctx(), ac, x))
-            << "bitblock.mxv";
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BitBlockFuzzSweep,
-                         ::testing::Values(7, 19, 31, 47, 59, 71));
-
-// ---------------------------------------------------------------------------
 // Incremental-evaluation differential fuzz. Random delta schedules are
 // streamed through the semi-naive drivers (src/incr) and every batch is
 // checked against a TRIPLE oracle: the incremental result, the scratch
 // fixpoint of the same engine, and an independent reference implementation
 // (Floyd–Warshall for closure, the product-automaton BFS for RPQ, the
-// worklist CFPQ solver). A second sweep races same-key memo lookups against
-// bitblock/CSR format materialisation to pin the table's exactly-once
-// compute semantics.
+// worklist CFPQ solver). A second sweep races same-key memo lookups to pin
+// the table's exactly-once compute semantics.
 // ---------------------------------------------------------------------------
 
 class IncrFuzzSweep
@@ -346,7 +270,7 @@ TEST_P(IncrFuzzSweep, StreamedFixpointsAgreeWithScratchAndReferenceOracles) {
     }
 }
 
-TEST_P(IncrFuzzSweep, MemoComputesExactlyOnceUnderConversionRaces) {
+TEST_P(IncrFuzzSweep, MemoComputesExactlyOnceUnderRacingLookups) {
     util::Rng rng{GetParam()};
     auto a = Matrix{testing::random_csr(48, 48, 0.08, rng()), ctx()};
     const auto b = Matrix{testing::random_csr(48, 48, 0.08, rng()), ctx()};
@@ -356,19 +280,10 @@ TEST_P(IncrFuzzSweep, MemoComputesExactlyOnceUnderConversionRaces) {
         const auto want = storage::multiply(ctx(), a, b);
         const auto before = incr::memo().stats();
         std::atomic<int> mismatches{0};
-        // Same-key memo bursts race against concurrent first materialisation
-        // of the operands' bitblock / CSR / dense representations — the
-        // conversions the memoized kernels pick themselves.
-        ctx().pool()->run_dynamic(kLanes, [&](std::size_t t) {
-            switch (t % 4) {
-                case 0: (void)a.bitblocks(ctx()); break;  // lint:allow(parallel-capture)
-                case 1: (void)b.csr(ctx()); break;        // lint:allow(parallel-capture)
-                default: {
-                    const auto got = incr::memo_multiply(ctx(), a, b);
-                    if (got != want) mismatches.fetch_add(1);
-                    break;
-                }
-            }
+        // A burst of same-key memo lookups from every lane at once.
+        ctx().pool()->run_dynamic(kLanes, [&](std::size_t) {
+            const auto got = incr::memo_multiply(ctx(), a, b);
+            if (got != want) mismatches.fetch_add(1);
         });
         EXPECT_EQ(mismatches.load(), 0);
         const auto after = incr::memo().stats();
@@ -377,11 +292,10 @@ TEST_P(IncrFuzzSweep, MemoComputesExactlyOnceUnderConversionRaces) {
         EXPECT_EQ(after.hits - before.hits, after.lookups - before.lookups - 1)
             << "every other lookup of the burst must hit";
 
-        // Fresh epoch (and re-raced first materialisation) next round.
+        // Fresh epoch next round.
         a.apply_delta(Matrix::from_coords(
                           48, 48, {{static_cast<Index>(round), 47}}, ctx()),
                       Matrix{48, 48, ctx()}, ctx());
-        a.drop_cached();
     }
 }
 

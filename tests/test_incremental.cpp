@@ -167,11 +167,7 @@ void run_closure_schedule(const Matrix& start, Mode mode, std::uint64_t seed,
         const auto b = make_batch(mode, n, size, truth, rng);
         truth = fold(truth, b);
         inc.apply(cells(n, n, b.adds), cells(n, n, b.removes));
-        Matrix expect;
-        {
-            const storage::ScopedHint automatic{storage::FormatHint::Auto};
-            expect = algorithms::transitive_closure(ctx(), truth);
-        }
+        const Matrix expect = algorithms::transitive_closure(ctx(), truth);
         ASSERT_EQ(inc.adjacency(), truth)
             << "adjacency diverged (mode " << static_cast<int>(mode) << ", batch "
             << size << ")";
@@ -232,21 +228,12 @@ TEST_F(IncrementalNet, ClosureDeleteToEmptyAndRegrow) {
     }
 }
 
-// The delete and mixed schedules on every route: both contexts, and each
-// forced format next to the cost model's own picks.
-using RouteCase = std::tuple<bool, storage::FormatHint>;
-using ClosureRoutes = spbla::testing::CheckedContextWithParam<RouteCase>;
-
-std::string route_name(const ::testing::TestParamInfo<RouteCase>& info) {
-    static constexpr const char* kHints[] = {"Auto", "Csr", "BitBlocks"};
-    return std::string{std::get<0>(info.param) ? "Sequential" : "Parallel"} +
-           kHints[static_cast<int>(std::get<1>(info.param))];
-}
+// The delete and mixed schedules on both contexts.
+using ClosureRoutes = spbla::testing::CheckedContextWithParam<bool>;
 
 TEST_P(ClosureRoutes, DeleteAndMixedSchedulesMatchScratch) {
-    const auto [sequential, hint] = GetParam();
+    const bool sequential = GetParam();
     backend::Context& run_ctx = sequential ? seq_ctx() : ctx();
-    const storage::ScopedHint force{hint};
     const auto g = uniform_graph(32, 64, 11);
     run_closure_schedule(g, Mode::DeleteOnly, 211, {1, 2, 8, 16}, run_ctx);
     run_closure_schedule(g, Mode::Mixed, 223, {1, 4, 16, 64}, run_ctx);
@@ -254,13 +241,10 @@ TEST_P(ClosureRoutes, DeleteAndMixedSchedulesMatchScratch) {
                          run_ctx);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ContextsAndHints, ClosureRoutes,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(storage::FormatHint::Auto,
-                                         storage::FormatHint::ForceCsr,
-                                         storage::FormatHint::ForceBitBlocks)),
-    route_name);
+INSTANTIATE_TEST_SUITE_P(Contexts, ClosureRoutes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                             return std::string{info.param ? "Sequential" : "Parallel"};
+                         });
 
 TEST_F(IncrementalNet, UpdateClosureHandCraftedBridge) {
     // Two disjoint paths 0→1→2 and 3→4→5; inserting 2→3 bridges them and
@@ -716,11 +700,6 @@ TEST_P(EpochAudit, MutatingEntryPointsRestampCorrectly) {
         auto moved = std::move(m);
         EXPECT_EQ(moved.version(), v0);
         EXPECT_EQ(m.version(), 0u) << "moved-from handles are epoch-zero";  // NOLINT
-    } else if (which == "convert_keeps_epoch") {
-        m.convert_to(Format::BitBlocks, ctx());
-        EXPECT_EQ(m.version(), v0) << "format conversion does not change content";
-        m.drop_cached();
-        EXPECT_EQ(m.version(), v0) << "cached-rep drop does not change content";
     } else {
         FAIL() << "unknown audit case " << which;
     }
@@ -730,7 +709,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllMutatingEntryPoints, EpochAudit,
     ::testing::Values("apply_delta_insert", "apply_delta_delete",
                       "apply_delta_value_equal", "apply_delta_noop", "build",
-                      "copy_shares_move_zeroes", "convert_keeps_epoch"),
+                      "copy_shares_move_zeroes"),
     [](const ::testing::TestParamInfo<EpochAuditCase>& info) {
         return std::string{info.param};
     });

@@ -82,49 +82,6 @@ TEST(Laws, SubmatrixOfSubmatrixComposes) {
     EXPECT_EQ(twice, ops::submatrix(ctx(), m, 7, 8, 20, 22));
 }
 
-// ----------------------- bit-block algebra laws --------------------------
-// Same algebraic identities, but computed entirely inside the broadword tier
-// (ops/bitblock_*), on the leak-checked fixture so every intermediate's
-// device allocation is balanced. Shapes straddle the 64-wide tile boundary.
-
-using BitBlockLaws = ::spbla::testing::CheckedContext;
-
-TEST_F(BitBlockLaws, MultiplicationIsAssociative) {
-    for (const auto seed : {21, 22, 23}) {
-        const auto a = to_bitblocks(ctx(), random_csr(70, 90, 0.12, seed));
-        const auto b = to_bitblocks(ctx(), random_csr(90, 50, 0.12, seed + 10));
-        const auto c = to_bitblocks(ctx(), random_csr(50, 100, 0.12, seed + 20));
-        EXPECT_EQ(ops::multiply(ctx(), ops::multiply(ctx(), a, b), c),
-                  ops::multiply(ctx(), a, ops::multiply(ctx(), b, c)))
-            << seed;
-    }
-}
-
-TEST_F(BitBlockLaws, TransposeIsAnInvolution) {
-    for (const auto seed : {24, 25}) {
-        const auto a = to_bitblocks(ctx(), random_csr(130, 67, 0.2, seed));
-        EXPECT_EQ(ops::transpose(ctx(), ops::transpose(ctx(), a)), a) << seed;
-    }
-}
-
-TEST_F(BitBlockLaws, MultiplicationDistributesOverAddition) {
-    const auto a = to_bitblocks(ctx(), random_csr(80, 80, 0.1, 26));
-    const auto b = to_bitblocks(ctx(), random_csr(80, 80, 0.1, 27));
-    const auto c = to_bitblocks(ctx(), random_csr(80, 80, 0.1, 28));
-    // A(B + C) == AB + AC over the Boolean semiring.
-    EXPECT_EQ(ops::multiply(ctx(), a, ops::ewise_add(ctx(), b, c)),
-              ops::ewise_add(ctx(), ops::multiply(ctx(), a, b),
-                             ops::multiply(ctx(), a, c)));
-}
-
-TEST_F(BitBlockLaws, EwiseAbsorption) {
-    // A | (A & B) == A and A & (A | B) == A.
-    const auto a = to_bitblocks(ctx(), random_csr(75, 75, 0.15, 29));
-    const auto b = to_bitblocks(ctx(), random_csr(75, 75, 0.15, 30));
-    EXPECT_EQ(ops::ewise_add(ctx(), a, ops::ewise_mult(ctx(), a, b)), a);
-    EXPECT_EQ(ops::ewise_mult(ctx(), a, ops::ewise_add(ctx(), a, b)), a);
-}
-
 // --------------------------- query-engine laws ---------------------------
 
 data::LabeledGraph random_graph(Index n, std::size_t edges, std::uint64_t seed) {

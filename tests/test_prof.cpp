@@ -335,10 +335,7 @@ TEST_F(ProfSpans, SpGemmCountersMatchTheComputedResult) {
     }
     using telemetry::Counter;
     backend::Context pool_ctx{backend::Policy::Parallel, 4};  // real pool even on 1 core
-    // Pin the CSR kernel: auto dispatch may route this input to bit blocks,
-    // and the tallies under test only exist on the hash SpGEMM path. Zipf-
-    // skewed rows populate the hash bins.
-    const storage::ScopedHint force_csr{storage::FormatHint::ForceCsr};
+    // Zipf-skewed rows populate the hash bins.
     const Matrix a = data::make_zipf(4096, 4096, 16, 1.0);
     const auto calls = prof::span_calls("spgemm.multiply");
     const auto before = telemetry::snapshot();

@@ -70,31 +70,6 @@ TEST(BitOps, ForEachSetBitVisitsAscending) {
     EXPECT_TRUE(seen.empty());
 }
 
-TEST(BitOps, BitTranspose64x64MatchesNaive) {
-    Rng rng{11};
-    std::array<std::uint64_t, 64> x{};
-    for (auto& w : x) w = (std::uint64_t{rng()} << 32) | rng();
-    std::array<std::uint64_t, 64> t = x;
-    bit_transpose_64x64(t.data());
-    for (int r = 0; r < 64; ++r) {
-        for (int c = 0; c < 64; ++c) {
-            const auto orig = (x[static_cast<std::size_t>(r)] >> c) & 1u;
-            const auto flip = (t[static_cast<std::size_t>(c)] >> r) & 1u;
-            ASSERT_EQ(orig, flip) << "bit (" << r << "," << c << ")";
-        }
-    }
-}
-
-TEST(BitOps, BitTransposeIsInvolution) {
-    Rng rng{17};
-    std::array<std::uint64_t, 64> x{};
-    for (auto& w : x) w = (std::uint64_t{rng()} << 32) | rng();
-    std::array<std::uint64_t, 64> t = x;
-    bit_transpose_64x64(t.data());
-    bit_transpose_64x64(t.data());
-    EXPECT_EQ(t, x);
-}
-
 // --------------------------------- rng -----------------------------------
 
 TEST(Rng, DeterministicForSeed) {

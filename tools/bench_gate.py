@@ -7,8 +7,8 @@ speedups, tier-vs-tier geomeans), never absolute milliseconds: a CI runner
 and a developer laptop disagree hugely on wall time but agree, to within the
 tolerance, on how many times faster the parallel SpGEMM is than the
 sequential one. Each gated key carries a direction — `higher` keys (speedups)
-must not drop below baseline * (1 - tolerance); `lower` keys (time ratios
-like auto-vs-best-static) must not rise above baseline * (1 + tolerance).
+must not drop below baseline * (1 - tolerance); `lower` keys (time ratios)
+must not rise above baseline * (1 + tolerance).
 
 Usage:
     python3 tools/bench_gate.py --fresh build-profile [--baseline bench/baselines]
@@ -37,10 +37,6 @@ GATED_KEYS = {
         # arena-backed run: the allocator-traffic reduction the op-arena
         # tier buys. A drop means scratch is leaking back onto the heap.
         "alloc_reduction_spgemm": "higher",
-    },
-    "BENCH_formats.json": {
-        "geomean_bitblock_vs_hash_spgemm": "higher",
-        "geomean_auto_vs_best_static": "lower",
     },
     "BENCH_incremental.json": {
         # Single-edge update latency of the semi-naive closure maintenance

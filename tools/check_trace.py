@@ -30,21 +30,9 @@ Checks, in order:
               the kernels legitimately fall back to serial execution), the
               pool recorded work (spbla.pool.tasks or bulk_launches).
   dispatch    (--require-dispatch) The trace demonstrably covers the
-              format-dispatch layer (src/storage): at least one
-              spbla.dispatch.csr / .bitblock pick was recorded, format
-              conversions were counted (the warm-up converts between
-              representations), and the secondary-representation cache
-              registered hits — all three missing means dispatch ran
-              untraced or its counters are unwired.
-  bitblock    (--require-bitblock) The trace demonstrably covers the
-              64x64 tile broadword tier (src/ops/bitblock_*): bitblock.*
-              operation spans were recorded, the kernels visited tiles
-              (spbla.bitblock.blocks_touched), the element-wise / mxv AND
-              paths counted word ops (spbla.bitblock.words_anded), and the
-              Four-Russians lookup table was actually probed on the dense
-              rungs (spbla.bitblock.lookup_hits). A spbla.dispatch.bitblock
-              pick must exist when --require-dispatch also passed, proving
-              the cost model routes work here on its own.
+              storage-dispatch layer (src/storage): at least one
+              spbla.dispatch.csr pick was recorded — none means dispatch
+              ran untraced or its counters are unwired.
   incr        (--require-incr) The trace demonstrably covers the incremental
               evaluation layer (src/incr): incr.* spans were recorded
               including at least one semi-naive round span, the op-memo
@@ -80,7 +68,7 @@ Checks, in order:
               lines with strictly increasing seq, named ops and sane fields.
 
 Usage: tools/check_trace.py TRACE.json [--require-spgemm]
-           [--require-dispatch] [--require-bitblock]
+           [--require-dispatch]
            [--require-incr] [--require-metrics --metrics METRICS.json]
            [--require-arena]
            [--flight FLIGHT.jsonl]
@@ -228,39 +216,9 @@ class Checker:
                            "thread-pool counters are unwired")
 
     def check_dispatch(self, counters: dict[str, int]) -> None:
-        picks = (counters.get("spbla.dispatch.csr", 0)
-                 + counters.get("spbla.dispatch.bitblock", 0))
-        if picks == 0:
-            self.error("no spbla.dispatch.csr/bitblock picks recorded — the "
-                       "storage dispatch layer never ran or its counters are "
-                       "unwired")
-        if counters.get("spbla.storage.conversions", 0) == 0:
-            self.error("spbla.storage.conversions is zero — representation "
-                       "conversion is untraced")
-        if counters.get("spbla.storage.cache_hits", 0) == 0:
-            self.error("spbla.storage.cache_hits is zero — cached secondary "
-                       "representations were never reused (or the counter "
-                       "is unwired)")
-
-    def check_bitblock(self, spans: list[dict], counters: dict[str, int],
-                       dispatch_required: bool) -> None:
-        if not any(str(e.get("name", "")).startswith("bitblock.")
-                   for e in spans):
-            self.error("no bitblock.* operation span recorded — the broadword "
-                       "tier never ran under tracing")
-        for name, why in (
-                ("blocks_touched", "no bitblock kernel visited a tile"),
-                ("words_anded", "the AND paths (ewise_mult / mxv) never ran "
-                                "under tracing"),
-                ("lookup_hits", "no tile crossed the Four-Russians threshold, "
-                                "so the lookup path is untested (run the "
-                                "dense density-ladder rungs)")):
-            if counters.get(f"spbla.bitblock.{name}", 0) == 0:
-                self.error(f"spbla.bitblock.{name} is zero — {why}")
-        if dispatch_required and counters.get("spbla.dispatch.bitblock", 0) == 0:
-            self.error("no spbla.dispatch.bitblock pick recorded — the cost "
-                       "model never routed an operation to the bitblock tier "
-                       "on its own")
+        if counters.get("spbla.dispatch.csr", 0) == 0:
+            self.error("no spbla.dispatch.csr picks recorded — the storage "
+                       "dispatch layer never ran or its counters are unwired")
 
     def check_incr(self, spans: list[dict], counters: dict[str, int]) -> None:
         def total(name: str) -> int:
@@ -538,12 +496,8 @@ def main() -> int:
                     help="additionally require the SpGEMM pipeline counters "
                          "(bin classes, hash probes, pool work)")
     ap.add_argument("--require-dispatch", action="store_true",
-                    help="additionally require the storage-dispatch counters "
-                         "(format picks, conversions, cache hits)")
-    ap.add_argument("--require-bitblock", action="store_true",
-                    help="additionally require the 64x64 bit-block tier "
-                         "counters (blocks touched, words ANDed, "
-                         "Four-Russians lookup hits)")
+                    help="additionally require the storage-dispatch pick "
+                         "counter")
     ap.add_argument("--require-incr", action="store_true",
                     help="additionally require the incremental-evaluation "
                          "counters (memo lookups/hits, round spans, frontier "
@@ -585,8 +539,6 @@ def main() -> int:
             checker.check_spgemm(spans, counters)
         if args.require_dispatch:
             checker.check_dispatch(counters)
-        if args.require_bitblock:
-            checker.check_bitblock(spans, counters, args.require_dispatch)
         if args.require_incr:
             checker.check_incr(spans, counters)
         n_spans, n_counters = len(spans), len(counters)

@@ -31,30 +31,17 @@ auditable (run as the `lint` ctest target; CI runs it on every push):
   ops-validation    Every kernel translation unit in src/ops/ must wire
                     SPBLA_VALIDATE / SPBLA_CHECKED at its boundaries.
   format-leak       No concrete-format header (core/csr.hpp, core/coo.hpp,
-                    core/dense.hpp, core/bitblocks.hpp) outside src/core,
-                    src/storage, src/ops and src/baseline. Everything above
-                    the storage engine operates on the format-polymorphic
-                    spbla::Matrix through storage/dispatch.hpp, so the cost
-                    model keeps the final say over representations. Test
-                    oracles and kernel benchmarks that deliberately exercise
-                    one concrete format suppress inline.
+                    core/dense.hpp) outside src/core, src/storage, src/ops
+                    and src/baseline. Everything above the storage engine
+                    operates on spbla::Matrix through storage/dispatch.hpp,
+                    so every op is routed, counted and timed in one place
+                    and the kernels stay swappable behind it. Test oracles
+                    and kernel benchmarks that deliberately exercise one
+                    concrete format suppress inline.
 
 Concurrency rules (token-based; the shapes Clang's -Wthread-safety pass
 cannot see because they cross a lambda/scheduling boundary):
 
-  parallel-capture  No lazy-materialising Matrix accessor — csr() or
-                    bitblocks() — inside a parallel_for* / run_dynamic /
-                    submit* argument list, unless the same object's
-                    accessor runs earlier in the TU outside any parallel
-                    extent (a prewarm) or the call site is annotated safe.
-                    First
-                    materialisation is synchronised per slot since the
-                    repr-cache latch landed, so a suppression here means
-                    "the latch covers this"; the rule still exists because
-                    an accessor in a hot parallel region may serialise every
-                    worker on the handle's mutex — prewarming stays the
-                    better default, and new call sites must say which they
-                    chose.
   lock-order        Mutexes must be acquired in one consistent global order.
                     Edges come from observed LockGuard/UniqueLock nesting
                     plus declared SPBLA_ACQUIRED_BEFORE/AFTER annotations;
@@ -279,7 +266,7 @@ def match_paren(tokens: list[Token], open_idx: int) -> int:
 def object_chain(tokens: list[Token], dot_idx: int) -> str:
     """Reconstruct the object expression ending at the `.`/`->` token at
     dot_idx: walks back over identifier chains, `::` qualifiers and balanced
-    call/index suffixes (`c_in->tile(i, j)` before `.csr()` → "c_in->tile(i,j)").
+    call/index suffixes (`c_in->tile(i, j)` before `.load()` → "c_in->tile(i,j)").
     Returns the whitespace-free spelling, or "" if no chain is found."""
     parts: list[str] = []
     i = dot_idx - 1
@@ -440,7 +427,7 @@ class Linter:
     def rule_format_leak(self, f: File) -> None:
         allowed = ("src/core/", "src/storage/", "src/ops/", "src/baseline/")
         core_pat = re.compile(
-            r'#\s*include\s*"core/(csr|coo|dense|bitblocks)\.hpp"')
+            r'#\s*include\s*"core/(csr|coo|dense)\.hpp"')
         if f.rel.startswith(allowed):
             return
         for no, line in enumerate(f.raw_lines, start=1):
@@ -456,7 +443,7 @@ class Linter:
     # the export format, not an instrument.
     METRIC_LITERAL_RE = re.compile(
         r"spbla\.(dispatch|op|mem|storage|pool|prof|arena|incr|closure|"
-        r"spgemm|bitblock)\.[a-z0-9_.]+")
+        r"spgemm)\.[a-z0-9_.]+")
 
     def rule_metric_name_literal(self, f: File) -> None:
         if not f.rel.startswith("src/"):
@@ -517,10 +504,6 @@ class Linter:
 
     # --- concurrency rules (token-based) -------------------------------
 
-    #: Matrix accessors that may materialise a representation (take the
-    #: handle's repr mutex on a cache miss).
-    LAZY_ACCESSORS = frozenset({"csr", "bitblocks"})
-
     #: Call spellings whose argument list is a parallel extent: the lambdas
     #: inside run concurrently on pool workers.
     PARALLEL_INTRODUCERS = frozenset(
@@ -542,44 +525,6 @@ class Linter:
             if open_idx is not None:
                 extents.append((open_idx, match_paren(toks, open_idx)))
         return extents
-
-    def rule_parallel_capture(self, f: File) -> None:
-        toks = f.tokens
-        extents = self._parallel_extents(f)
-        if not extents:
-            return
-
-        def extent_of(idx: int) -> tuple[int, int] | None:
-            for lo, hi in extents:
-                if lo < idx < hi:
-                    return (lo, hi)
-            return None
-
-        # Every lazy-accessor call: (token index, object spelling, accessor).
-        calls: list[tuple[int, str, str]] = []
-        for i, t in enumerate(toks):
-            if (t.kind == "id" and t.text in self.LAZY_ACCESSORS
-                    and i + 1 < len(toks) and toks[i + 1].text == "("
-                    and i >= 1 and toks[i - 1].text in (".", "->")):
-                calls.append((i, object_chain(toks, i - 1), t.text))
-
-        # A TU "prewarm": the same object's accessor called outside any
-        # parallel extent, earlier in the file.
-        serial_calls = [(i, obj, acc) for i, obj, acc in calls
-                        if extent_of(i) is None]
-        for i, obj, acc in calls:
-            if extent_of(i) is None:
-                continue
-            prewarmed = any(j < i and sobj == obj and sacc == acc
-                            for j, sobj, sacc in serial_calls)
-            if prewarmed:
-                continue
-            self.report(
-                f, toks[i].line, "parallel-capture",
-                f"lazy Matrix accessor `{obj}.{acc}()` inside a parallel "
-                "extent — first materialisation takes the handle's repr "
-                "mutex under every worker; prewarm it before the launch or "
-                "annotate the call site safe")
 
     def rule_hot_alloc(self, f: File) -> None:
         if not (f.rel.startswith("src/ops/") or f.rel.startswith("src/incr/")):
@@ -879,7 +824,6 @@ class Linter:
         "format-leak": "rule_format_leak",
         "metric-name-literal": "rule_metric_name_literal",
         "ops-file-state": "rule_ops_file_state",
-        "parallel-capture": "rule_parallel_capture",
         "hot-alloc": "rule_hot_alloc",
         "guarded-mutable": "rule_guarded_mutable",
         "atomic-rmw": "rule_atomic_rmw",

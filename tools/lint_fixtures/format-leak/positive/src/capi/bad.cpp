@@ -1,4 +1,4 @@
 // Fixture: concrete format headers included above the storage engine.
 #include "core/csr.hpp"
-#include "core/bitblocks.hpp"
+#include "core/dense.hpp"
 void use() {}

@@ -37,7 +37,6 @@ EXPECTED_POSITIVE = {
     "format-leak": 2,        # two concrete core headers
     "metric-name-literal": 4,  # comparison literal + three named constants
     "ops-file-state": 1,
-    "parallel-capture": 2,   # parallel_for lambda + submit lambda
     "hot-alloc": 4,          # per-row ctor, per-row resize, per-chunk temp,
                              # per-round ctor in src/incr/
     "guarded-mutable": 2,    # single-line and line-spanning declaration
