@@ -4,13 +4,10 @@
 ///   (a) SpGEMM row binning (tiny / hash / dense accumulators) on vs off,
 ///   (b) hash-table load factor,
 ///   (c) closure strategy: squaring vs linear,
-///   (d) tensor CFPQ: incremental (warm-start) closure vs full recompute —
-///       the paper's "incremental transitive closure is the bottleneck".
+///   (e) query automaton size in the RPQ tensor product.
 #include <cstdio>
 
 #include "algorithms/closure.hpp"
-#include "cfpq/queries.hpp"
-#include "cfpq/tensor.hpp"
 #include "common.hpp"
 #include "datasets.hpp"
 #include "data/lubm.hpp"
@@ -143,38 +140,6 @@ int main() {
             std::printf("%-14s %10.2f %10zu %10.2f %10zu %10.2f %10zu\n", c.name,
                         t1 * 1e3, sq.rounds, t2 * 1e3, lin.rounds, t3 * 1e3,
                         dlt.rounds);
-            std::fflush(stdout);
-        }
-    }
-
-    std::printf("\nE10d: tensor CFPQ closure mode (the paper's incremental-TC "
-                "bottleneck)\n");
-    std::printf("%-14s %14s %14s\n", "graph", "warm-start ms", "recompute ms");
-    bench::rule(46);
-    {
-        auto onto = data::make_ontology(2500, 0.8, 41);
-        onto.add_inverse_labels();
-        auto geo = data::make_geospecies(1500, 16, 42);
-        geo.add_inverse_labels();
-        struct Case {
-            const char* name;
-            const data::LabeledGraph& g;
-            cfpq::Grammar grammar;
-        };
-        const Case cases[] = {
-            {"ontology-G2", onto, cfpq::query_g2()},
-            {"geo-Geo", geo, cfpq::query_geo()},
-        };
-        for (const auto& c : cases) {
-            cfpq::TensorOptions warm;
-            warm.incremental_closure = true;
-            cfpq::TensorOptions cold;
-            cold.incremental_closure = false;
-            const double t1 = bench::time_runs(
-                [&] { (void)cfpq::tensor_cfpq(bench::ctx(), c.g, c.grammar, warm); }, 3);
-            const double t2 = bench::time_runs(
-                [&] { (void)cfpq::tensor_cfpq(bench::ctx(), c.g, c.grammar, cold); }, 3);
-            std::printf("%-14s %14.2f %14.2f\n", c.name, t1 * 1e3, t2 * 1e3);
             std::fflush(stdout);
         }
     }

@@ -10,6 +10,11 @@
 ///    0.16 s vs 1.43 s in the paper) because it skips the CNF blow-up,
 ///  - Mtx wins on the big flat graphs (taxonomy, MA over kernel graphs)
 ///    where Tns pays for the larger Kronecker product.
+/// Tns here closes the full product in its first round only and then
+/// extends the closure by each round's new product edges (cfpq/tensor.hpp),
+/// while Mtx re-multiplies its full matrices every round. That reproduces
+/// the go-hierarchy win, but it also puts Tns ahead on the MA rows, where
+/// the paper has Mtx ahead (EXPERIMENTS §E7).
 #include <cstdio>
 
 #include "cfpq/azimov.hpp"

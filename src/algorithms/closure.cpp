@@ -1,5 +1,8 @@
 #include "algorithms/closure.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -25,7 +28,48 @@ Matrix closure_delta(backend::Context& ctx, const Matrix& adj,
     return m;
 }
 
+/// Whether some cell of \p frontier lies in a column flagged in \p source.
+bool reaches(const Matrix& frontier, const std::vector<char>& source) {
+    for (const Index col : frontier.csr().cols()) {
+        if (source[col] != 0) return true;
+    }
+    return false;
+}
+
 }  // namespace
+
+RowCompaction::RowCompaction(backend::Context& ctx, const Matrix& pattern)
+    : nrows_{pattern.nrows()} {
+    const auto offsets = pattern.csr().row_offsets();
+    for (Index i = 0; i < nrows_; ++i) {
+        if (offsets[i + 1] != offsets[i]) rows_.push_back(i);
+    }
+    std::vector<Coord> picks;
+    picks.reserve(rows_.size());
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+        picks.push_back({static_cast<Index>(k), rows_[k]});
+    }
+    sel_ = Matrix::from_coords(static_cast<Index>(rows_.size()), nrows_,
+                               std::move(picks), ctx);
+}
+
+Matrix RowCompaction::gather(backend::Context& ctx, const Matrix& x,
+                             const ops::SpGemmOptions& opts) const {
+    return storage::multiply(ctx, sel_, x, opts);
+}
+
+Matrix RowCompaction::scatter(backend::Context& ctx, const Matrix& x) const {
+    const auto compact = x.csr().row_offsets();
+    std::vector<Index> offsets(static_cast<std::size_t>(nrows_) + 1, 0);
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+        offsets[rows_[k] + 1] = compact[k + 1] - compact[k];
+    }
+    for (Index i = 0; i < nrows_; ++i) offsets[i + 1] += offsets[i];
+    const auto cols = x.csr().cols();
+    return Matrix{CsrMatrix::from_raw(nrows_, x.ncols(), std::move(offsets),
+                                      std::vector<Index>(cols.begin(), cols.end())),
+                  ctx};
+}
 
 Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
                           ClosureStrategy strategy, ClosureStats* stats,
@@ -54,6 +98,60 @@ Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
         stats->result_nnz = m.nnz();
     }
     return m;
+}
+
+Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
+                      ClosureStats* stats, const ops::SpGemmOptions& opts) {
+    const Index n = closure.nrows();
+    check(closure.ncols() == n && add.nrows() == n && add.ncols() == n,
+          Status::DimensionMismatch, "extend_closure: shapes must match and be square");
+    SPBLA_PROF_SPAN("closure.extend");
+    const auto report = [&](std::size_t rounds) {
+        if (stats != nullptr) {
+            stats->rounds = rounds;
+            stats->result_nnz = closure.nnz();
+        }
+    };
+    if (add.empty()) {
+        report(0);
+        return Matrix{n, n, ctx};
+    }
+
+    const Matrix& c = closure;
+    const Matrix t = storage::ewise_add(ctx, add, storage::multiply(ctx, c, add, opts));
+    const RowCompaction rows{ctx, t};
+    const Matrix tc = rows.gather(ctx, t, opts);
+    const Matrix cc = rows.gather(ctx, c, opts);
+
+    std::size_t rounds = 1;
+    telemetry::count(telemetry::Counter::ClosureFrontierNnz, tc.nnz());
+    Matrix fresh = [&] {
+        SPBLA_PROF_SPAN_ITER("closure.round", rounds);
+        return storage::ewise_diff(
+            ctx, storage::ewise_add(ctx, tc, storage::multiply(ctx, tc, c, opts)), cc);
+    }();
+
+    // frontier * S is empty unless the frontier ends where a new edge starts.
+    std::vector<char> source(n, 0);
+    const auto add_offsets = add.csr().row_offsets();
+    for (Index i = 0; i < n; ++i) source[i] = add_offsets[i + 1] != add_offsets[i];
+    std::optional<Matrix> step;
+    Matrix frontier = fresh;
+    while (reaches(frontier, source)) {
+        if (!step) step = storage::ewise_add(ctx, add, storage::multiply(ctx, add, c, opts));
+        ++rounds;
+        SPBLA_PROF_SPAN_ITER("closure.round", rounds);
+        telemetry::count(telemetry::Counter::ClosureFrontierNnz, frontier.nnz());
+        frontier = storage::ewise_diff(
+            ctx, storage::ewise_diff(ctx, storage::multiply(ctx, frontier, *step, opts), cc),
+            fresh);
+        fresh = storage::ewise_add(ctx, fresh, frontier);
+    }
+
+    Matrix gained = rows.scatter(ctx, fresh);
+    if (!gained.empty()) closure = storage::ewise_add(ctx, c, gained);
+    report(rounds);
+    return gained;
 }
 
 Matrix reflexive_transitive_closure(backend::Context& ctx, const Matrix& adj,

@@ -1,5 +1,6 @@
 #include "cfpq/tensor.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "core/validate.hpp"
@@ -28,12 +29,6 @@ TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
         index.nt_matrix.insert_or_assign(nt, Matrix::identity(n, ctx));
     }
 
-    Matrix closure{k * n, k * n};  // warm-start accumulator
-    const auto symbol_matrix = [&](const std::string& s) -> const Matrix& {
-        const auto it = index.nt_matrix.find(s);
-        return it != index.nt_matrix.end() ? it->second : graph.matrix(s);
-    };
-
     // The RSM side of every term is fixed across rounds; only the graph
     // side grows as nonterminal edges are harvested.
     const auto symbols = rsm.symbols();
@@ -41,43 +36,60 @@ TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
     for (const auto& symbol : symbols) box_matrices.push_back(rsm.matrix(symbol));
     std::vector<storage::KroneckerTerm> terms;
 
-    for (;;) {
-        ++index.rounds;
-        SPBLA_PROF_SPAN_ITER("cfpq.tensor.round", index.rounds);
-
-        // M = sum over RSM symbols of RSM_s (x) G_s, written in one pass.
-        terms.clear();
-        for (std::size_t s = 0; s < symbols.size(); ++s) {
-            const Matrix& gm = symbol_matrix(symbols[s]);
-            if (gm.nnz() != 0) terms.push_back({&box_matrices[s], &gm});
-        }
-        Matrix product = storage::kronecker_sum(ctx, k * n, k * n, terms);
-        if (opts.incremental_closure) {
-            // Valid warm start: closure(closure(Mprev) | M) == closure(M)
-            // because Mprev is a submatrix of M (edges only get added).
-            product = storage::ewise_add(ctx, product, closure);
-        }
-        closure = algorithms::transitive_closure(ctx, product, opts.strategy);
-
-        // Harvest new nonterminal edges from the (start, final) blocks.
-        bool changed = false;
+    // Folds the (start, final) blocks of `source` into the nonterminal
+    // matrices and returns the cells each one gained.
+    const auto harvest = [&](const Matrix& source) {
+        std::map<std::string, Matrix> gained;
         for (const auto& nt : rsm.nonterminals) {
             const Index q0 = rsm.box_start.at(nt);
-            Matrix updated = index.nt_matrix.at(nt);
+            Matrix found{n, n, ctx};
             for (const auto qf : rsm.box_final.at(nt)) {
-                const Matrix block =
-                    storage::submatrix(ctx, closure, q0 * n, qf * n, n, n);
-                updated = storage::ewise_add(ctx, updated, block);
+                const Matrix block = storage::submatrix(ctx, source, q0 * n, qf * n, n, n);
+                if (!block.empty()) {
+                    found = found.empty() ? block : storage::ewise_add(ctx, found, block);
+                }
             }
-            if (updated.nnz() != index.nt_matrix.at(nt).nnz()) {
-                index.nt_matrix.insert_or_assign(nt, std::move(updated));
-                changed = true;
-            }
+            if (found.empty()) continue;
+            Matrix& gm = index.nt_matrix.at(nt);
+            Matrix d = storage::ewise_diff(ctx, found, gm);
+            if (d.empty()) continue;
+            gm = storage::ewise_add(ctx, gm, d);
+            gained.emplace(nt, std::move(d));
         }
-        if (!changed) break;
+        return gained;
+    };
+
+    // Round 1: M = sum over RSM symbols of RSM_s (x) G_s, written in one
+    // pass, and closed from scratch.
+    index.rounds = 1;
+    std::map<std::string, Matrix> gained;
+    {
+        SPBLA_PROF_SPAN_ITER("cfpq.tensor.round", index.rounds);
+        for (std::size_t s = 0; s < symbols.size(); ++s) {
+            const auto it = index.nt_matrix.find(symbols[s]);
+            const Matrix& gm =
+                it != index.nt_matrix.end() ? it->second : graph.matrix(symbols[s]);
+            if (gm.nnz() != 0) terms.push_back({&box_matrices[s], &gm});
+        }
+        index.closure = algorithms::transitive_closure(
+            ctx, storage::kronecker_sum(ctx, k * n, k * n, terms), opts.strategy);
+        gained = harvest(index.closure);
     }
 
-    index.closure = std::move(closure);
+    // Later rounds add only the product edges of the harvested cells.
+    while (!gained.empty()) {
+        ++index.rounds;
+        SPBLA_PROF_SPAN_ITER("cfpq.tensor.round", index.rounds);
+        terms.clear();
+        for (std::size_t s = 0; s < symbols.size(); ++s) {
+            const auto it = gained.find(symbols[s]);
+            if (it != gained.end()) terms.push_back({&box_matrices[s], &it->second});
+        }
+        if (terms.empty()) break;  // no RSM edge carries a grown nonterminal
+        const Matrix add = storage::kronecker_sum(ctx, k * n, k * n, terms);
+        gained = harvest(algorithms::extend_closure(ctx, index.closure, add));
+    }
+
     SPBLA_CHECKED({
         core::validate(index.closure.csr());
         for (const auto& [nt, m] : index.nt_matrix) core::validate(m.csr());

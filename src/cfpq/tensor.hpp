@@ -5,14 +5,19 @@
 /// index: after the fixpoint, the final product closure together with the
 /// per-nonterminal matrices is enough to restore every path of interest.
 ///
-/// One round:
-///   M  = sum over symbols s of  RSM_s (x) G_s      (s ranges over terminals
-///                                                    and nonterminals)
-///   C  = transitive closure of M
-///   for every nonterminal A with box start q0 and final qf:
-///       G_A |= C[q0-block, qf-block]               (n x n sub-matrix)
-/// Rounds repeat until no G_A grows. Nullable nonterminals start with the
-/// identity matrix (an empty path derives them at every vertex).
+/// The product is M = sum over symbols s of RSM_s (x) G_s (s ranges over
+/// terminals and nonterminals), and every nonterminal A with box start q0
+/// and final qf harvests G_A |= C[q0-block, qf-block] (n x n sub-matrices)
+/// from the product closure C. The fixpoint is semi-naive:
+///   round 1:  C = transitive closure of M; harvest dG_A = new cells of G_A
+///   round r:  C = extend_closure(C, sum over A of RSM_A (x) dG_A);
+///             harvest dG_A from the cells C gained this round only
+/// Rounds stop when no G_A grows. Because M only grows, C is always the
+/// closure of the current product, and each round's closure work follows
+/// the edges the round added, not the whole product (the incremental
+/// transitive closure the paper names as the tensor algorithm's
+/// bottleneck). Nullable nonterminals start with the identity matrix (an
+/// empty path derives them at every vertex).
 #pragma once
 
 #include <map>
@@ -27,15 +32,7 @@ namespace spbla::cfpq {
 
 /// Options of the tensor fixpoint.
 struct TensorOptions {
-    /// Warm-start each round's closure from the previous round's closure
-    /// (valid because the product matrix only grows). The paper identifies
-    /// exactly this incremental-transitive-closure step as the algorithm's
-    /// bottleneck, and bench_ablation shows why naive incrementality does
-    /// not pay: the warm-started operand is much denser, so the saved
-    /// rounds cost more than they save. Off by default; a genuinely
-    /// sub-recompute incremental closure is the open problem the paper
-    /// points at.
-    bool incremental_closure = false;
+    /// Fixpoint strategy of round 1's full closure.
     algorithms::ClosureStrategy strategy = algorithms::ClosureStrategy::Squaring;
 };
 
@@ -43,7 +40,7 @@ struct TensorOptions {
 struct TensorIndex {
     /// graph-sized Boolean matrix per nonterminal (reachability via that NT).
     std::map<std::string, Matrix> nt_matrix;
-    /// Final product transitive closure (used by path extraction).
+    /// Transitive closure of the final product (used by path extraction).
     Matrix closure;
     std::size_t rounds{0};
 

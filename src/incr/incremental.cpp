@@ -30,22 +30,6 @@ Matrix effective_dels(backend::Context& ctx, const Matrix& removes,
                                adds);
 }
 
-/// Semi-naive saturation: m := m ∪ frontier·step ∪ frontier·step² ∪ …,
-/// extending only cells first discovered in the previous round.
-std::size_t saturate(backend::Context& ctx, Matrix& m, Matrix frontier,
-                     const Matrix& step, const ops::SpGemmOptions& opts) {
-    std::size_t rounds = 0;
-    while (!frontier.empty()) {
-        ++rounds;
-        SPBLA_PROF_SPAN_ITER("incr.closure.round", rounds);
-        telemetry::count(telemetry::Counter::IncrFrontierNnz, frontier.nnz());
-        const Matrix ext = storage::multiply(ctx, frontier, step, opts);
-        frontier = storage::ewise_diff(ctx, ext, m);
-        m = storage::ewise_add(ctx, m, frontier);
-    }
-    return rounds;
-}
-
 /// DRed re-derivation restricted to the suspect pairs of a delete batch:
 /// returns the cells of \p suspect that no path of \p a_mid reaches, i.e.
 /// C(A) \ C(A_mid). Induction on the last edge (w, j) of a surviving path
@@ -58,25 +42,12 @@ std::size_t saturate(backend::Context& ctx, Matrix& m, Matrix frontier,
 Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect,
                    const Matrix& a_mid, const ops::SpGemmOptions& opts,
                    std::size_t& rounds) {
-    const Index n = c.ncols();
-    std::vector<char> holds(c.nrows(), 0);
-    for (const Coord& cell : suspect.to_coords()) holds[cell.row] = 1;
-    std::vector<Index> rows;
-    for (Index i = 0; i < c.nrows(); ++i) {
-        if (holds[i] != 0) rows.push_back(i);
-    }
-    const auto m = static_cast<Index>(rows.size());
-    // sel row k is the unit vector of rows[k]: the selected rows' diagonal,
-    // and sel·X their rows of X.
-    std::vector<Coord> picks;
-    picks.reserve(rows.size());
-    for (Index k = 0; k < m; ++k) picks.push_back({k, rows[k]});
-    const Matrix sel = Matrix::from_coords(m, n, std::move(picks), ctx);
-    const Matrix sus = storage::multiply(ctx, sel, suspect, opts);
-    const Matrix kept =
-        storage::ewise_diff(ctx, storage::multiply(ctx, sel, c, opts), sus);
+    const algorithms::RowCompaction rows{ctx, suspect};
+    const Matrix sus = rows.gather(ctx, suspect, opts);
+    const Matrix kept = storage::ewise_diff(ctx, rows.gather(ctx, c, opts), sus);
     Matrix frontier = storage::ewise_mult(
-        ctx, sus, storage::multiply(ctx, storage::ewise_add(ctx, sel, kept), a_mid, opts));
+        ctx, sus,
+        storage::multiply(ctx, storage::ewise_add(ctx, rows.selector(), kept), a_mid, opts));
     Matrix rest = storage::ewise_diff(ctx, sus, frontier);
     while (!frontier.empty() && !rest.empty()) {
         ++rounds;
@@ -86,9 +57,7 @@ Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect
             storage::ewise_mult(ctx, rest, storage::multiply(ctx, frontier, a_mid, opts));
         rest = storage::ewise_diff(ctx, rest, frontier);
     }
-    std::vector<Coord> lost = rest.to_coords();
-    for (Coord& cell : lost) cell.row = rows[cell.row];
-    return Matrix::from_coords(c.nrows(), n, std::move(lost), ctx);
+    return rows.scatter(ctx, rest);
 }
 
 /// Per-batch saved-iterations accounting shared by the three drivers.
@@ -113,44 +82,32 @@ ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
     // Every step builds a fresh handle, and closure is assigned only at the
     // end, so a throwing op leaves it untouched.
     std::optional<Matrix> repaired;
-    const Matrix* c = &closure;
 
     if (!del_eff.empty()) {
         // DRed over-delete: every closure pair with an old derivation
         // through a deleted edge is suspect; every other pair keeps a
         // Δ⁻-free path. Only the suspect pairs are re-derived.
         const Matrix left =
-            storage::ewise_add(ctx, del_eff, storage::multiply(ctx, *c, del_eff, opts));
+            storage::ewise_add(ctx, del_eff, storage::multiply(ctx, closure, del_eff, opts));
         const Matrix suspect =
-            storage::ewise_add(ctx, left, storage::multiply(ctx, left, *c, opts));
+            storage::ewise_add(ctx, left, storage::multiply(ctx, left, closure, opts));
         // The graph between the two phases: A' minus this batch's inserts.
         std::optional<Matrix> a_mid_owned;
         if (!add_eff.empty()) a_mid_owned = storage::ewise_diff(ctx, adj_after, add_eff);
         const Matrix& a_mid = a_mid_owned ? *a_mid_owned : adj_after;
-        const Matrix lost = underivable(ctx, *c, suspect, a_mid, opts, out.rounds);
-        if (!lost.empty()) {
-            repaired = storage::ewise_diff(ctx, *c, lost);
-            c = &*repaired;
-        }
+        const Matrix lost = underivable(ctx, closure, suspect, a_mid, opts, out.rounds);
+        if (!lost.empty()) repaired = storage::ewise_diff(ctx, closure, lost);
     }
 
     if (!add_eff.empty()) {
-        // One-new-edge seed X = (I∪C)·Δ⁺·(I∪C); every path with k new edges
-        // factors as X·S^(k-1) with the delta-sized step S = Δ⁺·(I∪C), so
-        // rounds scale with new edges per path, not graph diameter.
-        const Matrix t =
-            storage::ewise_add(ctx, add_eff, storage::multiply(ctx, *c, add_eff, opts));
-        const Matrix x =
-            storage::ewise_add(ctx, t, storage::multiply(ctx, t, *c, opts));
-        const Matrix step =
-            storage::ewise_add(ctx, add_eff, storage::multiply(ctx, add_eff, *c, opts));
-        Matrix frontier = storage::ewise_diff(ctx, x, *c);
-        Matrix m = storage::ewise_add(ctx, *c, frontier);
-        out.rounds += saturate(ctx, m, std::move(frontier), step, opts);
-        closure = std::move(m);
-    } else if (repaired) {
-        closure = std::move(*repaired);
+        // Insert-only from here: extends the repaired closure, or the
+        // closure itself (it assigns only after its last op).
+        algorithms::ClosureStats cs;
+        (void)algorithms::extend_closure(ctx, repaired ? *repaired : closure, add_eff,
+                                         &cs, opts);
+        out.rounds += cs.rounds;
     }
+    if (repaired) closure = std::move(*repaired);
     return out;
 }
 

@@ -9,7 +9,7 @@
 ///    one-new-edge seed X = (I∪C)·Δ⁺·(I∪C) and then iterate frontier·S with
 ///    the delta-sized step matrix S = Δ⁺·(I∪C) — every k-new-edge path is
 ///    X·S^(k-1), so rounds scale with new edges per path, not graph
-///    diameter. Deletes run a DRed-style over-delete: suspect =
+///    diameter (algorithms::extend_closure). Deletes run a DRed-style over-delete: suspect =
 ///    (I∪C)·Δ⁻·(I∪C), and only the suspect pairs are re-derived, seeded
 ///    from the kept cells of their own rows (see update_closure).
 ///  - RPQ: the Kronecker product matrix is maintained cell-exactly under
@@ -56,8 +56,9 @@ struct ClosureUpdate {
 /// Update \p closure from C(A) to C(A') in place, where A' = \p adj_after
 /// and the effective deltas are normalized: add_eff ∩ A = ∅, del_eff ⊆ A,
 /// add_eff ∩ del_eff = ∅, A = (A' ⊖ add_eff) ⊕ del_eff. Deletions are
-/// processed first, then insertions (one-new-edge seed + delta-sized step
-/// loop).
+/// processed first, then insertions through algorithms::extend_closure
+/// (one-new-edge seed + delta-sized step loop, compacted to the rows the
+/// inserts reach).
 ///
 /// Deletions over-delete DRed-style, suspect = left ∪ left·C with
 /// left = Δ⁻ ∪ C·Δ⁻, and re-derive over the suspect pairs only. With
@@ -66,8 +67,8 @@ struct ClosureUpdate {
 /// are R_{k+1} = rest ∩ R_k·A_mid with rest the suspect pairs not re-derived
 /// yet, and one C ⊖ rest commits. The repair reads the closure through C·Δ⁻,
 /// left·C, the suspect rows and the commit only; the seed and the rounds run
-/// on matrices compacted to the suspect rows, so their work follows the
-/// suspect set, not the closure.
+/// on matrices compacted to the suspect rows (algorithms::RowCompaction), so
+/// their work follows the suspect set, not the closure.
 ///
 /// Strong guarantee: if an op throws, \p closure is left unchanged.
 [[nodiscard]] ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
