@@ -15,12 +15,22 @@
 ///                  comparator; its expansion buffer is the memory hog)
 /// Reported memory = matrix footprints + peak tracked temporaries.
 ///
+/// Each measurement starts from trimmed device scratch, so its peak counts
+/// the arena slabs this kernel reserves, not the slabs an earlier input left
+/// behind.
+///
 /// Besides the printed tables, the run writes BENCH_e1.json (path
 /// overridable via SPBLA_BENCH_E1_JSON) through the shared bench::JsonWriter
 /// so the comparison is machine-readable with dispersion (min/mean/stddev
-/// per measurement), not just a point estimate.
+/// per measurement), not just a point estimate. Each SpGEMM input records
+/// the claim as two ratios against the slower generic comparator — time
+/// (min over runs) and memory — and the file carries their minima over the
+/// inputs, min_time_ratio and min_mem_ratio, which tools/bench_gate.py gates.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <vector>
 
 #include "baseline/generic_csr.hpp"
 #include "baseline/generic_ewise_add.hpp"
@@ -48,26 +58,27 @@ struct Measurement {
     std::size_t bytes;  // result + temporaries
 };
 
-Measurement measure_boolean_square(const CsrMatrix& a) {
+/// Drop the retained arena slabs and pooled buffers, then restart the peak:
+/// the next measurement's peak is its own footprint.
+void fresh_peak() {
+    ctx().trim_device_scratch();
     ctx().tracker().reset_peak();
-    CsrMatrix result{a.nrows(), a.ncols()};
-    const auto stats = bench::time_stats([&] { result = ops::multiply(ctx(), a, a); });
-    return {stats, result.device_bytes() + ctx().tracker().peak_bytes()};
 }
 
-Measurement measure_generic_square(const CsrMatrix& a, bool esc) {
-    const auto g = baseline::GenericCsr::from_boolean(a);
-    ctx().tracker().reset_peak();
-    baseline::GenericCsr result{a.nrows(), a.ncols()};
-    const auto stats = bench::time_stats([&] {
-        result = esc ? baseline::multiply_esc(ctx(), g, g)
-                     : baseline::multiply_hash(ctx(), g, g);
-    });
-    return {stats, result.device_bytes() + ctx().tracker().peak_bytes()};
+/// Result bytes plus the tracked peak over three runs from trimmed scratch.
+/// A parallel run charges the arena of every worker that took a chunk, and
+/// which workers do varies run to run; the peak over three runs is the
+/// footprint with (nearly always) every worker in.
+template <class Run>
+std::size_t footprint(Run run) {
+    fresh_peak();
+    std::size_t result_bytes = 0;
+    for (int r = 0; r < 3; ++r) result_bytes = run().device_bytes();
+    return result_bytes + ctx().tracker().peak_bytes();
 }
 
 Measurement measure_boolean_add(const CsrMatrix& a, const CsrMatrix& at) {
-    ctx().tracker().reset_peak();
+    fresh_peak();
     CsrMatrix result{a.nrows(), a.ncols()};
     const auto stats =
         bench::time_stats([&] { result = ops::ewise_add(ctx(), a, at); });
@@ -77,7 +88,7 @@ Measurement measure_boolean_add(const CsrMatrix& a, const CsrMatrix& at) {
 Measurement measure_generic_add(const CsrMatrix& a, const CsrMatrix& at) {
     const auto ga = baseline::GenericCsr::from_boolean(a);
     const auto gat = baseline::GenericCsr::from_boolean(at);
-    ctx().tracker().reset_peak();
+    fresh_peak();
     baseline::GenericCsr result{a.nrows(), a.ncols()};
     const auto stats =
         bench::time_stats([&] { result = baseline::ewise_add(ctx(), ga, gat); });
@@ -87,7 +98,53 @@ Measurement measure_generic_add(const CsrMatrix& a, const CsrMatrix& at) {
 struct SquareRow {
     const Workload* w;
     Measurement boolean, generic_hash, generic_esc;
+
+    /// The slower generic comparator's min time over the Boolean kernel's.
+    [[nodiscard]] double time_ratio() const {
+        return std::max(generic_hash.time.min_s, generic_esc.time.min_s) /
+               boolean.time.min_s;
+    }
+    /// The larger generic footprint over the Boolean kernel's.
+    [[nodiscard]] double mem_ratio() const {
+        return static_cast<double>(std::max(generic_hash.bytes, generic_esc.bytes)) /
+               static_cast<double>(boolean.bytes);
+    }
 };
+
+/// C = A * A with the three kernels. Timing runs them in interleaved rounds
+/// (one run each per round, after a warm-up), so a burst of host noise hits
+/// all three alike; rounds fill about two seconds, 5 to 60 of them. Each
+/// kernel's memory is measured apart, from trimmed scratch.
+SquareRow measure_square(const Workload& w) {
+    const CsrMatrix& a = w.matrix;
+    const auto g = baseline::GenericCsr::from_boolean(a);
+    const std::function<void()> runs[] = {
+        [&] { (void)ops::multiply(ctx(), a, a); },
+        [&] { (void)baseline::multiply_hash(ctx(), g, g); },
+        [&] { (void)baseline::multiply_esc(ctx(), g, g); },
+    };
+    double round_s = 0.0;
+    for (const auto& run : runs) {
+        util::Timer timer;
+        run();
+        round_s += timer.seconds();
+    }
+    const int rounds = static_cast<int>(std::clamp(2.0 / std::max(round_s, 1e-6), 5.0, 60.0));
+    std::vector<double> samples[3];
+    for (int r = 0; r < rounds; ++r) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            util::Timer timer;
+            runs[k]();
+            samples[k].push_back(timer.seconds());
+        }
+    }
+    return {&w,
+            {bench::stats_of(samples[0]), footprint([&] { return ops::multiply(ctx(), a, a); })},
+            {bench::stats_of(samples[1]),
+             footprint([&] { return baseline::multiply_hash(ctx(), g, g); })},
+            {bench::stats_of(samples[2]),
+             footprint([&] { return baseline::multiply_esc(ctx(), g, g); })}};
+}
 
 struct AddRow {
     const Workload* w;
@@ -119,6 +176,7 @@ void write_json(const std::vector<SquareRow>& squares, const std::vector<AddRow>
     w.field("runs", bench::kRuns);
     w.field("profile", prof::compiled_level_name());
     w.begin_array("spgemm");
+    double min_time = 0.0, min_mem = 0.0;
     for (const auto& row : squares) {
         w.begin_object();
         w.field("name", row.w->name);
@@ -127,9 +185,20 @@ void write_json(const std::vector<SquareRow>& squares, const std::vector<AddRow>
         write_measurement(w, "boolean", row.boolean);
         write_measurement(w, "generic_hash", row.generic_hash);
         write_measurement(w, "generic_esc", row.generic_esc);
+        w.field("time_ratio", row.time_ratio());
+        w.field("mem_ratio", row.mem_ratio());
+        // Against the value-carrying twin alone: the Boolean specialisation's
+        // own share of the edge (recorded, not gated).
+        w.field("time_ratio_vs_hash",
+                row.generic_hash.time.min_s / row.boolean.time.min_s);
         w.end_object();
+        const bool first = &row == &squares.front();
+        min_time = first ? row.time_ratio() : std::min(min_time, row.time_ratio());
+        min_mem = first ? row.mem_ratio() : std::min(min_mem, row.mem_ratio());
     }
     w.end_array();
+    w.field("min_time_ratio", min_time);
+    w.field("min_mem_ratio", min_mem);
     w.begin_array("ewise_add");
     for (const auto& row : adds) {
         w.begin_object();
@@ -163,27 +232,20 @@ int main() {
 
     std::printf("E1: Boolean-specialised vs generic kernels (paper: boolean up to "
                 "5x faster, up to 4x less memory)\n\n");
-    std::printf("-- SpGEMM: C = A * A ------------------------------------------"
-                "---------------------------------\n");
+    std::printf("-- SpGEMM: C = A * A (min ms over runs; ratios against the slower "
+                "generic) -----------------\n");
     std::printf("%-16s %10s %10s | %9s %9s %9s %7s | %9s %9s %9s %7s\n", "matrix",
                 "|V|", "nnz", "bool ms", "gnrc ms", "esc ms", "speedup", "bool MB",
                 "gnrc MB", "esc MB", "mem x");
     for (const auto& w : workloads) {
-        const auto b = measure_boolean_square(w.matrix);
-        const auto gh = measure_generic_square(w.matrix, /*esc=*/false);
-        const auto ge = measure_generic_square(w.matrix, /*esc=*/true);
-        const double worst_generic_s = gh.time.mean_s > ge.time.mean_s
-                                           ? gh.time.mean_s
-                                           : ge.time.mean_s;
-        const double worst_generic_b =
-            static_cast<double>(gh.bytes > ge.bytes ? gh.bytes : ge.bytes);
+        squares.push_back(measure_square(w));
+        const auto& row = squares.back();
         std::printf(
             "%-16s %10u %10zu | %9.2f %9.2f %9.2f %6.2fx | %9.2f %9.2f %9.2f %6.2fx\n",
-            w.name.c_str(), w.matrix.nrows(), w.matrix.nnz(), b.time.mean_ms(),
-            gh.time.mean_ms(), ge.time.mean_ms(), worst_generic_s / b.time.mean_s,
-            b.bytes / 1e6, gh.bytes / 1e6, ge.bytes / 1e6,
-            worst_generic_b / static_cast<double>(b.bytes));
-        squares.push_back({&w, b, gh, ge});
+            w.name.c_str(), w.matrix.nrows(), w.matrix.nnz(), row.boolean.time.min_ms(),
+            row.generic_hash.time.min_ms(), row.generic_esc.time.min_ms(), row.time_ratio(),
+            row.boolean.bytes / 1e6, row.generic_hash.bytes / 1e6,
+            row.generic_esc.bytes / 1e6, row.mem_ratio());
     }
 
     std::printf("\n-- EWiseAdd: C = A + A^T --------------------------------------"

@@ -11,6 +11,7 @@
 /// runs the google-benchmark suite as usual.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -21,14 +22,21 @@
 #include "backend/arena.hpp"
 #include "backend/context.hpp"
 #include "baseline/generic_spgemm.hpp"
+#include "cfpq/queries.hpp"
+#include "cfpq/rsm.hpp"
 #include "common.hpp"
 #include "data/rmat.hpp"
 #include "data/kernel_alias.hpp"
 #include "data/lubm.hpp"
+#include "data/rdflike.hpp"
 #include "incr/incremental.hpp"
 #include "incr/memo.hpp"
 #include "ops/ops.hpp"
 #include "prof/prof.hpp"
+#include "rpq/dfa.hpp"
+#include "rpq/engine.hpp"
+#include "rpq/nfa.hpp"
+#include "rpq/query_templates.hpp"
 #include "storage/dispatch.hpp"
 #include "util/rng.hpp"
 
@@ -225,6 +233,111 @@ double write_spgemm_record(bench::JsonWriter& w, const char* name,
     return speedup;
 }
 
+/// One SpGEMM in the shape the paper workloads run it: C = A * A, or the
+/// squaring closure's fused step C = M | M * M.
+struct PaperInput {
+    const char* name;
+    bool fused;  ///< the squaring step M | M * M rather than A * A
+    CsrMatrix m;
+};
+
+/// The summed Kronecker product of the LUBM(120) graph with the Table II
+/// template whose product is largest — the matrix the rpq-lubm workload's
+/// squaring closure multiplies most.
+CsrMatrix lubm_rpq_product() {
+    const auto graph = data::make_lubm(120);
+    const auto labels = graph.labels_by_frequency();
+    CsrMatrix largest;
+    for (const auto& tpl : rpq::table2_templates()) {
+        if (labels.size() < tpl.arity) continue;
+        const auto dfa =
+            rpq::minimize(rpq::determinize(rpq::glushkov(*tpl.instantiate(labels))));
+        const auto index = rpq::build_index(ctx(), graph, dfa);
+        if (index.product.nnz() > largest.nnz()) largest = index.product.csr();
+    }
+    return largest;
+}
+
+/// The round-1 product of the tensor CFPQ (Tns) on a Table III taxonomy
+/// graph with query G1: M = sum over RSM symbols of RSM_s (x) G_s.
+CsrMatrix tensor_cfpq_product() {
+    auto graph = data::make_taxonomy(9000, 2, 207);
+    graph.add_inverse_labels();
+    const cfpq::Rsm rsm = cfpq::build_rsm(cfpq::query_g1());
+    const Index n = graph.num_vertices();
+    const Index k = rsm.num_states;
+    const auto symbols = rsm.symbols();
+    std::vector<Matrix> boxes;
+    std::vector<Matrix> sides;
+    boxes.reserve(symbols.size());
+    sides.reserve(symbols.size());
+    std::vector<storage::KroneckerTerm> terms;
+    const auto has = [](const std::vector<std::string>& v, const std::string& x) {
+        return std::find(v.begin(), v.end(), x) != v.end();
+    };
+    for (const auto& symbol : symbols) {
+        boxes.push_back(rsm.matrix(symbol));
+        // Round 1 sees a nonterminal only through its nullable identity.
+        if (has(rsm.nullable, symbol)) {
+            sides.push_back(Matrix::identity(n, ctx()));
+        } else if (has(rsm.nonterminals, symbol)) {
+            sides.push_back(Matrix{n, n, ctx()});
+        } else {
+            sides.push_back(graph.matrix(symbol));
+        }
+        if (sides.back().nnz() != 0) terms.push_back({&boxes.back(), &sides.back()});
+    }
+    return storage::kronecker_sum(ctx(), k * n, k * n, terms).csr();
+}
+
+/// Times each paper-shaped input with the default options and with the
+/// ladder's two-pass-static baseline options, as the "paper_inputs" array. These
+/// rungs are recorded, not gated, and stay out of geomean_speedup: they
+/// watch the sparse operand shapes the paper's workloads run, which the
+/// skewed ladder inputs above never exercise.
+void write_paper_inputs(bench::JsonWriter& w) {
+    const auto ladder = spgemm_ladder();
+    const SpGemmConfig configs[] = {ladder.front(), {"default", ops::SpGemmOptions{}}};
+    const PaperInput inputs[] = {
+        {"rpq-lubm-120-squaring", true, lubm_rpq_product()},
+        {"tns-taxonomy-9000-g1", true, tensor_cfpq_product()},
+        {"taxonomy-20k", false, data::make_taxonomy(20000, 2).union_matrix().csr()},
+    };
+    w.begin_array("paper_inputs");
+    for (const auto& input : inputs) {
+        const CsrMatrix& a = input.m;
+        w.begin_object();
+        w.field("name", input.name);
+        w.field("op", input.fused ? "C = M | M * M" : "C = A * A");
+        w.field("nrows", static_cast<std::uint64_t>(a.nrows()));
+        w.field("nnz", static_cast<std::uint64_t>(a.nnz()));
+        w.begin_array("configs");
+        double baseline_ms = 0, default_ms = 0;
+        for (const auto& config : configs) {
+            const auto stats = bench::time_stats(
+                [&] {
+                    (void)(input.fused ? ops::multiply_add(ctx(), a, a, a, config.opts)
+                                       : ops::multiply(ctx(), a, a, config.opts));
+                },
+                5);
+            (&config == &configs[0] ? baseline_ms : default_ms) = stats.min_ms();
+            w.begin_object();
+            w.field("name", config.name);
+            w.field("ms", stats.min_ms());
+            w.field("time", stats);
+            w.end_object();
+        }
+        w.end_array();
+        const double speedup = default_ms > 0 ? baseline_ms / default_ms : 0.0;
+        w.field("speedup_default_vs_two_pass_static", speedup);
+        w.end_object();
+        std::printf("SpGEMM paper input %s: %.2f ms default, %.2f ms two-pass static "
+                    "(%.2fx)\n",
+                    input.name, default_ms, baseline_ms, speedup);
+    }
+    w.end_array();
+}
+
 /// Writes BENCH_spgemm.json (path overridable via SPBLA_BENCH_JSON) with the
 /// scheduler/caching ladder on the skewed SpGEMM stress inputs.
 void write_spgemm_trajectory() {
@@ -264,6 +377,7 @@ void write_spgemm_trajectory() {
     w.end_array();
     const double geomean = std::exp(log_sum / kNumInputs);
     w.field("geomean_speedup", geomean);
+    write_paper_inputs(w);
 
     // Allocation-count ablation: the same full-pipeline multiply with the op
     // arena active vs. forced into pass-through (every scratch request an

@@ -51,18 +51,11 @@ struct Stats {
     return sorted[rank == 0 ? 0 : rank - 1];
 }
 
-/// Time \p body over \p runs runs (plus one untimed warm-up) and return
-/// min / mean / sample-stddev wall-clock seconds.
-inline Stats time_stats(const std::function<void()>& body, int runs = kRuns) {
-    body();  // warm-up
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(runs));
-    for (int r = 0; r < runs; ++r) {
-        util::Timer timer;
-        body();
-        samples.push_back(timer.seconds());
-    }
+/// Min / mean / sample-stddev / percentiles of wall-clock samples (seconds).
+inline Stats stats_of(std::vector<double> samples) {
     Stats stats;
+    if (samples.empty()) return stats;
+    const int runs = static_cast<int>(samples.size());
     stats.runs = runs;
     stats.min_s = samples.front();
     double sum = 0.0;
@@ -81,6 +74,20 @@ inline Stats time_stats(const std::function<void()>& body, int runs = kRuns) {
     stats.p95_s = percentile_of(samples, 0.95);
     stats.p99_s = percentile_of(samples, 0.99);
     return stats;
+}
+
+/// Time \p body over \p runs runs (plus one untimed warm-up) and return
+/// min / mean / sample-stddev wall-clock seconds.
+inline Stats time_stats(const std::function<void()>& body, int runs = kRuns) {
+    body();  // warm-up
+    std::vector<double> samples;
+    samples.reserve(static_cast<std::size_t>(runs));
+    for (int r = 0; r < runs; ++r) {
+        util::Timer timer;
+        body();
+        samples.push_back(timer.seconds());
+    }
+    return stats_of(std::move(samples));
 }
 
 /// Best (minimum) wall-clock seconds of \p body over \p runs runs.

@@ -48,11 +48,9 @@ void DeltaMatrix::apply(const Matrix& adds, const Matrix& removes,
 void DeltaMatrix::consolidate(backend::Context& ctx) {
     if (overlay_empty()) return;
     telemetry::count(telemetry::Counter::IncrConsolidations);
-    // Folded here rather than through Matrix::apply_delta, which would book
-    // the overlay a second time as a new batch: apply() already counted the
-    // caller's batch and its cells.
-    Matrix next = del_.empty() ? base_ : storage::ewise_diff(ctx, base_, del_);
-    base_ = add_.empty() ? std::move(next) : storage::ewise_add(ctx, next, add_);
+    // fold_delta, not apply_delta, which would book the overlay a second time
+    // as a new batch: apply() already counted the caller's batch and its cells.
+    base_.fold_delta(add_, del_, ctx);
     add_ = Matrix{base_.nrows(), base_.ncols(), ctx};
     del_ = Matrix{base_.nrows(), base_.ncols(), ctx};
     snapshot_.reset();

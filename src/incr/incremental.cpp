@@ -60,6 +60,17 @@ Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect
     return rows.scatter(ctx, rest);
 }
 
+/// One spbla.incr.batches per caller batch that names any cell, plus those
+/// cells in spbla.incr.delta_nnz. IncrementalRpq and IncrementalCfpq fold a
+/// batch into several handles (one per label, then the product) with
+/// Matrix::fold_delta, so the batch is booked here once, with the caller's
+/// cells only.
+void book_batch(std::uint64_t cells) {
+    if (cells == 0) return;
+    telemetry::count(telemetry::Counter::IncrBatches);
+    telemetry::count(telemetry::Counter::IncrDeltaNnz, cells);
+}
+
 /// Per-batch saved-iterations accounting shared by the three drivers.
 void account_batch(IncrStats& stats, std::size_t rounds_used) {
     stats.rounds += rounds_used;
@@ -189,6 +200,7 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
     std::map<std::string, Matrix> add_eff;
     std::map<std::string, Matrix> del_eff;
     Matrix del_union{n_, n_, *ctx_};  // graph-space cells any label deletes
+    std::uint64_t cells = 0;
     for (const auto& label : [&] {
              std::vector<std::string> ls;
              for (const auto& [l, _] : add_coords) ls.push_back(l);
@@ -208,11 +220,13 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
         Matrix& g = it->second;
         Matrix a = effective_adds(*ctx_, batch_add, g);
         Matrix d = effective_dels(*ctx_, batch_del, batch_add, g);
-        g.apply_delta(batch_add, batch_del, *ctx_);
+        g.fold_delta(batch_add, batch_del, *ctx_);
+        cells += batch_add.nnz() + batch_del.nnz();
         if (!d.empty()) del_union = storage::ewise_add(*ctx_, del_union, d);
         if (!a.empty()) add_eff.emplace(label, std::move(a));
         if (!d.empty()) del_eff.emplace(label, std::move(d));
     }
+    book_batch(cells);
     if (add_eff.empty() && del_eff.empty()) return;  // no effective change
 
     // Product deltas. A raw deleted cell survives when another label still
@@ -245,7 +259,7 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
     const Matrix prod_add = storage::ewise_diff(*ctx_, raw_add, product_);
     if (prod_add.empty() && prod_del.empty()) return;  // answers unchanged
 
-    product_.apply_delta(prod_add, prod_del, *ctx_);
+    product_.fold_delta(prod_add, prod_del, *ctx_);
     const ClosureUpdate upd =
         update_closure(*ctx_, closure_, product_, prod_add, prod_del, opts_);
     account_batch(stats_, upd.rounds);
@@ -355,21 +369,24 @@ void IncrementalCfpq::apply(const std::vector<data::LabeledEdge>& adds,
         if (!a.empty()) add_eff.emplace(label, std::move(a));
     }
     // Fold the whole batch into the label matrices (delete-then-insert).
+    std::uint64_t cells = 0;
     for (const auto& [label, coords] : del_coords) {
         auto it = labels_.find(label);
         if (it == labels_.end()) continue;
         auto ac = add_coords.find(label);
-        it->second.apply_delta(
-            Matrix::from_coords(
-                n_, n_, ac != add_coords.end() ? ac->second : std::vector<Coord>{},
-                *ctx_),
-            Matrix::from_coords(n_, n_, coords, *ctx_), *ctx_);
+        const Matrix batch_add = Matrix::from_coords(
+            n_, n_, ac != add_coords.end() ? ac->second : std::vector<Coord>{}, *ctx_);
+        const Matrix batch_del = Matrix::from_coords(n_, n_, coords, *ctx_);
+        it->second.fold_delta(batch_add, batch_del, *ctx_);
+        cells += batch_add.nnz() + batch_del.nnz();
     }
     for (const auto& [label, coords] : add_coords) {
         if (del_coords.contains(label)) continue;  // folded above
-        labels_.at(label).apply_delta(Matrix::from_coords(n_, n_, coords, *ctx_),
-                                      Matrix{n_, n_, *ctx_}, *ctx_);
+        const Matrix batch_add = Matrix::from_coords(n_, n_, coords, *ctx_);
+        labels_.at(label).fold_delta(batch_add, Matrix{n_, n_, *ctx_}, *ctx_);
+        cells += batch_add.nnz();
     }
+    book_batch(cells);
 
     if (any_delete) {
         // Non-monotone: derivations may die. Rebuild from the updated labels

@@ -80,6 +80,16 @@ void Matrix::apply_delta(const Matrix& adds, const Matrix& removes,
     telemetry::count(telemetry::Counter::IncrBatches);
     telemetry::count(telemetry::Counter::IncrDeltaNnz,
                      adds.nnz() + removes.nnz());
+    fold_delta(adds, removes, ctx);
+}
+
+void Matrix::fold_delta(const Matrix& adds, const Matrix& removes,
+                        backend::Context& ctx) {
+    SPBLA_REQUIRE(adds.nrows() == nrows() && adds.ncols() == ncols(),
+                  Status::DimensionMismatch, "fold_delta: insert delta shape");
+    SPBLA_REQUIRE(removes.nrows() == nrows() && removes.ncols() == ncols(),
+                  Status::DimensionMismatch, "fold_delta: delete delta shape");
+    if (adds.empty() && removes.empty()) return;  // no-op batch: stamp kept
     Matrix next =
         removes.empty() ? *this : storage::ewise_diff(ctx, *this, removes);
     if (!adds.empty()) next = storage::ewise_add(ctx, next, adds);

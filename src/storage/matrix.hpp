@@ -87,6 +87,11 @@ public:
         apply_delta(adds, removes, *ctx_);
     }
 
+    /// The same fold and restamp as apply_delta, booking nothing: for a
+    /// maintainer that folds one caller batch into several handles and
+    /// books that batch once itself.
+    void fold_delta(const Matrix& adds, const Matrix& removes, backend::Context& ctx);
+
     /// Simulated device footprint of the CSR storage.
     [[nodiscard]] std::size_t device_bytes() const noexcept { return csr_.device_bytes(); }
 

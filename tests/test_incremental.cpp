@@ -602,6 +602,34 @@ TEST_F(IncrementalNet, EachCallerBatchIsBookedOnce) {
     EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 0u);
 }
 
+/// A batch that touches several labels is still one caller batch:
+/// IncrementalRpq folds it into each label and into the Kronecker product,
+/// IncrementalCfpq into each label, and each books it once with its own cells.
+TEST_F(IncrementalNet, BatchTouchingSeveralLabelsIsBookedOnce) {
+    using telemetry::Counter;
+    const auto booked = [](const telemetry::Snapshot& before, Counter c) {
+        return telemetry::snapshot().counter(c) - before.counter(c);
+    };
+    const auto g = data::LabeledGraph::from_edges(
+        6, {{0, "a", 1}, {1, "b", 2}, {2, "a", 3}, {3, "b", 4}});
+    IncrementalRpq rpq_inc{ctx(), g, rpq::compile_query("(a b)*")};
+    // Three cells over two labels; the duplicate edge is one cell.
+    auto before = telemetry::snapshot();
+    rpq_inc.apply({{4, "a", 5}, {5, "b", 0}, {5, "b", 0}}, {{0, "a", 1}});
+    EXPECT_EQ(booked(before, Counter::IncrBatches), 1u);
+    EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 3u);
+
+    IncrementalCfpq cfpq_inc{ctx(), g, cfpq::Grammar::parse("S -> a S b | a b\n")};
+    before = telemetry::snapshot();
+    cfpq_inc.apply({{4, "a", 5}, {5, "b", 0}}, {});
+    EXPECT_EQ(booked(before, Counter::IncrBatches), 1u);
+    EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 2u);
+    before = telemetry::snapshot();
+    cfpq_inc.apply({}, {{0, "a", 1}, {1, "b", 2}});
+    EXPECT_EQ(booked(before, Counter::IncrBatches), 1u);
+    EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 2u);
+}
+
 TEST_F(IncrementalNet, DeltaMatrixSnapshotIsCachedPerEpoch) {
     DeltaMatrix d{cells(6, 6, {{0, 1}, {1, 2}})};
     d.apply(cells(6, 6, {{2, 3}}), Matrix{6, 6, ctx()}, ctx());

@@ -320,6 +320,9 @@ TEST_F(TelemetryDispatch, MemoryGaugesTrackTheTracker) {
     telemetry::reset();
     {
         const auto a = testing::random_matrix(64, 64, 0.2, 7005);
+        // A warm op arena serves a multiply without touching the tracker;
+        // dropping the retained slabs makes this one reserve afresh.
+        ctx().trim_device_scratch();
         const auto b = storage::multiply(ctx(), a, a);
         (void)b;
         const auto snap = telemetry::snapshot();

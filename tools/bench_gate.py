@@ -38,6 +38,15 @@ GATED_KEYS = {
         # tier buys. A drop means scratch is leaking back onto the heap.
         "alloc_reduction_spgemm": "higher",
     },
+    "BENCH_e1.json": {
+        # The abstract's claim (E1): the Boolean SpGEMM against the slower
+        # generic comparator, minimum over the six inputs, in time and in
+        # memory. A drop means some input lost the Boolean specialisation's
+        # edge — the shape of the regression that went unseen while only
+        # skewed inputs were gated.
+        "min_time_ratio": "higher",
+        "min_mem_ratio": "higher",
+    },
     "BENCH_incremental.json": {
         # Single-edge update latency of the semi-naive closure maintenance
         # vs a full recompute of the same post-batch graph (geomean over the
