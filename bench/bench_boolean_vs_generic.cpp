@@ -26,7 +26,10 @@
 /// the claim as two ratios against the slower generic comparator — time
 /// (min over runs) and memory — and the file carries their minima over the
 /// inputs, min_time_ratio and min_mem_ratio, which tools/bench_gate.py gates.
+/// Each EWiseAdd input records the same two ratios against the
+/// value-carrying twin (recorded, not gated).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -77,22 +80,29 @@ std::size_t footprint(Run run) {
     return result_bytes + ctx().tracker().peak_bytes();
 }
 
-Measurement measure_boolean_add(const CsrMatrix& a, const CsrMatrix& at) {
-    fresh_peak();
-    CsrMatrix result{a.nrows(), a.ncols()};
-    const auto stats =
-        bench::time_stats([&] { result = ops::ewise_add(ctx(), a, at); });
-    return {stats, result.device_bytes() + ctx().tracker().peak_bytes()};
-}
-
-Measurement measure_generic_add(const CsrMatrix& a, const CsrMatrix& at) {
-    const auto ga = baseline::GenericCsr::from_boolean(a);
-    const auto gat = baseline::GenericCsr::from_boolean(at);
-    fresh_peak();
-    baseline::GenericCsr result{a.nrows(), a.ncols()};
-    const auto stats =
-        bench::time_stats([&] { result = baseline::ewise_add(ctx(), ga, gat); });
-    return {stats, result.device_bytes() + ctx().tracker().peak_bytes()};
+/// Time \p runs in interleaved rounds (one run each per round, after a
+/// warm-up), so a burst of host noise hits every kernel alike; rounds fill
+/// about two seconds, 5 to 60 of them.
+template <std::size_t N>
+std::array<bench::Stats, N> interleaved_stats(const std::function<void()> (&runs)[N]) {
+    double round_s = 0.0;
+    for (const auto& run : runs) {
+        util::Timer timer;
+        run();
+        round_s += timer.seconds();
+    }
+    const int rounds = static_cast<int>(std::clamp(2.0 / std::max(round_s, 1e-6), 5.0, 60.0));
+    std::vector<double> samples[N];
+    for (int r = 0; r < rounds; ++r) {
+        for (std::size_t k = 0; k < N; ++k) {
+            util::Timer timer;
+            runs[k]();
+            samples[k].push_back(timer.seconds());
+        }
+    }
+    std::array<bench::Stats, N> out;
+    for (std::size_t k = 0; k < N; ++k) out[k] = bench::stats_of(samples[k]);
+    return out;
 }
 
 struct SquareRow {
@@ -111,9 +121,7 @@ struct SquareRow {
     }
 };
 
-/// C = A * A with the three kernels. Timing runs them in interleaved rounds
-/// (one run each per round, after a warm-up), so a burst of host noise hits
-/// all three alike; rounds fill about two seconds, 5 to 60 of them. Each
+/// C = A * A with the three kernels, timed in interleaved rounds. Each
 /// kernel's memory is measured apart, from trimmed scratch.
 SquareRow measure_square(const Workload& w) {
     const CsrMatrix& a = w.matrix;
@@ -123,33 +131,41 @@ SquareRow measure_square(const Workload& w) {
         [&] { (void)baseline::multiply_hash(ctx(), g, g); },
         [&] { (void)baseline::multiply_esc(ctx(), g, g); },
     };
-    double round_s = 0.0;
-    for (const auto& run : runs) {
-        util::Timer timer;
-        run();
-        round_s += timer.seconds();
-    }
-    const int rounds = static_cast<int>(std::clamp(2.0 / std::max(round_s, 1e-6), 5.0, 60.0));
-    std::vector<double> samples[3];
-    for (int r = 0; r < rounds; ++r) {
-        for (std::size_t k = 0; k < 3; ++k) {
-            util::Timer timer;
-            runs[k]();
-            samples[k].push_back(timer.seconds());
-        }
-    }
+    const auto time = interleaved_stats(runs);
     return {&w,
-            {bench::stats_of(samples[0]), footprint([&] { return ops::multiply(ctx(), a, a); })},
-            {bench::stats_of(samples[1]),
-             footprint([&] { return baseline::multiply_hash(ctx(), g, g); })},
-            {bench::stats_of(samples[2]),
-             footprint([&] { return baseline::multiply_esc(ctx(), g, g); })}};
+            {time[0], footprint([&] { return ops::multiply(ctx(), a, a); })},
+            {time[1], footprint([&] { return baseline::multiply_hash(ctx(), g, g); })},
+            {time[2], footprint([&] { return baseline::multiply_esc(ctx(), g, g); })}};
 }
 
 struct AddRow {
     const Workload* w;
     Measurement boolean, generic;
+
+    /// The value-carrying twin's min time over the Boolean kernel's.
+    [[nodiscard]] double time_ratio() const { return generic.time.min_s / boolean.time.min_s; }
+    /// The twin's footprint over the Boolean kernel's.
+    [[nodiscard]] double mem_ratio() const {
+        return static_cast<double>(generic.bytes) / static_cast<double>(boolean.bytes);
+    }
 };
+
+/// C = A + A^T with the Boolean kernel and its value-carrying twin, timed in
+/// interleaved rounds, memory measured apart from trimmed scratch.
+AddRow measure_add(const Workload& w) {
+    const CsrMatrix& a = w.matrix;
+    const CsrMatrix at = ops::transpose(ctx(), a);
+    const auto ga = baseline::GenericCsr::from_boolean(a);
+    const auto gat = baseline::GenericCsr::from_boolean(at);
+    const std::function<void()> runs[] = {
+        [&] { (void)ops::ewise_add(ctx(), a, at); },
+        [&] { (void)baseline::ewise_add(ctx(), ga, gat); },
+    };
+    const auto time = interleaved_stats(runs);
+    return {&w,
+            {time[0], footprint([&] { return ops::ewise_add(ctx(), a, at); })},
+            {time[1], footprint([&] { return baseline::ewise_add(ctx(), ga, gat); })}};
+}
 
 void write_measurement(bench::JsonWriter& w, const char* key, const Measurement& m) {
     w.begin_object(key);
@@ -206,6 +222,8 @@ void write_json(const std::vector<SquareRow>& squares, const std::vector<AddRow>
         w.field("nnz", static_cast<std::uint64_t>(row.w->matrix.nnz()));
         write_measurement(w, "boolean", row.boolean);
         write_measurement(w, "generic", row.generic);
+        w.field("time_ratio", row.time_ratio());
+        w.field("mem_ratio", row.mem_ratio());
         w.end_object();
     }
     w.end_array();
@@ -248,20 +266,17 @@ int main() {
             row.generic_esc.bytes / 1e6, row.mem_ratio());
     }
 
-    std::printf("\n-- EWiseAdd: C = A + A^T --------------------------------------"
+    std::printf("\n-- EWiseAdd: C = A + A^T (min ms over runs) -------------------"
                 "-------------\n");
     std::printf("%-16s %10s | %9s %9s %7s | %9s %9s %7s\n", "matrix", "nnz",
                 "bool ms", "gnrc ms", "speedup", "bool MB", "gnrc MB", "mem x");
     for (const auto& w : workloads) {
-        const auto at = spbla::ops::transpose(ctx(), w.matrix);
-        const auto b = measure_boolean_add(w.matrix, at);
-        const auto g = measure_generic_add(w.matrix, at);
+        adds.push_back(measure_add(w));
+        const auto& row = adds.back();
         std::printf("%-16s %10zu | %9.2f %9.2f %6.2fx | %9.2f %9.2f %6.2fx\n",
-                    w.name.c_str(), w.matrix.nnz(), b.time.mean_ms(),
-                    g.time.mean_ms(), g.time.mean_s / b.time.mean_s, b.bytes / 1e6,
-                    g.bytes / 1e6,
-                    static_cast<double>(g.bytes) / static_cast<double>(b.bytes));
-        adds.push_back({&w, b, g});
+                    w.name.c_str(), w.matrix.nnz(), row.boolean.time.min_ms(),
+                    row.generic.time.min_ms(), row.time_ratio(), row.boolean.bytes / 1e6,
+                    row.generic.bytes / 1e6, row.mem_ratio());
     }
     std::printf("\nExpected shape (the paper claims *up to* 5x/4x, not uniform "
                 "wins): the boolean kernel's advantage is largest on the "

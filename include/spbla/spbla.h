@@ -211,7 +211,9 @@ spbla_Status spbla_Kronecker(spbla_Matrix result, spbla_Matrix a, spbla_Matrix b
 /** result = a^T. */
 spbla_Status spbla_Matrix_Transpose(spbla_Matrix result, spbla_Matrix a);
 
-/** result = a[row0 .. row0+m, col0 .. col0+n] (shapes must match result). */
+/** result = a[row0 .. row0+m, col0 .. col0+n]; result takes the window's
+ *  m x n shape, whatever its shape before. A window reaching past a's shape
+ *  returns SPBLA_STATUS_OUT_OF_RANGE and leaves result unchanged. */
 spbla_Status spbla_Matrix_ExtractSubMatrix(spbla_Matrix result, spbla_Matrix a,
                                            spbla_Index row0, spbla_Index col0,
                                            spbla_Index m, spbla_Index n);

@@ -51,23 +51,11 @@ public:
         return policy_ == Policy::Parallel ? pool_.get() : nullptr;
     }
 
-    /// Launch body(i) for i in [0, n) ("one thread per row" kernel shape).
-    /// Chunks are dynamically scheduled (work-stealing tickets) by default;
-    /// pass util::Schedule::Static for the FIFO one-closure-per-chunk path.
-    void parallel_for(std::size_t n, std::size_t grain,
-                      const std::function<void(std::size_t)>& body,
-                      util::Schedule schedule = util::Schedule::Dynamic) const {
-        // Same expansion util::parallel_for performs, but routed through the
-        // chunk wrapper below so the body runs under a per-chunk arena scope.
-        parallel_for_chunks(
-            n, grain,
-            [&body](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) body(i);
-            },
-            schedule);
-    }
-
-    /// Launch body(begin, end) over contiguous chunks of [0, n). Each chunk
+    /// Launch body(begin, end) over contiguous chunks of [0, n): the kernel
+    /// launch, whose body loops over its rows inline, so a launch costs one
+    /// call per chunk, not one per row. Chunks are dynamically scheduled
+    /// (work-stealing tickets) by default; pass util::Schedule::Static for
+    /// the FIFO one-closure-per-chunk path. Each chunk
     /// body runs inside a ScopedArena on the executing worker's own arena,
     /// so kernel scratch (ArenaVector, scratch_arena() bumps) is reclaimed
     /// wholesale at chunk exit and workers never contend on an allocator.
@@ -99,7 +87,8 @@ public:
 
     /// The calling thread's op arena (created on first use). Open a
     /// ScopedArena on it around an op to reclaim everything at op exit;
-    /// chunk bodies launched via parallel_for* get their scope implicitly.
+    /// chunk bodies launched via parallel_for_chunks get their scope
+    /// implicitly.
     [[nodiscard]] Arena& scratch_arena() const { return arena_hub_->local(); }
 
     /// Per-context arena registry (one arena per touching thread).

@@ -1,78 +1,92 @@
 #include "baseline/generic_ewise_add.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "backend/arena.hpp"
+#include "ops/ewise_plan.hpp"
+
 namespace spbla::baseline {
+namespace {
+
+/// Merge row pair (x, xv) + (y, yv) into (cols, vals), summing coincident
+/// values; returns the merged length. Copies a row whose partner is empty.
+Index merge_row(const Index* x, const float* xv, std::size_t nx, const Index* y,
+                const float* yv, std::size_t ny, Index* cols, float* vals) {
+    if (ny == 0 || nx == 0) {
+        const Index* src = ny == 0 ? x : y;
+        const float* src_vals = ny == 0 ? xv : yv;
+        const std::size_t n = ny == 0 ? nx : ny;
+        std::copy(src, src + n, cols);
+        std::copy(src_vals, src_vals + n, vals);
+        return static_cast<Index>(n);
+    }
+    std::size_t p = 0, q = 0, out = 0;
+    while (p < nx && q < ny) {
+        if (x[p] < y[q]) {
+            cols[out] = x[p];
+            vals[out] = xv[p];
+            ++p;
+        } else if (y[q] < x[p]) {
+            cols[out] = y[q];
+            vals[out] = yv[q];
+            ++q;
+        } else {
+            cols[out] = x[p];
+            vals[out] = xv[p] + yv[q];  // value work the Boolean kernel skips
+            ++p;
+            ++q;
+        }
+        ++out;
+    }
+    for (; p < nx; ++p, ++out) {
+        cols[out] = x[p];
+        vals[out] = xv[p];
+    }
+    for (; q < ny; ++q, ++out) {
+        cols[out] = y[q];
+        vals[out] = yv[q];
+    }
+    return static_cast<Index>(out);
+}
+
+}  // namespace
 
 GenericCsr ewise_add(backend::Context& ctx, const GenericCsr& a, const GenericCsr& b) {
     check(a.nrows() == b.nrows() && a.ncols() == b.ncols(), Status::DimensionMismatch,
           "generic ewise_add: shape mismatch");
     const Index m = a.nrows();
+    const std::uint64_t cap_sum = std::uint64_t{a.nnz()} + b.nnz();
+    check(cap_sum <= std::numeric_limits<Index>::max(), Status::OutOfRange,
+          "generic ewise_add: nnz overflow");
 
-    auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto x = a.row(static_cast<Index>(i));
-        const auto y = b.row(static_cast<Index>(i));
-        std::size_t p = 0, q = 0, n = 0;
-        while (p < x.size() && q < y.size()) {
-            if (x[p] < y[q])
-                ++p;
-            else if (y[q] < x[p])
-                ++q;
-            else {
-                ++p;
-                ++q;
-            }
-            ++n;
-        }
-        row_sizes[i] = static_cast<Index>(n + (x.size() - p) + (y.size() - q));
-    });
-
+    // The Boolean kernel's runner and chunk rule (ops/ewise_plan.hpp), with
+    // a value-carrying row writer.
+    const Index* a_off = a.row_offsets().data();
+    const Index* a_cols = a.cols().data();
+    const float* a_vals = a.vals().data();
+    const Index* b_off = b.row_offsets().data();
+    const Index* b_cols = b.cols().data();
+    const float* b_vals = b.vals().data();
+    backend::ScopedArena op_scope{ctx.scratch_arena()};
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-    std::uint64_t total = 0;
-    for (Index i = 0; i < m; ++i) {
-        row_offsets[i] = static_cast<Index>(total);
-        total += row_sizes[i];
-    }
-    row_offsets[m] = static_cast<Index>(total);
-    check(total <= 0xFFFFFFFFull, Status::OutOfRange, "generic ewise_add: nnz overflow");
-
-    std::vector<Index> cols(static_cast<std::size_t>(total));
-    std::vector<float> vals(static_cast<std::size_t>(total));
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto xv = a.row_vals(r);
-        const auto y = b.row(r);
-        const auto yv = b.row_vals(r);
-        std::size_t p = 0, q = 0, out = row_offsets[i];
-        while (p < x.size() && q < y.size()) {
-            if (x[p] < y[q]) {
-                cols[out] = x[p];
-                vals[out] = xv[p];
-                ++p;
-            } else if (y[q] < x[p]) {
-                cols[out] = y[q];
-                vals[out] = yv[q];
-                ++q;
-            } else {
-                cols[out] = x[p];
-                vals[out] = xv[p] + yv[q];  // value work the Boolean kernel skips
-                ++p;
-                ++q;
-            }
-            ++out;
-        }
-        for (; p < x.size(); ++p, ++out) {
-            cols[out] = x[p];
-            vals[out] = xv[p];
-        }
-        for (; q < y.size(); ++q, ++out) {
-            cols[out] = y[q];
-            vals[out] = yv[q];
-        }
-    });
-
+    std::vector<Index> cols;
+    std::vector<float> vals;
+    ops::lean_run<float>(
+        ctx, m, cap_sum, ops::ewise_chunk_count(ctx, m, cap_sum),
+        [&](Index i) {
+            return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
+        },
+        [](backend::Arena&) { return ops::EwiseNoScratch{}; },
+        [&](ops::EwiseNoScratch, Index i, Index* out_cols, float* out_vals) {
+            return merge_row(a_cols + a_off[i], a_vals + a_off[i], a_off[i + 1] - a_off[i],
+                             b_cols + b_off[i], b_vals + b_off[i], b_off[i + 1] - b_off[i],
+                             out_cols, out_vals);
+        },
+        row_offsets.data(), cols, &vals);
     return GenericCsr::from_raw(m, a.ncols(), std::move(row_offsets), std::move(cols),
                                 std::move(vals));
 }

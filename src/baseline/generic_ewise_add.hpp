@@ -1,9 +1,10 @@
 /// \file generic_ewise_add.hpp
 /// \brief Generic (value-carrying) element-wise addition comparator.
 ///
-/// Same two-pass row merge as the Boolean kernel, but merging float values
-/// too (summing where both operands are present) — the extra value traffic
-/// the Boolean specialisation avoids.
+/// Same one-pass row merge on the same runner as the Boolean kernel
+/// (ops/ewise_plan.hpp), but merging float values too (summing where both
+/// operands are present) — the extra value traffic the Boolean
+/// specialisation avoids.
 #pragma once
 
 #include "backend/context.hpp"

@@ -236,18 +236,15 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
         std::vector<Index> cols;
         std::vector<float> vals;
         ops::lean_run<float>(
-            ctx, m, ncols, bounds,
+            ctx, m, bounds.out_bound,
+            ops::lean_chunk_count(ops::lean_workers(ctx), bounds.busy_rows, ncols,
+                                  bounds.out_bound),
             [&](Index i) { return std::min<std::uint64_t>(ub[i], ncols); },
             [&](backend::Arena& arena) { return LeanScratch{arena, ncols, classes.buffer_cap}; },
             [&](LeanScratch& s, Index i, Index* out_cols, float* out_vals) {
                 return lean_row(a, b, i, ub[i], classes, s, out_cols, out_vals);
             },
-            row_offsets.data(),
-            [&](std::uint64_t total) {
-                cols.resize(static_cast<std::size_t>(total));
-                vals.resize(static_cast<std::size_t>(total));
-                return std::pair<Index*, float*>{cols.data(), vals.data()};
-            });
+            row_offsets.data(), cols, &vals);
         return GenericCsr::from_raw(m, ncols, std::move(row_offsets), std::move(cols),
                                     std::move(vals));
     }

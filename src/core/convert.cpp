@@ -23,10 +23,12 @@ CsrMatrix to_csr(backend::Context& ctx, const CooMatrix& coo) {
     const auto rows = coo.rows();
     std::vector<Index> row_offsets(static_cast<std::size_t>(coo.nrows()) + 1, 0);
     row_offsets[coo.nrows()] = static_cast<Index>(rows.size());
-    ctx.parallel_for(coo.nrows(), kRowGrain, [&](std::size_t r) {
-        row_offsets[r] = static_cast<Index>(
-            std::lower_bound(rows.begin(), rows.end(), static_cast<Index>(r)) -
-            rows.begin());
+    ctx.parallel_for_chunks(coo.nrows(), kRowGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+            row_offsets[r] = static_cast<Index>(
+                std::lower_bound(rows.begin(), rows.end(), static_cast<Index>(r)) -
+                rows.begin());
+        }
     });
     std::vector<Index> cols(coo.cols().begin(), coo.cols().end());
     return CsrMatrix::from_raw(coo.nrows(), coo.ncols(), std::move(row_offsets),
@@ -35,10 +37,12 @@ CsrMatrix to_csr(backend::Context& ctx, const CooMatrix& coo) {
 
 CooMatrix to_coo(backend::Context& ctx, const CsrMatrix& csr) {
     std::vector<Index> rows(csr.nnz());
-    ctx.parallel_for(csr.nrows(), kRowGrain, [&](std::size_t r) {
+    ctx.parallel_for_chunks(csr.nrows(), kRowGrain, [&](std::size_t begin, std::size_t end) {
         const auto offsets = csr.row_offsets();
-        std::fill(rows.begin() + offsets[r], rows.begin() + offsets[r + 1],
-                  static_cast<Index>(r));
+        for (std::size_t r = begin; r < end; ++r) {
+            std::fill(rows.begin() + offsets[r], rows.begin() + offsets[r + 1],
+                      static_cast<Index>(r));
+        }
     });
     std::vector<Index> cols(csr.cols().begin(), csr.cols().end());
     return CooMatrix::from_sorted(csr.nrows(), csr.ncols(), std::move(rows),
@@ -50,24 +54,28 @@ CsrMatrix to_csr(backend::Context& ctx, const DenseMatrix& dense) {
     // independent per-row bit scatter.
     const Index nrows = dense.nrows();
     std::vector<std::uint32_t> counts(nrows, 0);
-    ctx.parallel_for(nrows, kRowGrain, [&](std::size_t r) {
-        counts[r] = dense.row_nnz(static_cast<Index>(r));
+    ctx.parallel_for_chunks(nrows, kRowGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+            counts[r] = dense.row_nnz(static_cast<Index>(r));
+        }
     });
     const std::uint64_t total = ctx.exclusive_scan(counts);
 
     std::vector<Index> cols(total);
     std::vector<Index> row_offsets(static_cast<std::size_t>(nrows) + 1, 0);
     row_offsets[nrows] = static_cast<Index>(total);
-    ctx.parallel_for(nrows, kRowGrain / 4, [&](std::size_t r) {
-        row_offsets[r] = static_cast<Index>(counts[r]);
-        std::size_t dst = counts[r];
-        const auto words = dense.row_words(static_cast<Index>(r));
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t bits = words[w];
-            while (bits != 0) {
-                cols[dst++] = static_cast<Index>(
-                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-                bits &= bits - 1;
+    ctx.parallel_for_chunks(nrows, kRowGrain / 4, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+            row_offsets[r] = static_cast<Index>(counts[r]);
+            std::size_t dst = counts[r];
+            const auto words = dense.row_words(static_cast<Index>(r));
+            for (std::size_t w = 0; w < words.size(); ++w) {
+                std::uint64_t bits = words[w];
+                while (bits != 0) {
+                    cols[dst++] = static_cast<Index>(
+                        w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+                    bits &= bits - 1;
+                }
             }
         }
     });
@@ -79,9 +87,11 @@ DenseMatrix to_dense(backend::Context& ctx, const CsrMatrix& csr) {
     DenseMatrix out{csr.nrows(), csr.ncols()};
     // Rows own disjoint word ranges of the bitmap, so per-row writes do not
     // race.
-    ctx.parallel_for(csr.nrows(), kRowGrain / 4, [&](std::size_t r) {
-        for (const auto c : csr.row(static_cast<Index>(r))) {
-            out.set(static_cast<Index>(r), c);
+    ctx.parallel_for_chunks(csr.nrows(), kRowGrain / 4, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+            for (const auto c : csr.row(static_cast<Index>(r))) {
+                out.set(static_cast<Index>(r), c);
+            }
         }
     });
     return out;

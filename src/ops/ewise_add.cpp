@@ -1,33 +1,15 @@
 #include "ops/ewise_add.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstdint>
+#include <limits>
 
 #include "core/validate.hpp"
+#include "ops/ewise_plan.hpp"
 #include "prof/prof.hpp"
 #include "util/contracts.hpp"
 
 namespace spbla::ops {
-namespace {
-
-/// Count |union| of two sorted ranges without materialising it.
-[[nodiscard]] Index union_size(std::span<const Index> x, std::span<const Index> y) {
-    std::size_t i = 0, j = 0, n = 0;
-    while (i < x.size() && j < y.size()) {
-        if (x[i] < y[j])
-            ++i;
-        else if (y[j] < x[i])
-            ++j;
-        else {
-            ++i;
-            ++j;
-        }
-        ++n;
-    }
-    return static_cast<Index>(n + (x.size() - i) + (y.size() - j));
-}
-
-}  // namespace
 
 CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b) {
     SPBLA_REQUIRE(a.nrows() == b.nrows() && a.ncols() == b.ncols(),
@@ -35,32 +17,24 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_add");
-    const Index m = a.nrows();
 
-    // Pass 1: exact union size per row (enables precise allocation), scanned
-    // in place into CSR offsets (trailing 0 receives the total).
-    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        row_offsets[i] = union_size(a.row(r), b.row(r));
-    });
-    const std::uint64_t total = ctx.exclusive_scan(row_offsets);
-    check(total <= 0xFFFFFFFFull, Status::OutOfRange, "ewise_add: nnz overflows Index");
-    // Merge length: candidate entries fed to the two-pointer merge vs the
-    // union that survives — the gap is the duplicate (overlap) work.
-
-    // Pass 2: merge each row pair into its exact slot.
-    std::vector<Index> cols(static_cast<std::size_t>(total));
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto y = b.row(r);
-        std::set_union(x.begin(), x.end(), y.begin(), y.end(),
-                       cols.begin() + row_offsets[i]);
-    });
-
-    CsrMatrix out =
-        CsrMatrix::from_raw(m, a.ncols(), std::move(row_offsets), std::move(cols));
+    // Row i's union holds at most |a_i| + |b_i| entries; the staged rows
+    // address the bound sum with Index offsets, so it must fit one.
+    const std::uint64_t cap_sum = std::uint64_t{a.nnz()} + b.nnz();
+    check(cap_sum <= std::numeric_limits<Index>::max(), Status::OutOfRange,
+          "ewise_add: nnz overflows Index");
+    const Index* a_off = a.row_offsets().data();
+    const Index* b_off = b.row_offsets().data();
+    CsrMatrix out = lean_ewise(
+        ctx, a, b, cap_sum,
+        [&](Index i) {
+            return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
+        },
+        [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
+            if (y == y_end) return std::copy(x, x_end, o);
+            if (x == x_end) return std::copy(y, y_end, o);
+            return std::set_union(x, x_end, y, y_end, o);
+        });
     SPBLA_VALIDATE(out);
     return out;
 }

@@ -1,9 +1,10 @@
 #include "ops/ewise_mult.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <cstdint>
 
 #include "core/validate.hpp"
+#include "ops/ewise_plan.hpp"
 #include "prof/prof.hpp"
 #include "util/contracts.hpp"
 
@@ -15,45 +16,23 @@ CsrMatrix ewise_mult(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_mult");
+
+    // Row i's intersection holds at most min(|a_i|, |b_i|) entries; the
+    // bound sum is at most nnz(a), so it fits an Index.
     const Index m = a.nrows();
-
-    // Pass 1: intersection size per row.
-    auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto y = b.row(r);
-        std::size_t p = 0, q = 0, n = 0;
-        while (p < x.size() && q < y.size()) {
-            if (x[p] < y[q])
-                ++p;
-            else if (y[q] < x[p])
-                ++q;
-            else {
-                ++p;
-                ++q;
-                ++n;
-            }
-        }
-        row_sizes[i] = static_cast<Index>(n);
-    });
-
-    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-    for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
-
-
-    // Pass 2: emit the intersections.
-    std::vector<Index> cols(row_offsets[m]);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto y = b.row(r);
-        std::set_intersection(x.begin(), x.end(), y.begin(), y.end(),
-                              cols.begin() + row_offsets[i]);
-    });
-
-    CsrMatrix out =
-        CsrMatrix::from_raw(m, a.ncols(), std::move(row_offsets), std::move(cols));
+    const Index* a_off = a.row_offsets().data();
+    const Index* b_off = b.row_offsets().data();
+    const auto cap = [&](Index i) {
+        return std::uint64_t{std::min(a_off[i + 1] - a_off[i], b_off[i + 1] - b_off[i])};
+    };
+    std::uint64_t cap_sum = 0;
+    for (Index i = 0; i < m; ++i) cap_sum += cap(i);
+    CsrMatrix out = lean_ewise(
+        ctx, a, b, cap_sum, cap,
+        [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
+            if (x == x_end || y == y_end) return o;
+            return std::set_intersection(x, x_end, y, y_end, o);
+        });
     SPBLA_VALIDATE(out);
     return out;
 }
@@ -64,42 +43,15 @@ CsrMatrix ewise_diff(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_diff");
-    const Index m = a.nrows();
 
-    auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto y = b.row(r);
-        std::size_t p = 0, q = 0, kept = 0;
-        while (p < x.size()) {
-            if (q == y.size() || x[p] < y[q]) {
-                ++kept;
-                ++p;
-            } else if (y[q] < x[p]) {
-                ++q;
-            } else {
-                ++p;
-                ++q;
-            }
-        }
-        row_sizes[i] = static_cast<Index>(kept);
-    });
-
-    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-    for (Index i = 0; i < m; ++i) row_offsets[i + 1] = row_offsets[i] + row_sizes[i];
-
-    std::vector<Index> cols(row_offsets[m]);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto y = b.row(r);
-        std::set_difference(x.begin(), x.end(), y.begin(), y.end(),
-                            cols.begin() + row_offsets[i]);
-    });
-
-    CsrMatrix out =
-        CsrMatrix::from_raw(m, a.ncols(), std::move(row_offsets), std::move(cols));
+    // Row i's difference holds at most |a_i| entries: the caps sum to nnz(a).
+    const Index* a_off = a.row_offsets().data();
+    CsrMatrix out = lean_ewise(
+        ctx, a, b, a.nnz(), [&](Index i) { return std::uint64_t{a_off[i + 1] - a_off[i]}; },
+        [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
+            if (y == y_end) return std::copy(x, x_end, o);
+            return std::set_difference(x, x_end, y, y_end, o);
+        });
     SPBLA_VALIDATE(out);
     return out;
 }

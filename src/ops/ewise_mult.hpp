@@ -3,9 +3,9 @@
 ///
 /// Part of the "library extension up to full GraphBLAS API" direction the
 /// paper's conclusion names: GraphBLAS eWiseMult over the Boolean semiring.
-/// Implemented as a two-pass per-row sorted intersection (same launch shape
-/// as the addition kernel, but the result can only shrink, so the counting
-/// pass is bounded by min(nnz(A), nnz(B))).
+/// Implemented as a one-pass per-row sorted intersection on the same runner
+/// as the addition kernel (ops/ewise_plan.hpp): each row is written once at
+/// its bound min(|a|, |b|), and the join compacts the rows.
 #pragma once
 
 #include "backend/context.hpp"

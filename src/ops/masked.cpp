@@ -53,14 +53,16 @@ CsrMatrix multiply_masked(backend::Context& ctx, const CsrMatrix& mask,
     // Pass 1: per-mask-row survivors count.
     const Index m = mask.nrows();
     auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for(m, 128, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        Index kept = 0;
-        const auto arow = a.row(r);
-        for (const auto j : mask.row(r)) {
-            if (intersects(arow, b_transposed.row(j))) ++kept;
+    ctx.parallel_for_chunks(m, 128, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto r = static_cast<Index>(i);
+            Index kept = 0;
+            const auto arow = a.row(r);
+            for (const auto j : mask.row(r)) {
+                if (intersects(arow, b_transposed.row(j))) ++kept;
+            }
+            row_sizes[i] = kept;
         }
-        row_sizes[i] = kept;
     });
 
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
@@ -69,12 +71,14 @@ CsrMatrix multiply_masked(backend::Context& ctx, const CsrMatrix& mask,
 
     // Pass 2: emit survivors (mask rows are sorted, so output rows are too).
     std::vector<Index> cols(row_offsets[m]);
-    ctx.parallel_for(m, 128, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        std::size_t out = row_offsets[i];
-        const auto arow = a.row(r);
-        for (const auto j : mask.row(r)) {
-            if (intersects(arow, b_transposed.row(j))) cols[out++] = j;
+    ctx.parallel_for_chunks(m, 128, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto r = static_cast<Index>(i);
+            std::size_t out = row_offsets[i];
+            const auto arow = a.row(r);
+            for (const auto j : mask.row(r)) {
+                if (intersects(arow, b_transposed.row(j))) cols[out++] = j;
+            }
         }
     });
 

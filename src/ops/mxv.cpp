@@ -18,18 +18,20 @@ SpVector mxv(backend::Context& ctx, const CsrMatrix& m, const SpVector& x) {
     SPBLA_PROF_SPAN("mxv");
     const auto xs = x.indices();
     std::vector<std::uint8_t> hit(m.nrows(), 0);
-    ctx.parallel_for(m.nrows(), 512, [&](std::size_t i) {
-        const auto row = m.row(static_cast<Index>(i));
-        // Intersect the sorted row with the sorted frontier.
-        std::size_t a = 0, b = 0;
-        while (a < row.size() && b < xs.size()) {
-            if (row[a] < xs[b])
-                ++a;
-            else if (xs[b] < row[a])
-                ++b;
-            else {
-                hit[i] = 1;
-                break;
+    ctx.parallel_for_chunks(m.nrows(), 512, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto row = m.row(static_cast<Index>(i));
+            // Intersect the sorted row with the sorted frontier.
+            std::size_t a = 0, b = 0;
+            while (a < row.size() && b < xs.size()) {
+                if (row[a] < xs[b])
+                    ++a;
+                else if (xs[b] < row[a])
+                    ++b;
+                else {
+                    hit[i] = 1;
+                    break;
+                }
             }
         }
     });

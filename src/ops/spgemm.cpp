@@ -365,14 +365,6 @@ private:
     Index* buffer_{nullptr};
 };
 
-/// Raw CSR views for the lean row kernel (no per-access range check).
-struct CsrView {
-    const Index* off;
-    const Index* cols;
-
-    explicit CsrView(const CsrMatrix& m) : off{m.row_offsets().data()}, cols{m.cols().data()} {}
-};
-
 /// Write row i of C | A*B (C only when kAccumulate) to \p out in one pass;
 /// returns its length. \p out has room for min(ub + nnz(C row), ncols).
 template <bool kAccumulate>
@@ -453,7 +445,8 @@ Index lean_row(const CsrView& c, const CsrView& a, const CsrView& b, Index i, st
 
 /// The lean path: C | A*B (C only when kAccumulate) written straight out in
 /// one pass through the shared runner (spgemm_plan.hpp), no symbolic count,
-/// no per-row cache. The output arrays come from the pooled free lists.
+/// no per-row cache. The row offsets come from the pooled free lists; the
+/// runner's join builds the exact-size column array.
 template <bool kAccumulate>
 CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatrix& a,
                         const CsrMatrix& b, const RowBounds& bounds,
@@ -472,7 +465,8 @@ CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatr
     row_offsets[0] = 0;
     backend::BufferPool::Buffer cols;
     lean_run<void>(
-        ctx, m, ncols, bounds,
+        ctx, m, bounds.out_bound,
+        lean_chunk_count(lean_workers(ctx), bounds.busy_rows, ncols, bounds.out_bound),
         [&](Index i) {
             const std::uint64_t with_c = kAccumulate ? ub[i] + (cv.off[i + 1] - cv.off[i]) : ub[i];
             return std::min<std::uint64_t>(with_c, ncols);
@@ -481,11 +475,7 @@ CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatr
         [&](LeanScratch& s, Index i, Index* out, std::byte*) {
             return lean_row<kAccumulate>(cv, av, bv, i, ub[i], classes, s, out);
         },
-        row_offsets.data(),
-        [&](std::uint64_t total) {
-            cols = ctx.buffer_pool().acquire(static_cast<std::size_t>(total));
-            return std::pair<Index*, std::byte*>{cols.data(), nullptr};
-        });
+        row_offsets.data(), cols, nullptr);
     return CsrMatrix::from_raw(m, ncols, std::move(row_offsets), std::move(cols));
 }
 
@@ -630,7 +620,7 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     SPBLA_PROF_SPAN("spgemm.multiply");
     // Everything this op allocates on the calling thread's arena (the bounds,
     // the lean staging buffer) dies here; worker-side scratch lives in the
-    // per-chunk scopes parallel_for* opens on each worker's own arena.
+    // per-chunk scopes parallel_for_chunks opens on each worker's own arena.
     backend::ScopedArena op_scope{ctx.scratch_arena()};
     const RowBounds bounds =
         row_bounds(ctx, a.nrows(), b.ncols(), a.row_offsets().data(), a.cols().data(),

@@ -1,12 +1,15 @@
 /// \file spgemm_plan.hpp
 /// \brief The lean SpGEMM path's bounds walk, eligibility rule, row classes
-/// and chunked runner.
+/// and the one-pass chunked runner.
 ///
-/// Shared by the Boolean kernel (ops/spgemm.cpp) and its value-carrying twin
-/// (baseline/generic_spgemm.cpp): both take the lean path on exactly the
-/// same ops, give each row the same accumulator, split the rows the same way
-/// and join them with the same scan, so E1 measures the Boolean
-/// specialisation and nothing else. Each twin keeps only its row writer.
+/// The bounds walk, rule and classes are shared by the Boolean kernel
+/// (ops/spgemm.cpp) and its value-carrying twin (baseline/generic_spgemm.cpp):
+/// both take the lean path on exactly the same ops, give each row the same
+/// accumulator, split the rows the same way and join them the same way, so
+/// E1 measures the Boolean specialisation and nothing else. Each
+/// twin keeps only its row writer. The runner (lean_run) also carries the
+/// element-wise kernels (ops/ewise_plan.hpp), whose row bounds come from the
+/// operands' row offsets alone.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <limits>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "backend/arena.hpp"
 #include "backend/context.hpp"
@@ -25,6 +29,14 @@
 #include "util/parallel.hpp"
 
 namespace spbla::ops {
+
+/// Raw CSR views for the row writers (no per-access range check).
+struct CsrView {
+    const Index* off;
+    const Index* cols;
+
+    explicit CsrView(const CsrMatrix& m) : off{m.row_offsets().data()}, cols{m.cols().data()} {}
+};
 
 /// Per-row product bounds of one op, computed once and shared by the
 /// eligibility test, the row classes, the lean output sizing and the binned
@@ -207,18 +219,24 @@ private:
 };
 
 /// Row chunks for a lean op on \p workers workers. Work is counted in
-/// product units: one per staged column, and a few per row that stages any
+/// staged entries (\p out_bound), plus a few per row that stages any
 /// (\p busy_rows) for its bookkeeping. A chunk must carry enough of it to
-/// pay for a ticket and for its own ncols-sized marker, so small ops run as
-/// one chunk on the calling thread.
+/// pay for a ticket and for its own marker (\p marker_cols wide; 0 for a
+/// kernel without one), so small ops run as one chunk on the calling thread.
 [[nodiscard]] inline std::size_t lean_chunk_count(std::size_t workers, std::uint64_t busy_rows,
-                                                  Index ncols, std::uint64_t out_bound) {
+                                                  Index marker_cols, std::uint64_t out_bound) {
     constexpr std::uint64_t kRowWork = 4;
     constexpr std::uint64_t kMinChunkWork = 8192;
     if (workers <= 1) return 1;
     const std::uint64_t work = out_bound + kRowWork * busy_rows;
-    const std::uint64_t per_chunk = std::max<std::uint64_t>(kMinChunkWork, ncols / 2);
+    const std::uint64_t per_chunk = std::max<std::uint64_t>(kMinChunkWork, marker_cols / 2);
     return static_cast<std::size_t>(std::clamp<std::uint64_t>(work / per_chunk, 1, workers * 4));
+}
+
+/// Workers a lean op may split over: the context's pool, or 1 under
+/// Policy::Sequential.
+[[nodiscard]] inline std::size_t lean_workers(const backend::Context& ctx) noexcept {
+    return ctx.pool() != nullptr ? ctx.pool()->size() : 1;
 }
 
 /// Cut rows [0, m) into \p n_chunks chunks at equal shares of \p out_bound,
@@ -250,37 +268,35 @@ void lean_cuts(Index m, std::uint64_t out_bound, std::size_t n_chunks, RowCap ca
 template <class Val>
 using LeanValue = std::conditional_t<std::is_void_v<Val>, std::byte, Val>;
 
-/// The lean path's runner: every row written once into an op-scoped staging
-/// buffer sized by the clamped bound sum, one region per chunk of rows, then
-/// a scan of the chunk lengths and one copy per chunk into the exact-size
-/// output. \p Val is the value type (void: columns only).
-///  - cap(i): row i's staging room, min(ub + nnz(C row), ncols); the caps
-///    sum to bounds.out_bound.
+/// The one-pass runner: every row written once into an op-scoped staging
+/// buffer sized by the row caps' sum, one region per chunk of rows, then the
+/// regions appended in order to the exact-size output. \p Val is the value
+/// type (void: columns only).
+///  - cap(i): row i's staging room; the caps over rows [0, m) sum to
+///    \p cap_sum, which must fit an Index (staged positions are Index).
+///  - n_chunks: the row chunks (lean_chunk_count); one runs inline on the
+///    calling thread, more go to the pool.
 ///  - make_scratch(arena): a chunk's worker scratch, built on the executing
 ///    worker's arena (reclaimed when the chunk ends).
 ///  - write_row(scratch, i, cols, vals): writes row i sorted to cols (and
 ///    vals unless Val is void) and returns its length, at most cap(i).
 ///  - row_offsets: m + 1 entries with [0] == 0; left holding the output's
 ///    offsets.
-///  - alloc_out(total): the output arrays for total entries, as a pair of
-///    pointers (the value pointer is ignored when Val is void).
-/// One chunk runs inline on the calling thread; more go to the pool.
-template <class Val, class RowCap, class MakeScratch, class WriteRow, class AllocOut>
-void lean_run(backend::Context& ctx, Index m, Index ncols, const RowBounds& bounds, RowCap cap,
-              MakeScratch make_scratch, WriteRow write_row, Index* row_offsets,
-              AllocOut alloc_out) {
+///  - cols, vals: the output arrays, empty on entry; vals is null when Val
+///    is void.
+template <class Val, class RowCap, class MakeScratch, class WriteRow>
+void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t n_chunks,
+              RowCap cap, MakeScratch make_scratch, WriteRow write_row, Index* row_offsets,
+              std::vector<Index>& cols, std::vector<LeanValue<Val>>* vals) {
     constexpr bool kValues = !std::is_void_v<Val>;
     using Stored = LeanValue<Val>;
-    const std::size_t n_chunks =
-        lean_chunk_count(ctx.pool() != nullptr ? ctx.pool()->size() : 1, bounds.busy_rows, ncols,
-                         bounds.out_bound);
-    const auto staged = static_cast<std::size_t>(bounds.out_bound);
+    const auto staged = static_cast<std::size_t>(cap_sum);
     auto stage = ctx.scratch_alloc<Index>(staged);
     auto stage_vals = ctx.scratch_alloc<Stored>(kValues ? staged : 0);
     auto first = ctx.scratch_alloc<Index>(n_chunks + 1);
     auto base = ctx.scratch_alloc<std::uint64_t>(n_chunks + 1);
-    auto shift = ctx.scratch_alloc<std::uint64_t>(n_chunks);
-    lean_cuts(m, bounds.out_bound, n_chunks, cap, first.data(), base.data());
+    auto length = ctx.scratch_alloc<Index>(n_chunks);
+    lean_cuts(m, cap_sum, n_chunks, cap, first.data(), base.data());
 
     ctx.parallel_for_chunks(n_chunks, 1, [&](std::size_t kb, std::size_t ke) {
         auto scratch = make_scratch(ctx.scratch_arena());
@@ -288,40 +304,36 @@ void lean_run(backend::Context& ctx, Index m, Index ncols, const RowBounds& boun
             Index pos = 0;
             for (Index i = first[k]; i < first[k + 1]; ++i) {
                 const std::uint64_t at = base[k] + pos;
-                Stored* vals = nullptr;
-                if constexpr (kValues) vals = stage_vals.data() + at;
-                pos += write_row(scratch, i, stage.data() + at, vals);
+                Stored* row_vals = nullptr;
+                if constexpr (kValues) row_vals = stage_vals.data() + at;
+                pos += write_row(scratch, i, stage.data() + at, row_vals);
                 row_offsets[i + 1] = pos;
             }
-            shift[k] = pos;
+            length[k] = pos;
         }
     });
 
-    // Join: exclusive scan of the chunk lengths into output shifts, then each
-    // chunk copies its region to its output slot and shifts its row offsets.
-    // The total is at most out_bound, which lean_eligible keeps within Index.
+    // Join: each chunk's region is appended to the output (a copy into
+    // reserved room, no zero fill) and its row offsets, still local to the
+    // chunk, are shifted by the lengths before it. The total is at most
+    // cap_sum, which the caller keeps within Index.
     std::uint64_t total = 0;
+    for (std::size_t k = 0; k < n_chunks; ++k) total += length[k];
+    cols.reserve(static_cast<std::size_t>(total));
+    if constexpr (kValues) vals->reserve(static_cast<std::size_t>(total));
+    Index to = 0;
     for (std::size_t k = 0; k < n_chunks; ++k) {
-        const std::uint64_t len = shift[k];
-        shift[k] = total;
-        total += len;
-    }
-    const std::pair<Index*, Stored*> out = alloc_out(total);
-    ctx.parallel_for_chunks(n_chunks, 1, [&](std::size_t kb, std::size_t ke) {
-        for (std::size_t k = kb; k < ke; ++k) {
-            // The chunk's last row offset is still its local length.
-            const Index len = first[k + 1] > first[k] ? row_offsets[first[k + 1]] : 0;
-            const Index to = static_cast<Index>(shift[k]);
-            std::copy(stage.data() + base[k], stage.data() + base[k] + len, out.first + to);
-            if constexpr (kValues) {
-                std::copy(stage_vals.data() + base[k], stage_vals.data() + base[k] + len,
-                          out.second + to);
-            }
-            if (to != 0) {
-                for (Index i = first[k]; i < first[k + 1]; ++i) row_offsets[i + 1] += to;
-            }
+        const Index* from = stage.data() + base[k];
+        cols.insert(cols.end(), from, from + length[k]);
+        if constexpr (kValues) {
+            const Stored* from_vals = stage_vals.data() + base[k];
+            vals->insert(vals->end(), from_vals, from_vals + length[k]);
         }
-    });
+        if (to != 0) {
+            for (Index i = first[k]; i < first[k + 1]; ++i) row_offsets[i + 1] += to;
+        }
+        to += length[k];
+    }
 }
 
 }  // namespace spbla::ops

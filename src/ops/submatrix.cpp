@@ -19,11 +19,13 @@ CsrMatrix submatrix(backend::Context& ctx, const CsrMatrix& src, Index row0, Ind
 
     // Pass 1: per-row count via two binary searches into [col0, col0 + n).
     auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto cols = src.row(row0 + static_cast<Index>(i));
-        const auto first = std::lower_bound(cols.begin(), cols.end(), col0);
-        const auto last = std::lower_bound(first, cols.end(), col0 + n);
-        row_sizes[i] = static_cast<Index>(last - first);
+    ctx.parallel_for_chunks(m, 512, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto cols = src.row(row0 + static_cast<Index>(i));
+            const auto first = std::lower_bound(cols.begin(), cols.end(), col0);
+            const auto last = std::lower_bound(first, cols.end(), col0 + n);
+            row_sizes[i] = static_cast<Index>(last - first);
+        }
     });
 
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
@@ -32,12 +34,14 @@ CsrMatrix submatrix(backend::Context& ctx, const CsrMatrix& src, Index row0, Ind
 
     // Pass 2: copy and rebase the column indices.
     std::vector<Index> cols(row_offsets[m]);
-    ctx.parallel_for(m, 512, [&](std::size_t i) {
-        const auto src_cols = src.row(row0 + static_cast<Index>(i));
-        const auto first = std::lower_bound(src_cols.begin(), src_cols.end(), col0);
-        std::size_t out = row_offsets[i];
-        for (auto it = first; it != src_cols.end() && *it < col0 + n; ++it) {
-            cols[out++] = *it - col0;
+    ctx.parallel_for_chunks(m, 512, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto src_cols = src.row(row0 + static_cast<Index>(i));
+            const auto first = std::lower_bound(src_cols.begin(), src_cols.end(), col0);
+            std::size_t out = row_offsets[i];
+            for (auto it = first; it != src_cols.end() && *it < col0 + n; ++it) {
+                cols[out++] = *it - col0;
+            }
         }
     });
 

@@ -116,7 +116,7 @@ private:
     bool active_;
 };
 
-/// RAII span scope for pool workers: Context::parallel_for wraps kernel
+/// RAII span scope for pool workers: util::parallel_for_chunks wraps kernel
 /// bodies in one of these so a chunk run on a worker shows up in the trace
 /// under the launching span's name, and spans nested in it hang under that
 /// span in the summary. It adds no calls or time — the launcher's own span

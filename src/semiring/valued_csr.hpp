@@ -181,33 +181,35 @@ template <Semiring S>
 
     std::vector<std::vector<Index>> row_cols(m);
     std::vector<std::vector<Value>> row_vals(m);
-    ctx.parallel_for(m, 256, [&](std::size_t i) {
-        const auto r = static_cast<Index>(i);
-        const auto x = a.row(r);
-        const auto xv = a.row_vals(r);
-        const auto y = b.row(r);
-        const auto yv = b.row_vals(r);
-        std::size_t p = 0, q = 0;
-        const auto emit = [&](Index c, Value v) {
-            if (v == S::zero()) return;
-            row_cols[i].push_back(c);
-            row_vals[i].push_back(v);
-        };
-        while (p < x.size() && q < y.size()) {
-            if (x[p] < y[q]) {
-                emit(x[p], xv[p]);
-                ++p;
-            } else if (y[q] < x[p]) {
-                emit(y[q], yv[q]);
-                ++q;
-            } else {
-                emit(x[p], S::add(xv[p], yv[q]));
-                ++p;
-                ++q;
+    ctx.parallel_for_chunks(m, 256, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto r = static_cast<Index>(i);
+            const auto x = a.row(r);
+            const auto xv = a.row_vals(r);
+            const auto y = b.row(r);
+            const auto yv = b.row_vals(r);
+            std::size_t p = 0, q = 0;
+            const auto emit = [&](Index c, Value v) {
+                if (v == S::zero()) return;
+                row_cols[i].push_back(c);
+                row_vals[i].push_back(v);
+            };
+            while (p < x.size() && q < y.size()) {
+                if (x[p] < y[q]) {
+                    emit(x[p], xv[p]);
+                    ++p;
+                } else if (y[q] < x[p]) {
+                    emit(y[q], yv[q]);
+                    ++q;
+                } else {
+                    emit(x[p], S::add(xv[p], yv[q]));
+                    ++p;
+                    ++q;
+                }
             }
+            for (; p < x.size(); ++p) emit(x[p], xv[p]);
+            for (; q < y.size(); ++q) emit(y[q], yv[q]);
         }
-        for (; p < x.size(); ++p) emit(x[p], xv[p]);
-        for (; q < y.size(); ++q) emit(y[q], yv[q]);
     });
 
     std::vector<Index> offsets(static_cast<std::size_t>(m) + 1, 0);

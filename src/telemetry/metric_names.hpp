@@ -33,7 +33,7 @@ enum class Counter : std::uint16_t {
     StorageConversions,
     StorageCacheHits,
     PoolTasks,            ///< discrete pool jobs completed
-    PoolBulkLaunches,     ///< dynamic bulk launches (parallel_for ticket sets)
+    PoolBulkLaunches,     ///< dynamic bulk launches (parallel_for_chunks ticket sets)
     PoolTickets,          ///< tickets issued by bulk launches
     MemAllocs,            ///< tracked device-buffer allocations
     MemFrees,             ///< tracked device-buffer deallocations

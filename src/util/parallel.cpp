@@ -75,16 +75,6 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
     dispatch_chunks(pool, n, chunk, body, schedule);
 }
 
-void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t)>& body, Schedule schedule) {
-    parallel_for_chunks(
-        pool, n, grain,
-        [&body](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) body(i);
-        },
-        schedule);
-}
-
 std::uint64_t exclusive_scan(std::vector<std::uint32_t>& data) {
     std::uint64_t sum = 0;
     for (auto& v : data) {

@@ -2,9 +2,10 @@
 /// \brief Data-parallel primitives (the "kernel launch" surface).
 ///
 /// These functions are the reproduction's analog of CUDA grid launches and
-/// Thrust algorithms used by cuBool: parallel_for replaces a one-thread-per-
-/// row kernel, exclusive_scan replaces thrust::exclusive_scan. A null pool or
-/// a single-worker pool degrades to plain sequential loops, which stands in
+/// Thrust algorithms used by cuBool: parallel_for_chunks replaces a
+/// one-thread-per-row kernel (each chunk body loops over its rows inline),
+/// exclusive_scan replaces thrust::exclusive_scan. A null pool or a
+/// single-worker pool degrades to plain sequential loops, which stands in
 /// for SPbLA's CPU fallback backend.
 #pragma once
 
@@ -17,7 +18,7 @@
 
 namespace spbla::util {
 
-/// How a parallel_for distributes chunks over workers.
+/// How a parallel_for_chunks launch distributes chunks over workers.
 enum class Schedule {
     /// Chunks are tickets claimed dynamically off an atomic counter
     /// (ThreadPool::run_dynamic) — a heavy chunk never stalls the rest of
@@ -34,11 +35,6 @@ enum class Schedule {
 void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
                          const std::function<void(std::size_t, std::size_t)>& body,
                          Schedule schedule = Schedule::Dynamic);
-
-/// Element-wise parallel loop: runs \p body(i) for every i in [0, n).
-void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t)>& body,
-                  Schedule schedule = Schedule::Dynamic);
 
 /// In-place exclusive prefix sum over \p data; returns the total sum.
 /// data[i] becomes sum of original data[0..i). Mirrors thrust::exclusive_scan.

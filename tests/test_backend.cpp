@@ -90,12 +90,17 @@ TEST(Context, ParallelPolicyHasPool) {
     EXPECT_EQ(ctx.pool()->size(), 2u);
 }
 
-TEST(Context, ParallelForWorksUnderBothPolicies) {
+TEST(Context, ParallelForChunksWorksUnderBothPolicies) {
     for (const auto policy : {Policy::Sequential, Policy::Parallel}) {
         Context ctx{policy, 2};
         std::vector<std::atomic<int>> hits(100);
-        ctx.parallel_for(hits.size(), 8, [&](std::size_t i) { hits[i].fetch_add(1); });
+        ctx.parallel_for_chunks(hits.size(), 8, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        });
         for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+        bool called = false;
+        ctx.parallel_for_chunks(0, 8, [&](std::size_t, std::size_t) { called = true; });
+        EXPECT_FALSE(called);
     }
 }
 

@@ -339,6 +339,37 @@ TEST_F(CApiTest, EWiseAddKroneckerTransposeReduceSubmatrix) {
     ASSERT_EQ(spbla_Matrix_Free(&r), SPBLA_STATUS_SUCCESS);
 }
 
+TEST_F(CApiTest, SubMatrixWindowOutOfRangeLeavesTheResult) {
+    spbla_Matrix a = two_cell_matrix();  // 4 x 4
+    spbla_Matrix r = two_cell_matrix();
+    const auto cells = cells_of(r);
+    // Each window reaches one past a's rows or columns, or wraps an Index.
+    const std::array<std::array<spbla_Index, 4>, 4> windows{{
+        {0, 0, 5, 1}, {0, 2, 1, 3}, {3, 0, 2, 4}, {1, 1, 0xFFFFFFFFu, 1}}};
+    for (const auto& [row0, col0, m, n] : windows) {
+        EXPECT_EQ(spbla_Matrix_ExtractSubMatrix(r, a, row0, col0, m, n),
+                  SPBLA_STATUS_OUT_OF_RANGE)
+            << row0 << "," << col0 << " " << m << "x" << n;
+        spbla_Index nrows = 0, ncols = 0;
+        ASSERT_EQ(spbla_Matrix_Nrows(r, &nrows), SPBLA_STATUS_SUCCESS);
+        ASSERT_EQ(spbla_Matrix_Ncols(r, &ncols), SPBLA_STATUS_SUCCESS);
+        EXPECT_EQ(nrows, 4u);
+        EXPECT_EQ(ncols, 4u);
+        EXPECT_EQ(cells_of(r), cells);
+    }
+    // An in-range window gives the result the window's natural shape.
+    ASSERT_EQ(spbla_Matrix_ExtractSubMatrix(r, a, 3, 1, 1, 3), SPBLA_STATUS_SUCCESS);
+    spbla_Index nrows = 0, ncols = 0;
+    ASSERT_EQ(spbla_Matrix_Nrows(r, &nrows), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Ncols(r, &ncols), SPBLA_STATUS_SUCCESS);
+    EXPECT_EQ(nrows, 1u);
+    EXPECT_EQ(ncols, 3u);
+    EXPECT_EQ(cells_of(r), (std::vector<std::array<spbla_Index, 2>>{{0, 1}}));
+
+    ASSERT_EQ(spbla_Matrix_Free(&a), SPBLA_STATUS_SUCCESS);
+    ASSERT_EQ(spbla_Matrix_Free(&r), SPBLA_STATUS_SUCCESS);
+}
+
 TEST_F(CApiTest, EWiseMultIntersects) {
     spbla_Matrix a = nullptr, b = nullptr, r = nullptr;
     ASSERT_EQ(spbla_Matrix_New(&a, 2, 2), SPBLA_STATUS_SUCCESS);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "helpers.hpp"
 #include "ops/ewise_add.hpp"
 #include "ops/ewise_mult.hpp"
+#include "ops/ewise_plan.hpp"
 
 namespace spbla {
 namespace {
@@ -165,6 +167,150 @@ INSTANTIATE_TEST_SUITE_P(
                       AddCase{200, 1, 0.4, 0.1, 3}, AddCase{50, 50, 0.01, 0.01, 4},
                       AddCase{50, 50, 0.7, 0.7, 5}, AddCase{33, 77, 0.2, 0.05, 6},
                       AddCase{128, 64, 0.1, 0.1, 7}, AddCase{64, 128, 0.15, 0.15, 8}));
+
+
+// ------------------- differential cases across the runner's cut -------------------
+// Every element-wise op against a cell-by-cell dense reference, on the
+// parallel and the sequential context, with the tracker checked after each
+// op: the one-pass runner's staging lives in op-scoped arenas and must be
+// gone once the op returns.
+
+enum class EwiseOp { Add, Mult, Diff };
+
+[[nodiscard]] CsrMatrix dense_reference(EwiseOp op, const CsrMatrix& a, const CsrMatrix& b) {
+    const DenseMatrix da = to_dense(a);
+    const DenseMatrix db = to_dense(b);
+    std::vector<Coord> cells;
+    for (Index r = 0; r < a.nrows(); ++r) {
+        for (Index c = 0; c < a.ncols(); ++c) {
+            const bool x = da.get(r, c);
+            const bool y = db.get(r, c);
+            const bool keep = op == EwiseOp::Add ? (x || y) : op == EwiseOp::Mult ? (x && y)
+                                                                                 : (x && !y);
+            if (keep) cells.push_back({r, c});
+        }
+    }
+    return CsrMatrix::from_coords(a.nrows(), a.ncols(), std::move(cells));
+}
+
+[[nodiscard]] CsrMatrix run_op(EwiseOp op, backend::Context& c, const CsrMatrix& a,
+                               const CsrMatrix& b) {
+    switch (op) {
+        case EwiseOp::Add: return ops::ewise_add(c, a, b);
+        case EwiseOp::Mult: return ops::ewise_mult(c, a, b);
+        case EwiseOp::Diff: return ops::ewise_diff(c, a, b);
+    }
+    return CsrMatrix{a.nrows(), a.ncols()};
+}
+
+/// All three ops on \p c against the dense reference; the tracker must be
+/// back at its starting charge after each.
+void expect_all_ops_match(backend::Context& c, const CsrMatrix& a, const CsrMatrix& b) {
+    const std::size_t before = c.tracker().current_bytes();
+    for (const auto op : {EwiseOp::Add, EwiseOp::Mult, EwiseOp::Diff}) {
+        SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)));
+        const CsrMatrix got = run_op(op, c, a, b);
+        got.validate();
+        EXPECT_EQ(got, dense_reference(op, a, b));
+        EXPECT_EQ(c.tracker().current_bytes(), before) << c.tracker().leak_report();
+    }
+}
+
+void expect_both_contexts_match(const CsrMatrix& a, const CsrMatrix& b) {
+    {
+        SCOPED_TRACE("parallel context");
+        expect_all_ops_match(ctx(), a, b);
+    }
+    {
+        SCOPED_TRACE("sequential context");
+        expect_all_ops_match(seq_ctx(), a, b);
+    }
+}
+
+/// \p src with every row that \p keep rejects emptied.
+[[nodiscard]] CsrMatrix keep_rows(const CsrMatrix& src, bool (*keep)(Index)) {
+    std::vector<Coord> cells;
+    for (const auto& cell : src.to_coords()) {
+        if (keep(cell.row)) cells.push_back(cell);
+    }
+    return CsrMatrix::from_coords(src.nrows(), src.ncols(), std::move(cells));
+}
+
+using EwiseRunnerCut = ::spbla::testing::CheckedContext;
+
+TEST_F(EwiseRunnerCut, EmptyRowsOnEitherSide) {
+    // Rows 0 mod 3 are empty in a, rows 1 mod 3 in b, rows 2 mod 3 in neither;
+    // the last rows are empty on both sides.
+    const auto a = keep_rows(random_csr(300, 300, 0.05, 61),
+                             [](Index r) { return r % 3 != 0 && r < 290; });
+    const auto b = keep_rows(random_csr(300, 300, 0.05, 62),
+                             [](Index r) { return r % 3 != 1 && r < 290; });
+    expect_both_contexts_match(a, b);
+    expect_both_contexts_match(b, a);
+}
+
+TEST_F(EwiseRunnerCut, SixteenCellOperandAgainstTallMatrix) {
+    const auto big = random_csr(4096, 96, 0.08, 63);
+    // Eight cells spread over the rows (rows 7 mod 512, which the big
+    // operand's cells below never share) and eight that coincide with the
+    // big operand's cells.
+    std::vector<Coord> cells;
+    for (Index k = 0; k < 8; ++k) cells.push_back({k * 512 + 7, (k * 37) % 96});
+    for (const auto& cell : big.to_coords()) {
+        if (cells.size() == 16) break;
+        if (cell.row % 512 == 3) cells.push_back(cell);
+    }
+    const auto small = CsrMatrix::from_coords(4096, 96, std::move(cells));
+    ASSERT_EQ(small.nnz(), 16u);
+    expect_both_contexts_match(big, small);
+    expect_both_contexts_match(small, big);
+}
+
+TEST_F(EwiseRunnerCut, DisjointOperands) {
+    const auto base = random_csr(200, 300, 0.1, 64);
+    std::vector<Coord> even, odd;
+    for (const auto& cell : base.to_coords()) (cell.col % 2 == 0 ? even : odd).push_back(cell);
+    const auto a = CsrMatrix::from_coords(200, 300, std::move(even));
+    const auto b = CsrMatrix::from_coords(200, 300, std::move(odd));
+    expect_both_contexts_match(a, b);
+}
+
+TEST_F(EwiseRunnerCut, FullyOverlappingOperands) {
+    const auto a = random_csr(200, 300, 0.1, 65);
+    const CsrMatrix b = a;  // equal content, distinct arrays
+    expect_both_contexts_match(a, b);
+}
+
+TEST_F(EwiseRunnerCut, AliasedOperand) {
+    const auto a = random_csr(500, 400, 0.04, 66);
+    expect_both_contexts_match(a, a);
+    EXPECT_EQ(ops::ewise_add(ctx(), a, a), a);
+    EXPECT_EQ(ops::ewise_mult(ctx(), a, a), a);
+    EXPECT_EQ(ops::ewise_diff(seq_ctx(), a, a).nnz(), 0u);
+}
+
+TEST_F(EwiseRunnerCut, NarrowMatrices) {
+    for (const Index n : {Index{1}, Index{17}, Index{255}}) {
+        SCOPED_TRACE("ncols " + std::to_string(n));
+        const auto a = random_csr(700, n, 0.3, 67 + n);
+        const auto b = random_csr(700, n, 0.3, 68 + n);
+        expect_both_contexts_match(a, b);
+    }
+}
+
+TEST(EwiseRunnerSplit, ParallelOpSplitsIntoChunksAndMatches) {
+    // A 4-worker context of its own, so the op splits whatever the host's
+    // core count.
+    backend::Context par{backend::Policy::Parallel, 4};
+    const auto a = random_csr(4096, 64, 0.2, 69);
+    const auto b = random_csr(4096, 64, 0.2, 70);
+    const std::uint64_t add_cap = a.nnz() + b.nnz();
+    ASSERT_GE(ops::ewise_chunk_count(par, a.nrows(), add_cap), 2u);
+    ASSERT_GE(ops::ewise_chunk_count(par, a.nrows(), a.nnz()), 2u);
+    expect_all_ops_match(par, a, b);
+    par.trim_device_scratch();
+    EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
+}
 
 }  // namespace
 }  // namespace spbla

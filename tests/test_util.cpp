@@ -239,24 +239,54 @@ TEST(ThreadPool, RunDynamicInterleavesWithSubmit) {
 
 // ------------------------------- parallel --------------------------------
 
-TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
+/// A chunk body that marks every index of its chunk once.
+auto mark_each(std::vector<std::atomic<int>>& hits) {
+    return [&hits](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    };
+}
+
+TEST(Parallel, ChunksCoverEveryIndexExactlyOnce) {
     ThreadPool pool{4};
     std::vector<std::atomic<int>> hits(1000);
-    parallel_for(&pool, hits.size(), 16, [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallel_for_chunks(&pool, hits.size(), 16, mark_each(hits));
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Parallel, ForWithNullPoolIsSequential) {
+TEST(Parallel, ChunksWithNullPoolRunInlineAsOneChunk) {
     std::vector<int> hits(257, 0);
-    parallel_for(nullptr, hits.size(), 16, [&](std::size_t i) { hits[i] += 1; });
+    int calls = 0;
+    parallel_for_chunks(nullptr, hits.size(), 16, [&](std::size_t begin, std::size_t end) {
+        ++calls;
+        for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
+    });
+    EXPECT_EQ(calls, 1);
     for (const auto h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(Parallel, ForZeroElementsIsNoop) {
+TEST(Parallel, ChunksZeroElementsIsNoop) {
     ThreadPool pool{2};
     bool called = false;
-    parallel_for(&pool, 0, 1, [&](std::size_t) { called = true; });
+    parallel_for_chunks(&pool, 0, 1, [&](std::size_t, std::size_t) { called = true; });
+    parallel_for_chunks(nullptr, 0, 1, [&](std::size_t, std::size_t) { called = true; });
     EXPECT_FALSE(called);
+}
+
+TEST(Parallel, NestedChunkLaunchesCoverEveryIndexExactlyOnce) {
+    // A chunk body launching on the same pool: the inner launcher claims
+    // its own tickets, so the nest completes and visits each cell once.
+    ThreadPool pool{3};
+    constexpr std::size_t kOuter = 12;
+    constexpr std::size_t kInner = 200;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallel_for_chunks(&pool, kOuter, 1, [&](std::size_t ob, std::size_t oe) {
+        for (std::size_t o = ob; o < oe; ++o) {
+            parallel_for_chunks(&pool, kInner, 8, [&, o](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) hits[o * kInner + i].fetch_add(1);
+            });
+        }
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Parallel, ChunksPartitionTheRange) {
@@ -280,9 +310,7 @@ TEST(Parallel, ChunksPartitionTheRange) {
 TEST(Parallel, StaticScheduleCoversEveryIndexExactlyOnce) {
     ThreadPool pool{4};
     std::vector<std::atomic<int>> hits(1000);
-    parallel_for(
-        &pool, hits.size(), 16, [&](std::size_t i) { hits[i].fetch_add(1); },
-        Schedule::Static);
+    parallel_for_chunks(&pool, hits.size(), 16, mark_each(hits), Schedule::Static);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -291,9 +319,7 @@ TEST(Parallel, BothSchedulesHandleGrainEdgeCases) {
     for (const auto schedule : {Schedule::Dynamic, Schedule::Static}) {
         for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
             std::vector<std::atomic<int>> hits(97);
-            parallel_for(
-                &pool, hits.size(), grain, [&](std::size_t i) { hits[i].fetch_add(1); },
-                schedule);
+            parallel_for_chunks(&pool, hits.size(), grain, mark_each(hits), schedule);
             for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
         }
     }

@@ -9,10 +9,12 @@ namespace spbla {
 
 void hot_rows(backend::Context& ctx, std::size_t n) {
     std::vector<int> grown_serially;  // declared outside: seeds the name set
-    ctx.parallel_for(n, 8, [&](std::size_t i) {
-        std::vector<int> per_row(64);  // constructed per row
-        per_row[0] = static_cast<int>(i);
-        grown_serially.resize(i);  // regrown per row
+    ctx.parallel_for_chunks(n, 8, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            std::vector<int> per_row(64);  // constructed per row
+            per_row[0] = static_cast<int>(i);
+            grown_serially.resize(i);  // regrown per row
+        }
     });
 }
 
