@@ -290,11 +290,87 @@ CsrMatrix tensor_cfpq_product() {
     return storage::kronecker_sum(ctx(), k * n, k * n, terms).csr();
 }
 
+/// The closure-stream workload's delta-sized op shapes on the LUBM(60)
+/// closure C: the product C * D with a 16-cell insert batch D, and the
+/// commit C | gained with the cells that batch adds to the closure. One
+/// operand of each is hypersparse, so these rungs watch the runner's row
+/// runs and the masked bounds walk; each is timed with the default options
+/// on the parallel context and on a sequential one.
+void write_stream_inputs(bench::JsonWriter& w) {
+    const Matrix graph = data::make_lubm(60).union_matrix();
+    const Index n = graph.nrows();
+    // Hold out 16 edges (every 997th cell) as the batch D. Their source rows
+    // are reached from 84% of C's rows, so the masked walk maps a hit in
+    // most rows: its costly case, where the stream's random batches hit few.
+    std::vector<Coord> base;
+    std::vector<Coord> batch;
+    for (const auto& cell : graph.to_coords()) {
+        const bool held = batch.size() < 16 && cell.row != cell.col &&
+                          (base.size() + batch.size()) % 997 == 0;
+        (held ? batch : base).push_back(cell);
+    }
+    const Matrix closure = algorithms::transitive_closure(
+        ctx(), Matrix::from_coords(n, n, std::move(base), ctx()),
+        algorithms::ClosureStrategy::Delta);
+    const Matrix delta = Matrix::from_coords(n, n, std::move(batch), ctx());
+    Matrix extended = closure;
+    const Matrix gained = algorithms::extend_closure(ctx(), extended, delta);
+    const CsrMatrix& c = closure.csr();
+    const CsrMatrix& d = delta.csr();
+    const CsrMatrix& g = gained.csr();
+    backend::Context seq{backend::Policy::Sequential};
+    struct StreamOp {
+        const char* name;
+        const char* op;
+        std::size_t delta_nnz;
+        CsrMatrix (*run)(backend::Context&, const CsrMatrix&, const CsrMatrix&);
+        const CsrMatrix* rhs;
+    };
+    const StreamOp stream_ops[] = {
+        {"lubm-60-closure-times-delta", "C = M * D", d.nnz(),
+         [](backend::Context& cx, const CsrMatrix& m, const CsrMatrix& x) {
+             return ops::multiply(cx, m, x);
+         },
+         &d},
+        {"lubm-60-closure-union-gained", "C = M | G", g.nnz(),
+         [](backend::Context& cx, const CsrMatrix& m, const CsrMatrix& x) {
+             return ops::ewise_add(cx, m, x);
+         },
+         &g},
+    };
+    for (const auto& op : stream_ops) {
+        w.begin_object();
+        w.field("name", op.name);
+        w.field("op", op.op);
+        w.field("nrows", static_cast<std::uint64_t>(n));
+        w.field("nnz", static_cast<std::uint64_t>(c.nnz()));
+        w.field("delta_nnz", static_cast<std::uint64_t>(op.delta_nnz));
+        w.begin_array("configs");
+        double ms[2] = {0, 0};
+        for (int k = 0; k < 2; ++k) {
+            backend::Context& cx = k == 0 ? ctx() : seq;
+            const auto stats = bench::time_stats([&] { (void)op.run(cx, c, *op.rhs); }, 20);
+            ms[k] = stats.min_ms();
+            w.begin_object();
+            w.field("name", k == 0 ? "default" : "sequential");
+            w.field("ms", stats.min_ms());
+            w.field("time", stats);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        std::printf("Stream op %s (%zu-cell operand on %zu cells): %.3f ms default, "
+                    "%.3f ms sequential\n",
+                    op.name, op.delta_nnz, c.nnz(), ms[0], ms[1]);
+    }
+}
+
 /// Times each paper-shaped input with the default options and with the
-/// ladder's two-pass-static baseline options, as the "paper_inputs" array. These
-/// rungs are recorded, not gated, and stay out of geomean_speedup: they
-/// watch the sparse operand shapes the paper's workloads run, which the
-/// skewed ladder inputs above never exercise.
+/// ladder's two-pass-static baseline options, as the "paper_inputs" array,
+/// followed by the stream rungs (write_stream_inputs). These rungs are
+/// recorded, not gated, and stay out of geomean_speedup: they watch the
+/// sparse operand shapes the paper's workloads run, which the skewed ladder
+/// inputs above never exercise.
 void write_paper_inputs(bench::JsonWriter& w) {
     const auto ladder = spgemm_ladder();
     const SpGemmConfig configs[] = {ladder.front(), {"default", ops::SpGemmOptions{}}};
@@ -335,6 +411,7 @@ void write_paper_inputs(bench::JsonWriter& w) {
                     "(%.2fx)\n",
                     input.name, default_ms, baseline_ms, speedup);
     }
+    write_stream_inputs(w);
     w.end_array();
 }
 

@@ -1,7 +1,9 @@
 #include "algorithms/closure.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
@@ -53,9 +55,23 @@ RowCompaction::RowCompaction(backend::Context& ctx, const Matrix& pattern)
                                std::move(picks), ctx);
 }
 
-Matrix RowCompaction::gather(backend::Context& ctx, const Matrix& x,
-                             const ops::SpGemmOptions& opts) const {
-    return storage::multiply(ctx, sel_, x, opts);
+Matrix RowCompaction::gather(backend::Context& ctx, const Matrix& x) const {
+    check(x.nrows() == nrows_, Status::DimensionMismatch,
+          "RowCompaction::gather: row count differs from the pattern's");
+    const auto src_offsets = x.csr().row_offsets();
+    const auto src_cols = x.csr().cols();
+    std::vector<Index> offsets(rows_.size() + 1, 0);
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+        offsets[k + 1] = offsets[k] + (src_offsets[rows_[k] + 1] - src_offsets[rows_[k]]);
+    }
+    std::vector<Index> cols(offsets.back());
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+        const auto from = src_cols.begin() + src_offsets[rows_[k]];
+        std::copy(from, from + (offsets[k + 1] - offsets[k]), cols.begin() + offsets[k]);
+    }
+    return Matrix{CsrMatrix::from_raw(static_cast<Index>(rows_.size()), x.ncols(),
+                                      std::move(offsets), std::move(cols)),
+                  ctx};
 }
 
 Matrix RowCompaction::scatter(backend::Context& ctx, const Matrix& x) const {
@@ -120,8 +136,8 @@ Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
     const Matrix& c = closure;
     const Matrix t = storage::ewise_add(ctx, add, storage::multiply(ctx, c, add, opts));
     const RowCompaction rows{ctx, t};
-    const Matrix tc = rows.gather(ctx, t, opts);
-    const Matrix cc = rows.gather(ctx, c, opts);
+    const Matrix tc = rows.gather(ctx, t);
+    const Matrix cc = rows.gather(ctx, c);
 
     std::size_t rounds = 1;
     telemetry::count(telemetry::Counter::ClosureFrontierNnz, tc.nnz());

@@ -78,9 +78,9 @@ public:
     /// selected rows' diagonal, compacted.
     [[nodiscard]] const Matrix& selector() const noexcept { return sel_; }
 
-    /// The selected rows of \p x, compacted (selector() * x).
-    [[nodiscard]] Matrix gather(backend::Context& ctx, const Matrix& x,
-                                const ops::SpGemmOptions& opts = {}) const;
+    /// The selected rows of \p x, compacted: the cells of selector() * x,
+    /// copied row by row rather than multiplied.
+    [[nodiscard]] Matrix gather(backend::Context& ctx, const Matrix& x) const;
 
     /// The cells of the compacted \p x put back at their rows, full height.
     [[nodiscard]] Matrix scatter(backend::Context& ctx, const Matrix& x) const;

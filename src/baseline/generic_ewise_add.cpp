@@ -13,17 +13,10 @@ namespace spbla::baseline {
 namespace {
 
 /// Merge row pair (x, xv) + (y, yv) into (cols, vals), summing coincident
-/// values; returns the merged length. Copies a row whose partner is empty.
+/// values; returns the merged length. A row whose partner is empty never
+/// gets here: the runner copies it in a run.
 Index merge_row(const Index* x, const float* xv, std::size_t nx, const Index* y,
                 const float* yv, std::size_t ny, Index* cols, float* vals) {
-    if (ny == 0 || nx == 0) {
-        const Index* src = ny == 0 ? x : y;
-        const float* src_vals = ny == 0 ? xv : yv;
-        const std::size_t n = ny == 0 ? nx : ny;
-        std::copy(src, src + n, cols);
-        std::copy(src_vals, src_vals + n, vals);
-        return static_cast<Index>(n);
-    }
     std::size_t p = 0, q = 0, out = 0;
     while (p < nx && q < ny) {
         if (x[p] < y[q]) {
@@ -63,8 +56,8 @@ GenericCsr ewise_add(backend::Context& ctx, const GenericCsr& a, const GenericCs
     check(cap_sum <= std::numeric_limits<Index>::max(), Status::OutOfRange,
           "generic ewise_add: nnz overflow");
 
-    // The Boolean kernel's runner and chunk rule (ops/ewise_plan.hpp), with
-    // a value-carrying row writer.
+    // The Boolean kernel's runner, chunk rule and run rule
+    // (ops/ewise_plan.hpp), with a value-carrying row writer.
     const Index* a_off = a.row_offsets().data();
     const Index* a_cols = a.cols().data();
     const float* a_vals = a.vals().data();
@@ -75,11 +68,15 @@ GenericCsr ewise_add(backend::Context& ctx, const GenericCsr& a, const GenericCs
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     std::vector<Index> cols;
     std::vector<float> vals;
+    const auto cap = [&](Index i) {
+        return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
+    };
+    const auto from = [&](Index i) { return ops::union_from(a_off, b_off, i); };
     ops::lean_run<float>(
-        ctx, m, cap_sum, ops::ewise_chunk_count(ctx, m, cap_sum),
-        [&](Index i) {
-            return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
-        },
+        ctx, m, cap_sum,
+        ops::ewise_run_chunks(ctx, m, cap_sum, std::min(a.nnz(), b.nnz())), cap, from,
+        {ops::RunSource<float>{a_off, a_cols, a_vals},
+         ops::RunSource<float>{b_off, b_cols, b_vals}},
         [](backend::Arena&) { return ops::EwiseNoScratch{}; },
         [&](ops::EwiseNoScratch, Index i, Index* out_cols, float* out_vals) {
             return merge_row(a_cols + a_off[i], a_vals + a_off[i], a_off[i + 1] - a_off[i],

@@ -114,10 +114,10 @@ private:
 };
 
 /// Write row i of A*B as sorted (col, val) pairs to \p cols / \p vals in one
-/// pass, with the Boolean kernel's row classes; returns its length.
+/// pass, with the Boolean kernel's row classes; returns its length. Rows
+/// with ub == 0 never get here: the runner leaves them empty in runs.
 Index lean_row(const GenericCsr& a, const GenericCsr& b, Index i, std::uint64_t ub,
                const ops::LeanRowClasses& classes, LeanScratch& s, Index* cols, float* vals) {
-    if (ub == 0) return 0;
     const Index* a_off = a.row_offsets().data();
     const Index* a_cols = a.cols().data();
     const float* a_vals = a.vals().data();
@@ -227,7 +227,7 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
     const ops::SpGemmOptions opts{};
     backend::ScopedArena op_scope{ctx.scratch_arena()};
     const ops::RowBounds bounds =
-        ops::row_bounds(ctx, m, ncols, a.row_offsets().data(), a.cols().data(),
+        ops::row_bounds(ctx, m, b.nrows(), ncols, a.row_offsets().data(), a.cols().data(),
                         b.row_offsets().data(), nullptr, util::Schedule::Dynamic);
     const std::uint64_t* ub = bounds.ub.data();
     if (ops::lean_eligible(opts, bounds.max, bounds.out_bound)) {
@@ -240,6 +240,8 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
             ops::lean_chunk_count(ops::lean_workers(ctx), bounds.busy_rows, ncols,
                                   bounds.out_bound),
             [&](Index i) { return std::min<std::uint64_t>(ub[i], ncols); },
+            [&](Index i) { return ub[i] == 0 ? ops::RowFrom::Empty : ops::RowFrom::Write; },
+            {},
             [&](backend::Arena& arena) { return LeanScratch{arena, ncols, classes.buffer_cap}; },
             [&](LeanScratch& s, Index i, Index* out_cols, float* out_vals) {
                 return lean_row(a, b, i, ub[i], classes, s, out_cols, out_vals);

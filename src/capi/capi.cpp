@@ -460,14 +460,19 @@ spbla_Status spbla_ClosureIncremental(spbla_Matrix closure, spbla_Matrix adj,
         const auto dels = cells_from_arrays(n, n, del_rows, del_cols, n_del);
         // Normalize to effective deltas against the pre-batch adjacency:
         // add_eff ∩ A = ∅, del_eff ⊆ A, and a cell named by both arrays is
-        // treated as present afterwards (insert wins).
-        const auto add_eff = spbla::storage::ewise_diff(ctx, adds, adj->data);
-        const auto del_eff = spbla::storage::ewise_diff(
-            ctx, spbla::storage::ewise_mult(ctx, dels, adj->data), adds);
-        // The batch is staged on a copy and committed only after the closure
-        // update succeeds, so a failed call leaves both handles as they were.
-        spbla::Matrix after = adj->data;
-        after.apply_delta(adds, dels, ctx);
+        // treated as present afterwards (insert wins). An empty side needs
+        // no op.
+        const auto add_eff = n_add == 0 ? spbla::Matrix{n, n, ctx}
+                                        : spbla::storage::ewise_diff(ctx, adds, adj->data);
+        spbla::Matrix del_eff{n, n, ctx};
+        if (n_del != 0) {
+            del_eff = spbla::storage::ewise_mult(ctx, dels, adj->data);
+            if (n_add != 0) del_eff = spbla::storage::ewise_diff(ctx, del_eff, adds);
+        }
+        // The batch is folded into a new handle and committed only after the
+        // closure update succeeds, so a failed call leaves both handles as
+        // they were.
+        spbla::Matrix after = adj->data.with_delta(adds, dels, ctx);
         if (closure->data.empty()) {
             // An empty closure handle requests a scratch build (it is only a
             // valid pre-batch closure when the graph itself was empty).

@@ -43,8 +43,8 @@ Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect
                    const Matrix& a_mid, const ops::SpGemmOptions& opts,
                    std::size_t& rounds) {
     const algorithms::RowCompaction rows{ctx, suspect};
-    const Matrix sus = rows.gather(ctx, suspect, opts);
-    const Matrix kept = storage::ewise_diff(ctx, rows.gather(ctx, c, opts), sus);
+    const Matrix sus = rows.gather(ctx, suspect);
+    const Matrix kept = storage::ewise_diff(ctx, rows.gather(ctx, c), sus);
     Matrix frontier = storage::ewise_mult(
         ctx, sus,
         storage::multiply(ctx, storage::ewise_add(ctx, rows.selector(), kept), a_mid, opts));

@@ -30,9 +30,8 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
         [&](Index i) {
             return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
         },
+        [&](Index i) { return union_from(a_off, b_off, i); },
         [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
-            if (y == y_end) return std::copy(x, x_end, o);
-            if (x == x_end) return std::copy(y, y_end, o);
             return std::set_union(x, x_end, y, y_end, o);
         });
     SPBLA_VALIDATE(out);

@@ -29,8 +29,8 @@ CsrMatrix ewise_mult(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
     for (Index i = 0; i < m; ++i) cap_sum += cap(i);
     CsrMatrix out = lean_ewise(
         ctx, a, b, cap_sum, cap,
+        [&](Index i) { return cap(i) == 0 ? RowFrom::Empty : RowFrom::Write; },
         [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
-            if (x == x_end || y == y_end) return o;
             return std::set_intersection(x, x_end, y, y_end, o);
         });
     SPBLA_VALIDATE(out);
@@ -46,10 +46,14 @@ CsrMatrix ewise_diff(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix&
 
     // Row i's difference holds at most |a_i| entries: the caps sum to nnz(a).
     const Index* a_off = a.row_offsets().data();
+    const Index* b_off = b.row_offsets().data();
     CsrMatrix out = lean_ewise(
         ctx, a, b, a.nnz(), [&](Index i) { return std::uint64_t{a_off[i + 1] - a_off[i]}; },
+        [&](Index i) {
+            const bool either_empty = a_off[i + 1] == a_off[i] || b_off[i + 1] == b_off[i];
+            return either_empty ? RowFrom::First : RowFrom::Write;
+        },
         [](const Index* x, const Index* x_end, const Index* y, const Index* y_end, Index* o) {
-            if (y == y_end) return std::copy(x, x_end, o);
             return std::set_difference(x, x_end, y, y_end, o);
         });
     SPBLA_VALIDATE(out);

@@ -367,15 +367,12 @@ private:
 
 /// Write row i of C | A*B (C only when kAccumulate) to \p out in one pass;
 /// returns its length. \p out has room for min(ub + nnz(C row), ncols).
+/// Rows with ub == 0 never get here: the runner copies them in runs.
 template <bool kAccumulate>
 Index lean_row(const CsrView& c, const CsrView& a, const CsrView& b, Index i, std::uint64_t ub,
                const LeanRowClasses& classes, LeanScratch& s, Index* out) {
     const Index* c_begin = kAccumulate ? c.cols + c.off[i] : nullptr;
     const Index* c_end = kAccumulate ? c.cols + c.off[i + 1] : nullptr;
-    if (ub == 0) {
-        if constexpr (kAccumulate) std::copy(c_begin, c_end, out);
-        return static_cast<Index>(c_end - c_begin);
-    }
     if (ub < classes.sort_below) {
         // Gather, sort and dedupe (in the output itself for multiply: a sort
         // row's bound fits its room), then merge behind C's row: no marker.
@@ -445,8 +442,8 @@ Index lean_row(const CsrView& c, const CsrView& a, const CsrView& b, Index i, st
 
 /// The lean path: C | A*B (C only when kAccumulate) written straight out in
 /// one pass through the shared runner (spgemm_plan.hpp), no symbolic count,
-/// no per-row cache. The row offsets come from the pooled free lists; the
-/// runner's join builds the exact-size column array.
+/// no per-row cache. Rows with ub == 0 are C's rows (or empty) and go in
+/// runs; the runner's join builds the exact-size column array.
 template <bool kAccumulate>
 CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatrix& a,
                         const CsrMatrix& b, const RowBounds& bounds,
@@ -459,11 +456,9 @@ CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatr
     const CsrView bv{b};
     const CsrView cv{kAccumulate ? *c : a};  // only read when accumulating
     const LeanRowClasses classes = lean_row_classes(opts, ncols, bounds);
-    static_assert(std::is_same_v<backend::BufferPool::Buffer, std::vector<Index>>,
-                  "pooled buffers must be CSR index arrays");
-    auto row_offsets = ctx.buffer_pool().acquire(static_cast<std::size_t>(m) + 1);
-    row_offsets[0] = 0;
-    backend::BufferPool::Buffer cols;
+    constexpr RowFrom kNoProduct = kAccumulate ? RowFrom::First : RowFrom::Empty;
+    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
+    std::vector<Index> cols;
     lean_run<void>(
         ctx, m, bounds.out_bound,
         lean_chunk_count(lean_workers(ctx), bounds.busy_rows, ncols, bounds.out_bound),
@@ -471,6 +466,8 @@ CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatr
             const std::uint64_t with_c = kAccumulate ? ub[i] + (cv.off[i + 1] - cv.off[i]) : ub[i];
             return std::min<std::uint64_t>(with_c, ncols);
         },
+        [&](Index i) { return ub[i] == 0 ? kNoProduct : RowFrom::Write; },
+        {RunSource<void>{cv.off, cv.cols}, RunSource<void>{}},
         [&](backend::Arena& arena) { return LeanScratch{arena, ncols, classes.buffer_cap}; },
         [&](LeanScratch& s, Index i, Index* out, std::byte*) {
             return lean_row<kAccumulate>(cv, av, bv, i, ub[i], classes, s, out);
@@ -623,8 +620,8 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     // per-chunk scopes parallel_for_chunks opens on each worker's own arena.
     backend::ScopedArena op_scope{ctx.scratch_arena()};
     const RowBounds bounds =
-        row_bounds(ctx, a.nrows(), b.ncols(), a.row_offsets().data(), a.cols().data(),
-                   b.row_offsets().data(), nullptr, op_schedule(opts));
+        row_bounds(ctx, a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
+                   a.cols().data(), b.row_offsets().data(), nullptr, op_schedule(opts));
     tally_bins(bounds.ub.data(), a.nrows(), b.ncols(), opts);
     CsrMatrix out = lean_eligible(opts, bounds.max, bounds.out_bound)
                         ? lean_multiply<false>(ctx, nullptr, a, b, bounds, opts)
@@ -646,8 +643,9 @@ CsrMatrix multiply_add(backend::Context& ctx, const CsrMatrix& c, const CsrMatri
     SPBLA_PROF_SPAN("spgemm.multiply_add");
     backend::ScopedArena op_scope{ctx.scratch_arena()};
     const RowBounds bounds =
-        row_bounds(ctx, a.nrows(), b.ncols(), a.row_offsets().data(), a.cols().data(),
-                   b.row_offsets().data(), c.row_offsets().data(), op_schedule(opts));
+        row_bounds(ctx, a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
+                   a.cols().data(), b.row_offsets().data(), c.row_offsets().data(),
+                   op_schedule(opts));
     tally_bins(bounds.ub.data(), a.nrows(), b.ncols(), opts);
     if (lean_eligible(opts, bounds.max, bounds.out_bound)) {
         CsrMatrix out = lean_multiply<true>(ctx, &c, a, b, bounds, opts);

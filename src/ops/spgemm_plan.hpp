@@ -10,9 +10,21 @@
 /// twin keeps only its row writer. The runner (lean_run) also carries the
 /// element-wise kernels (ops/ewise_plan.hpp), whose row bounds come from the
 /// operands' row offsets alone.
+///
+/// Delta-sized ops. When one operand is a delta (a few cells on a tall
+/// matrix), almost every row of the output is empty or a verbatim copy of
+/// one operand's row. The runner does not call the row writer for those
+/// rows: each chunk finds maximal runs of them and copies a run as one
+/// block plus an offset loop (RowFrom). For SpGEMM the run rule is ub == 0:
+/// the row is C's row under multiply_add and empty under multiply. The
+/// bounds walk switches to a masked flat scan when B has at most nrows/64
+/// busy rows (row_bounds), because the per-row walk reads B's offsets for
+/// every entry of A although almost none of them hit. Both choices follow
+/// the input alone: no option selects them and both policies run them.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -54,35 +66,88 @@ struct RowBounds {
     std::uint64_t product_bound{0};
 };
 
+/// Whether B (\p inner rows, offsets \p b_off) is hypersparse: at most
+/// inner / 64 of its rows are busy. If so, \p mask (inner bytes) holds its
+/// busy rows (mask[k] != 0 iff B's row k is non-empty). The count stops at
+/// the limit, so a dense B pays for a few of its rows only.
+[[nodiscard]] inline bool mark_hypersparse_rows(Index inner, const Index* b_off,
+                                                std::uint8_t* mask) {
+    const Index limit = inner / 64;
+    Index busy = 0;
+    for (Index k = 0; k < inner; ++k) {
+        const bool non_empty = b_off[k + 1] != b_off[k];
+        mask[k] = static_cast<std::uint8_t>(non_empty);
+        if (non_empty && ++busy > limit) return false;
+    }
+    return true;
+}
+
+/// The row i in [from, end) with off[i] <= p < off[i + 1], given that
+/// off[from] <= p < off[end]: a galloping search from \p from. The masked
+/// walk's hits arrive in increasing order, so searching from the last hit's
+/// row costs the log of the rows skipped, and one comparison when the next
+/// hit is in the same or the next row. A delta can hit most rows of a
+/// closure (a 16-cell delta on the LUBM(60) closure hit 84% of its rows),
+/// and a binary search over the whole chunk per hit made that walk several
+/// times slower than the per-row one.
+[[nodiscard]] inline std::size_t row_of(const Index* off, std::size_t from, std::size_t end,
+                                        Index p) {
+    if (off[from + 1] > p) return from;
+    // Invariant: off[lo + 1] <= p; find the first step whose end passes p.
+    std::size_t lo = from;
+    std::size_t step = 1;
+    while (lo + step < end && off[lo + step + 1] <= p) {
+        lo += step;
+        step *= 2;
+    }
+    const std::size_t hi = std::min(lo + step, end - 1);
+    // The first offset above p in off[lo + 2 .. hi + 1] ends row i.
+    return static_cast<std::size_t>(std::upper_bound(off + lo + 2, off + hi + 2, p) - off) - 1;
+}
+
 /// One walk over A (CSR arrays \p a_off / \p a_cols, m rows) against B's
-/// offsets: ub(i) = sum over k in A(i,:) of nnz(B(k,:)), plus the bound
-/// maximum and the clamped output-size sum. \p c_off (nullable) adds the
-/// accumulator's rows. Arena scratch on the calling thread, reclaimed by the
-/// caller's op scope.
-[[nodiscard]] inline RowBounds row_bounds(backend::Context& ctx, Index m, Index ncols,
-                                          const Index* a_off, const Index* a_cols,
-                                          const Index* b_off, const Index* c_off,
-                                          util::Schedule sched) {
+/// offsets (\p inner rows): ub(i) = sum over k in A(i,:) of nnz(B(k,:)),
+/// plus the bound maximum and the clamped output-size sum. \p c_off
+/// (nullable) adds the accumulator's rows. Arena scratch on the calling
+/// thread, reclaimed by the caller's op scope.
+///
+/// The walk is picked by B's shape. A hypersparse B (a delta, see
+/// mark_hypersparse_rows) is walked masked: each chunk zeroes its bounds,
+/// scans its slice of A's column array flat and branch-free against the
+/// byte mask of B's busy rows, and finds the row of each hit by a search in
+/// A's offsets (row_of), so the walk reads A's columns once with no per-row
+/// inner loop and no load of B's offsets for the rows it misses. C * delta,
+/// the closure stream's product, is this shape, and the per-row walk it
+/// replaces was the top of that workload's profile. Any other B keeps the
+/// per-row walk, which reads B's row length for every entry of A.
+[[nodiscard]] inline RowBounds row_bounds(backend::Context& ctx, Index m, Index inner,
+                                          Index ncols, const Index* a_off,
+                                          const Index* a_cols, const Index* b_off,
+                                          const Index* c_off, util::Schedule sched) {
     RowBounds out{ctx.scratch_alloc<std::uint64_t>(m)};
     std::uint64_t* ub = out.ub.data();
+    auto busy_rows = ctx.scratch_alloc<std::uint8_t>(inner);
+    const std::uint8_t* mask =
+        mark_hypersparse_rows(inner, b_off, busy_rows.data()) ? busy_rows.data() : nullptr;
     std::atomic<std::uint64_t> max{0};
     std::atomic<std::uint64_t> total{0};
     std::atomic<std::uint64_t> busy{0};
     std::atomic<std::uint64_t> product{0};
+    // A chunk of at least 1024 rows, and of enough of the walk (a unit per
+    // row and per entry of A) to repay a pool ticket: a walk over a few
+    // hundred entries, like delta * C, runs inline.
+    constexpr std::uint64_t kMinChunkWork = 16384;
+    const std::uint64_t work = std::uint64_t{m} + a_off[m] + 1;
+    const auto grain = static_cast<std::size_t>(
+        std::max<std::uint64_t>(1024, std::uint64_t{m} * kMinChunkWork / work));
     ctx.parallel_for_chunks(
-        m, 1024,
+        m, grain,
         [&](std::size_t begin, std::size_t end) {
             std::uint64_t chunk_max = 0;
             std::uint64_t chunk_total = 0;
             std::uint64_t chunk_busy = 0;
             std::uint64_t chunk_product = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                std::uint64_t bound = 0;
-                for (Index p = a_off[i]; p < a_off[i + 1]; ++p) {
-                    const Index k = a_cols[p];
-                    bound += b_off[k + 1] - b_off[k];
-                }
-                ub[i] = bound;
+            const auto account = [&](std::size_t i, std::uint64_t bound) {
                 chunk_max = std::max(chunk_max, bound);
                 const std::uint64_t with_c =
                     c_off != nullptr ? bound + (c_off[i + 1] - c_off[i]) : bound;
@@ -90,6 +155,39 @@ struct RowBounds {
                 chunk_total += room;
                 chunk_busy += with_c != 0;
                 if (bound != 0) chunk_product += room;
+            };
+            if (mask != nullptr) {
+                std::fill(ub + begin, ub + end, std::uint64_t{0});
+                // Blocks of A's columns: a branch-free pass lists the block's
+                // hits, then each hit is mapped to its row.
+                constexpr Index kBlock = 256;
+                std::array<Index, kBlock> hits{};
+                std::size_t row = begin;  // the row of the last hit
+                for (Index lo = a_off[begin]; lo < a_off[end];) {
+                    const Index hi = a_off[end] - lo > kBlock ? lo + kBlock : a_off[end];
+                    std::size_t n_hits = 0;
+                    for (Index p = lo; p < hi; ++p) {
+                        hits[n_hits] = p;
+                        n_hits += mask[a_cols[p]];
+                    }
+                    for (std::size_t h = 0; h < n_hits; ++h) {
+                        const Index k = a_cols[hits[h]];
+                        row = row_of(a_off, row, end, hits[h]);
+                        ub[row] += b_off[k + 1] - b_off[k];
+                    }
+                    lo = hi;
+                }
+                for (std::size_t i = begin; i < end; ++i) account(i, ub[i]);
+            } else {
+                for (std::size_t i = begin; i < end; ++i) {
+                    std::uint64_t bound = 0;
+                    for (Index p = a_off[i]; p < a_off[i + 1]; ++p) {
+                        const Index k = a_cols[p];
+                        bound += b_off[k + 1] - b_off[k];
+                    }
+                    ub[i] = bound;
+                    account(i, bound);
+                }
             }
             total.fetch_add(chunk_total, std::memory_order_relaxed);
             busy.fetch_add(chunk_busy, std::memory_order_relaxed);
@@ -268,6 +366,24 @@ void lean_cuts(Index m, std::uint64_t out_bound, std::size_t n_chunks, RowCap ca
 template <class Val>
 using LeanValue = std::conditional_t<std::is_void_v<Val>, std::byte, Val>;
 
+/// Where the runner takes a row of a lean op's output from. Only Write rows
+/// reach the row writer; the others are gathered into maximal runs of
+/// consecutive rows with the same source, and a run costs one block copy of
+/// its column range plus one offset loop.
+///  - Write: the row writer builds the row;
+///  - Empty: the row is empty;
+///  - First, Second: the row is exactly that source's row (RunSource).
+enum class RowFrom : std::uint8_t { Write, Empty, First, Second };
+
+/// An operand whose rows a run copies verbatim: CSR arrays, with vals null
+/// when the op stages no values.
+template <class Val>
+struct RunSource {
+    const Index* off{nullptr};
+    const Index* cols{nullptr};
+    const LeanValue<Val>* vals{nullptr};
+};
+
 /// The one-pass runner: every row written once into an op-scoped staging
 /// buffer sized by the row caps' sum, one region per chunk of rows, then the
 /// regions appended in order to the exact-size output. \p Val is the value
@@ -276,6 +392,9 @@ using LeanValue = std::conditional_t<std::is_void_v<Val>, std::byte, Val>;
 ///    \p cap_sum, which must fit an Index (staged positions are Index).
 ///  - n_chunks: the row chunks (lean_chunk_count); one runs inline on the
 ///    calling thread, more go to the pool.
+///  - from(i): where row i comes from (RowFrom). A First/Second row's
+///    length must be at most cap(i).
+///  - sources: the rows First and Second copy (unused entries may be empty).
 ///  - make_scratch(arena): a chunk's worker scratch, built on the executing
 ///    worker's arena (reclaimed when the chunk ends).
 ///  - write_row(scratch, i, cols, vals): writes row i sorted to cols (and
@@ -284,9 +403,10 @@ using LeanValue = std::conditional_t<std::is_void_v<Val>, std::byte, Val>;
 ///    offsets.
 ///  - cols, vals: the output arrays, empty on entry; vals is null when Val
 ///    is void.
-template <class Val, class RowCap, class MakeScratch, class WriteRow>
+template <class Val, class RowCap, class From, class MakeScratch, class WriteRow>
 void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t n_chunks,
-              RowCap cap, MakeScratch make_scratch, WriteRow write_row, Index* row_offsets,
+              RowCap cap, From from, const std::array<RunSource<Val>, 2>& sources,
+              MakeScratch make_scratch, WriteRow write_row, Index* row_offsets,
               std::vector<Index>& cols, std::vector<LeanValue<Val>>* vals) {
     constexpr bool kValues = !std::is_void_v<Val>;
     using Stored = LeanValue<Val>;
@@ -301,13 +421,40 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
     ctx.parallel_for_chunks(n_chunks, 1, [&](std::size_t kb, std::size_t ke) {
         auto scratch = make_scratch(ctx.scratch_arena());
         for (std::size_t k = kb; k < ke; ++k) {
+            const Index last = first[k + 1];
             Index pos = 0;
-            for (Index i = first[k]; i < first[k + 1]; ++i) {
+            Index i = first[k];
+            RowFrom kind = i < last ? from(i) : RowFrom::Empty;
+            while (i < last) {
                 const std::uint64_t at = base[k] + pos;
-                Stored* row_vals = nullptr;
-                if constexpr (kValues) row_vals = stage_vals.data() + at;
-                pos += write_row(scratch, i, stage.data() + at, row_vals);
-                row_offsets[i + 1] = pos;
+                if (kind == RowFrom::Write) {
+                    Stored* row_vals = nullptr;
+                    if constexpr (kValues) row_vals = stage_vals.data() + at;
+                    pos += write_row(scratch, i, stage.data() + at, row_vals);
+                    row_offsets[i + 1] = pos;
+                    ++i;
+                    kind = i < last ? from(i) : RowFrom::Empty;
+                    continue;
+                }
+                // The run [i, j) of rows from one source.
+                Index j = i + 1;
+                RowFrom next = RowFrom::Empty;
+                while (j < last && (next = from(j)) == kind) ++j;
+                if (kind == RowFrom::Empty) {
+                    std::fill(row_offsets + i + 1, row_offsets + j + 1, pos);
+                } else {
+                    const RunSource<Val>& src = sources[kind == RowFrom::First ? 0 : 1];
+                    const Index lo = src.off[i];
+                    const Index hi = src.off[j];
+                    std::copy(src.cols + lo, src.cols + hi, stage.data() + at);
+                    if constexpr (kValues) {
+                        std::copy(src.vals + lo, src.vals + hi, stage_vals.data() + at);
+                    }
+                    for (Index r = i; r < j; ++r) row_offsets[r + 1] = pos + (src.off[r + 1] - lo);
+                    pos += hi - lo;
+                }
+                i = j;
+                kind = next;
             }
             length[k] = pos;
         }
@@ -323,8 +470,8 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
     if constexpr (kValues) vals->reserve(static_cast<std::size_t>(total));
     Index to = 0;
     for (std::size_t k = 0; k < n_chunks; ++k) {
-        const Index* from = stage.data() + base[k];
-        cols.insert(cols.end(), from, from + length[k]);
+        const Index* from_cols = stage.data() + base[k];
+        cols.insert(cols.end(), from_cols, from_cols + length[k]);
         if constexpr (kValues) {
             const Stored* from_vals = stage_vals.data() + base[k];
             vals->insert(vals->end(), from_vals, from_vals + length[k]);

@@ -70,32 +70,52 @@ Matrix& Matrix::multiply_add(const Matrix& a, const Matrix& b) {
     return *this;
 }
 
+namespace {
+
+void require_delta_shapes(const Matrix& m, const Matrix& adds, const Matrix& removes,
+                          const char* insert_msg, const char* delete_msg) {
+    SPBLA_REQUIRE(adds.nrows() == m.nrows() && adds.ncols() == m.ncols(),
+                  Status::DimensionMismatch, insert_msg);
+    SPBLA_REQUIRE(removes.nrows() == m.nrows() && removes.ncols() == m.ncols(),
+                  Status::DimensionMismatch, delete_msg);
+}
+
+}  // namespace
+
 void Matrix::apply_delta(const Matrix& adds, const Matrix& removes,
                          backend::Context& ctx) {
-    SPBLA_REQUIRE(adds.nrows() == nrows() && adds.ncols() == ncols(),
-                  Status::DimensionMismatch, "apply_delta: insert delta shape");
-    SPBLA_REQUIRE(removes.nrows() == nrows() && removes.ncols() == ncols(),
-                  Status::DimensionMismatch, "apply_delta: delete delta shape");
+    require_delta_shapes(*this, adds, removes, "apply_delta: insert delta shape",
+                         "apply_delta: delete delta shape");
     if (adds.empty() && removes.empty()) return;  // no-op batch: stamp kept
+    *this = with_delta(adds, removes, ctx);
+}
+
+Matrix Matrix::with_delta(const Matrix& adds, const Matrix& removes,
+                          backend::Context& ctx) const {
+    require_delta_shapes(*this, adds, removes, "with_delta: insert delta shape",
+                         "with_delta: delete delta shape");
+    if (adds.empty() && removes.empty()) return *this;
     telemetry::count(telemetry::Counter::IncrBatches);
-    telemetry::count(telemetry::Counter::IncrDeltaNnz,
-                     adds.nnz() + removes.nnz());
-    fold_delta(adds, removes, ctx);
+    telemetry::count(telemetry::Counter::IncrDeltaNnz, adds.nnz() + removes.nnz());
+    return folded(adds, removes, ctx);
 }
 
 void Matrix::fold_delta(const Matrix& adds, const Matrix& removes,
                         backend::Context& ctx) {
-    SPBLA_REQUIRE(adds.nrows() == nrows() && adds.ncols() == ncols(),
-                  Status::DimensionMismatch, "fold_delta: insert delta shape");
-    SPBLA_REQUIRE(removes.nrows() == nrows() && removes.ncols() == ncols(),
-                  Status::DimensionMismatch, "fold_delta: delete delta shape");
+    require_delta_shapes(*this, adds, removes, "fold_delta: insert delta shape",
+                         "fold_delta: delete delta shape");
     if (adds.empty() && removes.empty()) return;  // no-op batch: stamp kept
-    Matrix next =
-        removes.empty() ? *this : storage::ewise_diff(ctx, *this, removes);
+    *this = folded(adds, removes, ctx);
+}
+
+Matrix Matrix::folded(const Matrix& adds, const Matrix& removes,
+                      backend::Context& ctx) const {
+    // The routed ops return freshly stamped handles, so even a value-equal
+    // result carries a new content version.
+    if (removes.empty()) return storage::ewise_add(ctx, *this, adds);
+    Matrix next = storage::ewise_diff(ctx, *this, removes);
     if (!adds.empty()) next = storage::ewise_add(ctx, next, adds);
-    // The routed ops return freshly stamped handles, so the assignment below
-    // installs a new content version even for a value-equal result.
-    *this = std::move(next);
+    return next;
 }
 
 Matrix Matrix::add(const Matrix& a, const Matrix& b) {

@@ -92,6 +92,12 @@ public:
     /// books that batch once itself.
     void fold_delta(const Matrix& adds, const Matrix& removes, backend::Context& ctx);
 
+    /// apply_delta into a new handle, this one left unchanged: the batch is
+    /// folded and booked exactly as apply_delta does, without first copying
+    /// this handle. A no-op batch returns a copy carrying this version().
+    [[nodiscard]] Matrix with_delta(const Matrix& adds, const Matrix& removes,
+                                    backend::Context& ctx) const;
+
     /// Simulated device footprint of the CSR storage.
     [[nodiscard]] std::size_t device_bytes() const noexcept { return csr_.device_bytes(); }
 
@@ -126,6 +132,11 @@ public:
     friend bool operator==(const Matrix& a, const Matrix& b);
 
 private:
+    /// (this \ removes) | adds as a new handle, for a non-empty batch of
+    /// checked shapes; books nothing.
+    [[nodiscard]] Matrix folded(const Matrix& adds, const Matrix& removes,
+                                backend::Context& ctx) const;
+
     static Matrix add(const Matrix& a, const Matrix& b);
     static Matrix mul(const Matrix& a, const Matrix& b);
 

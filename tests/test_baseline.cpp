@@ -8,6 +8,7 @@
 #include "baseline/generic_spgemm.hpp"
 #include "helpers.hpp"
 #include "ops/ewise_add.hpp"
+#include "ops/ewise_mult.hpp"
 #include "ops/spgemm.hpp"
 
 namespace spbla::baseline {
@@ -77,6 +78,43 @@ TEST(GenericSpGemm, HashAndEscAgreeOnValues) {
             ASSERT_EQ(h.pattern(), e.pattern()) << c.m << "x" << c.n;
             for (std::size_t k = 0; k < h.nnz(); ++k) {
                 ASSERT_FLOAT_EQ(h.vals()[k], e.vals()[k]) << c.m << "x" << c.n;
+            }
+        }
+    }
+}
+
+TEST(GenericTwins, AgreeOnDeltaSizedOperands) {
+    // The Boolean kernels' row runs and masked bounds walk on a delta: the
+    // value-carrying twins take the same paths and must give the same
+    // patterns, and the hash twin the expand-sort-compress values.
+    const Index n = 2600;
+    const auto big = random_csr(n, n, 0.002, 21);
+    std::vector<Coord> cells;
+    for (Index k = 0; k < 16; ++k) cells.push_back({k * 160 + 3, (k * 389) % n});
+    cells.push_back({0, 1});
+    cells.push_back({n - 1, n - 2});
+    const auto delta = CsrMatrix::from_coords(n, n, std::move(cells));
+    const auto g_big = GenericCsr::from_boolean(big);
+    const auto g_delta = GenericCsr::from_boolean(delta);
+    const auto e = multiply_esc(ctx(), g_big, g_delta);
+    for (backend::Context* context : {&testing::seq_ctx(), &ctx()}) {
+        const auto h = multiply_hash(*context, g_big, g_delta);
+        ASSERT_EQ(h.pattern(), ops::multiply(*context, big, delta));
+        ASSERT_EQ(h.pattern(), e.pattern());
+        for (std::size_t k = 0; k < h.nnz(); ++k) ASSERT_FLOAT_EQ(h.vals()[k], e.vals()[k]);
+        for (const bool delta_first : {false, true}) {
+            const auto& x = delta_first ? g_delta : g_big;
+            const auto& y = delta_first ? g_big : g_delta;
+            const auto sum = ewise_add(*context, x, y);
+            ASSERT_EQ(sum.pattern(), ops::ewise_add(*context, x.pattern(), y.pattern()));
+            // Values: 2 where the operands share a cell, 1 elsewhere.
+            const auto both = ops::ewise_mult(*context, big, delta);
+            const auto offsets = sum.row_offsets();
+            for (Index i = 0; i < n; ++i) {
+                for (Index p = offsets[i]; p < offsets[i + 1]; ++p) {
+                    const float want = both.get(i, sum.cols()[p]) ? 2.0f : 1.0f;
+                    ASSERT_FLOAT_EQ(sum.vals()[p], want) << i;
+                }
             }
         }
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -296,6 +297,62 @@ TEST_F(EwiseRunnerCut, NarrowMatrices) {
         const auto b = random_csr(700, n, 0.3, 68 + n);
         expect_both_contexts_match(a, b);
     }
+}
+
+TEST_F(EwiseRunnerCut, RunsAtTheFirstAndLastRow) {
+    // b is empty over rows [0, 40) and [260, 300): copy runs of a's rows at
+    // both ends; a is empty over rows [100, 140): a run of b's rows (union)
+    // and of empty rows (intersection, difference) in the middle.
+    const auto a = keep_rows(random_csr(300, 200, 0.05, 71),
+                             [](Index r) { return r < 100 || r >= 140; });
+    const auto b = keep_rows(random_csr(300, 200, 0.05, 72),
+                             [](Index r) { return r >= 40 && r < 260; });
+    expect_both_contexts_match(a, b);
+    expect_both_contexts_match(b, a);
+    // Rows 0 and m - 1 alone: the only written rows sit at the ends.
+    const auto ends = keep_rows(random_csr(300, 200, 0.05, 73),
+                                [](Index r) { return r == 0 || r == 299; });
+    expect_both_contexts_match(a, ends);
+    expect_both_contexts_match(ends, a);
+}
+
+TEST_F(EwiseRunnerCut, AllEmptyPartner) {
+    const auto a = random_csr(400, 300, 0.04, 74);
+    const CsrMatrix none{400, 300};
+    expect_both_contexts_match(a, none);
+    expect_both_contexts_match(none, a);
+    expect_both_contexts_match(none, none);
+}
+
+TEST(EwiseRunnerSplit, RunCrossesAParallelChunkCut) {
+    backend::Context par{backend::Policy::Parallel, 4};
+    const Index m = 4096;
+    // Balanced operands (neither is delta-sized, so the op splits), with b
+    // empty over the middle half: the cut at half the staged room falls
+    // inside that run of a's rows, and so does at least one cut for any
+    // chunk count of two or more.
+    const auto a = random_csr(m, 64, 0.2, 75);
+    const auto b =
+        keep_rows(random_csr(m, 64, 0.2, 76), [](Index r) { return r < 1024 || r >= 3072; });
+    const Index* a_off = a.row_offsets().data();
+    const Index* b_off = b.row_offsets().data();
+    const auto cap = [&](Index i) {
+        return std::uint64_t{a_off[i + 1] - a_off[i]} + (b_off[i + 1] - b_off[i]);
+    };
+    const std::uint64_t cap_sum = a.nnz() + b.nnz();
+    const std::size_t n_chunks =
+        ops::ewise_run_chunks(par, m, cap_sum, std::min(a.nnz(), b.nnz()));
+    ASSERT_GE(n_chunks, 2u);
+    std::vector<Index> first(n_chunks + 1);
+    std::vector<std::uint64_t> base(n_chunks + 1);
+    ops::lean_cuts(m, cap_sum, n_chunks, cap, first.data(), base.data());
+    EXPECT_TRUE(std::any_of(first.begin() + 1, first.end() - 1,
+                            [](Index cut) { return cut > 1024 && cut < 3072; }))
+        << "no chunk cut falls inside the run";
+    expect_all_ops_match(par, a, b);
+    expect_all_ops_match(par, b, a);
+    par.trim_device_scratch();
+    EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
 }
 
 TEST(EwiseRunnerSplit, ParallelOpSplitsIntoChunksAndMatches) {

@@ -6,6 +6,7 @@
 #include "helpers.hpp"
 #include "ops/ewise_add.hpp"
 #include "ops/spgemm.hpp"
+#include "ops/spgemm_plan.hpp"
 #include "spbla/spbla.h"
 #include "storage/matrix.hpp"
 
@@ -287,6 +288,41 @@ TEST_F(SpGemm, LeanPathMatchesDenseAcrossItsCut) {
                          per_row_csr(3000, 3000, 8, 102, 11), per_row_csr(3000, 20000, 6, 103));
     expect_matches_dense("chunked dense rows", per_row_csr(3000, 3000, 5, 93),
                          per_row_csr(3000, 3000, 8, 94, 13), per_row_csr(3000, 3000, 8, 95));
+
+    // Hypersparse B: at most nrows / 64 busy rows take the masked bounds
+    // walk, one more keeps the per-row walk. 2600 rows: the limit is 40, and
+    // the walk splits at its 1024-row grain on the parallel context. Every
+    // row of A also holds column 0, a busy row of each B, so the masked walk
+    // maps a hit in every row (row 0 and row n - 1 included) next to the
+    // rare random ones.
+    const Index n = 2600;
+    const Index limit = n / 64;
+    std::vector<Coord> a_cells = per_row_csr(n, n, 5, 110).to_coords();
+    for (Index i = 0; i < n; ++i) a_cells.push_back({i, 0});
+    const CsrMatrix a = CsrMatrix::from_coords(n, n, std::move(a_cells));
+    const CsrMatrix c = per_row_csr(n, n, 3, 111, 4);
+    for (const Index busy : {Index{1}, limit, limit + 1}) {
+        const std::string name = "hypersparse B, " + std::to_string(busy) + " busy rows";
+        std::vector<std::vector<Index>> rows(n);
+        for (Index k = 0; k < busy; ++k) {
+            const Index row = k * (n / busy);  // row 0 first
+            rows[row] = {(row * 7) % n, (row * 13 + 5) % n, n - 1};
+        }
+        const CsrMatrix b = rows_csr(n, rows);
+        std::vector<std::uint8_t> mask(n);
+        EXPECT_EQ(ops::mark_hypersparse_rows(n, b.row_offsets().data(), mask.data()),
+                  busy <= limit)
+            << name;
+        expect_matches_dense(name, c, a, b);
+        // Aliased accumulator: C = A, the closure stream's A | A * delta.
+        const auto product = to_dense(a).multiply(to_dense(b));
+        const CsrMatrix expect_aliased = to_csr(to_dense(a).ewise_or(product));
+        for (backend::Context* context : {&seq_ctx(), &ctx()}) {
+            const auto before = context->tracker().current_bytes();
+            EXPECT_EQ(ops::multiply_add(*context, a, a, b), expect_aliased) << name;
+            EXPECT_EQ(context->tracker().current_bytes(), before) << name;
+        }
+    }
 }
 
 TEST_F(SpGemm, LeanMultiplyAddAliasedSquaring) {
