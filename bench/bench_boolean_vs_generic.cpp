@@ -13,11 +13,9 @@
 ///                  (the cuSPARSE-style comparator)
 ///   generic-esc  — expand-sort-compress with float values (the CUSP-style
 ///                  comparator; its expansion buffer is the memory hog)
-/// Reported memory = matrix footprints + peak tracked temporaries.
-///
-/// Each measurement starts from trimmed device scratch, so its peak counts
-/// the arena slabs this kernel reserves, not the slabs an earlier input left
-/// behind.
+/// Reported memory = matrix footprints + peak tracked temporaries. Kernel
+/// scratch is exact Context::alloc buffers, so the peak is the bytes the
+/// kernel asked for.
 ///
 /// Besides the printed tables, the run writes BENCH_e1.json (path
 /// overridable via SPBLA_BENCH_E1_JSON) through the shared bench::JsonWriter
@@ -61,20 +59,13 @@ struct Measurement {
     std::size_t bytes;  // result + temporaries
 };
 
-/// Drop the retained arena slabs and pooled buffers, then restart the peak:
-/// the next measurement's peak is its own footprint.
-void fresh_peak() {
-    ctx().trim_device_scratch();
-    ctx().tracker().reset_peak();
-}
-
-/// Result bytes plus the tracked peak over three runs from trimmed scratch.
-/// A parallel run charges the arena of every worker that took a chunk, and
-/// which workers do varies run to run; the peak over three runs is the
-/// footprint with (nearly always) every worker in.
+/// Result bytes plus the tracked peak over three runs. A parallel run holds
+/// the scratch of every chunk in flight at once, and how many overlap varies
+/// run to run; the peak over three runs is the footprint with (nearly
+/// always) every worker in.
 template <class Run>
 std::size_t footprint(Run run) {
-    fresh_peak();
+    ctx().tracker().reset_peak();
     std::size_t result_bytes = 0;
     for (int r = 0; r < 3; ++r) result_bytes = run().device_bytes();
     return result_bytes + ctx().tracker().peak_bytes();
@@ -122,7 +113,7 @@ struct SquareRow {
 };
 
 /// C = A * A with the three kernels, timed in interleaved rounds. Each
-/// kernel's memory is measured apart, from trimmed scratch.
+/// kernel's memory is measured apart.
 SquareRow measure_square(const Workload& w) {
     const CsrMatrix& a = w.matrix;
     const auto g = baseline::GenericCsr::from_boolean(a);
@@ -151,7 +142,7 @@ struct AddRow {
 };
 
 /// C = A + A^T with the Boolean kernel and its value-carrying twin, timed in
-/// interleaved rounds, memory measured apart from trimmed scratch.
+/// interleaved rounds, memory measured apart.
 AddRow measure_add(const Workload& w) {
     const CsrMatrix& a = w.matrix;
     const CsrMatrix at = ops::transpose(ctx(), a);

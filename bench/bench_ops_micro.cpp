@@ -19,7 +19,6 @@
 #include <map>
 
 #include "algorithms/closure.hpp"
-#include "backend/arena.hpp"
 #include "backend/context.hpp"
 #include "baseline/generic_spgemm.hpp"
 #include "cfpq/queries.hpp"
@@ -30,7 +29,6 @@
 #include "data/lubm.hpp"
 #include "data/rdflike.hpp"
 #include "incr/incremental.hpp"
-#include "incr/memo.hpp"
 #include "ops/ops.hpp"
 #include "prof/prof.hpp"
 #include "rpq/dfa.hpp"
@@ -455,37 +453,6 @@ void write_spgemm_trajectory() {
     const double geomean = std::exp(log_sum / kNumInputs);
     w.field("geomean_speedup", geomean);
     write_paper_inputs(w);
-
-    // Allocation-count ablation: the same full-pipeline multiply with the op
-    // arena active vs. forced into pass-through (every scratch request an
-    // individually tracked heap block — the pre-arena behaviour). Counted by
-    // the device tracker, so the ratio is exactly the allocator-traffic
-    // reduction the arena tier buys on this ladder's hardest input.
-    {
-        const ops::SpGemmOptions full;
-        auto& tracker = ctx().tracker();
-        (void)ops::multiply(ctx(), inputs[0].m, inputs[0].m, full);  // warm slabs
-        const std::uint64_t on0 = tracker.alloc_count();
-        (void)ops::multiply(ctx(), inputs[0].m, inputs[0].m, full);
-        const std::uint64_t allocs_on = tracker.alloc_count() - on0;
-
-        backend::set_arena_enabled(false);
-        const std::uint64_t off0 = tracker.alloc_count();
-        (void)ops::multiply(ctx(), inputs[0].m, inputs[0].m, full);
-        const std::uint64_t allocs_off = tracker.alloc_count() - off0;
-        backend::set_arena_enabled(true);
-
-        const double reduction =
-            static_cast<double>(allocs_off) /
-            static_cast<double>(std::max<std::uint64_t>(allocs_on, 1));
-        w.field("allocs_arena_on", allocs_on);
-        w.field("allocs_arena_off", allocs_off);
-        w.field("alloc_reduction_spgemm", reduction);
-        std::printf("SpGEMM alloc ablation: %llu tracked allocs pass-through vs "
-                    "%llu with the arena (%.1fx reduction)\n",
-                    static_cast<unsigned long long>(allocs_off),
-                    static_cast<unsigned long long>(allocs_on), reduction);
-    }
     w.end_object();
     std::fclose(f);
     std::printf("SpGEMM trajectory written to %s (geomean speedup %.2fx)\n", path,
@@ -499,10 +466,7 @@ void write_spgemm_trajectory() {
 /// batches of 1 -> 100 present cells, incremental update_closure against a
 /// full recompute of the same post-batch graph.
 /// Every timed run consumes a DISTINCT pre-generated batch and a fresh
-/// pre-copied closure, so no run reuses another's work; a separate
-/// memo_replay section replays one delta product through the op memo on
-/// purpose so the exit trace carries real spbla.incr.memo_hits for
-/// check_trace.py --require-incr.
+/// pre-copied closure, so no run reuses another's work.
 void write_incremental_trajectory() {
     const char* path = std::getenv("SPBLA_BENCH_INCR_JSON");
     if (path == nullptr) path = "BENCH_incremental.json";
@@ -627,7 +591,7 @@ void write_incremental_trajectory() {
     // IncrementalClosure driver, plus one empty-operand multiply. The timed
     // ladder above exercises the raw update_closure path only; this pass
     // makes the exit trace carry the rest of the spbla.incr.* story —
-    // batch/saved-iterations accounting, the delta-overlay nnz, and the
+    // batch/saved-iterations accounting, the delta nnz, and the
     // dispatcher short-circuit — for check_trace.py --require-incr.
     {
         const Matrix& adj = inputs[0].adj;
@@ -640,24 +604,8 @@ void write_incremental_trajectory() {
         driver.apply(none, edge);
         (void)storage::multiply(ctx(), adj, none);
     }
-    // Deliberate replay: identical operand epochs hit the op memo, so the
-    // exit trace (and this file) record non-zero memo hit counters.
-    {
-        const auto before = incr::memo().stats();
-        const Matrix& adj = inputs[0].adj;
-        const Matrix seed = Matrix::from_coords(adj.nrows(), adj.ncols(),
-                                                {{0, adj.ncols() - 1}}, ctx());
-        for (int r = 0; r < 4; ++r) (void)incr::memo_multiply(ctx(), adj, seed);
-        const auto after = incr::memo().stats();
-        w.begin_object("memo_replay");
-        w.field("lookups", after.lookups - before.lookups);
-        w.field("hits", after.hits - before.hits);
-        w.field("stores", after.stores - before.stores);
-        w.end_object();
-    }
     w.end_object();
     std::fclose(f);
-    incr::memo().clear();
     std::printf("Incremental update-latency ladder written to %s "
                 "(batch-1 geomean speedup %.2fx)\n",
                 path, geomean);

@@ -8,20 +8,13 @@
 namespace spbla::backend {
 
 Context::Context(Policy policy, std::size_t num_threads)
-    : policy_{policy},
-      arena_hub_{std::make_unique<ArenaHub>(&tracker_)},
-      buffer_pool_{std::make_unique<BufferPool>()} {
+    : policy_{policy} {
     if (policy_ == Policy::Parallel) {
         pool_ = std::make_unique<util::ThreadPool>(num_threads);
     }
 }
 
 Context::~Context() {
-    // Quiesce retained scratch before auditing the balance: arena slabs and
-    // pooled buffers are deliberately held across ops, so they must be
-    // returned (and their tracker charges paired off) for the leak check to
-    // see only genuinely leaked DeviceBuffers.
-    trim_device_scratch();
 #if SPBLA_CHECKS_LEVEL >= SPBLA_CHECKS_CHEAP
     if (!tracker_.balanced()) {
         std::fprintf(stderr, "spbla: context destroyed with leaked device memory: %s\n",

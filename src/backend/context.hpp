@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <memory>
 
-#include "backend/arena.hpp"
 #include "backend/device_buffer.hpp"
 #include "backend/memory_tracker.hpp"
 #include "telemetry/metrics.hpp"
@@ -55,22 +54,12 @@ public:
     /// launch, whose body loops over its rows inline, so a launch costs one
     /// call per chunk, not one per row. Chunks are dynamically scheduled
     /// (work-stealing tickets) by default; pass util::Schedule::Static for
-    /// the FIFO one-closure-per-chunk path. Each chunk
-    /// body runs inside a ScopedArena on the executing worker's own arena,
-    /// so kernel scratch (ArenaVector, scratch_arena() bumps) is reclaimed
-    /// wholesale at chunk exit and workers never contend on an allocator.
-    /// Safe for concurrent launches on one pool: a worker only ever rewinds
-    /// its own arena, to the mark its own chunk took.
+    /// the FIFO one-closure-per-chunk path. A chunk body's scratch is its own
+    /// alloc() buffers, freed when the body returns.
     void parallel_for_chunks(std::size_t n, std::size_t grain,
                              const std::function<void(std::size_t, std::size_t)>& body,
                              util::Schedule schedule = util::Schedule::Dynamic) const {
-        util::parallel_for_chunks(
-            pool(), n, grain,
-            [this, &body](std::size_t begin, std::size_t end) {
-                ScopedArena scope{arena_hub_->local()};
-                body(begin, end);
-            },
-            schedule);
+        util::parallel_for_chunks(pool(), n, grain, body, schedule);
     }
 
     /// Exclusive prefix sum on the device pool (thrust::exclusive_scan
@@ -79,45 +68,13 @@ public:
         return util::exclusive_scan(pool(), data);
     }
 
-    /// Allocate a tracked device buffer of \p count elements.
+    /// Allocate a tracked device buffer of \p count elements: op outputs'
+    /// staging and kernel scratch alike, sized exactly and uncharged when the
+    /// buffer goes out of scope. Contents undefined (poisoned at
+    /// SPBLA_CHECKS=full). Safe from any worker: the tracker is lock-free.
     template <class T>
     [[nodiscard]] DeviceBuffer<T> alloc(std::size_t count) {
         return DeviceBuffer<T>{&tracker_, count};
-    }
-
-    /// The calling thread's op arena (created on first use). Open a
-    /// ScopedArena on it around an op to reclaim everything at op exit;
-    /// chunk bodies launched via parallel_for_chunks get their scope
-    /// implicitly.
-    [[nodiscard]] Arena& scratch_arena() const { return arena_hub_->local(); }
-
-    /// Per-context arena registry (one arena per touching thread).
-    [[nodiscard]] ArenaHub& arena_hub() const noexcept { return *arena_hub_; }
-
-    /// Arena-backed scratch buffer on the calling thread's arena: valid until
-    /// the enclosing ScopedArena resets, tracked via the arena's slab charge
-    /// (not individually). Contents undefined, poisoned at SPBLA_CHECKS=full
-    /// — the DeviceBuffer contract. Workers may read it; only the allocating
-    /// scope's thread must outlive-own it.
-    template <class T>
-    [[nodiscard]] DeviceBuffer<T> scratch_alloc(std::size_t count) const {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "arena scratch holds trivially-copyable elements only");
-        Arena& arena = arena_hub_->local();
-        T* p = static_cast<T*>(arena.allocate(count * sizeof(T), alignof(T)));
-        return DeviceBuffer<T>::borrow(p, count);
-    }
-
-    /// Size-classed free lists for index buffers that outlive one op (kernel
-    /// output arrays).
-    [[nodiscard]] BufferPool& buffer_pool() const noexcept { return *buffer_pool_; }
-
-    /// Release retained scratch (arena slabs + pooled buffers) back to the
-    /// heap. Quiescent callers only — between ops, after pool joins. Used by
-    /// tests and teardown to make the tracker balance exact to the byte.
-    void trim_device_scratch() const {
-        arena_hub_->trim();
-        buffer_pool_->trim();
     }
 
     /// Hierarchical profiling summary for work launched through this (or
@@ -136,10 +93,6 @@ private:
     Policy policy_;
     std::unique_ptr<util::ThreadPool> pool_;
     MemoryTracker tracker_;
-    // unique_ptr so const launch methods hand out non-const arenas/pools:
-    // both are internally synchronised (or per-thread), like the tracker.
-    std::unique_ptr<ArenaHub> arena_hub_;
-    std::unique_ptr<BufferPool> buffer_pool_;
 };
 
 /// Process-wide default context (parallel policy, hardware thread count).

@@ -3,31 +3,24 @@
 ///
 /// In cuBool this is a cudaMalloc'd array; here it is host memory whose size
 /// is charged against the owning context's MemoryTracker, so the benchmark
-/// harness can report the same footprint numbers the paper does.
-///
-/// Two backing modes share one access path (ptr_ + size_, so element access
-/// never branches on the mode):
-///  - owned: the default — storage lives in an internal vector and is
-///    charged/uncharged on the tracker per buffer (Context::alloc).
-///  - borrowed: a view over op-arena memory (Context::scratch_alloc). The
-///    arena's slab charge already accounts for the bytes, the enclosing
-///    ScopedArena reset reclaims them, and release() only poisons. Copies of
-///    a borrowed buffer alias the same storage — scratch is scope-local by
-///    contract, so value copies of it are a bug this makes loud in checked
-///    builds rather than a silent double-charge.
+/// harness can report the same footprint numbers the paper does. Kernel
+/// scratch and op-level buffers alike are DeviceBuffers from Context::alloc,
+/// sized exactly and freed when they go out of scope, so the tracker's live
+/// and peak bytes are the bytes the kernels asked for.
 ///
 /// Contract checking: element access is bounds-asserted at SPBLA_CHECKS=cheap
-/// and above; at SPBLA_CHECKS=full the storage is poison-filled on allocation
-/// and release, so kernels that read device scratch before writing it (or
-/// after freeing it) compute from 0xA5 garbage instead of silently correct
-/// zeroes — mirroring what real cudaMalloc'd memory guarantees (nothing).
+/// and above. Contents start undefined, as real cudaMalloc'd memory does: at
+/// SPBLA_CHECKS=full the storage is poison-filled on allocation and release,
+/// so kernels that read device scratch before writing it (or after freeing
+/// it) compute from 0xA5 garbage instead of silently correct zeroes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "backend/memory_tracker.hpp"
 #include "util/contracts.hpp"
@@ -41,47 +34,26 @@ inline constexpr unsigned char kPoisonByte = 0xA5;
 /// Fixed-capacity trivially-copyable array charged to a MemoryTracker.
 template <class T>
 class DeviceBuffer {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "device buffers hold trivially-copyable elements only");
+
 public:
     DeviceBuffer() noexcept = default;
 
     DeviceBuffer(MemoryTracker* tracker, std::size_t count)
-        : tracker_{tracker}, owned_(count) {
-        ptr_ = owned_.data();
-        size_ = count;
+        : tracker_{tracker}, data_{std::make_unique_for_overwrite<T[]>(count)}, size_{count} {
         if (tracker_) tracker_->on_alloc(bytes());
         SPBLA_CHECKED(poison());
     }
 
-    /// Borrowed (arena-backed) view: \p p stays valid until the enclosing
-    /// ScopedArena resets; no tracker interaction (the slab charge covers it).
-    [[nodiscard]] static DeviceBuffer borrow(T* p, std::size_t count) noexcept {
-        DeviceBuffer b;
-        b.ptr_ = p;
-        b.size_ = count;
-        b.poison();  // match the owned-mode contract: poison, not zero
-        return b;
-    }
-
-    DeviceBuffer(const DeviceBuffer& other)
-        : tracker_{other.tracker_}, owned_{other.owned_} {
-        if (other.owned()) {
-            ptr_ = owned_.data();
-            size_ = other.size_;
-            if (tracker_) tracker_->on_alloc(bytes());
-        } else {
-            ptr_ = other.ptr_;  // borrowed buffers alias (see file comment)
-            size_ = other.size_;
-        }
+    DeviceBuffer(const DeviceBuffer& other) : DeviceBuffer{other.tracker_, other.size_} {
+        std::copy(other.begin(), other.end(), begin());
     }
 
     DeviceBuffer(DeviceBuffer&& other) noexcept
         : tracker_{std::exchange(other.tracker_, nullptr)},
-          owned_{std::move(other.owned_)},
-          ptr_{std::exchange(other.ptr_, nullptr)},
-          size_{std::exchange(other.size_, 0)} {
-        other.owned_.clear();
-        other.owned_.shrink_to_fit();
-    }
+          data_{std::move(other.data_)},
+          size_{std::exchange(other.size_, 0)} {}
 
     DeviceBuffer& operator=(DeviceBuffer other) noexcept {
         swap(other);
@@ -92,20 +64,16 @@ public:
 
     void swap(DeviceBuffer& other) noexcept {
         std::swap(tracker_, other.tracker_);
-        owned_.swap(other.owned_);
-        std::swap(ptr_, other.ptr_);
+        data_.swap(other.data_);
         std::swap(size_, other.size_);
     }
 
-    /// Free the storage and un-charge the tracker. Borrowed storage is only
-    /// poisoned — the arena reclaims it wholesale at scope exit.
+    /// Free the storage and un-charge the tracker.
     void release() noexcept {
         SPBLA_CHECKED(poison());
         if (tracker_) tracker_->on_free(bytes());
         tracker_ = nullptr;
-        owned_.clear();
-        owned_.shrink_to_fit();
-        ptr_ = nullptr;
+        data_.reset();
         size_ = 0;
     }
 
@@ -113,37 +81,30 @@ public:
     [[nodiscard]] std::size_t bytes() const noexcept { return size_ * sizeof(T); }
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-    [[nodiscard]] T* data() noexcept { return ptr_; }
-    [[nodiscard]] const T* data() const noexcept { return ptr_; }
+    [[nodiscard]] T* data() noexcept { return data_.get(); }
+    [[nodiscard]] const T* data() const noexcept { return data_.get(); }
 
     [[nodiscard]] T& operator[](std::size_t i) noexcept {
         SPBLA_ASSERT(i < size_, "DeviceBuffer: index out of bounds");
-        return ptr_[i];
+        return data_[i];
     }
     [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
         SPBLA_ASSERT(i < size_, "DeviceBuffer: index out of bounds");
-        return ptr_[i];
+        return data_[i];
     }
 
-    [[nodiscard]] T* begin() noexcept { return ptr_; }
-    [[nodiscard]] T* end() noexcept { return ptr_ + size_; }
-    [[nodiscard]] const T* begin() const noexcept { return ptr_; }
-    [[nodiscard]] const T* end() const noexcept { return ptr_ + size_; }
+    [[nodiscard]] T* begin() noexcept { return data(); }
+    [[nodiscard]] T* end() noexcept { return data() + size_; }
+    [[nodiscard]] const T* begin() const noexcept { return data(); }
+    [[nodiscard]] const T* end() const noexcept { return data() + size_; }
 
 private:
-    [[nodiscard]] bool owned() const noexcept {
-        return ptr_ == nullptr || !owned_.empty();
-    }
-
     void poison() noexcept {
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            if (size_ > 0) std::memset(ptr_, kPoisonByte, bytes());
-        }
+        if (size_ > 0) std::memset(data(), kPoisonByte, bytes());
     }
 
     MemoryTracker* tracker_{nullptr};
-    std::vector<T> owned_;  ///< backing storage in owned mode, empty when borrowed
-    T* ptr_{nullptr};
+    std::unique_ptr<T[]> data_;
     std::size_t size_{0};
 };
 

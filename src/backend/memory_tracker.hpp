@@ -41,32 +41,6 @@ public:
         telemetry::gauge_max(telemetry::Gauge::MemPeakBytes, live);
     }
 
-    /// Bring \p bytes of retained arena/pool memory back into the live
-    /// footprint without counting a new allocation: a slab is counted once,
-    /// by the on_alloc() at its reserve, and charge/uncharge then track its
-    /// idle<->in-use transitions so current_bytes() and the peak still cover
-    /// scratch while the alloc/free pairing of leak reports stays exact.
-    void on_charge(std::size_t bytes) noexcept {
-        if (bytes == 0) return;
-        const auto cur = current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-        auto peak = peak_.load(std::memory_order_relaxed);
-        while (cur > peak &&
-               !peak_.compare_exchange_weak(peak, cur, std::memory_order_relaxed)) {
-        }
-        const auto live = telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
-                                               static_cast<std::int64_t>(bytes));
-        telemetry::gauge_max(telemetry::Gauge::MemPeakBytes, live);
-    }
-
-    /// Park \p bytes as retained (idle) arena/pool memory: the inverse of
-    /// on_charge(); does not count a deallocation.
-    void on_uncharge(std::size_t bytes) noexcept {
-        if (bytes == 0) return;
-        current_.fetch_sub(bytes, std::memory_order_relaxed);
-        telemetry::gauge_add(telemetry::Gauge::MemLiveBytes,
-                             -static_cast<std::int64_t>(bytes));
-    }
-
     /// Record a deallocation of \p bytes.
     void on_free(std::size_t bytes) noexcept {
         current_.fetch_sub(bytes, std::memory_order_relaxed);

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "ops/ewise_plan.hpp"
 
 namespace spbla::baseline {
@@ -64,7 +63,6 @@ GenericCsr ewise_add(backend::Context& ctx, const GenericCsr& a, const GenericCs
     const Index* b_off = b.row_offsets().data();
     const Index* b_cols = b.cols().data();
     const float* b_vals = b.vals().data();
-    backend::ScopedArena op_scope{ctx.scratch_arena()};
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     std::vector<Index> cols;
     std::vector<float> vals;
@@ -77,7 +75,7 @@ GenericCsr ewise_add(backend::Context& ctx, const GenericCsr& a, const GenericCs
         ops::ewise_run_chunks(ctx, m, cap_sum, std::min(a.nnz(), b.nnz())), cap, from,
         {ops::RunSource<float>{a_off, a_cols, a_vals},
          ops::RunSource<float>{b_off, b_cols, b_vals}},
-        [](backend::Arena&) { return ops::EwiseNoScratch{}; },
+        [] { return ops::EwiseNoScratch{}; },
         [&](ops::EwiseNoScratch, Index i, Index* out_cols, float* out_vals) {
             return merge_row(a_cols + a_off[i], a_vals + a_off[i], a_off[i + 1] - a_off[i],
                              b_cols + b_off[i], b_vals + b_off[i], b_off[i + 1] - b_off[i],

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "ops/spgemm_plan.hpp"
 #include "util/bit_ops.hpp"
 #include "util/parallel.hpp"
@@ -83,34 +82,25 @@ Index hashmap_row(const GenericCsr& a, const GenericCsr& b, Index i, std::uint64
 /// Worker scratch of the value-carrying lean path: the shared marker and
 /// bitmap (ops/spgemm_plan.hpp), plus a float accumulator over ncols beside
 /// them, the marker rows' new columns and a (col, val) buffer for the sort
-/// rows, each carved on first use.
+/// rows, each allocated on first use.
 class LeanScratch : public ops::LeanScratchBase {
 public:
-    LeanScratch(backend::Arena& arena, Index ncols, std::size_t buffer_cap)
-        : LeanScratchBase{arena, ncols}, buffer_cap_{buffer_cap} {}
+    LeanScratch(backend::Context& ctx, Index ncols, std::size_t buffer_cap)
+        : LeanScratchBase{ctx, ncols}, buffer_cap_{buffer_cap} {}
 
-    [[nodiscard]] float* acc() {
-        if (acc_ == nullptr) acc_ = carve<float>(ncols());
-        return acc_;
-    }
-    [[nodiscard]] Index* fresh() {
-        if (fresh_ == nullptr) fresh_ = carve<Index>(buffer_cap_);
-        return fresh_;
-    }
+    [[nodiscard]] float* acc() { return carve(acc_, ncols()); }
+    [[nodiscard]] Index* fresh() { return carve(fresh_, buffer_cap_); }
     struct Product {
         Index col;
         float val;
     };
-    [[nodiscard]] Product* products() {
-        if (products_ == nullptr) products_ = carve<Product>(buffer_cap_);
-        return products_;
-    }
+    [[nodiscard]] Product* products() { return carve(products_, buffer_cap_); }
 
 private:
     std::size_t buffer_cap_;
-    float* acc_{nullptr};
-    Index* fresh_{nullptr};
-    Product* products_{nullptr};
+    backend::DeviceBuffer<float> acc_;
+    backend::DeviceBuffer<Index> fresh_;
+    backend::DeviceBuffer<Product> products_;
 };
 
 /// Write row i of A*B as sorted (col, val) pairs to \p cols / \p vals in one
@@ -221,11 +211,9 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
     const Index ncols = b.ncols();
 
     // Same structure as the Boolean kernel: one walk over A gives the
-    // per-row product bounds on op-scoped arena scratch, which pick the lean
-    // path (the shared runner of ops/spgemm_plan.hpp) or size the hash
-    // tables of the two-pass one.
+    // per-row product bounds, which pick the lean path (the shared runner of
+    // ops/spgemm_plan.hpp) or size the hash tables of the two-pass one.
     const ops::SpGemmOptions opts{};
-    backend::ScopedArena op_scope{ctx.scratch_arena()};
     const ops::RowBounds bounds =
         ops::row_bounds(ctx, m, b.nrows(), ncols, a.row_offsets().data(), a.cols().data(),
                         b.row_offsets().data(), nullptr, util::Schedule::Dynamic);
@@ -242,7 +230,7 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
             [&](Index i) { return std::min<std::uint64_t>(ub[i], ncols); },
             [&](Index i) { return ub[i] == 0 ? ops::RowFrom::Empty : ops::RowFrom::Write; },
             {},
-            [&](backend::Arena& arena) { return LeanScratch{arena, ncols, classes.buffer_cap}; },
+            [&] { return LeanScratch{ctx, ncols, classes.buffer_cap}; },
             [&](LeanScratch& s, Index i, Index* out_cols, float* out_vals) {
                 return lean_row(a, b, i, ub[i], classes, s, out_cols, out_vals);
             },

@@ -16,7 +16,6 @@
 #include "backend/context.hpp"
 #include "capi/handles.hpp"
 #include "incr/incremental.hpp"
-#include "incr/memo.hpp"
 #include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "storage/matrix.hpp"
@@ -102,9 +101,6 @@ spbla_Status spbla_Finalize(void) {
             g_last_error = "spbla_Finalize: live matrix handles remain";
             return SPBLA_STATUS_INVALID_STATE;
         }
-        // The incremental op memo retains matrices charged to this context's
-        // tracker; drop them before the leak-checked teardown.
-        spbla::incr::memo().clear();
         g_context.reset();
         return SPBLA_STATUS_SUCCESS;
     });

@@ -69,18 +69,6 @@ public:
         return (row_offsets_.size() + cols_.size()) * sizeof(Index);
     }
 
-    /// Relinquish the two storage arrays as {row_offsets, cols} — the O(1)
-    /// path for recycling a dropped product or cached representation through
-    /// a backend::BufferPool. Leaves the matrix empty with shape 0 x 0.
-    [[nodiscard]] std::pair<std::vector<Index>, std::vector<Index>> release_raw() && {
-        auto out = std::make_pair(std::move(row_offsets_), std::move(cols_));
-        nrows_ = 0;
-        ncols_ = 0;
-        row_offsets_.assign(1, 0);
-        cols_.clear();
-        return out;
-    }
-
     /// Check all storage invariants; throws Error on violation.
     void validate() const;
 

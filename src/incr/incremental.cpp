@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "algorithms/closure.hpp"
-#include "incr/memo.hpp"
 #include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
@@ -132,22 +131,24 @@ IncrementalClosure::IncrementalClosure(backend::Context& ctx, Matrix adjacency,
     SPBLA_PROF_SPAN("incr.closure");
     algorithms::ClosureStats cs;
     closure_ = algorithms::transitive_closure(
-        ctx, adj_.base(), algorithms::ClosureStrategy::Delta, &cs, opts_);
+        ctx, adj_, algorithms::ClosureStrategy::Delta, &cs, opts_);
     stats_.baseline_rounds = cs.rounds;
 }
 
 void IncrementalClosure::apply(const Matrix& adds, const Matrix& removes) {
     SPBLA_PROF_SPAN("incr.closure");
     ++stats_.batches;
-    const Matrix& before = adj_.snapshot(*ctx_);
-    const Matrix add_eff = effective_adds(*ctx_, adds, before);
-    const Matrix del_eff = effective_dels(*ctx_, removes, adds, before);
-    adj_.apply(adds, removes, *ctx_);
-    if (add_eff.empty() && del_eff.empty()) return;  // closure unchanged
-    const Matrix& after = adj_.snapshot(*ctx_);
-    const ClosureUpdate upd =
-        update_closure(*ctx_, closure_, after, add_eff, del_eff, opts_);
-    account_batch(stats_, upd.rounds);
+    const Matrix add_eff = effective_adds(*ctx_, adds, adj_);
+    const Matrix del_eff = effective_dels(*ctx_, removes, adds, adj_);
+    // The batch is folded into a new handle and committed only after the
+    // closure update succeeds.
+    Matrix after = adj_.with_delta(adds, removes, *ctx_);
+    if (!add_eff.empty() || !del_eff.empty()) {
+        const ClosureUpdate upd =
+            update_closure(*ctx_, closure_, after, add_eff, del_eff, opts_);
+        account_batch(stats_, upd.rounds);
+    }
+    adj_ = std::move(after);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,8 +167,7 @@ IncrementalRpq::IncrementalRpq(backend::Context& ctx,
       reachable_{n_, n_, ctx} {
     SPBLA_PROF_SPAN("incr.rpq");
     // Cache the automaton matrices once: Dfa::matrix materialises a fresh
-    // handle (fresh epoch) per call, which would defeat the version-keyed
-    // memo across batches.
+    // handle per call.
     for (const auto& symbol : query_.symbols()) {
         qmats_.emplace(symbol, query_.matrix(symbol));
     }
@@ -178,7 +178,7 @@ IncrementalRpq::IncrementalRpq(backend::Context& ctx,
         auto it = labels_.find(symbol);
         if (it == labels_.end()) continue;
         product_ = storage::ewise_add(*ctx_, product_,
-                                      memo_kronecker(*ctx_, q, it->second));
+                                      storage::kronecker(*ctx_, q, it->second));
     }
     algorithms::ClosureStats cs;
     closure_ = algorithms::transitive_closure(
@@ -238,11 +238,11 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
     for (const auto& [symbol, q] : qmats_) {
         if (auto it = add_eff.find(symbol); it != add_eff.end()) {
             raw_add = storage::ewise_add(*ctx_, raw_add,
-                                         memo_kronecker(*ctx_, q, it->second));
+                                         storage::kronecker(*ctx_, q, it->second));
         }
         if (auto it = del_eff.find(symbol); it != del_eff.end()) {
             raw_del = storage::ewise_add(*ctx_, raw_del,
-                                         memo_kronecker(*ctx_, q, it->second));
+                                         storage::kronecker(*ctx_, q, it->second));
         }
         if (!del_union.empty()) {
             if (auto it = labels_.find(symbol); it != labels_.end()) {

@@ -19,10 +19,9 @@
 ///    CNF rules as D_B·T_C ∪ T_B·D_C until drained; deletions fall back to
 ///    a counted full rebuild (non-monotone CFPQ deletion is out of scope).
 ///
-/// The automaton ⊗ label products that repeat across RPQ batches go through
-/// the epoch-keyed memo (incr/memo.hpp); all results are guarded by the
-/// differential stream-oracle net in tests/test_incremental.cpp, which
-/// checks every batch against full recompute.
+/// All results are guarded by the differential stream-oracle net in
+/// tests/test_incremental.cpp, which checks every batch against full
+/// recompute.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,6 @@
 
 #include "cfpq/cnf.hpp"
 #include "data/labeled_graph.hpp"
-#include "incr/delta_matrix.hpp"
 #include "ops/spgemm.hpp"
 #include "rpq/dfa.hpp"
 #include "storage/matrix.hpp"
@@ -87,17 +85,17 @@ public:
 
     /// Fold one insert/delete batch (shape-matched cell matrices; cells
     /// named by both end up present) into the adjacency and its closure.
+    /// Strong guarantee: if an op throws, both are left unchanged.
     void apply(const Matrix& adds, const Matrix& removes);
 
     [[nodiscard]] const Matrix& closure() const noexcept { return closure_; }
-    /// Current adjacency snapshot (epoch-stamped; see DeltaMatrix).
-    [[nodiscard]] const Matrix& adjacency() { return adj_.snapshot(*ctx_); }
+    [[nodiscard]] const Matrix& adjacency() const noexcept { return adj_; }
     [[nodiscard]] const IncrStats& stats() const noexcept { return stats_; }
 
 private:
     backend::Context* ctx_;
     ops::SpGemmOptions opts_;
-    DeltaMatrix adj_;
+    Matrix adj_;
     Matrix closure_;
     IncrStats stats_;
 };

@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "backend/context.hpp"
 #include "core/csr.hpp"
 #include "core/types.hpp"
@@ -73,21 +72,20 @@ struct EwiseNoScratch {};
 ///  - from(i): the op's run rule (RowFrom; First is A, Second is B).
 ///  - merge(x, x_end, y, y_end, out): writes the sorted result row of two
 ///    non-empty rows to out and returns the pointer past its last entry.
-/// Staging lives in this op's arena scope; the output arrays are exact.
+/// The staging buffer is freed on return; the output arrays are exact.
 template <class RowCap, class From, class Merge>
 [[nodiscard]] CsrMatrix lean_ewise(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b,
                                    std::uint64_t cap_sum, RowCap cap, From from, Merge merge) {
     const Index m = a.nrows();
     const CsrView av{a};
     const CsrView bv{b};
-    backend::ScopedArena op_scope{ctx.scratch_arena()};
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     std::vector<Index> cols;
     lean_run<void>(
         ctx, m, cap_sum,
         ewise_run_chunks(ctx, m, cap_sum, std::min(a.nnz(), b.nnz())), cap, from,
         {RunSource<void>{av.off, av.cols}, RunSource<void>{bv.off, bv.cols}},
-        [](backend::Arena&) { return EwiseNoScratch{}; },
+        [] { return EwiseNoScratch{}; },
         [&](EwiseNoScratch, Index i, Index* out, std::byte*) {
             const Index* x = av.cols + av.off[i];
             const Index* y = bv.cols + bv.off[i];

@@ -145,11 +145,11 @@ CsrMatrix kronecker_sum(backend::Context& ctx, std::span<const KroneckerTerm> te
     const Index b_cols = b0.ncols();
     const Plan plan = make_plan(terms, a0.nrows());
 
-    // Both passes run one output row per launch item; each chunk borrows
-    // merge cursors from its worker's arena.
+    // Both passes run one output row per launch item; each chunk allocates
+    // its own merge cursors.
     const auto launch_rows = [&](const auto& row_fn) {
         ctx.parallel_for_chunks(m, 256, [&](std::size_t begin, std::size_t end) {
-            auto heads = ctx.scratch_alloc<Cursor>(plan.max_shared);
+            auto heads = ctx.alloc<Cursor>(plan.max_shared);
             for (std::size_t r = begin; r < end; ++r) {
                 const auto row = static_cast<Index>(r);
                 row_fn(row, row / b_rows, row % b_rows, heads.data());
@@ -157,9 +157,8 @@ CsrMatrix kronecker_sum(backend::Context& ctx, std::span<const KroneckerTerm> te
         });
     };
 
-    // Pass 1: exact row sizes, scanned in place into the CSR offsets. The
-    // offsets and columns become the result, so they come from the pool.
-    auto row_offsets = ctx.buffer_pool().acquire_zeroed(static_cast<std::size_t>(m) + 1);
+    // Pass 1: exact row sizes, scanned in place into the CSR offsets.
+    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     launch_rows([&](Index r, Index i1, Index i2, Cursor* heads) {
         row_offsets[r] = fill_row<false>(plan, terms, i1, i2, b_cols, nullptr, heads);
     });
@@ -168,7 +167,7 @@ CsrMatrix kronecker_sum(backend::Context& ctx, std::span<const KroneckerTerm> te
                   "kronecker_sum: result nnz overflows Index");
 
     // Pass 2: every row written straight into its exact slot.
-    auto cols = ctx.buffer_pool().acquire(static_cast<std::size_t>(total));
+    std::vector<Index> cols(static_cast<std::size_t>(total));
     launch_rows([&](Index r, Index i1, Index i2, Cursor* heads) {
         (void)fill_row<true>(plan, terms, i1, i2, b_cols, cols.data() + row_offsets[r], heads);
     });

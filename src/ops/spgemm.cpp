@@ -7,11 +7,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "core/validate.hpp"
 #include "ops/ewise_add.hpp"
 #include "ops/spgemm_plan.hpp"
@@ -23,29 +21,6 @@ namespace spbla::ops {
 namespace {
 
 constexpr Index kEmptySlot = 0xFFFFFFFFu;
-
-/// Per-worker scratch reused across the rows of one chunk. In Nsparse the
-/// hash table lives in GPU shared memory and the dense bitmap in global
-/// memory; here both are worker-local arrays on the executing worker's op
-/// arena: constructed once per chunk, grown by bump allocation, reclaimed
-/// wholesale when the chunk's ScopedArena resets — zero heap traffic on the
-/// row loop once the worker's slabs are warm.
-struct RowScratch {
-    explicit RowScratch(backend::Arena& arena)
-        : hash_slots{backend::ArenaAllocator<Index>{arena}},
-          inserted{backend::ArenaAllocator<Index>{arena}},
-          tiny_buffer{backend::ArenaAllocator<Index>{arena}},
-          bitmap_words{backend::ArenaAllocator<std::uint64_t>{arena}},
-          touched_words{backend::ArenaAllocator<std::uint32_t>{arena}},
-          extracted{backend::ArenaAllocator<Index>{arena}} {}
-
-    backend::ArenaVector<Index> hash_slots;
-    backend::ArenaVector<Index> inserted;  ///< values placed in hash_slots by the current row
-    backend::ArenaVector<Index> tiny_buffer;
-    backend::ArenaVector<std::uint64_t> bitmap_words;
-    backend::ArenaVector<std::uint32_t> touched_words;  ///< bitmap words set by the current row
-    backend::ArenaVector<Index> extracted;
-};
 
 /// Size classes double as scheduling bins; kNumKinds bins are launched
 /// heaviest-first so straggler rows overlap with the light bins.
@@ -64,12 +39,79 @@ constexpr std::size_t kNumKinds = 5;
     return ub <= opts.hash_large_threshold ? RowKind::HashSmall : RowKind::HashLarge;
 }
 
-/// Compute the distinct column set of row \p i of A*B into s.extracted
-/// (sorted ascending). Returns the distinct count.
+/// Slots of row \p i's hash table for a product bound \p ub: room for
+/// ub / load distinct columns, at least 16, at most twice ncols. Monotone in
+/// ub, so a table sized for a chunk's largest bound fits each of its rows.
+[[nodiscard]] std::uint64_t hash_slots_for(std::uint64_t ub, Index b_ncols,
+                                           const SpGemmOptions& opts) {
+    const double load = opts.hash_load_factor > 0 ? opts.hash_load_factor : 0.5;
+    std::uint64_t want =
+        util::next_pow2(static_cast<std::uint64_t>(static_cast<double>(ub) / load + 1.0));
+    const std::uint64_t cap = util::next_pow2(static_cast<std::uint64_t>(b_ncols) * 2);
+    if (want > cap) want = cap;
+    if (want < 16) want = 16;
+    return want;
+}
+
+/// Per-worker scratch reused across the rows of one chunk. In Nsparse the
+/// hash table lives in GPU shared memory and the dense bitmap in global
+/// memory; here each is a Context::alloc buffer, allocated when the chunk's
+/// first row needs it, sized from the largest bound among the chunk's rows
+/// (\p max_ub), and freed when the chunk ends. The hash table is all-empty
+/// and the bitmap all-zero between rows.
+class RowScratch {
+public:
+    RowScratch(backend::Context& ctx, Index b_ncols, std::uint64_t max_ub,
+               const SpGemmOptions& opts)
+        : ctx_{&ctx},
+          n_words_{(static_cast<std::size_t>(b_ncols) + 63) / 64},
+          n_slots_{static_cast<std::size_t>(hash_slots_for(max_ub, b_ncols, opts))},
+          n_distinct_{static_cast<std::size_t>(std::min<std::uint64_t>(max_ub, b_ncols))},
+          n_gathered_{static_cast<std::size_t>(
+              std::min<std::uint64_t>(max_ub, opts.tiny_row_threshold))} {}
+
+    [[nodiscard]] Index* hash_slots() {
+        if (hash_slots_.data() == nullptr) {
+            std::fill_n(alloc_on_first_use(*ctx_, hash_slots_, n_slots_), n_slots_, kEmptySlot);
+        }
+        return hash_slots_.data();
+    }
+    /// Columns placed in the hash table by the current row.
+    [[nodiscard]] Index* inserted() { return alloc_on_first_use(*ctx_, inserted_, n_distinct_); }
+    [[nodiscard]] Index* gathered() { return alloc_on_first_use(*ctx_, gathered_, n_gathered_); }
+    [[nodiscard]] std::uint64_t* bitmap() {
+        if (bitmap_.data() == nullptr) {
+            std::fill_n(alloc_on_first_use(*ctx_, bitmap_, n_words_), n_words_, std::uint64_t{0});
+        }
+        return bitmap_.data();
+    }
+    /// Bitmap words set by the current row.
+    [[nodiscard]] std::uint32_t* touched() { return alloc_on_first_use(*ctx_, touched_, n_words_); }
+    [[nodiscard]] Index* extracted() { return alloc_on_first_use(*ctx_, extracted_, n_distinct_); }
+
+    /// The current row's sorted columns (set when they were asked for).
+    const Index* columns{nullptr};
+
+private:
+
+    backend::Context* ctx_;
+    std::size_t n_words_;     ///< bitmap words (ncols / 64)
+    std::size_t n_slots_;     ///< hash slots for the chunk's largest bound
+    std::size_t n_distinct_;  ///< most distinct columns of any row
+    std::size_t n_gathered_;  ///< most products of any tiny row
+    backend::DeviceBuffer<Index> hash_slots_;
+    backend::DeviceBuffer<Index> inserted_;
+    backend::DeviceBuffer<Index> gathered_;
+    backend::DeviceBuffer<std::uint64_t> bitmap_;
+    backend::DeviceBuffer<std::uint32_t> touched_;
+    backend::DeviceBuffer<Index> extracted_;
+};
+
+/// Count the distinct columns of row \p i of A*B; with \p need_columns
+/// also leave them sorted at s.columns.
 Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint64_t ub,
                      const SpGemmOptions& opts, RowScratch& s, bool need_columns) {
     const RowKind kind = classify_row(ub, b.ncols(), opts);
-    s.extracted.clear();
 
     switch (kind) {
         case RowKind::Empty:
@@ -77,16 +119,15 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
 
         case RowKind::Tiny: {
             // Gather every candidate column, then sort + unique in place.
-            s.tiny_buffer.clear();
+            Index* const g = s.gathered();
+            Index* end = g;
             for (const auto k : a.row(i)) {
                 const auto brow = b.row(k);
-                s.tiny_buffer.insert(s.tiny_buffer.end(), brow.begin(), brow.end());
+                end = std::copy(brow.begin(), brow.end(), end);
             }
-            std::sort(s.tiny_buffer.begin(), s.tiny_buffer.end());
-            s.tiny_buffer.erase(std::unique(s.tiny_buffer.begin(), s.tiny_buffer.end()),
-                                s.tiny_buffer.end());
-            if (need_columns) s.extracted = s.tiny_buffer;
-            return static_cast<Index>(s.tiny_buffer.size());
+            std::sort(g, end);
+            s.columns = g;
+            return static_cast<Index>(std::unique(g, end) - g);
         }
 
         case RowKind::Dense: {
@@ -95,64 +136,62 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
             // by clearing only the words this row touched — rezeroing the
             // full ncols/64-word bitmap per row is what made hub-heavy
             // inputs crawl.
+            std::uint64_t* bitmap = s.bitmap();
             const std::size_t words = (static_cast<std::size_t>(b.ncols()) + 63) / 64;
             if (opts.legacy_accumulator_reset) {
-                s.bitmap_words.assign(words, 0);
                 for (const auto k : a.row(i)) {
                     for (const auto c : b.row(k)) {
-                        s.bitmap_words[c >> 6] |= std::uint64_t{1} << (c & 63);
+                        bitmap[c >> 6] |= std::uint64_t{1} << (c & 63);
                     }
                 }
                 Index count = 0;
+                Index* out = need_columns ? s.extracted() : nullptr;
+                s.columns = out;
                 for (std::size_t w = 0; w < words; ++w) {
-                    std::uint64_t bits = s.bitmap_words[w];
+                    std::uint64_t bits = bitmap[w];
+                    bitmap[w] = 0;
                     count += static_cast<Index>(std::popcount(bits));
                     if (need_columns) {
                         while (bits != 0) {
-                            s.extracted.push_back(static_cast<Index>(
-                                w * 64 +
-                                static_cast<std::size_t>(std::countr_zero(bits))));
+                            *out++ = static_cast<Index>(
+                                w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
                             bits &= bits - 1;
                         }
                     }
                 }
                 return count;
             }
-            if (s.bitmap_words.size() < words) s.bitmap_words.resize(words, 0);
-            s.touched_words.clear();
+            std::uint32_t* touched = s.touched();
+            std::size_t n_touched = 0;
             for (const auto k : a.row(i)) {
                 for (const auto c : b.row(k)) {
                     const std::size_t w = c >> 6;
-                    if (s.bitmap_words[w] == 0) {
-                        s.touched_words.push_back(static_cast<std::uint32_t>(w));
-                    }
-                    s.bitmap_words[w] |= std::uint64_t{1} << (c & 63);
+                    if (bitmap[w] == 0) touched[n_touched++] = static_cast<std::uint32_t>(w);
+                    bitmap[w] |= std::uint64_t{1} << (c & 63);
                 }
             }
-            std::sort(s.touched_words.begin(), s.touched_words.end());
+            std::sort(touched, touched + n_touched);
             Index count = 0;
             if (!need_columns) {
-                for (const auto w : s.touched_words) {
-                    count += static_cast<Index>(std::popcount(s.bitmap_words[w]));
-                    s.bitmap_words[w] = 0;
+                for (std::size_t t = 0; t < n_touched; ++t) {
+                    count += static_cast<Index>(std::popcount(bitmap[touched[t]]));
+                    bitmap[touched[t]] = 0;
                 }
                 return count;
             }
-            for (const auto w : s.touched_words) {
-                count += static_cast<Index>(std::popcount(s.bitmap_words[w]));
-            }
-            s.extracted.resize(count);
-            Index* out = s.extracted.data();
-            for (const auto w : s.touched_words) {
-                std::uint64_t bits = s.bitmap_words[w];
-                s.bitmap_words[w] = 0;
+            Index* out = s.extracted();
+            s.columns = out;
+            for (std::size_t t = 0; t < n_touched; ++t) {
+                const std::uint32_t w = touched[t];
+                std::uint64_t bits = bitmap[w];
+                bitmap[w] = 0;
                 const Index base = static_cast<Index>(w) << 6;
                 while (bits != 0) {
                     *out++ = base + static_cast<Index>(std::countr_zero(bits));
                     bits &= bits - 1;
                 }
             }
-            return count;
+            return static_cast<Index>(out - s.columns);
         }
 
         case RowKind::HashSmall:
@@ -160,33 +199,27 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
             // Open-addressing hash *set* (Boolean specialisation: no values).
             // The table is all-empty on entry; the invariant is restored on
             // exit by erasing only the slots this row filled (tracked in
-            // s.inserted) — a full-table assign per row costs several times
+            // s.inserted()) — a full-table reset per row costs several times
             // the insert work at the default load factor.
-            const double load = opts.hash_load_factor > 0 ? opts.hash_load_factor : 0.5;
-            std::uint64_t want =
-                util::next_pow2(static_cast<std::uint64_t>(
-                    static_cast<double>(ub) / load + 1.0));
-            const std::uint64_t cap = util::next_pow2(
-                static_cast<std::uint64_t>(b.ncols()) * 2);
-            if (want > cap) want = cap;
-            if (want < 16) want = 16;
+            const std::uint64_t want = hash_slots_for(ub, b.ncols(), opts);
             const Index mask = static_cast<Index>(want - 1);
+            Index* slots = s.hash_slots();
             // Probe/collision tallies stay in registers inside the row loop;
             // one prof flush per row keeps the hot path unperturbed.
             std::uint64_t probes = 0;
             std::uint64_t collisions = 0;
             if (opts.legacy_accumulator_reset) {
-                s.hash_slots.assign(static_cast<std::size_t>(want), kEmptySlot);
+                std::fill(slots, slots + want, kEmptySlot);
                 Index count = 0;
                 for (const auto k : a.row(i)) {
                     for (const auto c : b.row(k)) {
                         Index h = (c * 2654435761u) & mask;
                         for (;;) {
                             ++probes;
-                            const Index cur = s.hash_slots[h];
+                            const Index cur = slots[h];
                             if (cur == c) break;
                             if (cur == kEmptySlot) {
-                                s.hash_slots[h] = c;
+                                slots[h] = c;
                                 ++count;
                                 break;
                             }
@@ -198,31 +231,27 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                 SPBLA_PROF_TALLY(SpgemmHashProbes, probes);
                 SPBLA_PROF_TALLY(SpgemmHashCollisions, collisions);
                 if (need_columns) {
-                    s.extracted.reserve(count);
+                    Index* out = s.extracted();
+                    s.columns = out;
                     for (std::size_t slot = 0; slot < want; ++slot) {
-                        if (s.hash_slots[slot] != kEmptySlot) {
-                            s.extracted.push_back(s.hash_slots[slot]);
-                        }
+                        if (slots[slot] != kEmptySlot) *out++ = slots[slot];
                     }
-                    std::sort(s.extracted.begin(), s.extracted.end());
+                    std::sort(s.extracted(), out);
                 }
                 return count;
             }
-            if (s.hash_slots.size() < want) {
-                s.hash_slots.resize(static_cast<std::size_t>(want), kEmptySlot);
-            }
-            s.inserted.clear();
-
+            Index* inserted = s.inserted();
+            Index count = 0;
             for (const auto k : a.row(i)) {
                 for (const auto c : b.row(k)) {
                     Index h = (c * 2654435761u) & mask;
                     for (;;) {
                         ++probes;
-                        const Index cur = s.hash_slots[h];
+                        const Index cur = slots[h];
                         if (cur == c) break;  // duplicate: Boolean OR is idempotent
                         if (cur == kEmptySlot) {
-                            s.hash_slots[h] = c;
-                            s.inserted.push_back(c);
+                            slots[h] = c;
+                            inserted[count++] = c;
                             break;
                         }
                         ++collisions;
@@ -232,24 +261,22 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
             }
             SPBLA_PROF_TALLY(SpgemmHashProbes, probes);
             SPBLA_PROF_TALLY(SpgemmHashCollisions, collisions);
-            const Index count = static_cast<Index>(s.inserted.size());
             if (static_cast<std::uint64_t>(count) * 2 >= want) {
-                std::fill(s.hash_slots.begin(),
-                          s.hash_slots.begin() + static_cast<std::ptrdiff_t>(want),
-                          kEmptySlot);
+                std::fill(slots, slots + want, kEmptySlot);
             } else {
                 // Re-probe each inserted value; earlier erasures may punch
                 // holes in a later value's chain, so skip over empties
                 // instead of stopping at them.
-                for (const auto c : s.inserted) {
+                for (Index t = 0; t < count; ++t) {
+                    const Index c = inserted[t];
                     Index h = (c * 2654435761u) & mask;
-                    while (s.hash_slots[h] != c) h = (h + 1) & mask;
-                    s.hash_slots[h] = kEmptySlot;
+                    while (slots[h] != c) h = (h + 1) & mask;
+                    slots[h] = kEmptySlot;
                 }
             }
             if (need_columns) {
-                s.extracted.swap(s.inserted);
-                std::sort(s.extracted.begin(), s.extracted.end());
+                std::sort(inserted, inserted + count);
+                s.columns = inserted;
             }
             return count;
         }
@@ -352,17 +379,14 @@ void tally_bins(const std::uint64_t* ub, Index m, Index b_ncols, const SpGemmOpt
 /// row's new columns.
 class LeanScratch : public LeanScratchBase {
 public:
-    LeanScratch(backend::Arena& arena, Index ncols, std::size_t buffer_cap)
-        : LeanScratchBase{arena, ncols}, buffer_cap_{buffer_cap} {}
+    LeanScratch(backend::Context& ctx, Index ncols, std::size_t buffer_cap)
+        : LeanScratchBase{ctx, ncols}, buffer_cap_{buffer_cap} {}
 
-    [[nodiscard]] Index* buffer() {
-        if (buffer_ == nullptr) buffer_ = carve<Index>(buffer_cap_);
-        return buffer_;
-    }
+    [[nodiscard]] Index* buffer() { return carve(buffer_, buffer_cap_); }
 
 private:
     std::size_t buffer_cap_;
-    Index* buffer_{nullptr};
+    backend::DeviceBuffer<Index> buffer_;
 };
 
 /// Write row i of C | A*B (C only when kAccumulate) to \p out in one pass;
@@ -468,7 +492,7 @@ CsrMatrix lean_multiply(backend::Context& ctx, const CsrMatrix* c, const CsrMatr
         },
         [&](Index i) { return ub[i] == 0 ? kNoProduct : RowFrom::Write; },
         {RunSource<void>{cv.off, cv.cols}, RunSource<void>{}},
-        [&](backend::Arena& arena) { return LeanScratch{arena, ncols, classes.buffer_cap}; },
+        [&] { return LeanScratch{ctx, ncols, classes.buffer_cap}; },
         [&](LeanScratch& s, Index i, Index* out, std::byte*) {
             return lean_row<kAccumulate>(cv, av, bv, i, ub[i], classes, s, out);
         },
@@ -491,7 +515,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
 
     // Launch helper shared by the symbolic and numeric passes: runs
     // row_fn(row, scratch) for every non-empty row, either as the bin
-    // schedule's fused heavy-first grid or as a flat chunked sweep.
+    // schedule's fused heavy-first grid or as a flat chunked sweep. Each
+    // chunk's scratch is sized from the largest bound among its rows.
     BinSchedule bins;
     if (opts.use_bin_scheduler) bins.build(ub, m, b.ncols(), opts);
     const auto launch_rows = [&](const std::function<void(Index, RowScratch&)>& row_fn) {
@@ -499,7 +524,14 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
             ctx.parallel_for_chunks(
                 bins.chunks.size(), 1,
                 [&](std::size_t cb, std::size_t ce) {
-                    RowScratch scratch{ctx.scratch_arena()};
+                    std::uint64_t max_ub = 0;
+                    for (std::size_t c = cb; c < ce; ++c) {
+                        const auto& chunk = bins.chunks[c];
+                        for (std::size_t p = chunk.begin; p < chunk.end; ++p) {
+                            max_ub = std::max(max_ub, ub[(*chunk.rows)[p]]);
+                        }
+                    }
+                    RowScratch scratch{ctx, b.ncols(), max_ub, opts};
                     for (std::size_t c = cb; c < ce; ++c) {
                         const auto& chunk = bins.chunks[c];
                         for (std::size_t p = chunk.begin; p < chunk.end; ++p) {
@@ -512,7 +544,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
             ctx.parallel_for_chunks(
                 m, 64,
                 [&](std::size_t begin, std::size_t end) {
-                    RowScratch scratch{ctx.scratch_arena()};
+                    const std::uint64_t max_ub = *std::max_element(ub + begin, ub + end);
+                    RowScratch scratch{ctx, b.ncols(), max_ub, opts};
                     for (std::size_t i = begin; i < end; ++i) {
                         row_fn(static_cast<Index>(i), scratch);
                     }
@@ -535,12 +568,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
     }
 
     // Symbolic phase 2: exact per-row sizes via the accumulators (columns
-    // extracted along the way for rows the cache accepts). The offsets and
-    // column arrays become the output matrix, so they come from the pooled
-    // free lists rather than the arena: a dropped product hands them back.
-    static_assert(std::is_same_v<backend::BufferPool::Buffer, std::vector<Index>>,
-                  "pooled buffers must be CSR index arrays");
-    auto row_offsets = ctx.buffer_pool().acquire_zeroed(static_cast<std::size_t>(m) + 1);
+    // extracted along the way for rows the cache accepts).
+    std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
     {
     SPBLA_PROF_SPAN("spgemm.symbolic");
     launch_rows([&](Index i, RowScratch& scratch) {
@@ -562,10 +591,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
             accumulate_row(a, b, i, ub[i], opts, scratch, /*need_columns=*/keep);
         row_offsets[i] = size;
         if (keep) {
-            // The cache outlives this worker's chunk scope, so it copies out
-            // of the arena-backed extraction buffer into heap storage (the
-            // old swap-steal would leak arena memory past its scope).
-            cache[i].assign(scratch.extracted.begin(), scratch.extracted.end());
+            // The cache outlives the chunk's scratch, so the row is copied out.
+            cache[i].assign(scratch.columns, scratch.columns + size);
             cached[i] = 1;
             cache_bytes.fetch_sub(reserved - cache[i].size() * sizeof(Index));
         }
@@ -581,9 +608,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
                   "spgemm: result nnz overflows Index");
 
     // Numeric phase: cached rows are copied straight out; only rows the
-    // budget excluded re-run their accumulator. Every element is written
-    // exactly once, so the unspecified pooled contents are fine.
-    auto cols = ctx.buffer_pool().acquire(static_cast<std::size_t>(total));
+    // budget excluded re-run their accumulator.
+    std::vector<Index> cols(static_cast<std::size_t>(total));
     {
     SPBLA_PROF_SPAN("spgemm.numeric");
     launch_rows([&](Index i, RowScratch& scratch) {
@@ -591,9 +617,8 @@ CsrMatrix binned_multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMa
             std::copy(cache[i].begin(), cache[i].end(), cols.begin() + row_offsets[i]);
             return;
         }
-        accumulate_row(a, b, i, ub[i], opts, scratch, /*need_columns=*/true);
-        std::copy(scratch.extracted.begin(), scratch.extracted.end(),
-                  cols.begin() + row_offsets[i]);
+        const Index size = accumulate_row(a, b, i, ub[i], opts, scratch, /*need_columns=*/true);
+        std::copy(scratch.columns, scratch.columns + size, cols.begin() + row_offsets[i]);
     });
     }
     if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
@@ -615,10 +640,6 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("spgemm.multiply");
-    // Everything this op allocates on the calling thread's arena (the bounds,
-    // the lean staging buffer) dies here; worker-side scratch lives in the
-    // per-chunk scopes parallel_for_chunks opens on each worker's own arena.
-    backend::ScopedArena op_scope{ctx.scratch_arena()};
     const RowBounds bounds =
         row_bounds(ctx, a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
                    a.cols().data(), b.row_offsets().data(), nullptr, op_schedule(opts));
@@ -641,7 +662,6 @@ CsrMatrix multiply_add(backend::Context& ctx, const CsrMatrix& c, const CsrMatri
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("spgemm.multiply_add");
-    backend::ScopedArena op_scope{ctx.scratch_arena()};
     const RowBounds bounds =
         row_bounds(ctx, a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
                    a.cols().data(), b.row_offsets().data(), c.row_offsets().data(),
@@ -654,14 +674,7 @@ CsrMatrix multiply_add(backend::Context& ctx, const CsrMatrix& c, const CsrMatri
     }
     CsrMatrix product = binned_multiply(ctx, a, b, bounds.ub.data(), opts);
     SPBLA_VALIDATE(product);
-    CsrMatrix out = ewise_add(ctx, c, product);
-    // The intermediate product is dead once accumulated; hand its arrays
-    // back to the pool so the next iteration's multiply re-acquires them
-    // (the closure/CFPQ loops hit this every round).
-    auto [offsets, cols] = std::move(product).release_raw();
-    ctx.buffer_pool().release(std::move(offsets));
-    ctx.buffer_pool().release(std::move(cols));
-    return out;
+    return ewise_add(ctx, c, product);
 }
 
 }  // namespace spbla::ops

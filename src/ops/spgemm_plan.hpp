@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "backend/context.hpp"
 #include "core/types.hpp"
 #include "ops/spgemm.hpp"
@@ -108,8 +107,8 @@ struct RowBounds {
 /// One walk over A (CSR arrays \p a_off / \p a_cols, m rows) against B's
 /// offsets (\p inner rows): ub(i) = sum over k in A(i,:) of nnz(B(k,:)),
 /// plus the bound maximum and the clamped output-size sum. \p c_off
-/// (nullable) adds the accumulator's rows. Arena scratch on the calling
-/// thread, reclaimed by the caller's op scope.
+/// (nullable) adds the accumulator's rows. The bounds and B's busy-row mask
+/// are Context::alloc buffers; the mask is freed on return.
 ///
 /// The walk is picked by B's shape. A hypersparse B (a delta, see
 /// mark_hypersparse_rows) is walked masked: each chunk zeroes its bounds,
@@ -124,9 +123,9 @@ struct RowBounds {
                                           Index ncols, const Index* a_off,
                                           const Index* a_cols, const Index* b_off,
                                           const Index* c_off, util::Schedule sched) {
-    RowBounds out{ctx.scratch_alloc<std::uint64_t>(m)};
+    RowBounds out{ctx.alloc<std::uint64_t>(m)};
     std::uint64_t* ub = out.ub.data();
-    auto busy_rows = ctx.scratch_alloc<std::uint8_t>(inner);
+    auto busy_rows = ctx.alloc<std::uint8_t>(inner);
     const std::uint8_t* mask =
         mark_hypersparse_rows(inner, b_off, busy_rows.data()) ? busy_rows.data() : nullptr;
     std::atomic<std::uint64_t> max{0};
@@ -271,49 +270,65 @@ struct LeanRowClasses {
     return {sort_below, dense_from, static_cast<std::size_t>(cap)};
 }
 
-/// Worker scratch of the lean path, carved from the chunk's arena on first
-/// use so a chunk pays only for the accumulators its rows need: the
-/// row-stamped marker (marker[c] == i iff row i already holds column c;
+/// The allocation behind alloc_on_first_use, kept out of line: the row
+/// writers call the accessors that use it once per row, and inlined they
+/// cost one pointer test.
+template <class T>
+[[gnu::noinline]] void alloc_into(backend::Context& ctx, backend::DeviceBuffer<T>& buf,
+                                  std::size_t n) {
+    buf = ctx.alloc<T>(n);
+}
+
+/// \p buf, allocated from \p ctx to \p n elements on its first use: chunk
+/// scratch that only some rows of a chunk need.
+template <class T>
+[[nodiscard]] T* alloc_on_first_use(backend::Context& ctx, backend::DeviceBuffer<T>& buf,
+                                    std::size_t n) {
+    if (buf.data() == nullptr) alloc_into(ctx, buf, n);
+    return buf.data();
+}
+
+/// Worker scratch of the lean path, allocated on first use so a chunk pays
+/// only for the accumulators its rows need, and freed when the chunk ends:
+/// the row-stamped marker (marker[c] == i iff row i already holds column c;
 /// kLeanUnmarked before any row) and the dense rows' bitmap with its
-/// touched-word list. Each twin derives its own buffers through carve().
+/// touched-word list. Each twin adds its own buffers through carve().
 class LeanScratchBase {
 public:
     static constexpr Index kLeanUnmarked = std::numeric_limits<Index>::max();
 
-    LeanScratchBase(backend::Arena& arena, Index ncols) : arena_{&arena}, ncols_{ncols} {}
+    LeanScratchBase(backend::Context& ctx, Index ncols) : ctx_{&ctx}, ncols_{ncols} {}
 
     [[nodiscard]] Index* marker() {
-        if (marker_ == nullptr) {
-            marker_ = carve<Index>(ncols_);
-            std::fill(marker_, marker_ + ncols_, kLeanUnmarked);
+        if (marker_.data() == nullptr) {
+            std::fill_n(carve(marker_, ncols_), ncols_, kLeanUnmarked);
         }
-        return marker_;
+        return marker_.data();
     }
     [[nodiscard]] std::uint64_t* bitmap() {
-        if (bitmap_ == nullptr) {
+        if (bitmap_.data() == nullptr) {
             const std::size_t words = (static_cast<std::size_t>(ncols_) + 63) / 64;
-            bitmap_ = carve<std::uint64_t>(words);
-            std::fill(bitmap_, bitmap_ + words, std::uint64_t{0});
-            touched_ = carve<std::uint32_t>(words);
+            std::fill_n(carve(bitmap_, words), words, std::uint64_t{0});
+            (void)carve(touched_, words);
         }
-        return bitmap_;
+        return bitmap_.data();
     }
     /// The dense rows' touched words; valid once bitmap() has been called.
-    [[nodiscard]] std::uint32_t* touched() const noexcept { return touched_; }
+    [[nodiscard]] std::uint32_t* touched() noexcept { return touched_.data(); }
 
 protected:
     template <class T>
-    [[nodiscard]] T* carve(std::size_t n) {
-        return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
+    [[nodiscard]] T* carve(backend::DeviceBuffer<T>& buf, std::size_t n) {
+        return alloc_on_first_use(*ctx_, buf, n);
     }
     [[nodiscard]] Index ncols() const noexcept { return ncols_; }
 
 private:
-    backend::Arena* arena_;
+    backend::Context* ctx_;
     Index ncols_;
-    Index* marker_{nullptr};
-    std::uint64_t* bitmap_{nullptr};
-    std::uint32_t* touched_{nullptr};
+    backend::DeviceBuffer<Index> marker_;
+    backend::DeviceBuffer<std::uint64_t> bitmap_;
+    backend::DeviceBuffer<std::uint32_t> touched_;
 };
 
 /// Row chunks for a lean op on \p workers workers. Work is counted in
@@ -384,8 +399,8 @@ struct RunSource {
     const LeanValue<Val>* vals{nullptr};
 };
 
-/// The one-pass runner: every row written once into an op-scoped staging
-/// buffer sized by the row caps' sum, one region per chunk of rows, then the
+/// The one-pass runner: every row written once into a staging buffer sized
+/// by the row caps' sum, one region per chunk of rows, then the
 /// regions appended in order to the exact-size output. \p Val is the value
 /// type (void: columns only).
 ///  - cap(i): row i's staging room; the caps over rows [0, m) sum to
@@ -395,8 +410,7 @@ struct RunSource {
 ///  - from(i): where row i comes from (RowFrom). A First/Second row's
 ///    length must be at most cap(i).
 ///  - sources: the rows First and Second copy (unused entries may be empty).
-///  - make_scratch(arena): a chunk's worker scratch, built on the executing
-///    worker's arena (reclaimed when the chunk ends).
+///  - make_scratch(): a chunk's worker scratch (freed when the chunk ends).
 ///  - write_row(scratch, i, cols, vals): writes row i sorted to cols (and
 ///    vals unless Val is void) and returns its length, at most cap(i).
 ///  - row_offsets: m + 1 entries with [0] == 0; left holding the output's
@@ -411,15 +425,15 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
     constexpr bool kValues = !std::is_void_v<Val>;
     using Stored = LeanValue<Val>;
     const auto staged = static_cast<std::size_t>(cap_sum);
-    auto stage = ctx.scratch_alloc<Index>(staged);
-    auto stage_vals = ctx.scratch_alloc<Stored>(kValues ? staged : 0);
-    auto first = ctx.scratch_alloc<Index>(n_chunks + 1);
-    auto base = ctx.scratch_alloc<std::uint64_t>(n_chunks + 1);
-    auto length = ctx.scratch_alloc<Index>(n_chunks);
+    auto stage = ctx.alloc<Index>(staged);
+    backend::DeviceBuffer<Stored> stage_vals;
+    if constexpr (kValues) stage_vals = ctx.alloc<Stored>(staged);
+    auto first = ctx.alloc<Index>(n_chunks + 1);
+    auto base = ctx.alloc<std::uint64_t>(n_chunks + 1);
     lean_cuts(m, cap_sum, n_chunks, cap, first.data(), base.data());
 
     ctx.parallel_for_chunks(n_chunks, 1, [&](std::size_t kb, std::size_t ke) {
-        auto scratch = make_scratch(ctx.scratch_arena());
+        auto scratch = make_scratch();
         for (std::size_t k = kb; k < ke; ++k) {
             const Index last = first[k + 1];
             Index pos = 0;
@@ -456,30 +470,35 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
                 i = j;
                 kind = next;
             }
-            length[k] = pos;
         }
     });
 
     // Join: each chunk's region is appended to the output (a copy into
     // reserved room, no zero fill) and its row offsets, still local to the
-    // chunk, are shifted by the lengths before it. The total is at most
-    // cap_sum, which the caller keeps within Index.
+    // chunk, are shifted by the lengths before it. A chunk's length is its
+    // last row's local end offset (0 for a chunk without rows), read before
+    // the chunk is shifted. The total is at most cap_sum, which the caller
+    // keeps within Index.
+    const auto length = [&](std::size_t k) -> Index {
+        return first[k] < first[k + 1] ? row_offsets[first[k + 1]] : 0;
+    };
     std::uint64_t total = 0;
-    for (std::size_t k = 0; k < n_chunks; ++k) total += length[k];
+    for (std::size_t k = 0; k < n_chunks; ++k) total += length(k);
     cols.reserve(static_cast<std::size_t>(total));
     if constexpr (kValues) vals->reserve(static_cast<std::size_t>(total));
     Index to = 0;
     for (std::size_t k = 0; k < n_chunks; ++k) {
+        const Index len = length(k);
         const Index* from_cols = stage.data() + base[k];
-        cols.insert(cols.end(), from_cols, from_cols + length[k]);
+        cols.insert(cols.end(), from_cols, from_cols + len);
         if constexpr (kValues) {
             const Stored* from_vals = stage_vals.data() + base[k];
-            vals->insert(vals->end(), from_vals, from_vals + length[k]);
+            vals->insert(vals->end(), from_vals, from_vals + len);
         }
         if (to != 0) {
             for (Index i = first[k]; i < first[k + 1]; ++i) row_offsets[i + 1] += to;
         }
-        to += length[k];
+        to += len;
     }
 }
 

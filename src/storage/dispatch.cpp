@@ -10,7 +10,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "backend/arena.hpp"
 #include "ops/ops.hpp"
 #include "prof/prof.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -53,17 +52,12 @@ template <class T>
     }
 }
 
-/// The one routing skeleton: span, arena scope, empty-operand shortcut,
-/// kernel, telemetry close.
+/// The one routing skeleton: span, empty-operand shortcut, kernel,
+/// telemetry close.
 template <const auto& Op, class... Ts>
 auto route(backend::Context& ctx, const Ts&... args) {
     SPBLA_PROF_SPAN(Op.span);
     const util::Timer timer;
-    // Per-op arena scope on the dispatching thread: op-level scratch from
-    // inline kernel launches is reclaimed when the op returns. One scope
-    // (and so one spbla.arena.resets) per dispatched op — the invariant
-    // tools/check_trace.py --require-arena verifies.
-    const backend::ScopedArena arena_scope{ctx.scratch_arena()};
     const std::uint64_t nnz_in = (nnz_of(args) + ...);
     // Close the op's telemetry once the result exists: one DispatchOps and
     // one DispatchCsr count, the latency histogram, the nnz in/out

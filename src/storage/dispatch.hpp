@@ -5,7 +5,7 @@
 /// handle. Behind them sits one op table (dispatch.cpp): each op is an entry
 /// naming its prof span, flight-recorder name, optional empty-operand
 /// shortcut and CSR kernel, and one router runs every entry. The router
-/// opens the op's span and arena scope, then books one spbla.dispatch.ops,
+/// opens the op's span, then books one spbla.dispatch.ops,
 /// one spbla.dispatch.csr, the latency and nnz histograms and a flight
 /// record.
 ///

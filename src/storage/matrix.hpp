@@ -62,8 +62,8 @@ public:
     /// Content version of this handle: a process-unique stamp assigned when
     /// the cell set is (re)built and carried across copies/moves of the same
     /// content. Any mutation (assignment, `+=`, `multiply_add`) installs a
-    /// fresh stamp, so derived caches — e.g. the incr layer's op memo —
-    /// compare versions to detect staleness. 0 only on moved-from handles
+    /// fresh stamp, so a derived cache can compare versions to detect
+    /// staleness. 0 only on moved-from handles
     /// (never considered current).
     [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
@@ -79,9 +79,8 @@ public:
     /// by both deltas ends up present. Both deltas must match this shape.
     /// A no-op batch (both deltas empty) keeps the content stamp and books
     /// nothing; any other batch books one spbla.incr.batches plus its cells
-    /// in spbla.incr.delta_nnz, and installs a fresh version() even when the resulting cell set is
-    /// value-equal, so every version-keyed derived cache (the incr layer's op
-    /// memo) treats the handle as new content.
+    /// in spbla.incr.delta_nnz, and installs a fresh version() even when the
+    /// resulting cell set is value-equal.
     void apply_delta(const Matrix& adds, const Matrix& removes, backend::Context& ctx);
     void apply_delta(const Matrix& adds, const Matrix& removes) {
         apply_delta(adds, removes, *ctx_);

@@ -37,18 +37,20 @@ enum class Counter : std::uint16_t {
     PoolTickets,          ///< tickets issued by bulk launches
     MemAllocs,            ///< tracked device-buffer allocations
     MemFrees,             ///< tracked device-buffer deallocations
-    ArenaResets,          ///< scoped-arena scope exits (wholesale scratch resets)
-    PoolBufferHits,       ///< buffer-pool acquires served from a free list
-    PoolBufferMisses,     ///< buffer-pool acquires that fell through to malloc
+    /// Retired op arenas and buffer pool: nothing counts them, so they stay
+    /// at 0. Kept because the end-to-end benchmark still reads them.
+    ArenaResets,
+    PoolBufferHits,
+    PoolBufferMisses,
     ProfSpans,            ///< prof spans closed (only when profiling enabled)
     IncrBatches,          ///< delta batches applied through the incremental layer
     IncrDeltaNnz,         ///< total cells across applied insert/delete deltas
-    IncrMemoLookups,      ///< op-memo probes (keyed by content-version epochs)
-    IncrMemoHits,         ///< op-memo probes served from cache
-    IncrMemoStores,       ///< op-memo results retained for reuse
-    IncrMemoEvictions,    ///< op-memo entries evicted at capacity
+    /// Retired op memo and delta overlays: nothing counts them, so they
+    /// stay at 0. Kept because the end-to-end benchmark still reads them.
+    IncrMemoLookups,
+    IncrMemoHits,
+    IncrConsolidations,
     IncrIterationsSaved,  ///< fixpoint rounds skipped vs full recompute
-    IncrConsolidations,   ///< delta overlays folded into their base matrix
     IncrShortCircuits,    ///< dispatcher ops answered by the empty-delta fast path
     IncrFrontierNnz,      ///< frontier cells entering each incremental closure round
     IncrBaselineRounds,   ///< from-scratch fixpoint rounds of each driver batch
@@ -77,9 +79,9 @@ enum class Gauge : std::uint16_t {
     PoolInFlight,         ///< submitted jobs not yet completed
     PoolBusyWorkers,      ///< threads currently executing pool work
     PoolWorkers,          ///< worker threads alive across all pools
-    ArenaReservedBytes,   ///< high-water slab bytes reserved by any one arena
-    ArenaUsedBytes,       ///< high-water bump-allocated bytes in any one arena
-    PoolHeldBytes,        ///< bytes parked in buffer-pool free lists (all pools)
+    /// Retired op arenas: nothing sets it, so it stays at 0. Kept because
+    /// the end-to-end benchmark still reads it.
+    ArenaReservedBytes,
     Count_,               ///< sentinel — keep last
 };
 
@@ -131,8 +133,6 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::IncrDeltaNnz: return "spbla.incr.delta_nnz";
         case Counter::IncrMemoLookups: return "spbla.incr.memo_lookups";
         case Counter::IncrMemoHits: return "spbla.incr.memo_hits";
-        case Counter::IncrMemoStores: return "spbla.incr.memo_stores";
-        case Counter::IncrMemoEvictions: return "spbla.incr.memo_evictions";
         case Counter::IncrIterationsSaved: return "spbla.incr.iterations_saved";
         case Counter::IncrConsolidations: return "spbla.incr.consolidations";
         case Counter::IncrShortCircuits: return "spbla.incr.shortcircuit_ops";
@@ -163,8 +163,6 @@ inline constexpr std::size_t kNumHistograms =
         case Gauge::PoolBusyWorkers: return "spbla.pool.busy_workers";
         case Gauge::PoolWorkers: return "spbla.pool.workers";
         case Gauge::ArenaReservedBytes: return "spbla.arena.reserved";
-        case Gauge::ArenaUsedBytes: return "spbla.arena.used";
-        case Gauge::PoolHeldBytes: return "spbla.arena.pool_held_bytes";
         case Gauge::Count_: break;
     }
     return "spbla.unknown.gauge";

@@ -61,6 +61,17 @@ TEST(DeviceBuffer, CopyChargesTwice) {
     EXPECT_EQ(t.current_bytes(), 0u);
 }
 
+TEST(DeviceBuffer, CopyDuplicatesContents) {
+    MemoryTracker t;
+    DeviceBuffer<std::uint32_t> a{&t, 6};
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<std::uint32_t>(10 * i);
+    DeviceBuffer<std::uint32_t> b{a};
+    a[0] = 99;
+    ASSERT_EQ(b.size(), 6u);
+    EXPECT_NE(b.data(), a.data());
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i], 10 * i);
+}
+
 TEST(DeviceBuffer, MoveDoesNotDoubleCharge) {
     MemoryTracker t;
     DeviceBuffer<int> a{&t, 8};

@@ -6,7 +6,6 @@
 /// the next).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <string>
 #include <tuple>
@@ -20,7 +19,6 @@
 #include "cfpq/worklist.hpp"
 #include "data/labeled_graph.hpp"
 #include "incr/incremental.hpp"
-#include "incr/memo.hpp"
 #include "rpq/dfa.hpp"
 #include "rpq/engine.hpp"
 #include "storage/dispatch.hpp"
@@ -160,20 +158,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
 // checked against a TRIPLE oracle: the incremental result, the scratch
 // fixpoint of the same engine, and an independent reference implementation
 // (Floyd–Warshall for closure, the product-automaton BFS for RPQ, the
-// worklist CFPQ solver). A second sweep races same-key memo lookups to pin
-// the table's exactly-once compute semantics.
+// worklist CFPQ solver).
 // ---------------------------------------------------------------------------
 
-class IncrFuzzSweep
-    : public ::spbla::testing::CheckedContextWithParam<std::uint64_t> {
-protected:
-    void TearDown() override {
-        // Memoized results are charged to the shared trackers; drain them
-        // before the leak-balance check.
-        incr::memo().clear();
-        CheckedContextWithParam::TearDown();
-    }
-};
+using IncrFuzzSweep = ::spbla::testing::CheckedContextWithParam<std::uint64_t>;
 
 /// Independent closure oracle: Floyd–Warshall over a bool grid.
 std::vector<Coord> warshall(Index n, const std::vector<Coord>& edges) {
@@ -267,35 +255,6 @@ TEST_P(IncrFuzzSweep, StreamedFixpointsAgreeWithScratchAndReferenceOracles) {
             << "incremental vs scratch CFPQ";
         ASSERT_EQ(cfpq_inc.reachable(), cfpq::worklist_cfpq(graph, grammar))
             << "incremental vs worklist CFPQ";
-    }
-}
-
-TEST_P(IncrFuzzSweep, MemoComputesExactlyOnceUnderRacingLookups) {
-    util::Rng rng{GetParam()};
-    auto a = Matrix{testing::random_csr(48, 48, 0.08, rng()), ctx()};
-    const auto b = Matrix{testing::random_csr(48, 48, 0.08, rng()), ctx()};
-    constexpr std::size_t kLanes = 12;
-
-    for (int round = 0; round < 4; ++round) {
-        const auto want = storage::multiply(ctx(), a, b);
-        const auto before = incr::memo().stats();
-        std::atomic<int> mismatches{0};
-        // A burst of same-key memo lookups from every lane at once.
-        ctx().pool()->run_dynamic(kLanes, [&](std::size_t) {
-            const auto got = incr::memo_multiply(ctx(), a, b);
-            if (got != want) mismatches.fetch_add(1);
-        });
-        EXPECT_EQ(mismatches.load(), 0);
-        const auto after = incr::memo().stats();
-        EXPECT_EQ(after.stores - before.stores, 1u)
-            << "a same-epoch burst must compute exactly once";
-        EXPECT_EQ(after.hits - before.hits, after.lookups - before.lookups - 1)
-            << "every other lookup of the burst must hit";
-
-        // Fresh epoch next round.
-        a.apply_delta(Matrix::from_coords(
-                          48, 48, {{static_cast<Index>(round), 47}}, ctx()),
-                      Matrix{48, 48, ctx()}, ctx());
     }
 }
 

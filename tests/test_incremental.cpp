@@ -1,14 +1,13 @@
 /// \file test_incremental.cpp
 /// \brief Differential stream-oracle net for the incremental subsystem.
 ///
-/// Every maintained result (delta overlays, incremental TC / RPQ / CFPQ) is
+/// Every maintained result (incremental TC / RPQ / CFPQ) is
 /// replayed against a from-scratch recompute after *every* batch of random
 /// edge-stream schedules — insert-only, delete-only, mixed, duplicate-heavy
 /// and no-op batches, batch sizes 1 through 10^3 — over uniform, Zipf-skewed
 /// and LUBM-style graphs. Metamorphic checks (a batch followed by its exact
 /// inverse) pin the epoch semantics: value-equal but epoch-distinct. The
-/// epoch audit sweeps every mutating entry point of storage::Matrix and
-/// checks that the op memo never serves a stale entry across a mutation.
+/// epoch audit sweeps every mutating entry point of storage::Matrix.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +24,7 @@
 #include "data/labeled_graph.hpp"
 #include "data/lubm.hpp"
 #include "helpers.hpp"
-#include "incr/delta_matrix.hpp"
 #include "incr/incremental.hpp"
-#include "incr/memo.hpp"
 #include "rpq/dfa.hpp"
 #include "rpq/engine.hpp"
 #include "storage/dispatch.hpp"
@@ -41,25 +38,10 @@ namespace {
 using spbla::testing::ctx;
 using spbla::testing::seq_ctx;
 
-/// CheckedContext variant that also drains the process-wide op memo before
-/// the leak-balance check — memoized results are charged to the shared
-/// contexts' trackers, so a populated memo is not a leak.
-class IncrementalNet : public spbla::testing::CheckedContext {
-protected:
-    void TearDown() override {
-        memo().clear();
-        CheckedContext::TearDown();
-    }
-};
+using IncrementalNet = spbla::testing::CheckedContext;
 
 using EpochAuditCase = const char*;
-class EpochAudit : public spbla::testing::CheckedContextWithParam<EpochAuditCase> {
-protected:
-    void TearDown() override {
-        memo().clear();
-        CheckedContextWithParam::TearDown();
-    }
-};
+using EpochAudit = spbla::testing::CheckedContextWithParam<EpochAuditCase>;
 
 // ---- schedule generation --------------------------------------------------
 
@@ -375,15 +357,6 @@ TEST_F(IncrementalNet, MetamorphicRoundTripIsEpochDistinct) {
     m.apply_delta(removes, adds, ctx());
     EXPECT_EQ(m, original) << "inverse batch must restore the value";
     EXPECT_GT(m.version(), v1) << "round-tripped state must carry a fresh epoch";
-
-    // A consolidating overlay inherits the same property: each fold gives
-    // the base a fresh epoch even when the value round-trips.
-    DeltaMatrix d{original, /*consolidate_fraction=*/0.0};
-    d.apply(adds, removes, ctx());
-    const auto vb = d.base().version();
-    d.apply(removes, adds, ctx());
-    EXPECT_EQ(d.base(), original);
-    EXPECT_GT(d.base().version(), vb);
 }
 
 // ---- RPQ ------------------------------------------------------------------
@@ -511,7 +484,6 @@ void run_cfpq_schedule(Index n, const std::string& grammar_text, std::uint64_t s
 TEST_F(IncrementalNet, CfpqDyckInsertOnlyStream) {
     run_cfpq_schedule(12, "S -> a S b | a b\n", 103, {1, 2, 4, 8, 16},
                       /*with_deletes=*/false);
-    EXPECT_EQ(memo().stats().lookups, memo().stats().hits + memo().stats().stores);
 }
 
 TEST_F(IncrementalNet, CfpqDyckMixedStreamFallsBackToRebuild) {
@@ -537,44 +509,7 @@ TEST_F(IncrementalNet, CfpqRebuildCounterTracksDeleteBatches) {
     EXPECT_EQ(inc.reachable(), cfpq::azimov_cfpq(ctx(), graph, grammar).reachable());
 }
 
-// ---- DeltaMatrix ----------------------------------------------------------
-
-TEST_F(IncrementalNet, DeltaMatrixNormalizesOverlay) {
-    const auto base = cells(8, 8, {{0, 1}, {1, 2}, {2, 3}});
-    // A permissive threshold so the overlay is observable before it folds.
-    DeltaMatrix d{base, /*consolidate_fraction=*/10.0};
-    // Insert one present cell + one new; delete one present + one absent.
-    d.apply(cells(8, 8, {{0, 1}, {4, 5}}), cells(8, 8, {{1, 2}, {6, 7}}), ctx());
-    EXPECT_EQ(d.pending_adds().to_coords(), (std::vector<Coord>{{4, 5}}));
-    EXPECT_EQ(d.pending_dels().to_coords(), (std::vector<Coord>{{1, 2}}));
-    EXPECT_EQ(d.nnz(), 3u);
-    EXPECT_EQ(d.snapshot(ctx()).to_coords(),
-              (std::vector<Coord>{{0, 1}, {2, 3}, {4, 5}}));
-    // Re-inserting a pending delete cancels it.
-    d.apply(cells(8, 8, {{1, 2}}), cells(8, 8, {}), ctx());
-    EXPECT_TRUE(d.pending_dels().empty());
-    EXPECT_EQ(d.nnz(), 4u);
-}
-
-TEST_F(IncrementalNet, DeltaMatrixConsolidatesPastThreshold) {
-    const auto base = uniform_graph(16, 40, 113);
-    DeltaMatrix d{base, /*consolidate_fraction=*/0.25};
-    const auto base_version = d.base().version();
-    // A small batch stays in the overlay (base untouched, version stable)...
-    const auto tiny = storage::ewise_diff(ctx(), cells(16, 16, {{15, 0}}), base);
-    d.apply(tiny, Matrix{16, 16, ctx()}, ctx());
-    EXPECT_EQ(d.base().version(), base_version);
-    // ...but a batch larger than fraction × base nnz folds everything in.
-    const auto big = storage::ewise_diff(ctx(), uniform_graph(16, 64, 127), d.base());
-    const auto expect = storage::ewise_add(
-        ctx(), storage::ewise_add(ctx(), base, tiny), big);
-    d.apply(big, Matrix{16, 16, ctx()}, ctx());
-    EXPECT_TRUE(d.overlay_empty());
-    EXPECT_NE(d.base().version(), base_version);
-    EXPECT_EQ(d.base(), expect);
-    EXPECT_EQ(d.snapshot(ctx()).version(), d.base().version())
-        << "empty-overlay snapshot must share the base's epoch";
-}
+// ---- batch accounting -----------------------------------------------------
 
 /// One caller batch books one spbla.incr.batches and only its own cells; an
 /// empty batch books nothing, whichever entry point it comes through.
@@ -583,19 +518,14 @@ TEST_F(IncrementalNet, EachCallerBatchIsBookedOnce) {
     const auto booked = [](const telemetry::Snapshot& before, Counter c) {
         return telemetry::snapshot().counter(c) - before.counter(c);
     };
-    // A 2-cell insert into a 4-cell base at fraction 0.25 crosses the
-    // threshold, so apply() consolidates the overlay it just staged.
-    DeltaMatrix d{cells(8, 8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
-                  /*consolidate_fraction=*/0.25};
+    IncrementalClosure inc{ctx(), cells(8, 8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}})};
     auto before = telemetry::snapshot();
-    d.apply(cells(8, 8, {{4, 5}, {5, 6}}), Matrix{8, 8, ctx()}, ctx());
-    EXPECT_TRUE(d.overlay_empty());
-    EXPECT_EQ(booked(before, Counter::IncrConsolidations), 1u);
+    inc.apply(cells(8, 8, {{4, 5}, {5, 6}}), Matrix{8, 8, ctx()});
     EXPECT_EQ(booked(before, Counter::IncrBatches), 1u);
     EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 2u);
 
     before = telemetry::snapshot();
-    d.apply(Matrix{8, 8, ctx()}, Matrix{8, 8, ctx()}, ctx());
+    inc.apply(Matrix{8, 8, ctx()}, Matrix{8, 8, ctx()});
     Matrix m = cells(8, 8, {{0, 1}});
     m.apply_delta(Matrix{8, 8, ctx()}, Matrix{8, 8, ctx()}, ctx());
     EXPECT_EQ(booked(before, Counter::IncrBatches), 0u);
@@ -630,19 +560,10 @@ TEST_F(IncrementalNet, BatchTouchingSeveralLabelsIsBookedOnce) {
     EXPECT_EQ(booked(before, Counter::IncrDeltaNnz), 2u);
 }
 
-TEST_F(IncrementalNet, DeltaMatrixSnapshotIsCachedPerEpoch) {
-    DeltaMatrix d{cells(6, 6, {{0, 1}, {1, 2}})};
-    d.apply(cells(6, 6, {{2, 3}}), Matrix{6, 6, ctx()}, ctx());
-    const auto v1 = d.snapshot(ctx()).version();
-    EXPECT_EQ(d.snapshot(ctx()).version(), v1) << "repeat snapshot must be cached";
-    d.apply(cells(6, 6, {{3, 4}}), Matrix{6, 6, ctx()}, ctx());
-    EXPECT_NE(d.snapshot(ctx()).version(), v1) << "apply must invalidate the cache";
-}
+// ---- content versions -----------------------------------------------------
 
-// ---- op memo --------------------------------------------------------------
-
-// The memo keys on content stamps, so pin what a stamp follows: a copy keeps
-// it, a mutation re-stamps, a moved-from handle reads 0.
+// Pin what a content stamp follows: a copy keeps it, a mutation re-stamps, a
+// moved-from handle reads 0.
 TEST_F(IncrementalNet, MutationInstallsFreshVersion) {
     Matrix a = spbla::testing::random_matrix(20, 20, 0.2, 1301);
     const auto v0 = a.version();
@@ -655,42 +576,6 @@ TEST_F(IncrementalNet, MutationInstallsFreshVersion) {
     Matrix moved = std::move(a);
     EXPECT_NE(moved.version(), v0);
     EXPECT_EQ(a.version(), 0u);  // NOLINT(bugprone-use-after-move): contract
-}
-
-TEST_F(IncrementalNet, MemoHitsOnRepeatAndMissesAfterMutation) {
-    const auto a = uniform_graph(16, 40, 131);
-    const auto b = uniform_graph(16, 40, 137);
-    const auto s0 = memo().stats();
-    const auto r1 = memo_multiply(ctx(), a, b);
-    const auto r2 = memo_multiply(ctx(), a, b);
-    auto s = memo().stats();
-    EXPECT_EQ(s.stores - s0.stores, 1u);
-    EXPECT_EQ(s.hits - s0.hits, 1u);
-    EXPECT_EQ(r1, r2);
-    EXPECT_EQ(r1.version(), r2.version()) << "memo results share the cached epoch";
-    EXPECT_EQ(r1, storage::multiply(ctx(), a, b));
-
-    // Mutating an operand changes its epoch: the memo must recompute, never
-    // serve the stale product.
-    auto a2 = a;
-    a2.apply_delta(cells(16, 16, {{15, 15}}), Matrix{16, 16, ctx()}, ctx());
-    const auto r3 = memo_multiply(ctx(), a2, b);
-    s = memo().stats();
-    EXPECT_EQ(s.stores - s0.stores, 2u) << "mutated operand must miss";
-    EXPECT_EQ(r3, storage::multiply(ctx(), a2, b));
-}
-
-TEST_F(IncrementalNet, MemoEvictsFifoAtCapacity) {
-    memo().clear();
-    const auto cap = memo().capacity();
-    const auto b = uniform_graph(8, 10, 139);
-    for (std::size_t k = 0; k < cap + 5; ++k) {
-        // Distinct epochs per handle → distinct keys.
-        const auto a = uniform_graph(8, 10, 1000 + k);
-        (void)memo_multiply(ctx(), a, b);
-    }
-    EXPECT_EQ(memo().size(), cap);
-    EXPECT_GE(memo().stats().evictions, 5u);
 }
 
 // ---- epoch audit ----------------------------------------------------------
@@ -741,54 +626,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EpochAuditCase>& info) {
         return std::string{info.param};
     });
-
-TEST_F(IncrementalNet, EpochAuditNoStaleMemoAcrossDriverStream) {
-    // Drive full incremental streams and assert the invariant the trace
-    // checker enforces in CI: every memo hit had a lookup, every lookup is a
-    // hit or a store, and results always match fresh computation. The RPQ
-    // driver's automaton Kronecker products go through the memo, so the
-    // audit must see lookups.
-    const auto s0 = memo().stats();
-    const auto g = uniform_graph(20, 50, 163);
-    util::Rng rng{167};
-    Matrix truth = g;
-    IncrementalClosure inc{ctx(), g};
-    for (int round = 0; round < 8; ++round) {
-        const auto b = make_batch(round % 2 == 0 ? Mode::InsertOnly : Mode::Mixed, 20,
-                                  4, truth, rng);
-        truth = fold(truth, b);
-        inc.apply(cells(20, 20, b.adds), cells(20, 20, b.removes));
-        ASSERT_EQ(inc.closure(), algorithms::transitive_closure(ctx(), truth));
-    }
-
-    const std::vector<std::string> labels{"a", "b"};
-    const Index n = 12;
-    auto keys = to_keys(random_labeled_edges(n, labels, 30, rng));
-    const auto query = rpq::compile_query("a b*");
-    IncrementalRpq rpq_inc{ctx(), keys_to_graph(n, keys), query};
-    for (int round = 0; round < 6; ++round) {
-        const auto adds = random_labeled_edges(n, labels, 3, rng);
-        std::vector<data::LabeledEdge> removes;
-        if (round % 2 == 1) {
-            const std::vector<EdgeKey> pool{keys.begin(), keys.end()};
-            const auto& [src, label, dst] = pool[rng.below(pool.size())];
-            removes.push_back({src, label, dst});
-        }
-        for (const auto& e : removes) keys.erase({e.src, e.label, e.dst});
-        for (const auto& e : adds) keys.insert({e.src, e.label, e.dst});
-        rpq_inc.apply(adds, removes);
-        ASSERT_EQ(rpq_inc.reachable(),
-                  rpq::evaluate(ctx(), keys_to_graph(n, keys), query));
-    }
-
-    const auto s = memo().stats();
-    const auto lookups = s.lookups - s0.lookups;
-    const auto hits = s.hits - s0.hits;
-    const auto stores = s.stores - s0.stores;
-    EXPECT_GT(lookups, 0u) << "the drivers never consulted the memo";
-    EXPECT_EQ(lookups, hits + stores);
-    EXPECT_LE(hits, lookups);
-}
 
 }  // namespace
 }  // namespace spbla::incr

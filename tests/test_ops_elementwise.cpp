@@ -173,8 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------- differential cases across the runner's cut -------------------
 // Every element-wise op against a cell-by-cell dense reference, on the
 // parallel and the sequential context, with the tracker checked after each
-// op: the one-pass runner's staging lives in op-scoped arenas and must be
-// gone once the op returns.
+// op: the one-pass runner's staging is freed when the op returns.
 
 enum class EwiseOp { Add, Mult, Diff };
 
@@ -351,7 +350,6 @@ TEST(EwiseRunnerSplit, RunCrossesAParallelChunkCut) {
         << "no chunk cut falls inside the run";
     expect_all_ops_match(par, a, b);
     expect_all_ops_match(par, b, a);
-    par.trim_device_scratch();
     EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
 }
 
@@ -365,7 +363,6 @@ TEST(EwiseRunnerSplit, ParallelOpSplitsIntoChunksAndMatches) {
     ASSERT_GE(ops::ewise_chunk_count(par, a.nrows(), add_cap), 2u);
     ASSERT_GE(ops::ewise_chunk_count(par, a.nrows(), a.nnz()), 2u);
     expect_all_ops_match(par, a, b);
-    par.trim_device_scratch();
     EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
 }
 

@@ -310,7 +310,9 @@ TEST_F(TelemetryDispatch, EveryOpIsACsrPickAndRetiredRoutesReadZero) {
     for (const auto retired :
          {telemetry::Counter::DispatchCoo, telemetry::Counter::DispatchDense,
           telemetry::Counter::DispatchBitBlocks, telemetry::Counter::StorageConversions,
-          telemetry::Counter::StorageCacheHits}) {
+          telemetry::Counter::StorageCacheHits, telemetry::Counter::PoolBufferHits,
+          telemetry::Counter::PoolBufferMisses, telemetry::Counter::IncrMemoLookups,
+          telemetry::Counter::IncrMemoHits, telemetry::Counter::IncrConsolidations}) {
         EXPECT_EQ(snap.counter(retired), 0u) << telemetry::name(retired);
     }
     telemetry::reset();
@@ -320,9 +322,6 @@ TEST_F(TelemetryDispatch, MemoryGaugesTrackTheTracker) {
     telemetry::reset();
     {
         const auto a = testing::random_matrix(64, 64, 0.2, 7005);
-        // A warm op arena serves a multiply without touching the tracker;
-        // dropping the retained slabs makes this one reserve afresh.
-        ctx().trim_device_scratch();
         const auto b = storage::multiply(ctx(), a, a);
         (void)b;
         const auto snap = telemetry::snapshot();

@@ -33,10 +33,6 @@ from pathlib import Path
 GATED_KEYS = {
     "BENCH_spgemm.json": {
         "geomean_speedup": "higher",
-        # Tracked-allocation count of the pass-through ablation over the
-        # arena-backed run: the allocator-traffic reduction the op-arena
-        # tier buys. A drop means scratch is leaking back onto the heap.
-        "alloc_reduction_spgemm": "higher",
     },
     "BENCH_e1.json": {
         # The abstract's claim (E1): the Boolean SpGEMM against the slower

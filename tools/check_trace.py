@@ -35,14 +35,12 @@ Checks, in order:
               ran untraced or its counters are unwired.
   incr        (--require-incr) The trace demonstrably covers the incremental
               evaluation layer (src/incr): incr.* spans were recorded
-              including at least one semi-naive round span, the op-memo
-              accounting is sane (lookups > 0, hits were observed, and
-              hits + stores never exceed lookups — a racing creator may
-              count neither), rounds carried frontier work
+              including at least one semi-naive round span, rounds carried
+              frontier work
               (spbla.incr.frontier_nnz), batches flowed through
               (spbla.incr.batches, with iterations_saved <= baseline_rounds
               and round spans left behind when a batch used rounds), the
-              delta overlay absorbed cells (spbla.incr.delta_nnz), and the
+              batches carried cells (spbla.incr.delta_nnz), and the
               dispatcher's empty-operand short-circuit fired
               (spbla.incr.shortcircuit_ops).
 
@@ -56,21 +54,12 @@ Checks, in order:
               count, and the memory peak gauge dominates the live gauge.
               The Prometheus sibling at PATH.prom (when present) must parse
               line-by-line with cumulative buckets and _count == +Inf.
-  arena       (--require-arena, with --metrics PATH) The op-scoped arena
-              allocator demonstrably backed the run: every dispatched op
-              closed at least one arena scope (spbla.arena.resets >=
-              spbla.dispatch.ops), the reserved high-water gauge dominates
-              the used high-water gauge (an arena can never bump past its
-              slabs), and the buffer-pool reuse counters
-              (spbla.arena.pool_hits / pool_misses) are present — all
-              missing means the kernels bypassed the arena tier entirely.
   flight      (--flight PATH) A crash flight-recorder dump parses as JSON
               lines with strictly increasing seq, named ops and sane fields.
 
 Usage: tools/check_trace.py TRACE.json [--require-spgemm]
            [--require-dispatch]
            [--require-incr] [--require-metrics --metrics METRICS.json]
-           [--require-arena]
            [--flight FLIGHT.jsonl]
 Exits 0 iff every check passes.
 """
@@ -234,20 +223,6 @@ class Checker:
             self.error("no incr.closure.round / incr.cfpq.round span "
                        "recorded — no semi-naive round ever executed")
 
-        lookups, hits = total("memo_lookups"), total("memo_hits")
-        stores = total("memo_stores")
-        if lookups == 0:
-            self.error("spbla.incr.memo_lookups is zero — the epoch-keyed op "
-                       "memo was never consulted (or its counters are unwired)")
-        if hits == 0:
-            self.error("spbla.incr.memo_hits is zero — no delta product was "
-                       "ever replayed from the memo (run the replay rung)")
-        # A creator that loses the compute-rendezvous race counts neither a
-        # hit nor a store, so the pair bounds lookups from below only.
-        if hits + stores > lookups:
-            self.error(f"memo hits + stores ({hits} + {stores}) exceeds "
-                       f"lookups ({lookups}) — every hit and store is a lookup")
-
         if total("frontier_nnz") == 0:
             self.error("spbla.incr.frontier_nnz is zero — semi-naive rounds "
                        "ran without frontier work (or the counter is unwired)")
@@ -268,9 +243,8 @@ class Checker:
                        "recorded — the rounds that were used left no trace")
 
         if total("delta_nnz") == 0:
-            self.error("spbla.incr.delta_nnz is zero — no cells were ever "
-                       "folded into a delta overlay (or the counter is "
-                       "unwired)")
+            self.error("spbla.incr.delta_nnz is zero — no batch ever carried "
+                       "a cell (or the counter is unwired)")
         if total("shortcircuit_ops") == 0:
             self.error("spbla.incr.shortcircuit_ops is zero — the "
                        "dispatcher's empty-operand short-circuit never fired "
@@ -359,42 +333,6 @@ class Checker:
             self.check_prometheus(prom)
         else:
             print(f"check_trace: note: no Prometheus sibling at {prom}")
-
-    def check_arena(self, path: Path) -> None:
-        """The arena/pool tier backed the run (reads the metrics snapshot)."""
-        where = path.name
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            self.error(f"{where}: cannot load metrics JSON: {exc}")
-            return
-        counters = doc.get("counters") or {}
-        gauges = doc.get("gauges") or {}
-
-        ops = counters.get("spbla.dispatch.ops", 0)
-        resets = counters.get("spbla.arena.resets", 0)
-        if resets < ops:
-            self.error(f"{where}: spbla.arena.resets ({resets}) < "
-                       f"spbla.dispatch.ops ({ops}) — every dispatched op "
-                       "must close at least one arena scope")
-        if ops > 0 and resets == 0:
-            self.error(f"{where}: ops dispatched but no arena scope ever "
-                       "closed — the kernels bypassed the arena tier")
-
-        reserved = gauges.get("spbla.arena.reserved", 0)
-        used = gauges.get("spbla.arena.used", 0)
-        if reserved < used:
-            self.error(f"{where}: spbla.arena.reserved ({reserved}) < "
-                       f"spbla.arena.used ({used}) — an arena cannot bump "
-                       "past its slab reserve")
-        if reserved < 0 or used < 0:
-            self.error(f"{where}: negative arena gauge (reserved={reserved}, "
-                       f"used={used})")
-
-        for key in ("spbla.arena.pool_hits", "spbla.arena.pool_misses"):
-            if key not in counters:
-                self.error(f"{where}: counter {key} missing — the buffer "
-                           "pool's reuse accounting is unwired")
 
     def check_prometheus(self, path: Path) -> None:
         where = path.name
@@ -500,16 +438,11 @@ def main() -> int:
                          "counter")
     ap.add_argument("--require-incr", action="store_true",
                     help="additionally require the incremental-evaluation "
-                         "counters (memo lookups/hits, round spans, frontier "
-                         "and delta nnz, batch accounting, short-circuits)")
+                         "counters (round spans, frontier and delta nnz, "
+                         "batch accounting, short-circuits)")
     ap.add_argument("--require-metrics", action="store_true",
                     help="additionally validate a telemetry snapshot "
                          "(needs --metrics)")
-    ap.add_argument("--require-arena", action="store_true",
-                    help="additionally require the op-arena invariants in "
-                         "the telemetry snapshot: resets >= dispatched ops, "
-                         "reserved >= used, pool counters wired (needs "
-                         "--metrics)")
     ap.add_argument("--metrics", type=Path, default=None,
                     help="telemetry JSON dumped by SPBLA_METRICS or "
                          "spbla_MetricsDump; the Prometheus sibling at "
@@ -520,8 +453,6 @@ def main() -> int:
 
     if args.require_metrics and args.metrics is None:
         ap.error("--require-metrics needs --metrics PATH")
-    if args.require_arena and args.metrics is None:
-        ap.error("--require-arena needs --metrics PATH")
 
     try:
         doc = json.loads(args.trace.read_text(encoding="utf-8"))
@@ -547,8 +478,6 @@ def main() -> int:
 
     if args.require_metrics:
         checker.check_metrics(args.metrics)
-    if args.require_arena:
-        checker.check_arena(args.metrics)
     if args.flight is not None:
         checker.check_flight(args.flight)
 

@@ -58,9 +58,8 @@ cannot see because they cross a lambda/scheduling boundary):
                     reserve on a TU-declared std::vector) inside a parallel
                     extent in src/ops/ or src/incr/ — per-row/per-tile
                     heap churn bypasses the MemoryTracker and serialises
-                    workers on the allocator. Kernel scratch goes on the
-                    op arena (backend::ArenaVector, Context::scratch_alloc)
-                    or the context's BufferPool; deliberate cold-path
+                    workers on the allocator. Kernel scratch is an exact
+                    tracked Context::alloc buffer; deliberate cold-path
                     allocations suppress inline.
 
 A finding can be suppressed for one line with a trailing
@@ -574,9 +573,8 @@ class Linter:
             self.report(
                 f, line, "hot-alloc",
                 "raw std::vector constructed inside a parallel extent — "
-                "per-row heap churn invisible to MemoryTracker; use "
-                "backend::ArenaVector / Context::scratch_alloc (op-scoped "
-                "scratch) or the context BufferPool (buffers that escape)")
+                "per-row heap churn invisible to MemoryTracker; size the "
+                "scratch once per chunk with Context::alloc")
 
         # Pass 2: growth calls on a TU-declared std::vector inside an
         # extent. Direct `name.resize(...)` shapes only — an element access
@@ -591,9 +589,8 @@ class Linter:
                 self.report(
                     f, t.line, "hot-alloc",
                     f"`{toks[i - 2].text}.{t.text}()` grows a raw "
-                    "std::vector inside a parallel extent — move the "
-                    "scratch onto the op arena (backend::ArenaVector) or "
-                    "acquire it from the context BufferPool")
+                    "std::vector inside a parallel extent — size the "
+                    "scratch once per chunk with Context::alloc")
 
     def rule_guarded_mutable(self, f: File) -> None:
         if not f.rel.startswith("src/"):

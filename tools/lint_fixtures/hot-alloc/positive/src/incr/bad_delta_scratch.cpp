@@ -1,5 +1,5 @@
 // Fixture: the incremental layer is inside the hot-alloc perimeter too —
-// per-round scratch in a semi-naive loop must go through the op arena.
+// per-round scratch in a semi-naive loop must go through Context::alloc.
 #include <cstddef>
 #include <vector>
 

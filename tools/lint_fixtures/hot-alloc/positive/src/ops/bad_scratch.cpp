@@ -1,5 +1,6 @@
 // Fixture: raw heap scratch inside parallel extents — the allocation-churn
-// shape the arena refactor removed (re-adding one must fail this rule).
+// shape tracked Context::alloc scratch replaces (re-adding one must fail
+// this rule).
 #include <cstddef>
 #include <vector>
 
