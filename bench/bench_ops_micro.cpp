@@ -256,36 +256,103 @@ CsrMatrix lubm_rpq_product() {
     return largest;
 }
 
+/// The factors of one Kronecker sum M = OR over t of as[t] (x) bs[t].
+struct KronFactors {
+    std::vector<Matrix> as;
+    std::vector<Matrix> bs;
+
+    [[nodiscard]] std::vector<ops::KroneckerTerm> csr_terms() const {
+        std::vector<ops::KroneckerTerm> out;
+        for (std::size_t t = 0; t < as.size(); ++t) out.push_back({&as[t].csr(), &bs[t].csr()});
+        return out;
+    }
+    /// The sum through the dispatcher, as the workloads build it.
+    [[nodiscard]] Matrix sum() const {
+        std::vector<storage::KroneckerTerm> terms;
+        for (std::size_t t = 0; t < as.size(); ++t) terms.push_back({&as[t], &bs[t]});
+        const Index m = as.front().nrows() * bs.front().nrows();
+        const Index n = as.front().ncols() * bs.front().ncols();
+        return storage::kronecker_sum(ctx(), m, n, terms);
+    }
+};
+
+/// The factors rpq::build_index sums for Table II template \p name on
+/// \p graph: one term Q_s (x) G_s per query symbol the graph carries.
+KronFactors rpq_factors(const data::LabeledGraph& graph, const char* name) {
+    const auto labels = graph.labels_by_frequency();
+    const auto dfa = rpq::minimize(rpq::determinize(
+        rpq::glushkov(*rpq::template_by_name(name).instantiate(labels))));
+    KronFactors f;
+    for (const auto& symbol : dfa.symbols()) {
+        if (!graph.has_label(symbol)) continue;
+        f.as.push_back(dfa.matrix(symbol));
+        f.bs.push_back(graph.matrix(symbol));
+    }
+    return f;
+}
+
+/// The Table III taxonomy graph and query G1 that the Tns inputs run.
+struct TnsCase {
+    data::LabeledGraph graph;
+    cfpq::Rsm rsm;
+};
+
+TnsCase tns_taxonomy_case() {
+    auto graph = data::make_taxonomy(9000, 2, 207);
+    graph.add_inverse_labels();
+    return {std::move(graph), cfpq::build_rsm(cfpq::query_g1())};
+}
+
+bool contains(const std::vector<std::string>& v, const std::string& x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/// The factors of the tensor CFPQ's (Tns) round-1 product: one term
+/// RSM_s (x) G_s per RSM symbol, a nonterminal seen only through its
+/// nullable identity.
+KronFactors tns_round1_factors(const TnsCase& tns) {
+    const auto& rsm = tns.rsm;
+    const Index n = tns.graph.num_vertices();
+    KronFactors f;
+    for (const auto& symbol : rsm.symbols()) {
+        Matrix side = contains(rsm.nullable, symbol)       ? Matrix::identity(n, ctx())
+                      : contains(rsm.nonterminals, symbol) ? Matrix{n, n, ctx()}
+                                                           : tns.graph.matrix(symbol);
+        if (side.nnz() == 0) continue;
+        f.as.push_back(rsm.matrix(symbol));
+        f.bs.push_back(std::move(side));
+    }
+    return f;
+}
+
+/// The factors of Tns round 2, a later-round sum: one term RSM_s (x) dG_s
+/// per nonterminal s, dG_s the cells round 1's closure adds to s.
+KronFactors tns_round2_factors(const TnsCase& tns, const Matrix& round1) {
+    const auto& rsm = tns.rsm;
+    const Index n = tns.graph.num_vertices();
+    const Matrix closure = algorithms::transitive_closure(ctx(), round1);
+    KronFactors f;
+    for (const auto& nt : rsm.nonterminals) {
+        const Index q0 = rsm.box_start.at(nt);
+        Matrix found{n, n, ctx()};
+        for (const auto qf : rsm.box_final.at(nt)) {
+            found = storage::ewise_add(ctx(), found,
+                                       storage::submatrix(ctx(), closure, q0 * n, qf * n, n, n));
+        }
+        Matrix gained = contains(rsm.nullable, nt)
+                            ? storage::ewise_diff(ctx(), found, Matrix::identity(n, ctx()))
+                            : found;
+        if (gained.nnz() == 0) continue;
+        f.as.push_back(rsm.matrix(nt));
+        f.bs.push_back(std::move(gained));
+    }
+    return f;
+}
+
 /// The round-1 product of the tensor CFPQ (Tns) on a Table III taxonomy
 /// graph with query G1: M = sum over RSM symbols of RSM_s (x) G_s.
 CsrMatrix tensor_cfpq_product() {
-    auto graph = data::make_taxonomy(9000, 2, 207);
-    graph.add_inverse_labels();
-    const cfpq::Rsm rsm = cfpq::build_rsm(cfpq::query_g1());
-    const Index n = graph.num_vertices();
-    const Index k = rsm.num_states;
-    const auto symbols = rsm.symbols();
-    std::vector<Matrix> boxes;
-    std::vector<Matrix> sides;
-    boxes.reserve(symbols.size());
-    sides.reserve(symbols.size());
-    std::vector<storage::KroneckerTerm> terms;
-    const auto has = [](const std::vector<std::string>& v, const std::string& x) {
-        return std::find(v.begin(), v.end(), x) != v.end();
-    };
-    for (const auto& symbol : symbols) {
-        boxes.push_back(rsm.matrix(symbol));
-        // Round 1 sees a nonterminal only through its nullable identity.
-        if (has(rsm.nullable, symbol)) {
-            sides.push_back(Matrix::identity(n, ctx()));
-        } else if (has(rsm.nonterminals, symbol)) {
-            sides.push_back(Matrix{n, n, ctx()});
-        } else {
-            sides.push_back(graph.matrix(symbol));
-        }
-        if (sides.back().nnz() != 0) terms.push_back({&boxes.back(), &sides.back()});
-    }
-    return storage::kronecker_sum(ctx(), k * n, k * n, terms).csr();
+    return tns_round1_factors(tns_taxonomy_case()).sum().csr();
 }
 
 /// The closure-stream workload's delta-sized op shapes on the LUBM(60)
@@ -361,6 +428,72 @@ void write_stream_inputs(bench::JsonWriter& w) {
                     "%.3f ms sequential\n",
                     op.name, op.delta_nnz, c.nnz(), ms[0], ms[1]);
     }
+}
+
+/// Times the Kronecker sums the paper workloads build, as the
+/// "kronecker_inputs" array: an rpq-lubm template whose blocks each read
+/// one term (Q12), one whose alternation shares blocks between terms
+/// (Q9^5), and the Tns round-1 product and a later-round dG sum on the
+/// taxonomy graph. Each is timed on the parallel context and on a
+/// sequential one, and carries its nnz beside that of the fold
+/// OR_t kronecker(A_t, B_t), which must agree. Recorded, not gated.
+void write_kronecker_inputs(bench::JsonWriter& w) {
+    const auto lubm = data::make_lubm(120);
+    const TnsCase tns = tns_taxonomy_case();
+    KronFactors round1 = tns_round1_factors(tns);
+    KronFactors round2 = tns_round2_factors(tns, round1.sum());
+    struct KronInput {
+        const char* name;
+        KronFactors factors;
+    };
+    const KronInput inputs[] = {
+        {"rpq-lubm-120-q12", rpq_factors(lubm, "Q12")},
+        {"rpq-lubm-120-q9^5", rpq_factors(lubm, "Q9^5")},
+        {"tns-taxonomy-9000-g1-round1", std::move(round1)},
+        {"tns-taxonomy-9000-g1-round2", std::move(round2)},
+    };
+    backend::Context seq{backend::Policy::Sequential};
+    w.begin_array("kronecker_inputs");
+    for (const auto& input : inputs) {
+        const auto terms = input.factors.csr_terms();
+        CsrMatrix fold{terms.front().a->nrows() * terms.front().b->nrows(),
+                       terms.front().a->ncols() * terms.front().b->ncols()};
+        for (const auto& [a, b] : terms) {
+            fold = ops::ewise_add(ctx(), fold, ops::kronecker(ctx(), *a, *b));
+        }
+        const CsrMatrix sum = ops::kronecker_sum(ctx(), terms);
+        if (sum != fold) {
+            std::fprintf(stderr,
+                         "bench_ops_micro: %s: kronecker_sum (%zu cells) differs from the "
+                         "fold (%zu)\n",
+                         input.name, sum.nnz(), fold.nnz());
+        }
+        w.begin_object();
+        w.field("name", input.name);
+        w.field("op", "M = OR_t A_t (x) B_t");
+        w.field("terms", static_cast<std::uint64_t>(terms.size()));
+        w.field("nrows", static_cast<std::uint64_t>(sum.nrows()));
+        w.field("nnz", static_cast<std::uint64_t>(sum.nnz()));
+        w.field("fold_nnz", static_cast<std::uint64_t>(fold.nnz()));
+        w.begin_array("configs");
+        double ms[2] = {0, 0};
+        for (int k = 0; k < 2; ++k) {
+            backend::Context& cx = k == 0 ? ctx() : seq;
+            const auto stats = bench::time_stats([&] { (void)ops::kronecker_sum(cx, terms); }, 20);
+            ms[k] = stats.min_ms();
+            w.begin_object();
+            w.field("name", k == 0 ? "default" : "sequential");
+            w.field("ms", stats.min_ms());
+            w.field("time", stats);
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        std::printf("Kronecker sum %s (%zu terms, %zu cells): %.3f ms default, "
+                    "%.3f ms sequential\n",
+                    input.name, terms.size(), sum.nnz(), ms[0], ms[1]);
+    }
+    w.end_array();
 }
 
 /// Times each paper-shaped input with the default options and with the
@@ -453,6 +586,7 @@ void write_spgemm_trajectory() {
     const double geomean = std::exp(log_sum / kNumInputs);
     w.field("geomean_speedup", geomean);
     write_paper_inputs(w);
+    write_kronecker_inputs(w);
     w.end_object();
     std::fclose(f);
     std::printf("SpGEMM trajectory written to %s (geomean speedup %.2fx)\n", path,
@@ -497,7 +631,17 @@ void write_incremental_trajectory() {
             "insert batches of 1..10^4 cells, delete batches of 1..100 cells");
     w.field("runs", static_cast<std::uint64_t>(kIncrRuns));
     w.begin_array("inputs");
+    // Full-recompute time over incremental time, from the runs' minima (the
+    // gated figure) and from their medians. A batch-1 update takes a few
+    // microseconds, and a batch whose cells are already edges is a no-op
+    // that sets the minimum alone: the median-based figure, recorded
+    // beside it, shows how far the minimum swings.
+    struct Speedups {
+        double min{0.0};
+        double p50{0.0};
+    };
     double log_sum = 0.0;
+    double log_sum_p50 = 0.0;
     std::size_t n_inputs = 0;
     for (const Input& input : inputs) {
         const Index n = input.adj.nrows();
@@ -514,7 +658,7 @@ void write_incremental_trajectory() {
         // One rung: update_closure on kIncrRuns + 1 distinct batches (one
         // warm-up) against a full recompute of each post-batch graph. An
         // insert rung adds random cells, a delete rung removes sampled
-        // present ones. Writes the rung object and returns its speedup.
+        // present ones. Writes the rung object and returns its speedups.
         const auto rung = [&](std::size_t batch, bool deleting) {
             std::vector<Matrix> batches;
             std::vector<Matrix> afters;
@@ -557,29 +701,33 @@ void write_incremental_trajectory() {
                     idx = (idx + 1) % afters.size();
                 },
                 kIncrRuns);
-            const double speedup =
-                incr_stats.min_s > 0 ? full_stats.min_s / incr_stats.min_s : 0.0;
+            const Speedups speedup{
+                incr_stats.min_s > 0 ? full_stats.min_s / incr_stats.min_s : 0.0,
+                incr_stats.p50_s > 0 ? full_stats.p50_s / incr_stats.p50_s : 0.0};
             w.begin_object();
             w.field("batch", static_cast<std::uint64_t>(batch));
             w.field("incremental", incr_stats);
             w.field("full_recompute", full_stats);
-            w.field("speedup", speedup);
+            w.field("speedup", speedup.min);
+            w.field("speedup_p50", speedup.p50);
             w.end_object();
             return speedup;
         };
         w.begin_array("rungs");
-        double speedup1 = 0.0;
+        Speedups speedup1;
         for (const std::size_t batch : kBatchLadder) {
-            const double speedup = rung(batch, /*deleting=*/false);
+            const Speedups speedup = rung(batch, /*deleting=*/false);
             if (batch == 1) speedup1 = speedup;
         }
         w.end_array();
-        w.field("speedup_batch1", speedup1);
+        w.field("speedup_batch1", speedup1.min);
+        w.field("speedup_batch1_p50", speedup1.p50);
         // Delete rungs are recorded, not gated.
         w.begin_array("delete_rungs");
         for (const std::size_t batch : kDeleteLadder) (void)rung(batch, /*deleting=*/true);
         w.end_array();
-        log_sum += std::log(speedup1 > 0 ? speedup1 : 1.0);
+        log_sum += std::log(speedup1.min > 0 ? speedup1.min : 1.0);
+        log_sum_p50 += std::log(speedup1.p50 > 0 ? speedup1.p50 : 1.0);
         ++n_inputs;
         w.end_object();
     }
@@ -587,6 +735,8 @@ void write_incremental_trajectory() {
     const double geomean =
         n_inputs > 0 ? std::exp(log_sum / static_cast<double>(n_inputs)) : 0.0;
     w.field("geomean_speedup_batch1", geomean);
+    w.field("geomean_speedup_batch1_p50",
+            n_inputs > 0 ? std::exp(log_sum_p50 / static_cast<double>(n_inputs)) : 0.0);
     // Driver smoke: one insert and one delete batch through the
     // IncrementalClosure driver, plus one empty-operand multiply. The timed
     // ladder above exercises the raw update_closure path only; this pass

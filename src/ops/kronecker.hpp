@@ -5,11 +5,18 @@
 /// This is the primitive the tensor-based path-querying algorithm is built
 /// on: the product of a query automaton with a graph adjacency matrix. The
 /// algorithm sums one such product per symbol, M = OR_t A_t (x) B_t, so the
-/// kernel takes the whole sum and writes M in one pass: output row
+/// kernel takes the whole sum and writes each row of M once. Output row
 /// (i1, i2) is the concatenation, over the A-columns j1 of row i1 in
-/// ascending order, of the union of B_t's row i2 over the terms t with
-/// A_t(i1, j1) set, each shifted by j1*cB. Columns come out sorted without
-/// a per-row sort, whatever the shape of the A_t.
+/// ascending order (the blocks of i1), of one B factor's row i2 shifted by
+/// j1*cB: B_t for a block set in one term, else the union of the B_t of
+/// every term that sets it, built once per call per distinct set of
+/// factors. Columns come out sorted without a per-row sort or merge.
+///
+/// No count pass: row (i1, i2) starts at base[i1] + sum over the blocks of
+/// i1 of their B factor's row offset i2, where base is a prefix over A's
+/// rows of the blocks' nnz. So the exact nnz is known, and checked against
+/// the Index range, before the output is allocated. An A-row with one block
+/// is B's column array copied as one run plus the shift.
 #pragma once
 
 #include <span>

@@ -78,6 +78,15 @@ inline CsrMatrix random_csr(Index nrows, Index ncols, double density,
     return CsrMatrix::from_coords(nrows, ncols, std::move(coords));
 }
 
+/// \p src with every row that \p keep rejects emptied.
+inline CsrMatrix keep_rows(const CsrMatrix& src, bool (*keep)(Index)) {
+    std::vector<Coord> cells;
+    for (const auto& cell : src.to_coords()) {
+        if (keep(cell.row)) cells.push_back(cell);
+    }
+    return CsrMatrix::from_coords(src.nrows(), src.ncols(), std::move(cells));
+}
+
 /// Same distribution, wrapped in the storage-engine handle (bound to the
 /// shared parallel context so cached representations charge its tracker).
 inline Matrix random_matrix(Index nrows, Index ncols, double density,

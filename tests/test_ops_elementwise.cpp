@@ -13,6 +13,7 @@ namespace spbla {
 namespace {
 
 using testing::ctx;
+using testing::keep_rows;
 using testing::random_csr;
 using testing::seq_ctx;
 
@@ -225,15 +226,6 @@ void expect_both_contexts_match(const CsrMatrix& a, const CsrMatrix& b) {
         SCOPED_TRACE("sequential context");
         expect_all_ops_match(seq_ctx(), a, b);
     }
-}
-
-/// \p src with every row that \p keep rejects emptied.
-[[nodiscard]] CsrMatrix keep_rows(const CsrMatrix& src, bool (*keep)(Index)) {
-    std::vector<Coord> cells;
-    for (const auto& cell : src.to_coords()) {
-        if (keep(cell.row)) cells.push_back(cell);
-    }
-    return CsrMatrix::from_coords(src.nrows(), src.ncols(), std::move(cells));
 }
 
 using EwiseRunnerCut = ::spbla::testing::CheckedContext;

@@ -8,6 +8,7 @@
 #include "ops/kronecker.hpp"
 #include "ops/masked.hpp"
 #include "ops/spgemm.hpp"
+#include "ops/spgemm_plan.hpp"
 #include "ops/mxv.hpp"
 #include "ops/reduce.hpp"
 #include "ops/submatrix.hpp"
@@ -17,6 +18,7 @@ namespace spbla {
 namespace {
 
 using testing::ctx;
+using testing::keep_rows;
 using testing::random_csr;
 using testing::seq_ctx;
 
@@ -120,6 +122,188 @@ TEST_F(Kronecker, SumOfNoTermsIsRejected) {
         FAIL() << "an empty Kronecker sum has no shape to return";
     } catch (const Error& e) {
         EXPECT_EQ(e.status(), Status::InvalidArgument);
+    }
+}
+
+// ------------------------- kronecker_sum row cuts -------------------------
+
+/// The terms A_t (x) B_t of as[t] and bs[t].
+[[nodiscard]] std::vector<ops::KroneckerTerm> kron_terms(const std::vector<CsrMatrix>& as,
+                                                         const std::vector<CsrMatrix>& bs) {
+    std::vector<ops::KroneckerTerm> terms;
+    for (std::size_t t = 0; t < as.size(); ++t) terms.push_back({&as[t], &bs[t]});
+    return terms;
+}
+
+/// kronecker_sum of the terms on \p c against the fold of
+/// ewise_add(kronecker(A_t, B_t)) and against the dense reference; the
+/// tracker must be back at its starting charge.
+void expect_sum_matches(backend::Context& c, const std::vector<CsrMatrix>& as,
+                        const std::vector<CsrMatrix>& bs) {
+    const std::size_t before = c.tracker().current_bytes();
+    const auto terms = kron_terms(as, bs);
+    const Index m = as[0].nrows() * bs[0].nrows();
+    const Index n = as[0].ncols() * bs[0].ncols();
+    CsrMatrix fold{m, n};
+    DenseMatrix dense{m, n};
+    for (std::size_t t = 0; t < as.size(); ++t) {
+        fold = ops::ewise_add(c, fold, ops::kronecker(c, as[t], bs[t]));
+        dense = dense.ewise_or(to_dense(as[t]).kronecker(to_dense(bs[t])));
+    }
+    const CsrMatrix got = ops::kronecker_sum(c, terms);
+    got.validate();
+    EXPECT_EQ(got, fold);
+    EXPECT_EQ(got, to_csr(dense));
+    EXPECT_EQ(c.tracker().current_bytes(), before) << c.tracker().leak_report();
+}
+
+void expect_sum_matches_on_both(const std::vector<CsrMatrix>& as,
+                                const std::vector<CsrMatrix>& bs) {
+    {
+        SCOPED_TRACE("parallel context");
+        expect_sum_matches(ctx(), as, bs);
+    }
+    {
+        SCOPED_TRACE("sequential context");
+        expect_sum_matches(seq_ctx(), as, bs);
+    }
+}
+
+using KroneckerCut = ::spbla::testing::CheckedContext;
+
+TEST_F(KroneckerCut, RowsWithZeroOneAndSeveralBlocks) {
+    // A-row 0 has no block, row 1 one block, row 2 three blocks from two
+    // terms, row 3 one block of the second term, row 4 none.
+    const std::vector<CsrMatrix> as = {
+        CsrMatrix::from_coords(5, 4, {{1, 2}, {2, 0}, {2, 3}}),
+        CsrMatrix::from_coords(5, 4, {{2, 1}, {3, 3}}),
+    };
+    const std::vector<CsrMatrix> bs = {random_csr(40, 30, 0.1, 80), random_csr(40, 30, 0.1, 81)};
+    expect_sum_matches_on_both(as, bs);
+}
+
+TEST_F(KroneckerCut, BlocksSharedByTwoAndThreeTerms) {
+    // Block (0, 1) is set in terms 0 and 1, block (1, 2) in all three, and
+    // block (2, 0) in term 2 alone.
+    const std::vector<CsrMatrix> as = {
+        CsrMatrix::from_coords(3, 3, {{0, 1}, {1, 2}}),
+        CsrMatrix::from_coords(3, 3, {{0, 1}, {1, 2}}),
+        CsrMatrix::from_coords(3, 3, {{1, 2}, {2, 0}}),
+    };
+    {
+        SCOPED_TRACE("overlapping B rows");
+        const auto b0 = random_csr(60, 50, 0.1, 82);
+        const std::vector<CsrMatrix> bs = {
+            b0, ops::ewise_add(ctx(), b0, random_csr(60, 50, 0.05, 83)),
+            random_csr(60, 50, 0.1, 84)};
+        expect_sum_matches_on_both(as, bs);
+    }
+    {
+        SCOPED_TRACE("disjoint B rows");
+        const std::vector<CsrMatrix> bs = {
+            keep_rows(random_csr(60, 50, 0.1, 85), [](Index r) { return r % 3 == 0; }),
+            keep_rows(random_csr(60, 50, 0.1, 86), [](Index r) { return r % 3 == 1; }),
+            keep_rows(random_csr(60, 50, 0.1, 87), [](Index r) { return r % 3 == 2; })};
+        expect_sum_matches_on_both(as, bs);
+    }
+}
+
+TEST_F(KroneckerCut, TwoBlocksWithTheSameTermSet) {
+    // Blocks (0, 1), (0, 3) and (2, 3) all read the union of B_0 and B_1.
+    const auto a = CsrMatrix::from_coords(3, 4, {{0, 1}, {0, 3}, {2, 3}});
+    const std::vector<CsrMatrix> as = {a, a};
+    const std::vector<CsrMatrix> bs = {random_csr(70, 40, 0.08, 88), random_csr(70, 40, 0.08, 89)};
+    expect_sum_matches_on_both(as, bs);
+    // Equal B factors in two objects, and one B object in both terms.
+    expect_sum_matches_on_both(as, {bs[0], bs[0]});
+    const std::vector<ops::KroneckerTerm> one_b = {{&as[0], &bs[0]}, {&as[1], &bs[0]}};
+    EXPECT_EQ(ops::kronecker_sum(ctx(), one_b), ops::kronecker(ctx(), a, bs[0]));
+    EXPECT_EQ(ops::kronecker_sum(seq_ctx(), one_b), ops::kronecker(seq_ctx(), a, bs[0]));
+}
+
+TEST_F(KroneckerCut, EmptyFactors) {
+    const auto a = random_csr(4, 5, 0.4, 90);
+    const auto b = random_csr(30, 20, 0.1, 91);
+    {
+        SCOPED_TRACE("an empty B factor");
+        expect_sum_matches_on_both({a, a}, {b, CsrMatrix{30, 20}});
+    }
+    {
+        SCOPED_TRACE("an empty A factor");
+        expect_sum_matches_on_both({CsrMatrix{4, 5}, a}, {b, random_csr(30, 20, 0.1, 92)});
+    }
+    {
+        SCOPED_TRACE("every factor empty");
+        expect_sum_matches_on_both({CsrMatrix{4, 5}}, {CsrMatrix{30, 20}});
+        EXPECT_EQ(ops::kronecker_sum(ctx(), kron_terms({a}, {CsrMatrix{30, 20}})),
+                  (CsrMatrix{120, 100}));
+    }
+}
+
+TEST_F(KroneckerCut, NonSquareFactorsAndOneRowB) {
+    const std::vector<CsrMatrix> as = {random_csr(3, 7, 0.4, 93), random_csr(3, 7, 0.4, 94)};
+    expect_sum_matches_on_both(as, {random_csr(25, 9, 0.2, 95), random_csr(25, 9, 0.2, 96)});
+    expect_sum_matches_on_both(as, {random_csr(1, 50, 0.3, 97), random_csr(1, 50, 0.3, 98)});
+    expect_sum_matches_on_both(as, {CsrMatrix::identity(1), CsrMatrix::identity(1)});
+}
+
+TEST(KroneckerCutSplit, ChunkCutsFallInsideAnARow) {
+    // A 4-worker context of its own, so the op splits whatever the host's
+    // core count.
+    backend::Context par{backend::Policy::Parallel, 4};
+    const Index b_rows = 301;
+    const std::vector<CsrMatrix> as = {random_csr(8, 8, 0.3, 99), random_csr(8, 8, 0.3, 100),
+                                       random_csr(8, 8, 0.3, 101)};
+    const std::vector<CsrMatrix> bs = {random_csr(b_rows, 200, 0.05, 102),
+                                       random_csr(b_rows, 200, 0.05, 103),
+                                       random_csr(b_rows, 200, 0.05, 104)};
+    const CsrMatrix got = ops::kronecker_sum(par, kron_terms(as, bs));
+    // The kernel cuts its m rows into lean_chunk_count equal chunks.
+    const Index m = 8 * b_rows;
+    const std::size_t n_chunks = ops::lean_chunk_count(4, m, 0, got.nnz());
+    ASSERT_GE(n_chunks, 2u);
+    const std::size_t grain = (m + n_chunks - 1) / n_chunks;
+    bool inside = false;
+    for (std::size_t cut = grain; cut < m; cut += grain) inside = inside || cut % b_rows != 0;
+    EXPECT_TRUE(inside) << "no chunk cut falls inside an A-row";
+    expect_sum_matches(par, as, bs);
+    EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
+}
+
+TEST_F(KroneckerCut, NnzOverflowIsRejectedBeforeTheOutputIsAllocated) {
+    // 256 terms on disjoint A-cells: each holds 4095 * 512^2 < 2^32 cells,
+    // and together 2^38, a TiB of column indices. An attempt to allocate the
+    // output would surface as std::bad_alloc, not as OutOfRange.
+    DenseMatrix full{512, 512};
+    for (Index r = 0; r < 512; ++r) {
+        for (Index c = 0; c < 512; ++c) full.set(r, c);
+    }
+    const CsrMatrix b = to_csr(full);
+    ASSERT_EQ(b.nnz(), 512u * 512u);
+    std::vector<CsrMatrix> as;
+    for (Index t = 0; t < 256; ++t) {
+        std::vector<Coord> cells;
+        for (Index j = t * 4096; j < t * 4096 + 4095; ++j) cells.push_back({j / 1024, j % 1024});
+        as.push_back(CsrMatrix::from_coords(1024, 1024, std::move(cells)));
+    }
+    const std::vector<CsrMatrix> bs(as.size(), b);
+    const auto terms = kron_terms(as, bs);
+    for (backend::Context* c : {&ctx(), &seq_ctx()}) {
+        const std::size_t before = c->tracker().current_bytes();
+        try {
+            (void)ops::kronecker_sum(*c, terms);
+            FAIL() << "a Kronecker sum past 2^32 cells must be rejected";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.status(), Status::OutOfRange);
+        }
+        EXPECT_EQ(c->tracker().current_bytes(), before);
+    }
+    // One term alone past 2^32 cells: 2^18 * 2^18.
+    try {
+        (void)ops::kronecker(ctx(), b, b);
+        FAIL() << "a Kronecker product past 2^32 cells must be rejected";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.status(), Status::OutOfRange);
     }
 }
 
