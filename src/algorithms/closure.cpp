@@ -98,15 +98,18 @@ Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
     if (strategy == ClosureStrategy::Delta) {
         m = closure_delta(ctx, adj, opts, rounds);
     } else {
+        // Squaring keeps adj <= m <= adj+, so adj * m within m means m is
+        // adj+ (adj^(i+1) <= adj * m <= m by induction): a round that grew m
+        // is followed by that test, not by a round that adds nothing.
+        const bool squaring = strategy == ClosureStrategy::Squaring;
         m = adj;
         for (;;) {
             const std::size_t before = m.nnz();
             SPBLA_PROF_SPAN_ITER("closure.round", rounds + 1);
-            m = strategy == ClosureStrategy::Squaring
-                    ? storage::multiply_add(ctx, m, m, m, opts)
-                    : storage::multiply_add(ctx, m, m, adj, opts);
+            m = storage::multiply_add(ctx, m, m, squaring ? m : adj, opts);
             ++rounds;
             if (m.nnz() == before) break;
+            if (squaring && storage::product_within(ctx, adj, m, m)) break;
         }
     }
     if (stats != nullptr) {

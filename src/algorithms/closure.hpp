@@ -5,7 +5,10 @@
 /// SPbLA's fused multiply-add; the text explicitly identifies *incremental*
 /// transitive closure as the CFPQ bottleneck. Two strategies are provided
 /// (and ablated in bench_ablation):
-///  - Squaring:  M <- M | M*M     (O(log d) rounds for diameter d)
+///  - Squaring:  M <- M | M*M     (max(1, ceil(log2 d)) rounds for longest
+///    shortest path d: a round that grows M is followed by the containment
+///    test adj*M within M, which holds exactly when M is the closure, so
+///    no round that adds nothing runs unless M is closed to begin with)
 ///  - Linear:    M <- M | M*Base  (O(d) rounds, cheaper per round)
 ///
 /// extend_closure is that incremental step for insert-only updates: it

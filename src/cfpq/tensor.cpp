@@ -37,21 +37,18 @@ TensorIndex tensor_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
     std::vector<storage::KroneckerTerm> terms;
 
     // Folds the (start, final) blocks of `source` into the nonterminal
-    // matrices and returns the cells each one gained.
+    // matrices and returns the cells each one gained: one fold per
+    // nonterminal gives its new cells (the blocks minus its matrix), and
+    // one union commits them.
+    std::vector<Index> finals;
     const auto harvest = [&](const Matrix& source) {
         std::map<std::string, Matrix> gained;
         for (const auto& nt : rsm.nonterminals) {
-            const Index q0 = rsm.box_start.at(nt);
-            Matrix found{n, n, ctx};
-            for (const auto qf : rsm.box_final.at(nt)) {
-                const Matrix block = storage::submatrix(ctx, source, q0 * n, qf * n, n, n);
-                if (!block.empty()) {
-                    found = found.empty() ? block : storage::ewise_add(ctx, found, block);
-                }
-            }
-            if (found.empty()) continue;
+            finals.clear();
+            for (const auto qf : rsm.box_final.at(nt)) finals.push_back(qf * n);
             Matrix& gm = index.nt_matrix.at(nt);
-            Matrix d = storage::ewise_diff(ctx, found, gm);
+            Matrix d = storage::fold_blocks(ctx, source, rsm.box_start.at(nt) * n, finals, n,
+                                            false, &gm);
             if (d.empty()) continue;
             gm = storage::ewise_add(ctx, gm, d);
             gained.emplace(nt, std::move(d));

@@ -268,17 +268,10 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
 
 void IncrementalRpq::refresh_reachable() {
     // Mirrors rpq::build_index's answer extraction cell-for-cell.
-    Matrix reachable{n_, n_, *ctx_};
-    for (const auto f : query_.accepting_states()) {
-        const Matrix block =
-            storage::submatrix(*ctx_, closure_, query_.start * n_, f * n_, n_, n_);
-        reachable = storage::ewise_add(*ctx_, reachable, block);
-    }
-    if (query_.accepting[static_cast<std::size_t>(query_.start)]) {
-        reachable =
-            storage::ewise_add(*ctx_, reachable, Matrix::identity(n_, *ctx_));
-    }
-    reachable_ = std::move(reachable);
+    std::vector<Index> finals;
+    for (const auto f : query_.accepting_states()) finals.push_back(f * n_);
+    reachable_ = storage::fold_blocks(*ctx_, closure_, query_.start * n_, finals, n_,
+                                      query_.accepting[static_cast<std::size_t>(query_.start)]);
 }
 
 data::LabeledGraph IncrementalRpq::current_graph() const {

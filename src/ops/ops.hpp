@@ -7,6 +7,7 @@
 #include "ops/kronecker.hpp"   // IWYU pragma: export
 #include "ops/masked.hpp"      // IWYU pragma: export
 #include "ops/mxv.hpp"         // IWYU pragma: export
+#include "ops/product_within.hpp"  // IWYU pragma: export
 #include "ops/reduce.hpp"      // IWYU pragma: export
 #include "ops/spgemm.hpp"      // IWYU pragma: export
 #include "ops/submatrix.hpp"   // IWYU pragma: export

@@ -39,19 +39,14 @@ RpqIndex build_index(backend::Context& ctx, const data::LabeledGraph& graph,
     index.closure = algorithms::transitive_closure(ctx, product, strategy, &stats);
     index.closure_rounds = stats.rounds;
 
-    // Answer pairs: the (start, accepting-state) blocks of the closure.
-    Matrix reachable{n, n};
-    for (const auto f : query.accepting_states()) {
-        const Matrix block =
-            storage::submatrix(ctx, index.closure, query.start * n, f * n, n, n);
-        reachable = storage::ewise_add(ctx, reachable, block);
-    }
-    // A nullable query additionally matches every empty path (u, u).
-    if (query.accepting[query.start]) {
-        reachable = storage::ewise_add(ctx, reachable, Matrix::identity(n, ctx));
-    }
+    // Answer pairs: the (start, accepting-state) blocks of the closure,
+    // folded in one op; a nullable query also matches every empty path
+    // (u, u).
+    std::vector<Index> finals;
+    for (const auto f : query.accepting_states()) finals.push_back(f * n);
+    index.reachable = storage::fold_blocks(ctx, index.closure, query.start * n, finals, n,
+                                           query.accepting[query.start]);
     index.product = std::move(product);
-    index.reachable = std::move(reachable);
     SPBLA_CHECKED({
         core::validate(index.product.csr());
         core::validate(index.closure.csr());

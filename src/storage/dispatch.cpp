@@ -43,6 +43,8 @@ template <class T>
 [[nodiscard]] std::uint64_t nnz_of(const T& x) noexcept {
     if constexpr (std::is_same_v<T, Matrix> || std::is_same_v<T, SpVector>) {
         return x.nnz();
+    } else if constexpr (std::is_same_v<T, const Matrix*>) {
+        return x != nullptr ? x->nnz() : 0;
     } else if constexpr (std::is_same_v<T, KroneckerTerms>) {
         std::uint64_t total = 0;
         for (const auto& [a, b] : x) total += a->nnz() + b->nnz();
@@ -53,7 +55,8 @@ template <class T>
 }
 
 /// The one routing skeleton: span, empty-operand shortcut, kernel,
-/// telemetry close.
+/// telemetry close. A result that is neither a matrix nor a vector (the
+/// containment test's bool) books as a 1 x 1 result with no cells.
 template <const auto& Op, class... Ts>
 auto route(backend::Context& ctx, const Ts&... args) {
     SPBLA_PROF_SPAN(Op.span);
@@ -65,22 +68,22 @@ auto route(backend::Context& ctx, const Ts&... args) {
     // nothing — the invariant "sum of latency-histogram counts ==
     // spbla.dispatch.ops" is what check_trace --require-metrics verifies.
     const auto done = [&](const auto& out) {
+        using Out = std::remove_cvref_t<decltype(out)>;
         Index nrows = 1, ncols = 1;
-        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(out)>, Matrix>) {
+        if constexpr (std::is_same_v<Out, Matrix>) {
             nrows = out.nrows();
             ncols = out.ncols();
-        } else if (Op.row_vector) {
-            ncols = out.size();
-        } else {
-            nrows = out.size();
+        } else if constexpr (std::is_same_v<Out, SpVector>) {
+            (Op.row_vector ? ncols : nrows) = out.size();
         }
+        const std::uint64_t nnz_out = nnz_of(out);
         const auto ns = static_cast<std::uint64_t>(timer.seconds() * 1e9);
         telemetry::count(telemetry::Counter::DispatchOps);
         telemetry::count(telemetry::Counter::DispatchCsr);
         telemetry::observe(telemetry::Histogram::OpLatencyCsrNs, ns);
         telemetry::observe(telemetry::Histogram::OpNnzIn, nnz_in);
-        telemetry::observe(telemetry::Histogram::OpNnzOut, out.nnz());
-        telemetry::flight::record(Op.flight, "csr", nrows, ncols, nnz_in, out.nnz(), ns);
+        telemetry::observe(telemetry::Histogram::OpNnzOut, nnz_out);
+        telemetry::flight::record(Op.flight, "csr", nrows, ncols, nnz_in, nnz_out, ns);
     };
 
     if (Op.shortcut != nullptr) {
@@ -134,6 +137,25 @@ constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
     },
     .kernel = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto& opts) {
         return Matrix{ops::multiply_add(ctx, c.csr(), a.csr(), b.csr(), opts), ctx};
+    },
+};
+
+constexpr OpSpec<decltype(product_within)> kProductWithin{
+    .span = "storage.dispatch.product_within",
+    .flight = "product_within",
+    .shortcut = [](backend::Context&, const Matrix& a, const Matrix& b,
+                   const Matrix& c) -> std::optional<bool> {
+        // An empty product lies within any C of the right shape.
+        if (!a.empty() && !b.empty()) return std::nullopt;
+        SPBLA_REQUIRE(a.ncols() == b.nrows(), Status::DimensionMismatch,
+                      "product_within: inner dimensions disagree");
+        SPBLA_REQUIRE(c.nrows() == a.nrows() && c.ncols() == b.ncols(),
+                      Status::DimensionMismatch,
+                      "product_within: C's shape disagrees with the product's");
+        return true;
+    },
+    .kernel = [](auto& ctx, const auto& a, const auto& b, const auto& c) {
+        return ops::product_within(ctx, a.csr(), b.csr(), c.csr());
     },
 };
 
@@ -200,6 +222,17 @@ constexpr OpSpec<decltype(submatrix)> kSubmatrix{
     },
 };
 
+constexpr OpSpec<decltype(fold_blocks)> kFoldBlocks{
+    .span = "storage.dispatch.fold_blocks",
+    .flight = "fold_blocks",
+    .kernel = [](auto& ctx, const Matrix& src, Index row0, std::span<const Index> col0s,
+                 Index m, bool with_identity, const Matrix* minus) {
+        return Matrix{ops::fold_blocks(ctx, src.csr(), row0, col0s, m, m, with_identity,
+                                       minus != nullptr ? &minus->csr() : nullptr),
+                      ctx};
+    },
+};
+
 constexpr OpSpec<decltype(reduce_to_column)> kReduceToColumn{
     .span = "storage.dispatch.reduce_to_column",
     .flight = "reduce_to_col",
@@ -246,6 +279,10 @@ Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
     return route<kMultiplyAdd>(ctx, c, a, b, opts);
 }
 
+bool product_within(backend::Context& ctx, const Matrix& a, const Matrix& b, const Matrix& c) {
+    return route<kProductWithin>(ctx, a, b, c);
+}
+
 Matrix ewise_add(backend::Context& ctx, const Matrix& a, const Matrix& b) {
     return route<kEwiseAdd>(ctx, a, b);
 }
@@ -271,6 +308,12 @@ Matrix transpose(backend::Context& ctx, const Matrix& a) { return route<kTranspo
 Matrix submatrix(backend::Context& ctx, const Matrix& a, Index r0, Index c0, Index m,
                  Index n) {
     return route<kSubmatrix>(ctx, a, r0, c0, m, n);
+}
+
+Matrix fold_blocks(backend::Context& ctx, const Matrix& src, Index row0,
+                   std::span<const Index> col0s, Index m, bool with_identity,
+                   const Matrix* minus) {
+    return route<kFoldBlocks>(ctx, src, row0, col0s, m, with_identity, minus);
 }
 
 SpVector reduce_to_column(backend::Context& ctx, const Matrix& a) {

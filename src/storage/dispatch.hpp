@@ -31,6 +31,12 @@ namespace spbla::storage {
 [[nodiscard]] Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
                                   const Matrix& b, const ops::SpGemmOptions& opts = {});
 
+/// Whether every cell of A x B is set in C, tested without building the
+/// product: exits at the first missing cell. The squaring closure's stop
+/// test (adj x C within C).
+[[nodiscard]] bool product_within(backend::Context& ctx, const Matrix& a, const Matrix& b,
+                                  const Matrix& c);
+
 /// C = A | B.
 [[nodiscard]] Matrix ewise_add(backend::Context& ctx, const Matrix& a, const Matrix& b);
 
@@ -63,6 +69,16 @@ struct KroneckerTerm {
 /// C = A[r0 .. r0+m, c0 .. c0+n].
 [[nodiscard]] Matrix submatrix(backend::Context& ctx, const Matrix& a, Index r0, Index c0,
                                Index m, Index n);
+
+/// The m x m fold of row block [row0, row0 + m) over the column blocks at
+/// \p col0s: row i is the union of src(row0 + i, c0 .. c0 + m) shifted to 0
+/// over c0 in col0s, plus (i, i) when \p with_identity, minus the cells of
+/// \p minus (an m x m matrix, or null). One op, each row written once: RPQ
+/// reads a query's answers with it, and the tensor CFPQ harvest a
+/// nonterminal's new cells (minus = its current matrix).
+[[nodiscard]] Matrix fold_blocks(backend::Context& ctx, const Matrix& src, Index row0,
+                                 std::span<const Index> col0s, Index m, bool with_identity,
+                                 const Matrix* minus = nullptr);
 
 /// V[i] = OR_j A[i, j].
 [[nodiscard]] SpVector reduce_to_column(backend::Context& ctx, const Matrix& a);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -15,6 +16,7 @@ namespace spbla::algorithms {
 namespace {
 
 using testing::ctx;
+using testing::seq_ctx;
 using testing::random_matrix;
 
 /// Floyd-Warshall style reachability oracle.
@@ -100,8 +102,85 @@ TEST(Closure, SquaringNeedsLogRoundsOnLongPath) {
     ClosureStats sq, lin;
     (void)transitive_closure(ctx(), g.matrix("a"), ClosureStrategy::Squaring, &sq);
     (void)transitive_closure(ctx(), g.matrix("a"), ClosureStrategy::Linear, &lin);
-    EXPECT_LE(sq.rounds, 8u);    // ~log2(63) + stabilisation round
+    EXPECT_LE(sq.rounds, 6u);    // ceil(log2(63)): the closure test ends the last
     EXPECT_GE(lin.rounds, 62u);  // linear walks the whole diameter
+}
+
+// The Squaring closure ends on the containment test adj * C within C. Each
+// case runs on the parallel and sequential shared contexts and on a
+// 4-worker context of its own, whose chunks share the test's stop flag.
+class SquaringClosure : public ::testing::Test {
+protected:
+    /// The closure of \p adj on every context, checked against the
+    /// reference; returns the round count, which must agree across them.
+    static std::size_t closes(const Matrix& adj) {
+        static backend::Context par{backend::Policy::Parallel, 4};
+        const DenseMatrix want = closure_reference(adj);
+        std::optional<std::size_t> rounds;
+        for (backend::Context* cx : {&ctx(), &seq_ctx(), &par}) {
+            ClosureStats stats;
+            const Matrix got = transitive_closure(*cx, adj, ClosureStrategy::Squaring, &stats);
+            EXPECT_EQ(to_dense(got.csr()), want);
+            EXPECT_EQ(stats.result_nnz, got.nnz());
+            if (rounds) {
+                EXPECT_EQ(stats.rounds, *rounds);
+            }
+            rounds = stats.rounds;
+        }
+        EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
+        return *rounds;
+    }
+};
+
+TEST_F(SquaringClosure, AlreadyClosedTakesOneRound) {
+    // A transitive tournament: i -> j for every i < j.
+    std::vector<Coord> cells;
+    for (Index i = 0; i < 12; ++i) {
+        for (Index j = i + 1; j < 12; ++j) cells.push_back({i, j});
+    }
+    EXPECT_EQ(closes(Matrix::from_coords(12, 12, std::move(cells))), 1u);
+}
+
+TEST_F(SquaringClosure, DagWithShortcutsClosesAfterOneRound) {
+    // 0 -> 1 -> 2 -> 3 with the shortcut 0 -> 3: M^3 = {0 -> 3} lies in M,
+    // so M | M^2 is the closure, and the test ends the first round.
+    const Matrix m = Matrix::from_coords(4, 4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
+    EXPECT_EQ(closes(m), 1u);
+}
+
+TEST_F(SquaringClosure, Cycle) {
+    // Longest shortest path 6 (each vertex back to itself): 3 rounds.
+    EXPECT_EQ(closes(data::make_cycle(6).matrix("a")), 3u);
+}
+
+TEST_F(SquaringClosure, EmptyMatrix) { EXPECT_EQ(closes(Matrix{7, 7}), 1u); }
+
+TEST_F(SquaringClosure, PathTakesLogRounds) {
+    EXPECT_EQ(closes(data::make_path(64).matrix("a")), 6u);
+}
+
+TEST_F(SquaringClosure, OnlyTheLastRowIsOpen) {
+    // n-1 -> 0 -> 1 -> 2: after round 1, adj * C lacks only (n-1, 2).
+    const Index n = 9;
+    EXPECT_EQ(closes(Matrix::from_coords(n, n, {{n - 1, 0}, {0, 1}, {1, 2}})), 2u);
+}
+
+TEST_F(SquaringClosure, ManyComponentsSplitTheTest) {
+    // 400 disjoint 8-cycles: the test's walk is split into chunks.
+    std::vector<Coord> cells;
+    for (Index c = 0; c < 400; ++c) {
+        for (Index k = 0; k < 8; ++k) cells.push_back({8 * c + k, 8 * c + (k + 1) % 8});
+    }
+    EXPECT_EQ(closes(Matrix::from_coords(3200, 3200, std::move(cells))), 3u);
+}
+
+TEST_F(SquaringClosure, MatchesReferenceOnRandomGraphs) {
+    for (const auto seed : {20, 21, 22, 23, 24}) {
+        for (const double density : {0.02, 0.05, 0.1}) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed << ", density " << density);
+            (void)closes(random_matrix(40, 40, density, seed));
+        }
+    }
 }
 
 TEST(Closure, MatchesFloydWarshallOnRandomGraphs) {

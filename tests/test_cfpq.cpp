@@ -123,9 +123,12 @@ TEST(AllThreeAlgorithms, AgreeOnPaperQueriesOverGeneratedData) {
     for (const auto& c : cases) {
         const auto mtx = azimov_cfpq(ctx(), c.graph, c.grammar).reachable();
         const auto tns = tensor_cfpq(ctx(), c.graph, c.grammar).reachable(c.grammar);
+        const auto tns_seq =
+            tensor_cfpq(testing::seq_ctx(), c.graph, c.grammar).reachable(c.grammar);
         const auto ref = worklist_cfpq(c.graph, c.grammar);
         EXPECT_EQ(mtx, ref) << c.name << ": Mtx vs worklist";
         EXPECT_EQ(tns, ref) << c.name << ": Tns vs worklist";
+        EXPECT_EQ(tns_seq, ref) << c.name << ": sequential Tns vs worklist";
     }
 }
 

@@ -10,6 +10,7 @@
 #include "ops/spgemm.hpp"
 #include "ops/spgemm_plan.hpp"
 #include "ops/mxv.hpp"
+#include "ops/product_within.hpp"
 #include "ops/reduce.hpp"
 #include "ops/submatrix.hpp"
 #include "ops/transpose.hpp"
@@ -33,6 +34,8 @@ using Vxm = ::spbla::testing::CheckedContext;
 using MxvVxm = ::spbla::testing::CheckedContext;
 using MaskedMultiply = ::spbla::testing::CheckedContext;
 using Structural = ::spbla::testing::CheckedContext;
+using FoldBlocks = ::spbla::testing::CheckedContext;
+using ProductWithin = ::spbla::testing::CheckedContext;
 
 // ------------------------------- kronecker -------------------------------
 
@@ -379,6 +382,191 @@ INSTANTIATE_TEST_SUITE_P(Cases, SubmatrixSweep,
                                            std::tuple{5u, 9u, 20u, 13u},
                                            std::tuple{31u, 0u, 1u, 32u},
                                            std::tuple{0u, 31u, 32u, 1u}));
+
+// ------------------------------ fold_blocks ------------------------------
+
+/// The fold built from the ops it replaces: one submatrix per block, OR'd
+/// by ewise_add, the identity added and the minus taken away.
+CsrMatrix fold_by_ops(backend::Context& cx, const CsrMatrix& src, Index row0,
+                      const std::vector<Index>& col0s, Index n, bool with_identity,
+                      const CsrMatrix* minus) {
+    CsrMatrix out{n, n};
+    for (const Index c0 : col0s) {
+        out = ops::ewise_add(cx, out, ops::submatrix(cx, src, row0, c0, n, n));
+    }
+    if (with_identity) out = ops::ewise_add(cx, out, CsrMatrix::identity(n));
+    return minus != nullptr ? ops::ewise_diff(cx, out, *minus) : out;
+}
+
+/// The same fold cell by cell on dense matrices.
+CsrMatrix fold_dense(const CsrMatrix& src, Index row0, const std::vector<Index>& col0s,
+                     Index n, bool with_identity, const CsrMatrix* minus) {
+    const DenseMatrix d = to_dense(src);
+    DenseMatrix out{n, n};
+    for (Index i = 0; i < n; ++i) {
+        for (Index j = 0; j < n; ++j) {
+            bool set = with_identity && i == j;
+            for (const Index c0 : col0s) set = set || d.get(row0 + i, c0 + j);
+            if (set && (minus == nullptr || !minus->get(i, j))) out.set(i, j);
+        }
+    }
+    return to_csr(out);
+}
+
+/// Folds on \p cx against both references.
+void expect_fold(backend::Context& cx, const CsrMatrix& src, Index row0,
+                 const std::vector<Index>& col0s, Index n, bool with_identity,
+                 const CsrMatrix* minus) {
+    const CsrMatrix got = ops::fold_blocks(cx, src, row0, col0s, n, n, with_identity, minus);
+    got.validate();
+    EXPECT_EQ(got, fold_by_ops(cx, src, row0, col0s, n, with_identity, minus));
+    EXPECT_EQ(got, fold_dense(src, row0, col0s, n, with_identity, minus));
+}
+
+/// Every combination of identity and minus for one source and block list,
+/// on both shared contexts.
+void expect_fold_cases(const CsrMatrix& src, Index row0, const std::vector<Index>& col0s,
+                       Index n) {
+    const CsrMatrix minus = random_csr(n, n, 0.3, 60 + col0s.size());
+    for (backend::Context* cx : {&ctx(), &seq_ctx()}) {
+        for (const bool with_identity : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << col0s.size() << " blocks, identity "
+                                              << with_identity);
+            expect_fold(*cx, src, row0, col0s, n, with_identity, nullptr);
+            expect_fold(*cx, src, row0, col0s, n, with_identity, &minus);
+        }
+    }
+}
+
+TEST_F(FoldBlocks, ZeroOneAndSeveralBlocks) {
+    // A 4 x 4 block grid of a 40 x 40 matrix, folded from row block 1.
+    const auto src = random_csr(40, 40, 0.2, 61);
+    expect_fold_cases(src, 10, {}, 10);
+    expect_fold_cases(src, 10, {20}, 10);
+    expect_fold_cases(src, 10, {0, 30}, 10);
+    expect_fold_cases(src, 10, {30, 0, 10, 20}, 10);
+}
+
+TEST_F(FoldBlocks, DuplicateBlocksCountOnceAndOverlapsAreRejected) {
+    const auto src = random_csr(30, 30, 0.3, 62);
+    expect_fold_cases(src, 5, {8, 8}, 10);
+    try {
+        (void)ops::fold_blocks(ctx(), src, 5, std::vector<Index>{0, 3, 17}, 10, 10, false,
+                               nullptr);
+        ADD_FAILURE() << "overlapping blocks were accepted";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.status(), Status::InvalidArgument);
+    }
+}
+
+TEST_F(FoldBlocks, EmptySourceRows) {
+    // Every other row of the source is empty, and so is a whole row block.
+    const auto src =
+        keep_rows(random_csr(48, 48, 0.3, 63), [](Index r) { return r % 2 == 0 && r < 36; });
+    expect_fold_cases(src, 0, {0, 12, 24}, 12);
+    expect_fold_cases(src, 36, {12, 36}, 12);
+    expect_fold_cases(CsrMatrix{24, 24}, 12, {0, 12}, 12);
+}
+
+TEST_F(FoldBlocks, BlockBeyondSourceIsOutOfRange) {
+    const auto src = random_csr(20, 20, 0.2, 65);
+    const std::vector<Index> ok{0, 10};
+    const auto status_of = [&](auto&& call) {
+        try {
+            call();
+        } catch (const Error& e) {
+            return e.status();
+        }
+        return Status::Ok;
+    };
+    EXPECT_EQ(status_of([&] {
+                  (void)ops::fold_blocks(ctx(), src, 11, ok, 10, 10, false, nullptr);
+              }),
+              Status::OutOfRange);
+    EXPECT_EQ(status_of([&] {
+                  (void)ops::fold_blocks(ctx(), src, 0, std::vector<Index>{0, 11}, 10, 10,
+                                         false, nullptr);
+              }),
+              Status::OutOfRange);
+    const CsrMatrix wrong{10, 9};
+    EXPECT_EQ(status_of([&] {
+                  (void)ops::fold_blocks(ctx(), src, 0, ok, 10, 10, false, &wrong);
+              }),
+              Status::DimensionMismatch);
+    EXPECT_EQ(status_of([&] {
+                  (void)ops::fold_blocks(ctx(), src, 0, ok, 10, 9, true, nullptr);
+              }),
+              Status::DimensionMismatch);
+}
+
+TEST(FoldBlocksSplit, ChunkCutsUnderFourWorkers) {
+    // A 4-worker context of its own, so the op splits whatever the host's
+    // core count.
+    backend::Context par{backend::Policy::Parallel, 4};
+    const Index n = 3000;
+    const auto src = random_csr(2 * n, 3 * n, 0.004, 66);
+    const std::vector<Index> col0s{0, 2 * n};
+    const auto row_block = src.row_offsets()[2 * n] - src.row_offsets()[n];
+    ASSERT_GE(ops::lean_chunk_count(4, n, 0, row_block + n), 2u);
+    const auto minus = random_csr(n, n, 0.003, 67);
+    for (const bool with_identity : {false, true}) {
+        expect_fold(par, src, n, col0s, n, with_identity, nullptr);
+        expect_fold(par, src, n, col0s, n, with_identity, &minus);
+    }
+    EXPECT_EQ(ops::fold_blocks(par, src, n, col0s, n, n, true, &minus),
+              ops::fold_blocks(seq_ctx(), src, n, col0s, n, n, true, &minus));
+    EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
+}
+
+// ---------------------------- product_within ----------------------------
+
+TEST_F(ProductWithin, HoldsExactlyWhenTheProductIsContained) {
+    for (backend::Context* cx : {&ctx(), &seq_ctx()}) {
+        for (const std::uint64_t seed : {70u, 71u, 72u}) {
+            const auto a = random_csr(30, 20, 0.1, seed);
+            const auto b = random_csr(20, 25, 0.1, seed + 10);
+            const auto product = ops::multiply(*cx, a, b);
+            const auto extra = random_csr(30, 25, 0.1, seed + 20);
+            EXPECT_TRUE(ops::product_within(*cx, a, b, product));
+            EXPECT_TRUE(ops::product_within(*cx, a, b, ops::ewise_add(*cx, product, extra)));
+            if (product.nnz() == 0) continue;
+            // Any one product cell taken away, the first or the last
+            // included, is seen missing.
+            const auto cells = product.to_coords();
+            for (const auto& cell : {cells.front(), cells[cells.size() / 2], cells.back()}) {
+                const auto hole = CsrMatrix::from_coords(30, 25, {cell});
+                EXPECT_FALSE(ops::product_within(*cx, a, b, ops::ewise_diff(*cx, product, hole)));
+            }
+        }
+    }
+}
+
+TEST_F(ProductWithin, EmptyOperandsAndShapes) {
+    const auto a = random_csr(8, 6, 0.3, 73);
+    EXPECT_TRUE(ops::product_within(ctx(), a, CsrMatrix{6, 5}, CsrMatrix{8, 5}));
+    EXPECT_TRUE(ops::product_within(ctx(), CsrMatrix{8, 6}, random_csr(6, 5, 0.3, 74),
+                                    CsrMatrix{8, 5}));
+    EXPECT_THROW((void)ops::product_within(ctx(), a, CsrMatrix{5, 5}, CsrMatrix{8, 5}), Error);
+    EXPECT_THROW((void)ops::product_within(ctx(), a, CsrMatrix{6, 5}, CsrMatrix{8, 6}), Error);
+}
+
+TEST(ProductWithinSplit, ChunksShareTheStopFlag) {
+    backend::Context par{backend::Policy::Parallel, 4};
+    const Index n = 4000;
+    const auto a = random_csr(n, n, 0.001, 75);
+    const auto b = random_csr(n, n, 0.002, 76);
+    const auto product = ops::multiply(par, a, b);
+    ASSERT_GE(ops::lean_chunk_count(4, n, n, std::uint64_t{a.nnz()} * (b.nnz() / n + 1)), 2u);
+    EXPECT_TRUE(ops::product_within(par, a, b, product));
+    // A hole in the first row and one in the last: the chunk that meets
+    // it stops the others, whichever runs first.
+    const auto cells = product.to_coords();
+    for (const auto& cell : {cells.front(), cells.back()}) {
+        const auto hole = CsrMatrix::from_coords(n, n, {cell});
+        EXPECT_FALSE(ops::product_within(par, a, b, ops::ewise_diff(par, product, hole)));
+    }
+    EXPECT_EQ(par.tracker().current_bytes(), 0u) << par.tracker().leak_report();
+}
 
 // -------------------------------- reduce ---------------------------------
 

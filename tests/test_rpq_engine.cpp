@@ -162,6 +162,35 @@ TEST(RpqEngine, SingleSourceOutOfRangeThrows) {
     EXPECT_THROW((void)evaluate_from(ctx(), g, compile_query("a"), 4), Error);
 }
 
+/// The answers come from one fold of the closure's (start, final) blocks,
+/// the identity joining it for a nullable query: every Table II template on
+/// a small LUBM, instantiated with its most frequent labels, against the
+/// reference walk and against the blocks read one by one, on both
+/// contexts.
+TEST(RpqEngine, Table2OnSmallLubmMatchesReference) {
+    const auto g = data::make_lubm(2);
+    const auto labels = g.labels_by_frequency();
+    std::size_t nullable = 0;
+    for (const auto& tpl : table2_templates()) {
+        if (labels.size() < tpl.arity) continue;
+        const auto q = minimize(determinize(glushkov(*tpl.instantiate(labels))));
+        const Matrix want = evaluate_reference(g, q);
+        const Index n = g.num_vertices();
+        nullable += q.accepting[q.start] ? 1 : 0;
+        for (backend::Context* cx : {&ctx(), &testing::seq_ctx()}) {
+            const RpqIndex index = build_index(*cx, g, q);
+            EXPECT_EQ(index.reachable, want) << tpl.name;
+            Matrix blocks = q.accepting[q.start] ? Matrix::identity(n, *cx) : Matrix{n, n, *cx};
+            for (const auto f : q.accepting_states()) {
+                blocks = storage::ewise_add(
+                    *cx, blocks, storage::submatrix(*cx, index.closure, q.start * n, f * n, n, n));
+            }
+            EXPECT_EQ(index.reachable, blocks) << tpl.name;
+        }
+    }
+    EXPECT_GT(nullable, 0u);
+}
+
 /// Core property: the tensor-product engine agrees with the direct
 /// product-automaton BFS on random graphs for every Table II template.
 class EngineAgreement : public ::testing::TestWithParam<QueryTemplate> {};

@@ -65,6 +65,16 @@ TEST_F(DispatchResults, StructuralFamilyMatchesCsrKernels) {
               Matrix(ops::kronecker(ctx(), b.csr(), a.csr()), ctx()));
     EXPECT_EQ(storage::submatrix(ctx(), a, 3, 5, 13, 20),
               Matrix(ops::submatrix(ctx(), a.csr(), 3, 5, 13, 20), ctx()));
+    const Index blocks[] = {2, 20};
+    const auto minus = testing::random_matrix(10, 10, 0.2, 1010);
+    EXPECT_EQ(storage::fold_blocks(ctx(), a, 4, blocks, 10, true, &minus),
+              Matrix(ops::fold_blocks(ctx(), a.csr(), 4, blocks, 10, 10, true, &minus.csr()),
+                     ctx()));
+    const auto sq = testing::random_matrix(21, 21, 0.15, 1011);
+    const Matrix sq2 = storage::multiply(ctx(), sq, sq);
+    EXPECT_EQ(storage::product_within(ctx(), sq, sq, sq2),
+              ops::product_within(ctx(), sq.csr(), sq.csr(), sq2.csr()));
+    EXPECT_TRUE(storage::product_within(ctx(), sq, sq, sq2));
 }
 
 TEST_F(DispatchResults, ReductionAndVectorFamilyMatchesCsrKernels) {
@@ -337,6 +347,15 @@ TEST_F(DispatchRoutes, EveryOpBooksOneCsrPickOnEveryRung) {
          [](auto& cx, const auto& o) {
              (void)storage::submatrix(cx, o.a, 0, 0, o.a.nrows() / 2, o.a.ncols() / 2);
          }},
+        {"fold_blocks",
+         [](auto& cx, const auto& o) {
+             const Index half = o.a.nrows() / 2;
+             const Index blocks[] = {0, half};
+             const Matrix minus = Matrix::identity(half, cx);
+             (void)storage::fold_blocks(cx, o.a, half, blocks, half, true, &minus);
+         }},
+        {"product_within",
+         [](auto& cx, const auto& o) { (void)storage::product_within(cx, o.a, o.b, o.c); }},
         {"reduce_to_column",
          [](auto& cx, const auto& o) { (void)storage::reduce_to_column(cx, o.a); }},
         {"reduce_to_row", [](auto& cx, const auto& o) { (void)storage::reduce_to_row(cx, o.a); }},

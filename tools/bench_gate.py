@@ -15,7 +15,9 @@ Usage:
                                 [--tolerance 0.10] [--list]
 
 Exit status 0 when every gated key of every baseline file that has a fresh
-counterpart is within tolerance; 1 otherwise. A baseline file with no fresh
+counterpart is within tolerance; 1 otherwise. A fresh file whose "threads"
+(worker count) differs from its baseline's fails with "threads differ"
+before any key is compared. A baseline file with no fresh
 counterpart is skipped with a note (the smoke CI run does not refresh every
 ladder); a *gated key* missing from a fresh counterpart is a failure, since
 that means the bench silently stopped reporting it.
@@ -75,6 +77,13 @@ def check_file(baseline_path: Path, fresh_path: Path, tolerance: float) -> list[
     failures: list[str] = []
     baseline = load(baseline_path)
     fresh = load(fresh_path)
+    # The gated ratios move with the worker count (rungs gain unequally from
+    # more workers), so a run on another count is refused, not compared.
+    if "threads" in baseline and fresh.get("threads") != baseline["threads"]:
+        message = (f"{fresh_path.name}: threads differ: fresh {fresh.get('threads')}, "
+                   f"baseline {baseline['threads']}")
+        print(f"  FAIL: {message}")
+        return [message]
     for key, direction in GATED_KEYS[name].items():
         if key not in baseline:
             # Baseline predates the key; nothing to hold the fresh run to.
