@@ -11,11 +11,16 @@
 ///  - Mtx wins on the big flat graphs (taxonomy, MA over kernel graphs)
 ///    where Tns pays for the larger Kronecker product.
 /// Tns here closes the full product in its first round only and then
-/// extends the closure by each round's new product edges (cfpq/tensor.hpp),
-/// while Mtx re-multiplies its full matrices every round. That reproduces
-/// the go-hierarchy win, but it also puts Tns ahead on the MA rows, where
-/// the paper has Mtx ahead (EXPERIMENTS §E7).
+/// extends the closure by each round's new product edges (cfpq/tensor.hpp).
+/// Mtx multiplies full matrices, but only for the rules one of whose
+/// operands grew since the rule last ran (cfpq::azimov_fixpoint). Where the
+/// two orderings land against the paper is recorded in EXPERIMENTS §E7.
+///
+/// Every cell counts the answers of both algorithms; the counts are printed
+/// after the table, and the run exits non-zero if any cell's Mtx count
+/// differs from its Tns count.
 #include <cstdio>
+#include <string>
 
 #include "cfpq/azimov.hpp"
 #include "cfpq/queries.hpp"
@@ -28,28 +33,41 @@ namespace {
 using namespace spbla;
 
 struct Row {
-    const char* graph;
-    const char* query;
     double tns_s;
     double mtx_s;
-    std::size_t answers;
 };
+
+/// One "graph query count" line per cell, printed after the table.
+std::string answer_lines;
+/// Cells whose Mtx and Tns answer counts differ.
+int mismatches = 0;
 
 Row run_case(const char* graph_name, const data::LabeledGraph& graph,
              const char* query_name, const cfpq::Grammar& grammar) {
-    std::size_t answers = 0;
+    std::size_t tns_answers = 0;
+    std::size_t mtx_answers = 0;
     // Three timed runs (the paper uses five on a GPU box; these cells are
     // minutes-scale on one CPU core at five).
     const double tns = bench::time_runs(
         [&] {
-            answers = cfpq::tensor_cfpq(bench::ctx(), graph, grammar)
-                          .reachable(grammar)
-                          .nnz();
+            tns_answers = cfpq::tensor_cfpq(bench::ctx(), graph, grammar)
+                              .reachable(grammar)
+                              .nnz();
         },
         3);
     const double mtx = bench::time_runs(
-        [&] { (void)cfpq::azimov_cfpq(bench::ctx(), graph, grammar); }, 3);
-    return {graph_name, query_name, tns, mtx, answers};
+        [&] {
+            mtx_answers = cfpq::azimov_cfpq(bench::ctx(), graph, grammar).reachable().nnz();
+        },
+        3);
+    answer_lines += std::string{graph_name} + " " + query_name + " " +
+                    std::to_string(tns_answers) + "\n";
+    if (mtx_answers != tns_answers) {
+        std::fprintf(stderr, "%s %s: Mtx found %zu answers, Tns %zu\n", graph_name,
+                     query_name, mtx_answers, tns_answers);
+        ++mismatches;
+    }
+    return {tns, mtx};
 }
 
 }  // namespace
@@ -94,5 +112,10 @@ int main() {
                 "hierarchy, no CNF blow-up); Mtx ahead on taxonomy and on the "
                 "MA kernel graphs (Tns computes the all-paths index, Mtx only "
                 "single-path data).\n");
+    std::printf("\nAnswers per cell (Mtx = Tns):\n%s", answer_lines.c_str());
+    if (mismatches != 0) {
+        std::fprintf(stderr, "%d cells: Mtx and Tns answer counts differ\n", mismatches);
+        return 1;
+    }
     return 0;
 }

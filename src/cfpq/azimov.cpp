@@ -1,5 +1,8 @@
 #include "cfpq/azimov.hpp"
 
+#include <cstdint>
+#include <utility>
+
 #include "core/validate.hpp"
 #include "prof/prof.hpp"
 #include "util/contracts.hpp"
@@ -29,23 +32,36 @@ AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
             ctx, index.nt_matrix[index.cnf.start], Matrix::identity(n, ctx));
     }
 
-    // Fixpoint: T_A += T_B x T_C for every A -> B C.
-    for (bool changed = true; changed;) {
-        changed = false;
-        ++index.rounds;
-        // One span per round: the trace shows how much work each fixpoint
-        // iteration does and how quickly the rounds shrink to convergence.
-        SPBLA_PROF_SPAN_ITER("cfpq.azimov.round", index.rounds);
-        for (const auto& [a, b, c] : index.cnf.binary_rules) {
-            const std::size_t before = index.nt_matrix[a].nnz();
-            index.nt_matrix[a] =
-                storage::multiply_add(ctx, index.nt_matrix[a], index.nt_matrix[b],
-                                      index.nt_matrix[c], opts);
-            if (index.nt_matrix[a].nnz() != before) changed = true;
-        }
-    }
+    index.rounds = azimov_fixpoint(ctx, index.cnf, index.nt_matrix, opts);
     SPBLA_CHECKED(for (const auto& m : index.nt_matrix) core::validate(m.csr()));
     return index;
+}
+
+std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
+                            std::vector<Matrix>& nt, const ops::SpGemmOptions& opts) {
+    const auto& rules = cnf.binary_rules;
+    // Versions of T_B and T_C at each rule's last multiply. No live handle
+    // has version 0, so every rule runs in round 1.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seen(rules.size());
+    std::size_t rounds = 0;
+    for (bool changed = true; changed;) {
+        changed = false;
+        ++rounds;
+        // One span per round: the trace shows how much work each fixpoint
+        // iteration does and how quickly the rounds shrink to convergence.
+        SPBLA_PROF_SPAN_ITER("cfpq.azimov.round", rounds);
+        for (std::size_t r = 0; r < rules.size(); ++r) {
+            const auto [a, b, c] = rules[r];
+            const std::pair operands{nt[b].version(), nt[c].version()};
+            if (seen[r] == operands) continue;
+            seen[r] = operands;
+            Matrix grown = storage::multiply_add(ctx, nt[a], nt[b], nt[c], opts);
+            if (grown.nnz() == nt[a].nnz()) continue;
+            nt[a] = std::move(grown);
+            changed = true;
+        }
+    }
+    return rounds;
 }
 
 }  // namespace spbla::cfpq

@@ -3,10 +3,14 @@
 ///
 /// The grammar is lowered to CNF; one Boolean matrix per nonterminal is
 /// iterated with the fused multiply-add T_A += T_B x T_C for every binary
-/// rule A -> B C until no matrix grows. The CNF lowering (and the grammar
-/// size increase it causes) is exactly the cost the tensor algorithm avoids.
+/// rule A -> B C until no matrix grows. A rule whose T_B and T_C are the
+/// ones it last multiplied is skipped (azimov_fixpoint), so the later
+/// rounds pay only for the rules one of whose operands grew. The CNF
+/// lowering (and the grammar size increase it causes) is exactly the cost
+/// the tensor algorithm avoids.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "backend/context.hpp"
@@ -31,5 +35,20 @@ struct AzimovIndex {
 [[nodiscard]] AzimovIndex azimov_cfpq(backend::Context& ctx,
                                       const data::LabeledGraph& graph, const Grammar& g,
                                       const ops::SpGemmOptions& opts = {});
+
+/// Azimov's fixpoint over \p nt, the nonterminal matrices (indexed by CNF
+/// nonterminal id) seeded from the terminal rules: each round runs
+/// T_A += T_B x T_C for the binary rules of \p cnf in rule order, and the
+/// rounds stop after one that grows no matrix. Returns the rounds run, that
+/// last one included.
+///
+/// A rule is skipped when T_B and T_C carry the content versions they had
+/// at its last multiply: T_A held their product then and has only grown
+/// since. A product that adds no cell is dropped, so T_A keeps its version
+/// and the rules reading it skip too. Every round ends on the same matrices
+/// as running every rule.
+[[nodiscard]] std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
+                                          std::vector<Matrix>& nt,
+                                          const ops::SpGemmOptions& opts = {});
 
 }  // namespace spbla::cfpq

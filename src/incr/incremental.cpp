@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "algorithms/closure.hpp"
+#include "cfpq/azimov.hpp"
 #include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
@@ -315,20 +316,7 @@ void IncrementalCfpq::rebuild() {
         auto& s = nt_[static_cast<std::size_t>(cnf_.start)];
         s = storage::ewise_add(*ctx_, s, Matrix::identity(n_, *ctx_));
     }
-    std::uint64_t rounds = 0;
-    for (bool changed = true; changed;) {
-        changed = false;
-        ++rounds;
-        SPBLA_PROF_SPAN_ITER("incr.cfpq.round", rounds);
-        for (const auto& [a, b, c] : cnf_.binary_rules) {
-            auto& t = nt_[static_cast<std::size_t>(a)];
-            const std::size_t before = t.nnz();
-            t = storage::multiply_add(*ctx_, t, nt_[static_cast<std::size_t>(b)],
-                                      nt_[static_cast<std::size_t>(c)], opts_);
-            if (t.nnz() != before) changed = true;
-        }
-    }
-    stats_.baseline_rounds = rounds;
+    stats_.baseline_rounds = cfpq::azimov_fixpoint(*ctx_, cnf_, nt_, opts_);
     ++stats_.rebuilds;
 }
 
@@ -403,6 +391,7 @@ void IncrementalCfpq::apply(const std::vector<data::LabeledEdge>& adds,
         da = storage::ewise_add(*ctx_, da, it->second);
     }
     for (std::size_t a = 0; a < k; ++a) {
+        if (d[a].empty()) continue;
         d[a] = storage::ewise_diff(*ctx_, d[a], nt_[a]);
         if (!d[a].empty()) nt_[a] = storage::ewise_add(*ctx_, nt_[a], d[a]);
     }
@@ -419,16 +408,21 @@ void IncrementalCfpq::apply(const std::vector<data::LabeledEdge>& adds,
         ++rounds;
         SPBLA_PROF_SPAN_ITER("incr.cfpq.round", rounds);
         std::vector<Matrix> nd(k, Matrix{n_, n_, *ctx_});
+        // nd[a] |= x·y, dispatching nothing when a factor is empty.
+        const auto gain = [&](std::size_t a, const Matrix& x, const Matrix& y) {
+            if (x.empty() || y.empty()) return;
+            Matrix p = storage::multiply(*ctx_, x, y, opts_);
+            nd[a] = nd[a].empty() ? std::move(p) : storage::ewise_add(*ctx_, nd[a], p);
+        };
         for (const auto& [a, b, c] : cnf_.binary_rules) {
             const auto ai = static_cast<std::size_t>(a);
             const auto bi = static_cast<std::size_t>(b);
             const auto ci = static_cast<std::size_t>(c);
-            Matrix contrib = storage::ewise_add(
-                *ctx_, storage::multiply(*ctx_, d[bi], nt_[ci], opts_),
-                storage::multiply(*ctx_, nt_[bi], d[ci], opts_));
-            nd[ai] = storage::ewise_add(*ctx_, nd[ai], contrib);
+            gain(ai, d[bi], nt_[ci]);
+            gain(ai, nt_[bi], d[ci]);
         }
         for (std::size_t a = 0; a < k; ++a) {
+            if (nd[a].empty()) continue;
             nd[a] = storage::ewise_diff(*ctx_, nd[a], nt_[a]);
             if (!nd[a].empty()) nt_[a] = storage::ewise_add(*ctx_, nt_[a], nd[a]);
         }

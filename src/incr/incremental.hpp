@@ -156,7 +156,7 @@ public:
     [[nodiscard]] data::LabeledGraph current_graph() const;
 
 private:
-    void rebuild();  ///< scratch fixpoint over labels_ (mirrors azimov_cfpq)
+    void rebuild();  ///< scratch fixpoint over labels_ (cfpq::azimov_fixpoint)
 
     backend::Context* ctx_;
     cfpq::CnfGrammar cnf_;

@@ -20,6 +20,7 @@
 
 #include "algorithms/closure.hpp"
 #include "cfpq/azimov.hpp"
+#include "cfpq/cnf.hpp"
 #include "cfpq/grammar.hpp"
 #include "data/labeled_graph.hpp"
 #include "data/lubm.hpp"
@@ -28,6 +29,7 @@
 #include "rpq/dfa.hpp"
 #include "rpq/engine.hpp"
 #include "storage/dispatch.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -507,6 +509,41 @@ TEST_F(IncrementalNet, CfpqRebuildCounterTracksDeleteBatches) {
     const auto graph = data::LabeledGraph::from_edges(
         5, {{1, "a", 2}, {2, "b", 3}, {3, "b", 4}, {0, "a", 2}});
     EXPECT_EQ(inc.reachable(), cfpq::azimov_cfpq(ctx(), graph, grammar).reachable());
+}
+
+TEST_F(IncrementalNet, CfpqInsertDispatchesOnlyProductsWithADelta) {
+    // A new a-edge gives T_a, the nonterminal of the terminal a, the only
+    // delta. T_a is only ever a rule's left operand, and every right operand
+    // is non-empty here, so each rule reading T_a dispatches its one product
+    // with the delta and every other rule runs no op. The products add no
+    // cell, so the batch ends after that round.
+    const auto grammar = cfpq::Grammar::parse("S -> a S b | a b\n");
+    const auto cnf = cfpq::to_cnf(grammar);
+    Index t_a = 0;
+    for (const auto& [nt, label] : cnf.terminal_rules) t_a = label == "a" ? nt : t_a;
+    std::size_t reads_a = 0;
+    for (const auto& [a, b, c] : cnf.binary_rules) {
+        ASSERT_NE(c, t_a);
+        reads_a += b == t_a ? 1 : 0;
+    }
+    ASSERT_LT(reads_a, cnf.binary_rules.size());
+    const auto g = data::LabeledGraph::from_edges(
+        6, {{0, "a", 1}, {1, "a", 2}, {2, "b", 3}, {3, "b", 4}});
+    IncrementalCfpq inc{ctx(), g, grammar};
+
+    const auto first = telemetry::flight::total_recorded();
+    inc.apply({{4, "a", 5}}, {});
+    const auto recorded = telemetry::flight::total_recorded() - first;
+    ASSERT_LE(recorded, telemetry::flight::kCapacity);
+    const auto records = telemetry::flight::snapshot_records();
+    std::size_t multiplies = 0;
+    for (std::size_t r = records.size() - recorded; r < records.size(); ++r) {
+        multiplies += std::string{records[r].op} == "multiply" ? 1 : 0;
+    }
+    EXPECT_EQ(multiplies, reads_a);
+    const auto after = data::LabeledGraph::from_edges(
+        6, {{0, "a", 1}, {1, "a", 2}, {2, "b", 3}, {3, "b", 4}, {4, "a", 5}});
+    EXPECT_EQ(inc.reachable(), cfpq::azimov_cfpq(ctx(), after, grammar).reachable());
 }
 
 // ---- batch accounting -----------------------------------------------------
