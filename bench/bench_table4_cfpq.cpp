@@ -12,15 +12,21 @@
 ///    where Tns pays for the larger Kronecker product.
 /// Tns here closes the full product in its first round only and then
 /// extends the closure by each round's new product edges (cfpq/tensor.hpp).
-/// Mtx multiplies full matrices, but only for the rules one of whose
+/// Mtx multiplies full matrices over the CNF rules the start symbol reaches
+/// (cfpq::to_cnf drops the rest), and only for the rules one of whose
 /// operands grew since the rule last ran (cfpq::azimov_fixpoint). Where the
 /// two orderings land against the paper is recorded in EXPERIMENTS §E7.
 ///
 /// Every cell counts the answers of both algorithms; the counts are printed
 /// after the table, and the run exits non-zero if any cell's Mtx count
-/// differs from its Tns count.
+/// differs from its Tns count. Each cell's Tns and Mtx times, their ratio
+/// and its answer count are written to BENCH_table4.json (path overridable
+/// via SPBLA_BENCH_TABLE4_JSON); tools/bench_gate.py holds the answer
+/// counts to bench/baselines/BENCH_table4.json exactly.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "cfpq/azimov.hpp"
 #include "cfpq/queries.hpp"
@@ -37,8 +43,15 @@ struct Row {
     double mtx_s;
 };
 
-/// One "graph query count" line per cell, printed after the table.
-std::string answer_lines;
+struct Cell {
+    std::string graph;
+    std::string query;
+    Row time;
+    std::size_t answers;
+};
+
+/// Every cell run, in table order.
+std::vector<Cell> cells;
 /// Cells whose Mtx and Tns answer counts differ.
 int mismatches = 0;
 
@@ -60,14 +73,50 @@ Row run_case(const char* graph_name, const data::LabeledGraph& graph,
             mtx_answers = cfpq::azimov_cfpq(bench::ctx(), graph, grammar).reachable().nnz();
         },
         3);
-    answer_lines += std::string{graph_name} + " " + query_name + " " +
-                    std::to_string(tns_answers) + "\n";
+    cells.push_back({graph_name, query_name, {tns, mtx}, tns_answers});
     if (mtx_answers != tns_answers) {
         std::fprintf(stderr, "%s %s: Mtx found %zu answers, Tns %zu\n", graph_name,
                      query_name, mtx_answers, tns_answers);
         ++mismatches;
     }
     return {tns, mtx};
+}
+
+void write_json() {
+    const char* path = std::getenv("SPBLA_BENCH_TABLE4_JSON");
+    if (path == nullptr) path = "BENCH_table4.json";
+    std::FILE* f = std::fopen(path, "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "bench_table4_cfpq: cannot open %s for writing\n", path);
+        return;
+    }
+    bench::JsonWriter w(f);
+    w.begin_object();
+    w.field("bench", "table4_cfpq");
+    w.field("policy", "parallel");
+    w.field("threads",
+            static_cast<std::uint64_t>(bench::ctx().pool() ? bench::ctx().pool()->size() : 1));
+    w.field("runs", 3);
+    w.begin_array("cells");
+    for (const auto& c : cells) {
+        w.begin_object();
+        w.field("graph", c.graph);
+        w.field("query", c.query);
+        w.field("tns_ms", c.time.tns_s * 1e3);
+        w.field("mtx_ms", c.time.mtx_s * 1e3);
+        w.field("tns_over_mtx", c.time.tns_s / c.time.mtx_s);
+        w.end_object();
+    }
+    w.end_array();
+    // Answer counts keyed "graph query" (Mtx = Tns), the gated key.
+    w.begin_object("answers");
+    for (const auto& c : cells) {
+        w.field((c.graph + " " + c.query).c_str(), static_cast<std::uint64_t>(c.answers));
+    }
+    w.end_object();
+    w.end_object();
+    std::fclose(f);
+    std::printf("\nTable IV cells written to %s\n", path);
 }
 
 }  // namespace
@@ -112,7 +161,11 @@ int main() {
                 "hierarchy, no CNF blow-up); Mtx ahead on taxonomy and on the "
                 "MA kernel graphs (Tns computes the all-paths index, Mtx only "
                 "single-path data).\n");
-    std::printf("\nAnswers per cell (Mtx = Tns):\n%s", answer_lines.c_str());
+    std::printf("\nAnswers per cell (Mtx = Tns):\n");
+    for (const auto& c : cells) {
+        std::printf("%s %s %zu\n", c.graph.c_str(), c.query.c_str(), c.answers);
+    }
+    write_json();
     if (mismatches != 0) {
         std::fprintf(stderr, "%d cells: Mtx and Tns answer counts differ\n", mismatches);
         return 1;

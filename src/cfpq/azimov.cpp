@@ -1,6 +1,7 @@
 #include "cfpq/azimov.hpp"
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "core/validate.hpp"
@@ -17,24 +18,29 @@ AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
     AzimovIndex index;
     index.cnf = to_cnf(g);
     const Index n = graph.num_vertices();
-    const Index k = index.cnf.num_nonterminals();
 
-    index.nt_matrix.assign(k, Matrix{n, n});
-
-    // Initialisation: terminal rules pull in the graph's label matrices.
-    for (const auto& [a, label] : index.cnf.terminal_rules) {
-        if (!graph.has_label(label)) continue;
-        index.nt_matrix[a] =
-            storage::ewise_add(ctx, index.nt_matrix[a], graph.matrix(label));
-    }
-    if (index.cnf.start_nullable) {
-        index.nt_matrix[index.cnf.start] = storage::ewise_add(
-            ctx, index.nt_matrix[index.cnf.start], Matrix::identity(n, ctx));
-    }
-
+    index.nt_matrix = seed_nonterminals(ctx, index.cnf, n, [&](const std::string& label) {
+        return graph.has_label(label) ? &graph.matrix(label) : nullptr;
+    });
     index.rounds = azimov_fixpoint(ctx, index.cnf, index.nt_matrix, opts);
     SPBLA_CHECKED(for (const auto& m : index.nt_matrix) core::validate(m.csr()));
     return index;
+}
+
+std::vector<Matrix> seed_nonterminals(
+    backend::Context& ctx, const CnfGrammar& cnf, Index n,
+    const std::function<const Matrix*(const std::string&)>& label_matrix) {
+    std::vector<Matrix> nt(cnf.num_nonterminals(), Matrix{n, n, ctx});
+    // T_A |= m, copying m when T_A is still empty: most nonterminals read
+    // one label, and an add into an empty matrix is a dispatched copy.
+    const auto add = [&](Matrix& t, const Matrix& m) {
+        t = t.empty() ? Matrix{m.csr(), ctx} : storage::ewise_add(ctx, t, m);
+    };
+    for (const auto& [a, label] : cnf.terminal_rules) {
+        if (const Matrix* m = label_matrix(label)) add(nt[a], *m);
+    }
+    if (cnf.start_nullable) add(nt[cnf.start], Matrix::identity(n, ctx));
+    return nt;
 }
 
 std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
@@ -55,6 +61,8 @@ std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
             const std::pair operands{nt[b].version(), nt[c].version()};
             if (seen[r] == operands) continue;
             seen[r] = operands;
+            // An empty operand makes an empty product: nothing to dispatch.
+            if (nt[b].empty() || nt[c].empty()) continue;
             Matrix grown = storage::multiply_add(ctx, nt[a], nt[b], nt[c], opts);
             if (grown.nnz() == nt[a].nnz()) continue;
             nt[a] = std::move(grown);

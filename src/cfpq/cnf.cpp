@@ -186,6 +186,24 @@ CnfGrammar to_cnf(const Grammar& g) {
         }
     }
 
+    // Useless-symbol removal: unit elimination inlines the regex lowering's
+    // fresh nonterminals, so no rule reachable from the start reads most of
+    // them. Keep only the productions of nonterminals the start reaches
+    // through binary bodies; terminal lifting below then lifts only the
+    // terminals those productions read.
+    std::set<std::string> live{g.start_symbol()};
+    for (std::vector<std::string> work{g.start_symbol()}; !work.empty();) {
+        const std::string lhs = std::move(work.back());
+        work.pop_back();
+        for (auto it = final_prods.lower_bound({lhs, {}});
+             it != final_prods.end() && it->first == lhs; ++it) {
+            for (const auto& s : it->second) {
+                if (nts.contains(s) && live.insert(s).second) work.push_back(s);
+            }
+        }
+    }
+    std::erase_if(final_prods, [&](const auto& p) { return !live.contains(p.first); });
+
     // Terminal lifting and id assignment.
     CnfGrammar cnf;
     std::map<std::string, Index> id_of;

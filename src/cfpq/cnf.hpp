@@ -7,9 +7,11 @@
 /// this lowering entirely, and the benchmark harness reports the size blowup.
 ///
 /// Pipeline: regex RHS -> plain productions (fresh nonterminal per regex
-/// node) -> epsilon elimination -> unit elimination -> terminal lifting.
-/// The language is preserved except that derivability of the empty word is
-/// recorded in `start_nullable` (the usual CNF convention).
+/// node) -> epsilon elimination -> unit elimination -> useless-symbol
+/// removal (only the nonterminals the start symbol reaches through binary
+/// rules keep their productions) -> terminal lifting. The language is
+/// preserved except that derivability of the empty word is recorded in
+/// `start_nullable` (the usual CNF convention).
 #pragma once
 
 #include <string>

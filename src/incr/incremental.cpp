@@ -304,18 +304,10 @@ IncrementalCfpq::IncrementalCfpq(backend::Context& ctx,
 
 void IncrementalCfpq::rebuild() {
     SPBLA_PROF_SPAN("incr.cfpq");
-    const Index k = cnf_.num_nonterminals();
-    nt_.assign(static_cast<std::size_t>(k), Matrix{n_, n_, *ctx_});
-    for (const auto& [a, label] : cnf_.terminal_rules) {
-        auto it = labels_.find(label);
-        if (it == labels_.end()) continue;
-        auto& t = nt_[static_cast<std::size_t>(a)];
-        t = storage::ewise_add(*ctx_, t, it->second);
-    }
-    if (cnf_.start_nullable) {
-        auto& s = nt_[static_cast<std::size_t>(cnf_.start)];
-        s = storage::ewise_add(*ctx_, s, Matrix::identity(n_, *ctx_));
-    }
+    nt_ = cfpq::seed_nonterminals(*ctx_, cnf_, n_, [&](const std::string& label) {
+        const auto it = labels_.find(label);
+        return it == labels_.end() ? nullptr : &it->second;
+    });
     stats_.baseline_rounds = cfpq::azimov_fixpoint(*ctx_, cnf_, nt_, opts_);
     ++stats_.rebuilds;
 }

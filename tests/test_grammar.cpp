@@ -8,6 +8,8 @@
 #include "cfpq/grammar.hpp"
 #include "cfpq/queries.hpp"
 #include "cfpq/rsm.hpp"
+#include "cfpq/tensor.hpp"
+#include "data/labeled_graph.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -92,6 +94,79 @@ TEST(Cnf, GrowthIsReported) {
     // source rules; its CNF has strictly more productions.
     const auto cnf = to_cnf(query_ma());
     EXPECT_GT(cnf.binary_rules.size() + cnf.terminal_rules.size(), 2u);
+}
+
+TEST(Cnf, KeepsOnlyNonterminalsTheStartReaches) {
+    // Unit elimination inlines the regex lowering's fresh nonterminals; the
+    // ones no binary rule from the start reads any more are dropped with
+    // their rules, and the start keeps id 0.
+    const struct {
+        const char* name;
+        Grammar grammar;
+        std::size_t binary_rules;
+    } cases[] = {
+        {"G1", query_g1(), 6},
+        {"G2", query_g2(), 2},
+        {"Geo", query_geo(), 3},
+        {"MA", query_ma(), 22},
+        {"Dyck", Grammar::parse("S -> a S b | a b\n"), 3},
+    };
+    for (const auto& c : cases) {
+        const auto cnf = to_cnf(c.grammar);
+        EXPECT_EQ(cnf.binary_rules.size(), c.binary_rules) << c.name;
+        EXPECT_EQ(cnf.start, 0u) << c.name;
+        EXPECT_EQ(cnf.nt_names[cnf.start], c.grammar.start_symbol()) << c.name;
+        std::vector<bool> reached(cnf.num_nonterminals(), false);
+        reached[cnf.start] = true;
+        for (bool grew = true; grew;) {
+            grew = false;
+            for (const auto& [a, b, cc] : cnf.binary_rules) {
+                if (!reached[a]) continue;
+                for (const Index x : {b, cc}) {
+                    if (!reached[x]) reached[x] = grew = true;
+                }
+            }
+        }
+        for (Index a = 0; a < cnf.num_nonterminals(); ++a) {
+            EXPECT_TRUE(reached[a]) << c.name << ": " << cnf.nt_names[a] << " unreachable";
+        }
+    }
+}
+
+TEST(Cnf, CykOnPaperQueriesMatchesTensorOnEveryShortWord) {
+    // Every word of length <= 6 over each paper grammar's terminals, CYK on
+    // the pruned CNF against the tensor algorithm, which never reads the
+    // CNF. The words hang off one trie: vertex w is reached from the root by
+    // the path spelling w and by no other path, so Tns answers (root, w)
+    // exactly when it would on the path graph of w alone.
+    constexpr std::size_t kMaxLength = 6;
+    for (const auto& grammar : {query_g1(), query_g2(), query_geo(), query_ma()}) {
+        const auto terminals = grammar.terminals();
+        std::vector<std::vector<std::string>> words{{}};  // vertex id -> word
+        std::vector<data::LabeledEdge> edges;
+        for (std::size_t v = 0; v < words.size(); ++v) {
+            if (words[v].size() == kMaxLength) continue;
+            for (const auto& t : terminals) {
+                edges.push_back({static_cast<Index>(v), t, static_cast<Index>(words.size())});
+                auto w = words[v];
+                w.push_back(t);
+                words.push_back(std::move(w));
+            }
+        }
+        const auto trie = data::LabeledGraph::from_edges(static_cast<Index>(words.size()), edges);
+        const auto tns = tensor_cfpq(testing::ctx(), trie, grammar);
+        const Matrix& answers = tns.reachable(grammar);
+        const auto cnf = to_cnf(grammar);
+        std::size_t accepted = 0;
+        for (std::size_t v = 0; v < words.size(); ++v) {
+            const bool cyk = cyk_accepts(cnf, words[v]);
+            ASSERT_EQ(cyk, answers.get(0, static_cast<Index>(v)))
+                << grammar.start_symbol() << " word of length " << words[v].size()
+                << " at trie vertex " << v;
+            accepted += cyk ? 1 : 0;
+        }
+        EXPECT_GT(accepted, 0u);
+    }
 }
 
 TEST(Nullable, DetectsIndirectNullability) {

@@ -2,13 +2,14 @@
 """Perf-regression gate: compare fresh BENCH_*.json headline geomeans
 against the committed baselines in bench/baselines/.
 
-The gate deliberately compares only machine-independent ratio keys (parallel
-speedups, tier-vs-tier geomeans), never absolute milliseconds: a CI runner
-and a developer laptop disagree hugely on wall time but agree, to within the
-tolerance, on how many times faster the parallel SpGEMM is than the
+The gate deliberately compares only machine-independent keys (parallel
+speedups, tier-vs-tier geomeans, answer counts), never absolute milliseconds:
+a CI runner and a developer laptop disagree hugely on wall time but agree, to
+within the tolerance, on how many times faster the parallel SpGEMM is than the
 sequential one. Each gated key carries a direction — `higher` keys (speedups)
 must not drop below baseline * (1 - tolerance); `lower` keys (time ratios)
-must not rise above baseline * (1 + tolerance).
+must not rise above baseline * (1 + tolerance); `exact` keys (objects of
+answer counts) must equal the baseline entry for entry.
 
 Usage:
     python3 tools/bench_gate.py --fresh build-profile [--baseline bench/baselines]
@@ -17,7 +18,8 @@ Usage:
 Exit status 0 when every gated key of every baseline file that has a fresh
 counterpart is within tolerance; 1 otherwise. A fresh file whose "threads"
 (worker count) differs from its baseline's fails with "threads differ"
-before any key is compared. A baseline file with no fresh
+before any key is compared, unless all its gated keys are exact (counts do
+not move with the worker count). A baseline file with no fresh
 counterpart is skipped with a note (the smoke CI run does not refresh every
 ladder); a *gated key* missing from a fresh counterpart is a failure, since
 that means the bench silently stopped reporting it.
@@ -52,6 +54,12 @@ GATED_KEYS = {
         # a drop means the delta-sized step loop degraded toward rebuild.
         "geomean_speedup_batch1": "higher",
     },
+    "BENCH_table4.json": {
+        # Table IV (E7): each (graph, query) cell's answer count, on which
+        # Mtx and Tns already agree within the run. A changed count means a
+        # CFPQ change altered some answer.
+        "answers": "exact",
+    },
 }
 
 # The CI smoke run writes lowercase names (bench_spgemm.json); map both
@@ -79,7 +87,9 @@ def check_file(baseline_path: Path, fresh_path: Path, tolerance: float) -> list[
     fresh = load(fresh_path)
     # The gated ratios move with the worker count (rungs gain unequally from
     # more workers), so a run on another count is refused, not compared.
-    if "threads" in baseline and fresh.get("threads") != baseline["threads"]:
+    ratio_keys = any(d != "exact" for d in GATED_KEYS[name].values())
+    if (ratio_keys and "threads" in baseline
+            and fresh.get("threads") != baseline["threads"]):
         message = (f"{fresh_path.name}: threads differ: fresh {fresh.get('threads')}, "
                    f"baseline {baseline['threads']}")
         print(f"  FAIL: {message}")
@@ -91,6 +101,16 @@ def check_file(baseline_path: Path, fresh_path: Path, tolerance: float) -> list[
             continue
         if key not in fresh:
             failures.append(f"{fresh_path.name}: gated key '{key}' missing")
+            continue
+        if direction == "exact":
+            base, cur = baseline[key], fresh[key]
+            diff = sorted(k for k in base.keys() | cur.keys() if base.get(k) != cur.get(k))
+            if not diff:
+                print(f"  ok: {key} equals the baseline")
+                continue
+            detail = ", ".join(f"{k}: {cur.get(k)} (baseline {base.get(k)})" for k in diff)
+            print(f"  FAIL: {key} differs: {detail}")
+            failures.append(f"{fresh_path.name}: {key} differs: {detail}")
             continue
         base, cur = float(baseline[key]), float(fresh[key])
         if direction == "higher":
@@ -113,7 +133,7 @@ def check_file(baseline_path: Path, fresh_path: Path, tolerance: float) -> list[
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", required=True, type=Path,
+    parser.add_argument("--fresh", type=Path,
                         help="directory holding freshly produced BENCH JSONs")
     parser.add_argument("--baseline", type=Path,
                         default=Path(__file__).resolve().parent.parent
@@ -129,8 +149,12 @@ def main() -> int:
     if args.list:
         for fname, keys in GATED_KEYS.items():
             for key, direction in keys.items():
-                print(f"{fname}: {key} ({direction} is better)")
+                rule = ("must equal baseline" if direction == "exact"
+                        else f"{direction} is better")
+                print(f"{fname}: {key} ({rule})")
         return 0
+    if args.fresh is None:
+        parser.error("--fresh is required unless --list is given")
 
     if not args.baseline.is_dir():
         print(f"bench_gate: baseline directory {args.baseline} missing",
