@@ -6,9 +6,10 @@
 /// regression net, parameterised over the R-MAT scale, that backs the
 /// ablation discussion in DESIGN.md. The custom main() first writes
 /// BENCH_spgemm.json — machine-readable SpGEMM timings on skewed (R-MAT and
-/// Zipf) inputs for the scheduler/caching configurations, so the perf
-/// trajectory of the multiplication kernel is tracked across PRs — and then
-/// runs the google-benchmark suite as usual.
+/// Zipf) inputs, the library against a frozen copy of its first kernel
+/// (legacy_spgemm.hpp), so the perf trajectory of the multiplication kernel
+/// is tracked across PRs — and then runs the google-benchmark suite as
+/// usual.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "data/lubm.hpp"
 #include "data/rdflike.hpp"
 #include "incr/incremental.hpp"
+#include "legacy_spgemm.hpp"
 #include "ops/ops.hpp"
 #include "prof/prof.hpp"
 #include "rpq/dfa.hpp"
@@ -49,9 +51,10 @@ backend::Context& ctx() {
 
 /// Workers of the SpGEMM ladder's context: the count its committed baseline
 /// (bench/baselines/BENCH_spgemm.json, "threads") was recorded with. The
-/// rungs gain unequally from more workers, so geomean_speedup is only
-/// comparable at the baseline's count, and tools/bench_gate.py refuses a
-/// fresh file whose count differs.
+/// frozen baseline kernel runs on the calling thread while the library gains
+/// from more workers, so geomean_speedup is only comparable at the
+/// baseline's count, and tools/bench_gate.py refuses a fresh file whose
+/// count differs.
 constexpr std::size_t kLadderThreads = 1;
 
 backend::Context& ladder_ctx() {
@@ -163,86 +166,47 @@ void BM_TransitiveClosureSquaring(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitiveClosureSquaring)->Arg(8)->Arg(10);
 
-void BM_TransitiveClosureLinear(benchmark::State& state) {
-    const Matrix a{rmat(static_cast<int>(state.range(0))), ctx()};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(algorithms::transitive_closure(
-            ctx(), a, algorithms::ClosureStrategy::Linear));
-    }
-}
-BENCHMARK(BM_TransitiveClosureLinear)->Arg(8)->Arg(10);
-
 // ---------------- SpGEMM perf trajectory (BENCH_spgemm.json) ----------------
 
-/// The ablation ladder from the pre-bin-scheduler implementation to the full
-/// pipeline; each rung enables exactly one mechanism on top of the previous,
-/// so consecutive ratios attribute the gain to that mechanism.
-struct SpGemmConfig {
-    const char* name;
-    ops::SpGemmOptions opts;
-};
-
-std::vector<SpGemmConfig> spgemm_ladder() {
-    ops::SpGemmOptions baseline;  // the pre-PR two-pass static-chunk kernel
-    baseline.legacy_accumulator_reset = true;
-    baseline.dense_row_fraction = 0.25;  // the pre-PR dense-bin threshold
-    baseline.use_ticket_scheduler = false;
-    baseline.use_bin_scheduler = false;
-    baseline.symbolic_cache_budget = 0;
-    ops::SpGemmOptions reset_fix = baseline;  // + touched-word / re-probe resets
-    reset_fix.legacy_accumulator_reset = false;
-    ops::SpGemmOptions retune = reset_fix;  // + 1/64 dense-bitmap crossover
-    retune.dense_row_fraction = ops::SpGemmOptions{}.dense_row_fraction;
-    ops::SpGemmOptions ticket = retune;
-    ticket.use_ticket_scheduler = true;
-    ops::SpGemmOptions binned = ticket;
-    binned.use_bin_scheduler = true;
-    const ops::SpGemmOptions full;  // + symbolic-column caching (defaults)
-    return {{"two_pass_static", baseline},
-            {"plus_accumulator_reset_fix", reset_fix},
-            {"plus_dense_bitmap_retune", retune},
-            {"plus_ticket_scheduler", ticket},
-            {"plus_bin_scheduler", binned},
-            {"plus_symbolic_cache", full}};
-}
-
-/// Times C = A * A for every ladder rung, appends one JSON input record, and
-/// returns full-pipeline speedup over the pre-PR baseline rung. The "ms"
-/// field stays the minimum (the trajectory metric tracked across PRs); the
-/// "time" object adds the dispersion and, when the library was built with
-/// SPBLA_PROFILE=counters|trace, each rung carries a "counters" object: the
-/// telemetry counter deltas of one instrumented (untimed) multiplication —
-/// bin occupancy, hash probe/collision rates and pool work per rung, so the
-/// ladder attributes not just time but also the mechanism-level effects.
-double write_spgemm_record(bench::JsonWriter& w, const char* name,
-                           const CsrMatrix& a) {
-    const auto configs = spgemm_ladder();
+/// Times C = A * A with the frozen first kernel (two_pass_static_multiply)
+/// and with the library on the ladder's context, appends one JSON input
+/// record, and returns the library's speedup over the frozen kernel. The
+/// frozen kernel's timing sits under "two_pass_static"; "configs" holds the
+/// library's, whose "ms" stays the minimum (the trajectory metric tracked
+/// across PRs) and whose "time" object adds the dispersion. When the
+/// library was built with SPBLA_PROFILE=counters|trace, the library config
+/// carries a "counters" object: the telemetry counter deltas of one
+/// instrumented (untimed) multiplication, row classes and pool work
+/// included. The frozen kernel records no counters.
+double write_spgemm_record(bench::JsonWriter& w, const char* name, const CsrMatrix& a) {
     w.begin_object();
     w.field("name", name);
     w.field("nrows", static_cast<std::uint64_t>(a.nrows()));
     w.field("nnz", static_cast<std::uint64_t>(a.nnz()));
-    w.begin_array("configs");
-    double baseline_ms = 0, full_ms = 0;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto stats = bench::time_stats(
-            [&] { (void)ops::multiply(ladder_ctx(), a, a, configs[i].opts); }, 5);
-        const double ms = stats.min_ms();
-        if (i == 0) baseline_ms = ms;
-        if (i + 1 == configs.size()) full_ms = ms;
-        w.begin_object();
-        w.field("name", configs[i].name);
-        w.field("ms", ms);
-        w.field("time", stats);
-        if (prof::counting()) {
-            const auto before = telemetry::snapshot();
-            (void)ops::multiply(ladder_ctx(), a, a, configs[i].opts);
-            bench::write_counter_deltas(w, before, telemetry::snapshot());
-        }
-        w.end_object();
+    if (bench::two_pass_static_multiply(a, a) != ops::multiply(ladder_ctx(), a, a)) {
+        std::fprintf(stderr, "bench_ops_micro: %s: the library's product differs from the "
+                             "frozen kernel's\n", name);
     }
+    const auto frozen = bench::time_stats([&] { (void)bench::two_pass_static_multiply(a, a); }, 5);
+    w.begin_object("two_pass_static");
+    w.field("ms", frozen.min_ms());
+    w.field("time", frozen);
+    w.end_object();
+    const auto stats = bench::time_stats([&] { (void)ops::multiply(ladder_ctx(), a, a); }, 5);
+    w.begin_array("configs");
+    w.begin_object();
+    w.field("name", "default");
+    w.field("ms", stats.min_ms());
+    w.field("time", stats);
+    if (prof::counting()) {
+        const auto before = telemetry::snapshot();
+        (void)ops::multiply(ladder_ctx(), a, a);
+        bench::write_counter_deltas(w, before, telemetry::snapshot());
+    }
+    w.end_object();
     w.end_array();
-    const double speedup = full_ms > 0 ? baseline_ms / full_ms : 0.0;
-    w.field("speedup_full_vs_two_pass_static", speedup);
+    const double speedup = stats.min_ms() > 0 ? frozen.min_ms() / stats.min_ms() : 0.0;
+    w.field("speedup_default_vs_two_pass_static", speedup);
     w.end_object();
     return speedup;
 }
@@ -509,15 +473,14 @@ void write_kronecker_inputs(bench::JsonWriter& w) {
     w.end_array();
 }
 
-/// Times each paper-shaped input with the default options and with the
-/// ladder's two-pass-static baseline options, as the "paper_inputs" array,
-/// followed by the stream rungs (write_stream_inputs). These rungs are
-/// recorded, not gated, and stay out of geomean_speedup: they watch the
-/// sparse operand shapes the paper's workloads run, which the skewed ladder
-/// inputs above never exercise.
+/// Times each paper-shaped input with the library and with the ladder's
+/// frozen two-pass-static kernel (plus the library's ewise_add for a fused
+/// input), as the "paper_inputs" array, followed by the stream rungs
+/// (write_stream_inputs). These rungs are recorded, not gated, and stay out
+/// of geomean_speedup: they watch the sparse operand shapes the paper's
+/// workloads run, which the skewed ladder inputs above never exercise.
 void write_paper_inputs(bench::JsonWriter& w) {
-    const auto ladder = spgemm_ladder();
-    const SpGemmConfig configs[] = {ladder.front(), {"default", ops::SpGemmOptions{}}};
+    const char* const configs[] = {"two_pass_static", "default"};
     const PaperInput inputs[] = {
         {"rpq-lubm-120-squaring", true, lubm_rpq_product()},
         {"tns-taxonomy-9000-g1", true, tensor_cfpq_product()},
@@ -533,16 +496,22 @@ void write_paper_inputs(bench::JsonWriter& w) {
         w.field("nnz", static_cast<std::uint64_t>(a.nnz()));
         w.begin_array("configs");
         double baseline_ms = 0, default_ms = 0;
-        for (const auto& config : configs) {
+        for (const char* config : configs) {
+            const bool frozen = config == configs[0];
             const auto stats = bench::time_stats(
                 [&] {
-                    (void)(input.fused ? ops::multiply_add(ctx(), a, a, a, config.opts)
-                                       : ops::multiply(ctx(), a, a, config.opts));
+                    if (frozen) {
+                        const CsrMatrix p = bench::two_pass_static_multiply(a, a);
+                        if (input.fused) (void)ops::ewise_add(ctx(), a, p);
+                    } else {
+                        (void)(input.fused ? ops::multiply_add(ctx(), a, a, a)
+                                           : ops::multiply(ctx(), a, a));
+                    }
                 },
                 5);
-            (&config == &configs[0] ? baseline_ms : default_ms) = stats.min_ms();
+            (frozen ? baseline_ms : default_ms) = stats.min_ms();
             w.begin_object();
-            w.field("name", config.name);
+            w.field("name", config);
             w.field("ms", stats.min_ms());
             w.field("time", stats);
             w.end_object();
@@ -560,7 +529,7 @@ void write_paper_inputs(bench::JsonWriter& w) {
 }
 
 /// Writes BENCH_spgemm.json (path overridable via SPBLA_BENCH_JSON) with the
-/// scheduler/caching ladder on the skewed SpGEMM stress inputs.
+/// library-against-frozen-kernel ladder on the skewed SpGEMM stress inputs.
 void write_spgemm_trajectory() {
     const char* path = std::getenv("SPBLA_BENCH_JSON");
     if (path == nullptr) path = "BENCH_spgemm.json";
@@ -574,8 +543,9 @@ void write_spgemm_trajectory() {
     w.field("bench", "spgemm");
     w.field("operation", "C = A * A");
     w.field("policy", "parallel");
-    // "threads" is the ladder's (the gated geomean_speedup); the paper,
-    // stream and Kronecker rungs' "default" configs run on default_threads.
+    // "threads" is the ladder's library config (the gated geomean_speedup);
+    // the paper, stream and Kronecker rungs' "default" configs run on
+    // default_threads. Every frozen-kernel timing runs on the calling thread.
     w.field("threads", workers(ladder_ctx()));
     w.field("default_threads", workers(ctx()));
     w.field("runs", 5);

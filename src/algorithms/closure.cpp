@@ -14,16 +14,15 @@ namespace {
 /// Semi-naive evaluation: keep a frontier of edges discovered last round and
 /// extend only those — each closure edge's final hop is recomputed exactly
 /// once instead of every round. This is the standard Datalog optimisation
-/// of the Linear strategy.
-Matrix closure_delta(backend::Context& ctx, const Matrix& adj,
-                     const ops::SpGemmOptions& opts, std::size_t& rounds) {
+/// of the linear M <- M | M*Base iteration.
+Matrix closure_delta(backend::Context& ctx, const Matrix& adj, std::size_t& rounds) {
     Matrix m = adj;
     Matrix frontier = adj;
     while (!frontier.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("closure.round", rounds);
         telemetry::count(telemetry::Counter::ClosureFrontierNnz, frontier.nnz());
-        const Matrix extended = storage::multiply(ctx, frontier, adj, opts);
+        const Matrix extended = storage::multiply(ctx, frontier, adj);
         frontier = storage::ewise_diff(ctx, extended, m);
         m = storage::ewise_add(ctx, m, frontier);
     }
@@ -88,28 +87,26 @@ Matrix RowCompaction::scatter(backend::Context& ctx, const Matrix& x) const {
 }
 
 Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
-                          ClosureStrategy strategy, ClosureStats* stats,
-                          const ops::SpGemmOptions& opts) {
+                          ClosureStrategy strategy, ClosureStats* stats) {
     check(adj.nrows() == adj.ncols(), Status::DimensionMismatch,
           "transitive_closure: matrix must be square");
     SPBLA_PROF_SPAN("closure");
     std::size_t rounds = 0;
     Matrix m{0, 0, ctx};
     if (strategy == ClosureStrategy::Delta) {
-        m = closure_delta(ctx, adj, opts, rounds);
+        m = closure_delta(ctx, adj, rounds);
     } else {
         // Squaring keeps adj <= m <= adj+, so adj * m within m means m is
         // adj+ (adj^(i+1) <= adj * m <= m by induction): a round that grew m
         // is followed by that test, not by a round that adds nothing.
-        const bool squaring = strategy == ClosureStrategy::Squaring;
         m = adj;
         for (;;) {
             const std::size_t before = m.nnz();
             SPBLA_PROF_SPAN_ITER("closure.round", rounds + 1);
-            m = storage::multiply_add(ctx, m, m, squaring ? m : adj, opts);
+            m = storage::multiply_add(ctx, m, m, m);
             ++rounds;
             if (m.nnz() == before) break;
-            if (squaring && storage::product_within(ctx, adj, m, m)) break;
+            if (storage::product_within(ctx, adj, m, m)) break;
         }
     }
     if (stats != nullptr) {
@@ -120,7 +117,7 @@ Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
 }
 
 Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
-                      ClosureStats* stats, const ops::SpGemmOptions& opts) {
+                      ClosureStats* stats) {
     const Index n = closure.nrows();
     check(closure.ncols() == n && add.nrows() == n && add.ncols() == n,
           Status::DimensionMismatch, "extend_closure: shapes must match and be square");
@@ -137,7 +134,7 @@ Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
     }
 
     const Matrix& c = closure;
-    const Matrix t = storage::ewise_add(ctx, add, storage::multiply(ctx, c, add, opts));
+    const Matrix t = storage::ewise_add(ctx, add, storage::multiply(ctx, c, add));
     const RowCompaction rows{ctx, t};
     const Matrix tc = rows.gather(ctx, t);
     const Matrix cc = rows.gather(ctx, c);
@@ -147,7 +144,7 @@ Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
     Matrix fresh = [&] {
         SPBLA_PROF_SPAN_ITER("closure.round", rounds);
         return storage::ewise_diff(
-            ctx, storage::ewise_add(ctx, tc, storage::multiply(ctx, tc, c, opts)), cc);
+            ctx, storage::ewise_add(ctx, tc, storage::multiply(ctx, tc, c)), cc);
     }();
 
     // frontier * S is empty unless the frontier ends where a new edge starts.
@@ -157,12 +154,12 @@ Matrix extend_closure(backend::Context& ctx, Matrix& closure, const Matrix& add,
     std::optional<Matrix> step;
     Matrix frontier = fresh;
     while (reaches(frontier, source)) {
-        if (!step) step = storage::ewise_add(ctx, add, storage::multiply(ctx, add, c, opts));
+        if (!step) step = storage::ewise_add(ctx, add, storage::multiply(ctx, add, c));
         ++rounds;
         SPBLA_PROF_SPAN_ITER("closure.round", rounds);
         telemetry::count(telemetry::Counter::ClosureFrontierNnz, frontier.nnz());
         frontier = storage::ewise_diff(
-            ctx, storage::ewise_diff(ctx, storage::multiply(ctx, frontier, *step, opts), cc),
+            ctx, storage::ewise_diff(ctx, storage::multiply(ctx, frontier, *step), cc),
             fresh);
         fresh = storage::ewise_add(ctx, fresh, frontier);
     }

@@ -9,7 +9,8 @@
 ///    shortest path d: a round that grows M is followed by the containment
 ///    test adj*M within M, which holds exactly when M is the closure, so
 ///    no round that adds nothing runs unless M is closed to begin with)
-///  - Linear:    M <- M | M*Base  (O(d) rounds, cheaper per round)
+///  - Delta:     semi-naive, frontier F <- F*Base \ M, M <- M | F (O(d)
+///    rounds, each multiplying only the edges the last round found)
 ///
 /// extend_closure is that incremental step for insert-only updates: it
 /// grows a closure by a batch of new edges, with work that follows the rows
@@ -28,7 +29,6 @@ namespace spbla::algorithms {
 /// Fixpoint iteration strategy for the closure.
 enum class ClosureStrategy {
     Squaring,  ///< M += M * M per round
-    Linear,    ///< M += M * Base per round
     Delta,     ///< semi-naive: only the frontier of new edges multiplies Base
 };
 
@@ -42,8 +42,7 @@ struct ClosureStats {
 /// added). Optionally reports iteration stats through \p stats.
 [[nodiscard]] Matrix transitive_closure(backend::Context& ctx, const Matrix& adj,
                                         ClosureStrategy strategy = ClosureStrategy::Squaring,
-                                        ClosureStats* stats = nullptr,
-                                        const ops::SpGemmOptions& opts = {});
+                                        ClosureStats* stats = nullptr);
 
 /// Reflexive-transitive closure M* = I | M+.
 [[nodiscard]] Matrix reflexive_transitive_closure(
@@ -63,8 +62,7 @@ struct ClosureStats {
 ///
 /// Strong guarantee: if an op throws, \p closure is left unchanged.
 [[nodiscard]] Matrix extend_closure(backend::Context& ctx, Matrix& closure,
-                                    const Matrix& add, ClosureStats* stats = nullptr,
-                                    const ops::SpGemmOptions& opts = {});
+                                    const Matrix& add, ClosureStats* stats = nullptr);
 
 /// The non-empty rows of a matrix, for running a fixpoint on matrices
 /// compacted to them: row k of a compacted matrix stands for row rows()[k].

@@ -53,13 +53,11 @@ public:
     /// Launch body(begin, end) over contiguous chunks of [0, n): the kernel
     /// launch, whose body loops over its rows inline, so a launch costs one
     /// call per chunk, not one per row. Chunks are dynamically scheduled
-    /// (work-stealing tickets) by default; pass util::Schedule::Static for
-    /// the FIFO one-closure-per-chunk path. A chunk body's scratch is its own
-    /// alloc() buffers, freed when the body returns.
+    /// (work-stealing tickets). A chunk body's scratch is its own alloc()
+    /// buffers, freed when the body returns.
     void parallel_for_chunks(std::size_t n, std::size_t grain,
-                             const std::function<void(std::size_t, std::size_t)>& body,
-                             util::Schedule schedule = util::Schedule::Dynamic) const {
-        util::parallel_for_chunks(pool(), n, grain, body, schedule);
+                             const std::function<void(std::size_t, std::size_t)>& body) const {
+        util::parallel_for_chunks(pool(), n, grain, body);
     }
 
     /// Exclusive prefix sum on the device pool (thrust::exclusive_scan

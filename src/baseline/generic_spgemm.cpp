@@ -8,76 +8,9 @@
 #include <vector>
 
 #include "ops/spgemm_plan.hpp"
-#include "util/bit_ops.hpp"
-#include "util/parallel.hpp"
 
 namespace spbla::baseline {
 namespace {
-
-constexpr Index kEmptySlot = 0xFFFFFFFFu;
-
-/// Worker-local open-addressing hash map: column -> accumulated value.
-struct HashMapScratch {
-    std::vector<Index> keys;
-    std::vector<float> vals;
-    std::vector<Index> order;
-};
-
-/// Accumulate row \p i of A*B into the hash map; returns distinct count.
-/// When \p emit is true the sorted (col, val) pairs are left in scratch.
-Index hashmap_row(const GenericCsr& a, const GenericCsr& b, Index i, std::uint64_t ub,
-                  HashMapScratch& s, bool emit) {
-    if (ub == 0) {
-        s.order.clear();
-        return 0;
-    }
-    std::uint64_t want = util::next_pow2(ub * 2);
-    const std::uint64_t cap = util::next_pow2(static_cast<std::uint64_t>(b.ncols()) * 2);
-    if (want > cap) want = cap;
-    if (want < 16) want = 16;
-    const Index mask = static_cast<Index>(want - 1);
-    s.keys.assign(static_cast<std::size_t>(want), kEmptySlot);
-    s.vals.assign(static_cast<std::size_t>(want), 0.0f);
-
-    Index count = 0;
-    const auto arow = a.row(i);
-    const auto avals = a.row_vals(i);
-    for (std::size_t t = 0; t < arow.size(); ++t) {
-        const Index k = arow[t];
-        const float av = avals[t];
-        const auto brow = b.row(k);
-        const auto bvals = b.row_vals(k);
-        for (std::size_t u = 0; u < brow.size(); ++u) {
-            const Index c = brow[u];
-            const float prod = av * bvals[u];  // the FMA the Boolean kernel skips
-            Index h = (c * 2654435761u) & mask;
-            for (;;) {
-                const Index cur = s.keys[h];
-                if (cur == c) {
-                    s.vals[h] += prod;
-                    break;
-                }
-                if (cur == kEmptySlot) {
-                    s.keys[h] = c;
-                    s.vals[h] = prod;
-                    ++count;
-                    break;
-                }
-                h = (h + 1) & mask;
-            }
-        }
-    }
-    if (emit) {
-        s.order.clear();
-        s.order.reserve(count);
-        for (Index h = 0; h <= mask; ++h) {
-            if (s.keys[h] != kEmptySlot) s.order.push_back(h);
-        }
-        std::sort(s.order.begin(), s.order.end(),
-                  [&s](Index x, Index y) { return s.keys[x] < s.keys[y]; });
-    }
-    return count;
-}
 
 /// Worker scratch of the value-carrying lean path: the shared marker and
 /// bitmap (ops/spgemm_plan.hpp), plus a float accumulator over ncols beside
@@ -211,67 +144,27 @@ GenericCsr multiply_hash(backend::Context& ctx, const GenericCsr& a, const Gener
     const Index ncols = b.ncols();
 
     // Same structure as the Boolean kernel: one walk over A gives the
-    // per-row product bounds, which pick the lean path (the shared runner of
-    // ops/spgemm_plan.hpp) or size the hash tables of the two-pass one.
-    const ops::SpGemmOptions opts{};
+    // per-row product bounds, which pick each row's class and the chunks of
+    // the shared runner (ops/spgemm_plan.hpp).
     const ops::RowBounds bounds =
         ops::row_bounds(ctx, m, b.nrows(), ncols, a.row_offsets().data(), a.cols().data(),
-                        b.row_offsets().data(), nullptr, util::Schedule::Dynamic);
+                        b.row_offsets().data(), nullptr);
     const std::uint64_t* ub = bounds.ub.data();
-    if (ops::lean_eligible(opts, bounds.max, bounds.out_bound)) {
-        const ops::LeanRowClasses classes = ops::lean_row_classes(opts, ncols, bounds);
-        std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-        std::vector<Index> cols;
-        std::vector<float> vals;
-        ops::lean_run<float>(
-            ctx, m, bounds.out_bound,
-            ops::lean_chunk_count(ops::lean_workers(ctx), bounds.busy_rows, ncols,
-                                  bounds.out_bound),
-            [&](Index i) { return std::min<std::uint64_t>(ub[i], ncols); },
-            [&](Index i) { return ub[i] == 0 ? ops::RowFrom::Empty : ops::RowFrom::Write; },
-            {},
-            [&] { return LeanScratch{ctx, ncols, classes.buffer_cap}; },
-            [&](LeanScratch& s, Index i, Index* out_cols, float* out_vals) {
-                return lean_row(a, b, i, ub[i], classes, s, out_cols, out_vals);
-            },
-            row_offsets.data(), cols, &vals);
-        return GenericCsr::from_raw(m, ncols, std::move(row_offsets), std::move(cols),
-                                    std::move(vals));
-    }
-
-    auto row_sizes = ctx.alloc<Index>(m);
-    ctx.parallel_for_chunks(m, 64, [&](std::size_t begin, std::size_t end) {
-        HashMapScratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-            row_sizes[i] = hashmap_row(a, b, static_cast<Index>(i), ub[i], scratch, false);
-        }
-    });
-
+    const ops::LeanRowClasses classes = ops::lean_row_classes(ncols, bounds);
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);
-    std::uint64_t total = 0;
-    for (Index i = 0; i < m; ++i) {
-        row_offsets[i] = static_cast<Index>(total);
-        total += row_sizes[i];
-    }
-    row_offsets[m] = static_cast<Index>(total);
-    check(total <= 0xFFFFFFFFull, Status::OutOfRange, "generic spgemm: nnz overflow");
-
-    std::vector<Index> cols(static_cast<std::size_t>(total));
-    std::vector<float> vals(static_cast<std::size_t>(total));
-    ctx.parallel_for_chunks(m, 64, [&](std::size_t begin, std::size_t end) {
-        HashMapScratch scratch;
-        for (std::size_t i = begin; i < end; ++i) {
-            hashmap_row(a, b, static_cast<Index>(i), ub[i], scratch, true);
-            std::size_t out = row_offsets[i];
-            for (const auto h : scratch.order) {
-                cols[out] = scratch.keys[h];
-                vals[out] = scratch.vals[h];
-                ++out;
-            }
-        }
-    });
-
-    return GenericCsr::from_raw(m, b.ncols(), std::move(row_offsets), std::move(cols),
+    std::vector<Index> cols;
+    std::vector<float> vals;
+    ops::lean_run<float>(
+        ctx, m, bounds.out_bound,
+        ops::lean_chunk_count(ops::lean_workers(ctx), bounds.busy_rows, ncols, bounds.out_bound),
+        [&](Index i) { return std::min<std::uint64_t>(ub[i], ncols); },
+        [&](Index i) { return ub[i] == 0 ? ops::RowFrom::Empty : ops::RowFrom::Write; }, {},
+        [&] { return LeanScratch{ctx, ncols, classes.buffer_cap}; },
+        [&](LeanScratch& s, Index i, Index* out_cols, float* out_vals) {
+            return lean_row(a, b, i, ub[i], classes, s, out_cols, out_vals);
+        },
+        row_offsets.data(), cols, &vals);
+    return GenericCsr::from_raw(m, ncols, std::move(row_offsets), std::move(cols),
                                 std::move(vals));
 }
 

@@ -11,7 +11,7 @@
 namespace spbla::cfpq {
 
 AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
-                        const Grammar& g, const ops::SpGemmOptions& opts) {
+                        const Grammar& g) {
     SPBLA_CHECKED(for (const auto& label : graph.labels())
                       core::validate(graph.matrix(label).csr()));
     SPBLA_PROF_SPAN("cfpq.azimov");
@@ -22,7 +22,7 @@ AzimovIndex azimov_cfpq(backend::Context& ctx, const data::LabeledGraph& graph,
     index.nt_matrix = seed_nonterminals(ctx, index.cnf, n, [&](const std::string& label) {
         return graph.has_label(label) ? &graph.matrix(label) : nullptr;
     });
-    index.rounds = azimov_fixpoint(ctx, index.cnf, index.nt_matrix, opts);
+    index.rounds = azimov_fixpoint(ctx, index.cnf, index.nt_matrix);
     SPBLA_CHECKED(for (const auto& m : index.nt_matrix) core::validate(m.csr()));
     return index;
 }
@@ -44,7 +44,7 @@ std::vector<Matrix> seed_nonterminals(
 }
 
 std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
-                            std::vector<Matrix>& nt, const ops::SpGemmOptions& opts) {
+                            std::vector<Matrix>& nt) {
     const auto& rules = cnf.binary_rules;
     // Versions of T_B and T_C at each rule's last multiply. No live handle
     // has version 0, so every rule runs in round 1.
@@ -63,7 +63,7 @@ std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
             seen[r] = operands;
             // An empty operand makes an empty product: nothing to dispatch.
             if (nt[b].empty() || nt[c].empty()) continue;
-            Matrix grown = storage::multiply_add(ctx, nt[a], nt[b], nt[c], opts);
+            Matrix grown = storage::multiply_add(ctx, nt[a], nt[b], nt[c]);
             if (grown.nnz() == nt[a].nnz()) continue;
             nt[a] = std::move(grown);
             changed = true;

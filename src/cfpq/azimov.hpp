@@ -37,8 +37,7 @@ struct AzimovIndex {
 
 /// Run Azimov's algorithm (index creation — the `Mtx` columns of Table IV).
 [[nodiscard]] AzimovIndex azimov_cfpq(backend::Context& ctx,
-                                      const data::LabeledGraph& graph, const Grammar& g,
-                                      const ops::SpGemmOptions& opts = {});
+                                      const data::LabeledGraph& graph, const Grammar& g);
 
 /// The nonterminal matrices before Azimov's first round, one n x n matrix
 /// per nonterminal of \p cnf: T_A holds the label matrix of every terminal
@@ -63,7 +62,6 @@ struct AzimovIndex {
 /// records their versions and dispatches nothing, its product being empty.
 /// Every round ends on the same matrices as running every rule.
 [[nodiscard]] std::size_t azimov_fixpoint(backend::Context& ctx, const CnfGrammar& cnf,
-                                          std::vector<Matrix>& nt,
-                                          const ops::SpGemmOptions& opts = {});
+                                          std::vector<Matrix>& nt);
 
 }  // namespace spbla::cfpq

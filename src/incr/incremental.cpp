@@ -40,21 +40,19 @@ Matrix effective_dels(backend::Context& ctx, const Matrix& removes,
 /// suspect pairs not re-derived yet. Every matrix here is compacted to those
 /// rows (row k stands for row rows[k]), so no op walks all n rows of C.
 Matrix underivable(backend::Context& ctx, const Matrix& c, const Matrix& suspect,
-                   const Matrix& a_mid, const ops::SpGemmOptions& opts,
-                   std::size_t& rounds) {
+                   const Matrix& a_mid, std::size_t& rounds) {
     const algorithms::RowCompaction rows{ctx, suspect};
     const Matrix sus = rows.gather(ctx, suspect);
     const Matrix kept = storage::ewise_diff(ctx, rows.gather(ctx, c), sus);
     Matrix frontier = storage::ewise_mult(
         ctx, sus,
-        storage::multiply(ctx, storage::ewise_add(ctx, rows.selector(), kept), a_mid, opts));
+        storage::multiply(ctx, storage::ewise_add(ctx, rows.selector(), kept), a_mid));
     Matrix rest = storage::ewise_diff(ctx, sus, frontier);
     while (!frontier.empty() && !rest.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("incr.closure.round", rounds);
         telemetry::count(telemetry::Counter::IncrFrontierNnz, frontier.nnz());
-        frontier =
-            storage::ewise_mult(ctx, rest, storage::multiply(ctx, frontier, a_mid, opts));
+        frontier = storage::ewise_mult(ctx, rest, storage::multiply(ctx, frontier, a_mid));
         rest = storage::ewise_diff(ctx, rest, frontier);
     }
     return rows.scatter(ctx, rest);
@@ -86,8 +84,7 @@ void account_batch(IncrStats& stats, std::size_t rounds_used) {
 
 ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
                              const Matrix& adj_after, const Matrix& add_eff,
-                             const Matrix& del_eff,
-                             const ops::SpGemmOptions& opts) {
+                             const Matrix& del_eff) {
     ClosureUpdate out;
     if (add_eff.empty() && del_eff.empty()) return out;
     // Every step builds a fresh handle, and closure is assigned only at the
@@ -99,14 +96,14 @@ ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
         // through a deleted edge is suspect; every other pair keeps a
         // Δ⁻-free path. Only the suspect pairs are re-derived.
         const Matrix left =
-            storage::ewise_add(ctx, del_eff, storage::multiply(ctx, closure, del_eff, opts));
+            storage::ewise_add(ctx, del_eff, storage::multiply(ctx, closure, del_eff));
         const Matrix suspect =
-            storage::ewise_add(ctx, left, storage::multiply(ctx, left, closure, opts));
+            storage::ewise_add(ctx, left, storage::multiply(ctx, left, closure));
         // The graph between the two phases: A' minus this batch's inserts.
         std::optional<Matrix> a_mid_owned;
         if (!add_eff.empty()) a_mid_owned = storage::ewise_diff(ctx, adj_after, add_eff);
         const Matrix& a_mid = a_mid_owned ? *a_mid_owned : adj_after;
-        const Matrix lost = underivable(ctx, closure, suspect, a_mid, opts, out.rounds);
+        const Matrix lost = underivable(ctx, closure, suspect, a_mid, out.rounds);
         if (!lost.empty()) repaired = storage::ewise_diff(ctx, closure, lost);
     }
 
@@ -114,8 +111,7 @@ ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
         // Insert-only from here: extends the repaired closure, or the
         // closure itself (it assigns only after its last op).
         algorithms::ClosureStats cs;
-        (void)algorithms::extend_closure(ctx, repaired ? *repaired : closure, add_eff,
-                                         &cs, opts);
+        (void)algorithms::extend_closure(ctx, repaired ? *repaired : closure, add_eff, &cs);
         out.rounds += cs.rounds;
     }
     if (repaired) closure = std::move(*repaired);
@@ -126,13 +122,12 @@ ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
 // IncrementalClosure
 // ---------------------------------------------------------------------------
 
-IncrementalClosure::IncrementalClosure(backend::Context& ctx, Matrix adjacency,
-                                       const ops::SpGemmOptions& opts)
-    : ctx_{&ctx}, opts_{opts}, adj_{std::move(adjacency)} {
+IncrementalClosure::IncrementalClosure(backend::Context& ctx, Matrix adjacency)
+    : ctx_{&ctx}, adj_{std::move(adjacency)} {
     SPBLA_PROF_SPAN("incr.closure");
     algorithms::ClosureStats cs;
-    closure_ = algorithms::transitive_closure(
-        ctx, adj_, algorithms::ClosureStrategy::Delta, &cs, opts_);
+    closure_ =
+        algorithms::transitive_closure(ctx, adj_, algorithms::ClosureStrategy::Delta, &cs);
     stats_.baseline_rounds = cs.rounds;
 }
 
@@ -145,8 +140,7 @@ void IncrementalClosure::apply(const Matrix& adds, const Matrix& removes) {
     // closure update succeeds.
     Matrix after = adj_.with_delta(adds, removes, *ctx_);
     if (!add_eff.empty() || !del_eff.empty()) {
-        const ClosureUpdate upd =
-            update_closure(*ctx_, closure_, after, add_eff, del_eff, opts_);
+        const ClosureUpdate upd = update_closure(*ctx_, closure_, after, add_eff, del_eff);
         account_batch(stats_, upd.rounds);
     }
     adj_ = std::move(after);
@@ -157,11 +151,9 @@ void IncrementalClosure::apply(const Matrix& adds, const Matrix& removes) {
 // ---------------------------------------------------------------------------
 
 IncrementalRpq::IncrementalRpq(backend::Context& ctx,
-                               const data::LabeledGraph& graph, rpq::Dfa query,
-                               const ops::SpGemmOptions& opts)
+                               const data::LabeledGraph& graph, rpq::Dfa query)
     : ctx_{&ctx},
       query_{std::move(query)},
-      opts_{opts},
       n_{graph.num_vertices()},
       product_{query_.num_states * n_, query_.num_states * n_, ctx},
       closure_{query_.num_states * n_, query_.num_states * n_, ctx},
@@ -182,8 +174,8 @@ IncrementalRpq::IncrementalRpq(backend::Context& ctx,
                                       storage::kronecker(*ctx_, q, it->second));
     }
     algorithms::ClosureStats cs;
-    closure_ = algorithms::transitive_closure(
-        ctx, product_, algorithms::ClosureStrategy::Delta, &cs, opts_);
+    closure_ =
+        algorithms::transitive_closure(ctx, product_, algorithms::ClosureStrategy::Delta, &cs);
     stats_.baseline_rounds = cs.rounds;
     refresh_reachable();
 }
@@ -262,7 +254,7 @@ void IncrementalRpq::apply(const std::vector<data::LabeledEdge>& adds,
 
     product_.fold_delta(prod_add, prod_del, *ctx_);
     const ClosureUpdate upd =
-        update_closure(*ctx_, closure_, product_, prod_add, prod_del, opts_);
+        update_closure(*ctx_, closure_, product_, prod_add, prod_del);
     account_batch(stats_, upd.rounds);
     refresh_reachable();
 }
@@ -289,12 +281,8 @@ data::LabeledGraph IncrementalRpq::current_graph() const {
 
 IncrementalCfpq::IncrementalCfpq(backend::Context& ctx,
                                  const data::LabeledGraph& graph,
-                                 const cfpq::Grammar& grammar,
-                                 const ops::SpGemmOptions& opts)
-    : ctx_{&ctx},
-      cnf_{cfpq::to_cnf(grammar)},
-      opts_{opts},
-      n_{graph.num_vertices()} {
+                                 const cfpq::Grammar& grammar)
+    : ctx_{&ctx}, cnf_{cfpq::to_cnf(grammar)}, n_{graph.num_vertices()} {
     for (const auto& label : graph.labels()) {
         labels_.emplace(label, graph.matrix(label));
     }
@@ -308,7 +296,7 @@ void IncrementalCfpq::rebuild() {
         const auto it = labels_.find(label);
         return it == labels_.end() ? nullptr : &it->second;
     });
-    stats_.baseline_rounds = cfpq::azimov_fixpoint(*ctx_, cnf_, nt_, opts_);
+    stats_.baseline_rounds = cfpq::azimov_fixpoint(*ctx_, cnf_, nt_);
     ++stats_.rebuilds;
 }
 
@@ -403,7 +391,7 @@ void IncrementalCfpq::apply(const std::vector<data::LabeledEdge>& adds,
         // nd[a] |= x·y, dispatching nothing when a factor is empty.
         const auto gain = [&](std::size_t a, const Matrix& x, const Matrix& y) {
             if (x.empty() || y.empty()) return;
-            Matrix p = storage::multiply(*ctx_, x, y, opts_);
+            Matrix p = storage::multiply(*ctx_, x, y);
             nd[a] = nd[a].empty() ? std::move(p) : storage::ewise_add(*ctx_, nd[a], p);
         };
         for (const auto& [a, b, c] : cnf_.binary_rules) {

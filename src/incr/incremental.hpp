@@ -72,16 +72,14 @@ struct ClosureUpdate {
 [[nodiscard]] ClosureUpdate update_closure(backend::Context& ctx, Matrix& closure,
                                            const Matrix& adj_after,
                                            const Matrix& add_eff,
-                                           const Matrix& del_eff,
-                                           const ops::SpGemmOptions& opts = {});
+                                           const Matrix& del_eff);
 
 /// Transitive-closure maintenance over an edge stream.
 class IncrementalClosure {
 public:
     /// Builds the initial closure from scratch (the baseline the saved-
     /// iterations accounting is measured against).
-    explicit IncrementalClosure(backend::Context& ctx, Matrix adjacency,
-                                const ops::SpGemmOptions& opts = {});
+    explicit IncrementalClosure(backend::Context& ctx, Matrix adjacency);
 
     /// Fold one insert/delete batch (shape-matched cell matrices; cells
     /// named by both end up present) into the adjacency and its closure.
@@ -94,7 +92,6 @@ public:
 
 private:
     backend::Context* ctx_;
-    ops::SpGemmOptions opts_;
     Matrix adj_;
     Matrix closure_;
     IncrStats stats_;
@@ -106,7 +103,7 @@ private:
 class IncrementalRpq {
 public:
     IncrementalRpq(backend::Context& ctx, const data::LabeledGraph& graph,
-                   rpq::Dfa query, const ops::SpGemmOptions& opts = {});
+                   rpq::Dfa query);
 
     void apply(const std::vector<data::LabeledEdge>& adds,
                const std::vector<data::LabeledEdge>& removes);
@@ -124,7 +121,6 @@ private:
 
     backend::Context* ctx_;
     rpq::Dfa query_;
-    ops::SpGemmOptions opts_;
     Index n_{0};
     std::map<std::string, Matrix> qmats_;   ///< cached automaton matrices
     std::map<std::string, Matrix> labels_;  ///< maintained graph matrices
@@ -140,8 +136,7 @@ private:
 class IncrementalCfpq {
 public:
     IncrementalCfpq(backend::Context& ctx, const data::LabeledGraph& graph,
-                    const cfpq::Grammar& grammar,
-                    const ops::SpGemmOptions& opts = {});
+                    const cfpq::Grammar& grammar);
 
     void apply(const std::vector<data::LabeledEdge>& adds,
                const std::vector<data::LabeledEdge>& removes);
@@ -160,7 +155,6 @@ private:
 
     backend::Context* ctx_;
     cfpq::CnfGrammar cnf_;
-    ops::SpGemmOptions opts_;
     Index n_{0};
     std::map<std::string, Matrix> labels_;
     std::vector<Matrix> nt_;  ///< indexed by CNF nonterminal id

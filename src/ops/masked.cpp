@@ -45,8 +45,7 @@ CsrMatrix multiply_masked(backend::Context& ctx, const CsrMatrix& mask,
         // The complement mask permits almost everything; the dot formulation
         // would degenerate to the dense cross product, so compute the full
         // product and subtract (still exact, just not output-driven).
-        const CsrMatrix full =
-            multiply(ctx, a, transpose(ctx, b_transposed), SpGemmOptions{});
+        const CsrMatrix full = multiply(ctx, a, transpose(ctx, b_transposed));
         return ewise_diff(ctx, full, mask);
     }
 

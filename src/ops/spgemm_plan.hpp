@@ -1,15 +1,14 @@
 /// \file spgemm_plan.hpp
-/// \brief The lean SpGEMM path's bounds walk, eligibility rule, row classes
-/// and the one-pass chunked runner.
+/// \brief The lean SpGEMM path's bounds walk, row classes and the one-pass
+/// chunked runner.
 ///
-/// The bounds walk, rule and classes are shared by the Boolean kernel
+/// The bounds walk and the classes are shared by the Boolean kernel
 /// (ops/spgemm.cpp) and its value-carrying twin (baseline/generic_spgemm.cpp):
-/// both take the lean path on exactly the same ops, give each row the same
-/// accumulator, split the rows the same way and join them the same way, so
-/// E1 measures the Boolean specialisation and nothing else. Each
-/// twin keeps only its row writer. The runner (lean_run) also carries the
-/// element-wise kernels (ops/ewise_plan.hpp), whose row bounds come from the
-/// operands' row offsets alone.
+/// both give each row the same accumulator, split the rows the same way and
+/// join them the same way, so E1 measures the Boolean specialisation and
+/// nothing else. Each twin keeps only its row writer. The runner (lean_run)
+/// also carries the element-wise kernels (ops/ewise_plan.hpp), whose row
+/// bounds come from the operands' row offsets alone.
 ///
 /// Delta-sized ops. When one operand is a delta (a few cells on a tall
 /// matrix), almost every row of the output is empty or a verbatim copy of
@@ -26,7 +25,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -35,9 +33,8 @@
 #include <vector>
 
 #include "backend/context.hpp"
+#include "core/csr.hpp"
 #include "core/types.hpp"
-#include "ops/spgemm.hpp"
-#include "util/parallel.hpp"
 
 namespace spbla::ops {
 
@@ -49,14 +46,13 @@ struct CsrView {
     explicit CsrView(const CsrMatrix& m) : off{m.row_offsets().data()}, cols{m.cols().data()} {}
 };
 
-/// Per-row product bounds of one op, computed once and shared by the
-/// eligibility test, the row classes, the lean output sizing and the binned
-/// schedule.
+/// Per-row product bounds of one op, computed once and shared by the row
+/// classes, the chunk cuts and the row caps.
 struct RowBounds {
     backend::DeviceBuffer<std::uint64_t> ub;  ///< product bound of each row of A*B
     std::uint64_t max{0};                     ///< largest ub
-    /// Sum over rows of min(ub + nnz(C row), ncols): the lean path's output
-    /// capacity (C is the multiply_add accumulator, absent for multiply).
+    /// Sum over rows of min(ub + nnz(C row), ncols): the caps the runner
+    /// stages within (C is the multiply_add accumulator, absent for multiply).
     std::uint64_t out_bound{0};
     std::uint64_t busy_rows{0};  ///< rows with a non-zero term in out_bound
     /// The part of out_bound in rows with a product term (ub > 0): the
@@ -122,7 +118,7 @@ struct RowBounds {
 [[nodiscard]] inline RowBounds row_bounds(backend::Context& ctx, Index m, Index inner,
                                           Index ncols, const Index* a_off,
                                           const Index* a_cols, const Index* b_off,
-                                          const Index* c_off, util::Schedule sched) {
+                                          const Index* c_off) {
     RowBounds out{ctx.alloc<std::uint64_t>(m)};
     std::uint64_t* ub = out.ub.data();
     auto busy_rows = ctx.alloc<std::uint8_t>(inner);
@@ -195,8 +191,7 @@ struct RowBounds {
             while (seen < chunk_max &&
                    !max.compare_exchange_weak(seen, chunk_max, std::memory_order_relaxed)) {
             }
-        },
-        sched);
+        });
     out.max = max.load();
     out.out_bound = total.load();
     out.busy_rows = busy.load();
@@ -204,30 +199,7 @@ struct RowBounds {
     return out;
 }
 
-/// The lean path takes an op whose every row bound fits the hash-small class
-/// and whose staging buffer (\p out_bound columns) fits the scratch budget
-/// and an Index offset, and only when each knob the SpGEMM ladder ablates is
-/// at its default: an ablation rung keeps measuring the binned kernel it was
-/// built for.
-///
-/// The row-bound cut is per op, not per row: an op with a heavy row is a
-/// power-law product whose many duplicate products make the clamped bound
-/// sum overshoot the output several times over, and the binned kernel sizes
-/// its output exactly. With the cut removed (4-vCPU VM, release, parallel
-/// context), the lean path held 3.1x the binned footprint on E1's
-/// rmat-11-8 (9.95 against 3.18 MB) and 1.7x on rmat-13-8, for 0.84x to
-/// 1.16x of the binned time (SpGEMM ladder, medians of five alternated
-/// runs: rmat-12-8 5.58 against 6.10 ms, zipf-4096-16 19.9 against 17.2 ms).
-[[nodiscard]] inline bool lean_eligible(const SpGemmOptions& opts, std::uint64_t max_ub,
-                                        std::uint64_t out_bound) {
-    return max_ub <= opts.hash_large_threshold &&
-           out_bound <= opts.symbolic_cache_budget / sizeof(Index) &&
-           out_bound <= std::numeric_limits<Index>::max() &&
-           !opts.legacy_accumulator_reset && opts.use_binning && opts.use_bin_scheduler &&
-           opts.use_ticket_scheduler;
-}
-
-/// The lean path's row classes, fixed per op from the row bound ub:
+/// The SpGEMM row classes, fixed per op from the row bound ub:
 ///  - ub == 0: no product term (multiply_add copies C's row);
 ///  - ub < sort_below: gather, sort and dedupe, no column-indexed scratch;
 ///  - ub >= dense_from: the touched-word bitmap;
@@ -250,17 +222,20 @@ struct LeanRowClasses {
     std::size_t buffer_cap;
 };
 
-[[nodiscard]] inline LeanRowClasses lean_row_classes(const SpGemmOptions& opts, Index ncols,
-                                                     const RowBounds& bounds) {
+/// Rows whose product bound is at most this are tiny: never bitmap rows.
+inline constexpr std::uint64_t kLeanTinyRow = 32;
+/// The bitmap crossover: a row whose bound reaches ncols / 64 (one bit per
+/// bitmap word) on at least 256 columns takes the touched-word bitmap. Past
+/// it one OR per product plus the already-sorted word walk beats collecting
+/// and sorting the row's new columns.
+inline constexpr std::uint64_t kLeanDenseDivisor = 64;
+
+[[nodiscard]] inline LeanRowClasses lean_row_classes(Index ncols, const RowBounds& bounds) {
     constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-    const std::uint64_t tiny_end = std::uint64_t{opts.tiny_row_threshold} + 1;
-    // Smallest bound classify_row bins as dense: past the tiny class and the
-    // dense_row_fraction crossover, on at least 256 columns.
-    std::uint64_t dense_from = kNever;
-    const double at = std::ceil(static_cast<double>(ncols) * opts.dense_row_fraction);
-    if (ncols >= 256 && at < static_cast<double>(kNever)) {
-        dense_from = std::max(tiny_end, static_cast<std::uint64_t>(std::max(at, 0.0)));
-    }
+    const std::uint64_t dense_from =
+        ncols >= 256 ? std::max(kLeanTinyRow + 1, (std::uint64_t{ncols} + kLeanDenseDivisor - 1) /
+                                                      kLeanDenseDivisor)
+                     : kNever;
     const bool marker = ncols < 256 || ncols <= bounds.product_bound;
     const std::uint64_t sort_below =
         marker ? std::uint64_t{1} : std::min(dense_from, std::uint64_t{ncols} + 1);
@@ -354,7 +329,8 @@ private:
 
 /// Cut rows [0, m) into \p n_chunks chunks at equal shares of \p out_bound,
 /// the sum of cap(i) over the rows: chunk k owns rows [first[k],
-/// first[k+1]) and stages its output from base[k] (arrays of n_chunks + 1).
+/// first[k+1]), whose caps sum to base[k+1] - base[k] (arrays of
+/// n_chunks + 1).
 template <class RowCap>
 void lean_cuts(Index m, std::uint64_t out_bound, std::size_t n_chunks, RowCap cap, Index* first,
                std::uint64_t* base) {
@@ -399,12 +375,20 @@ struct RunSource {
     const LeanValue<Val>* vals{nullptr};
 };
 
-/// The one-pass runner: every row written once into a staging buffer sized
-/// by the row caps' sum, one region per chunk of rows, then the
-/// regions appended in order to the exact-size output. \p Val is the value
-/// type (void: columns only).
+/// Staging room, in entries, of a segment opened while more than this many
+/// capped entries are left in its chunk. Rows are staged at their caps, and
+/// on a power-law product the caps sum to 1.5-1.8x the output (E1's rmat
+/// rows), so a chunk that stages its caps in one buffer holds that much.
+/// Segments of this size stop each chunk about one segment past its output:
+/// a model over E1's rmat rows with 16 chunks staged 1.16-1.25x their
+/// output. A chunk with fewer caps still allocates once.
+inline constexpr std::uint64_t kLeanSegment = 16384;
+
+/// The one-pass runner: every row written once into its chunk's staging
+/// segments, then the segments appended in order to the exact-size output.
+/// \p Val is the value type (void: columns only).
 ///  - cap(i): row i's staging room; the caps over rows [0, m) sum to
-///    \p cap_sum, which must fit an Index (staged positions are Index).
+///    \p cap_sum.
 ///  - n_chunks: the row chunks (lean_chunk_count); one runs inline on the
 ///    calling thread, more go to the pool.
 ///  - from(i): where row i comes from (RowFrom). A First/Second row's
@@ -417,35 +401,74 @@ struct RunSource {
 ///    offsets.
 ///  - cols, vals: the output arrays, empty on entry; vals is null when Val
 ///    is void.
+///
+/// Staging. Each chunk stages into a list of Context::alloc segments of its
+/// own. Before a row (or a run) is staged, a segment with less room than
+/// the row's cap (the run's length) is left behind, and a new one of
+/// max(cap, min(the chunk's caps still to stage, kLeanSegment)) entries is
+/// opened. A chunk's row offsets count its staged entries, and the join
+/// appends each segment's used prefix. An output past an Index throws
+/// OutOfRange: a chunk stops as soon as its length passes one, before the
+/// offset is stored, and the join checks the chunks' total before it copies.
 template <class Val, class RowCap, class From, class MakeScratch, class WriteRow>
 void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t n_chunks,
               RowCap cap, From from, const std::array<RunSource<Val>, 2>& sources,
               MakeScratch make_scratch, WriteRow write_row, Index* row_offsets,
               std::vector<Index>& cols, std::vector<LeanValue<Val>>* vals) {
     constexpr bool kValues = !std::is_void_v<Val>;
+    constexpr std::uint64_t kMaxIndex = std::numeric_limits<Index>::max();
     using Stored = LeanValue<Val>;
-    const auto staged = static_cast<std::size_t>(cap_sum);
-    auto stage = ctx.alloc<Index>(staged);
-    backend::DeviceBuffer<Stored> stage_vals;
-    if constexpr (kValues) stage_vals = ctx.alloc<Stored>(staged);
+    struct Segment {
+        backend::DeviceBuffer<Index> cols;
+        backend::DeviceBuffer<Stored> vals;
+        std::size_t used{0};
+    };
     auto first = ctx.alloc<Index>(n_chunks + 1);
     auto base = ctx.alloc<std::uint64_t>(n_chunks + 1);
     lean_cuts(m, cap_sum, n_chunks, cap, first.data(), base.data());
+    std::vector<std::vector<Segment>> segments(n_chunks);
+    std::atomic<bool> overflow{false};
 
     ctx.parallel_for_chunks(n_chunks, 1, [&](std::size_t kb, std::size_t ke) {
         auto scratch = make_scratch();
         for (std::size_t k = kb; k < ke; ++k) {
+            std::vector<Segment>& segs = segments[k];
+            // Caps of the rows not yet staged (a run takes off its length,
+            // which is its caps under every run rule), and the free room of
+            // the open segment.
+            std::uint64_t left = base[k + 1] - base[k];
+            std::size_t room = 0;
+            const auto reserve = [&](std::uint64_t need) -> Segment& {
+                if (room < need || segs.empty()) {
+                    const auto size =
+                        static_cast<std::size_t>(std::max(need, std::min(left, kLeanSegment)));
+                    Segment& seg = segs.emplace_back();
+                    seg.cols = ctx.alloc<Index>(size);
+                    if constexpr (kValues) seg.vals = ctx.alloc<Stored>(size);
+                    room = size;
+                }
+                return segs.back();
+            };
+            std::uint64_t pos = 0;  // the chunk's staged length
             const Index last = first[k + 1];
-            Index pos = 0;
             Index i = first[k];
             RowFrom kind = i < last ? from(i) : RowFrom::Empty;
             while (i < last) {
-                const std::uint64_t at = base[k] + pos;
                 if (kind == RowFrom::Write) {
+                    const std::uint64_t row_cap = cap(i);
+                    Segment& seg = reserve(row_cap);
                     Stored* row_vals = nullptr;
-                    if constexpr (kValues) row_vals = stage_vals.data() + at;
-                    pos += write_row(scratch, i, stage.data() + at, row_vals);
-                    row_offsets[i + 1] = pos;
+                    if constexpr (kValues) row_vals = seg.vals.data() + seg.used;
+                    const Index len = write_row(scratch, i, seg.cols.data() + seg.used, row_vals);
+                    seg.used += len;
+                    room -= len;
+                    left -= row_cap;
+                    pos += len;
+                    if (pos > kMaxIndex) {
+                        overflow.store(true, std::memory_order_relaxed);
+                        return;
+                    }
+                    row_offsets[i + 1] = static_cast<Index>(pos);
                     ++i;
                     kind = i < last ? from(i) : RowFrom::Empty;
                     continue;
@@ -455,45 +478,56 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
                 RowFrom next = RowFrom::Empty;
                 while (j < last && (next = from(j)) == kind) ++j;
                 if (kind == RowFrom::Empty) {
-                    std::fill(row_offsets + i + 1, row_offsets + j + 1, pos);
+                    std::fill(row_offsets + i + 1, row_offsets + j + 1, static_cast<Index>(pos));
                 } else {
                     const RunSource<Val>& src = sources[kind == RowFrom::First ? 0 : 1];
                     const Index lo = src.off[i];
                     const Index hi = src.off[j];
-                    std::copy(src.cols + lo, src.cols + hi, stage.data() + at);
-                    if constexpr (kValues) {
-                        std::copy(src.vals + lo, src.vals + hi, stage_vals.data() + at);
+                    const Index len = hi - lo;
+                    if (pos + len > kMaxIndex) {
+                        overflow.store(true, std::memory_order_relaxed);
+                        return;
                     }
-                    for (Index r = i; r < j; ++r) row_offsets[r + 1] = pos + (src.off[r + 1] - lo);
-                    pos += hi - lo;
+                    if (len != 0) {
+                        Segment& seg = reserve(len);
+                        std::copy(src.cols + lo, src.cols + hi, seg.cols.data() + seg.used);
+                        if constexpr (kValues) {
+                            std::copy(src.vals + lo, src.vals + hi, seg.vals.data() + seg.used);
+                        }
+                        seg.used += len;
+                        room -= len;
+                        left -= len;
+                    }
+                    const auto at = static_cast<Index>(pos);
+                    for (Index r = i; r < j; ++r) row_offsets[r + 1] = at + (src.off[r + 1] - lo);
+                    pos += len;
                 }
                 i = j;
                 kind = next;
             }
         }
     });
+    check(!overflow.load(), Status::OutOfRange, "lean op: output nnz overflows Index");
 
-    // Join: each chunk's region is appended to the output (a copy into
+    // Join: each chunk's segments are appended to the output (a copy into
     // reserved room, no zero fill) and its row offsets, still local to the
-    // chunk, are shifted by the lengths before it. A chunk's length is its
-    // last row's local end offset (0 for a chunk without rows), read before
-    // the chunk is shifted. The total is at most cap_sum, which the caller
-    // keeps within Index.
-    const auto length = [&](std::size_t k) -> Index {
-        return first[k] < first[k + 1] ? row_offsets[first[k + 1]] : 0;
-    };
+    // chunk, are shifted by the lengths before it.
     std::uint64_t total = 0;
-    for (std::size_t k = 0; k < n_chunks; ++k) total += length(k);
+    for (const auto& segs : segments) {
+        for (const Segment& seg : segs) total += seg.used;
+    }
+    check(total <= kMaxIndex, Status::OutOfRange, "lean op: output nnz overflows Index");
     cols.reserve(static_cast<std::size_t>(total));
     if constexpr (kValues) vals->reserve(static_cast<std::size_t>(total));
     Index to = 0;
     for (std::size_t k = 0; k < n_chunks; ++k) {
-        const Index len = length(k);
-        const Index* from_cols = stage.data() + base[k];
-        cols.insert(cols.end(), from_cols, from_cols + len);
-        if constexpr (kValues) {
-            const Stored* from_vals = stage_vals.data() + base[k];
-            vals->insert(vals->end(), from_vals, from_vals + len);
+        Index len = 0;
+        for (const Segment& seg : segments[k]) {
+            cols.insert(cols.end(), seg.cols.data(), seg.cols.data() + seg.used);
+            if constexpr (kValues) {
+                vals->insert(vals->end(), seg.vals.data(), seg.vals.data() + seg.used);
+            }
+            len += static_cast<Index>(seg.used);
         }
         if (to != 0) {
             for (Index i = first[k]; i < first[k + 1]; ++i) row_offsets[i + 1] += to;

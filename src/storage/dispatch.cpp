@@ -108,23 +108,23 @@ auto route(backend::Context& ctx, const Ts&... args) {
 constexpr OpSpec<decltype(multiply)> kMultiply{
     .span = "storage.dispatch.multiply",
     .flight = "multiply",
-    .shortcut = [](backend::Context& ctx, const Matrix& a, const Matrix& b,
-                   const ops::SpGemmOptions&) -> std::optional<Matrix> {
+    .shortcut = [](backend::Context& ctx, const Matrix& a,
+                   const Matrix& b) -> std::optional<Matrix> {
         if (!a.empty() && !b.empty()) return std::nullopt;
         SPBLA_REQUIRE(a.ncols() == b.nrows(), Status::DimensionMismatch,
                       "multiply: inner dimensions disagree");
         return Matrix{a.nrows(), b.ncols(), ctx};
     },
-    .kernel = [](auto& ctx, const auto& a, const auto& b, const auto& opts) {
-        return Matrix{ops::multiply(ctx, a.csr(), b.csr(), opts), ctx};
+    .kernel = [](auto& ctx, const auto& a, const auto& b) {
+        return Matrix{ops::multiply(ctx, a.csr(), b.csr()), ctx};
     },
 };
 
 constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
     .span = "storage.dispatch.multiply_add",
     .flight = "multiply_add",
-    .shortcut = [](backend::Context&, const Matrix& c, const Matrix& a, const Matrix& b,
-                   const ops::SpGemmOptions&) -> std::optional<Matrix> {
+    .shortcut = [](backend::Context&, const Matrix& c, const Matrix& a,
+                   const Matrix& b) -> std::optional<Matrix> {
         // Empty product term: the fused form degenerates to C itself. The
         // copy carries C's content version (same cells, same stamp), which
         // the version-keyed caches rely on.
@@ -135,8 +135,8 @@ constexpr OpSpec<decltype(multiply_add)> kMultiplyAdd{
                       Status::DimensionMismatch, "multiply_add: accumulator shape disagrees");
         return Matrix{c};
     },
-    .kernel = [](auto& ctx, const auto& c, const auto& a, const auto& b, const auto& opts) {
-        return Matrix{ops::multiply_add(ctx, c.csr(), a.csr(), b.csr(), opts), ctx};
+    .kernel = [](auto& ctx, const auto& c, const auto& a, const auto& b) {
+        return Matrix{ops::multiply_add(ctx, c.csr(), a.csr(), b.csr()), ctx};
     },
 };
 
@@ -269,14 +269,12 @@ constexpr OpSpec<decltype(multiply_masked)> kMultiplyMasked{
 
 }  // namespace
 
-Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b,
-                const ops::SpGemmOptions& opts) {
-    return route<kMultiply>(ctx, a, b, opts);
+Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b) {
+    return route<kMultiply>(ctx, a, b);
 }
 
-Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
-                    const Matrix& b, const ops::SpGemmOptions& opts) {
-    return route<kMultiplyAdd>(ctx, c, a, b, opts);
+Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a, const Matrix& b) {
+    return route<kMultiplyAdd>(ctx, c, a, b);
 }
 
 bool product_within(backend::Context& ctx, const Matrix& a, const Matrix& b, const Matrix& c) {

@@ -18,18 +18,16 @@
 
 #include "backend/context.hpp"
 #include "core/spvector.hpp"
-#include "ops/spgemm.hpp"  // SpGemmOptions ride through the CSR path
 #include "storage/matrix.hpp"
 
 namespace spbla::storage {
 
 /// C = A x B over the Boolean semiring.
-[[nodiscard]] Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b,
-                              const ops::SpGemmOptions& opts = {});
+[[nodiscard]] Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b);
 
 /// C = C | A x B (fused accumulate form used by the fixpoint drivers).
 [[nodiscard]] Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
-                                  const Matrix& b, const ops::SpGemmOptions& opts = {});
+                                  const Matrix& b);
 
 /// Whether every cell of A x B is set in C, tested without building the
 /// product: exits at the first missing cell. The squaring closure's stop

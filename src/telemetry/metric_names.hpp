@@ -32,7 +32,6 @@ enum class Counter : std::uint16_t {
     DispatchBitBlocks,
     StorageConversions,
     StorageCacheHits,
-    PoolTasks,            ///< discrete pool jobs completed
     PoolBulkLaunches,     ///< dynamic bulk launches (parallel_for_chunks ticket sets)
     PoolTickets,          ///< tickets issued by bulk launches
     MemAllocs,            ///< tracked device-buffer allocations
@@ -58,15 +57,11 @@ enum class Counter : std::uint16_t {
     /// Kernel-work tallies: they cost kernel work to compute, so only
     /// profiling builds (SPBLA_PROFILE != off) record them, through
     /// SPBLA_PROF_TALLY. A release build reads 0.
-    SpgemmHashProbes,     ///< hash-accumulator slot probes
-    SpgemmHashCollisions, ///< probes that hit another column's slot
-    SpgemmRowsTotal,      ///< rows classified by the bin schedule
-    SpgemmRowsEmpty,      ///< rows binned empty (no product terms)
-    SpgemmRowsTiny,       ///< rows binned tiny
-    SpgemmRowsHashSmall,  ///< rows binned to the small hash table
-    SpgemmRowsHashLarge,  ///< rows binned to the large hash table
-    SpgemmRowsDense,      ///< rows binned to the dense bitmap accumulator
-    SpgemmCachedRows,     ///< rows the numeric pass copied from the symbolic cache
+    SpgemmRowsTotal,      ///< SpGEMM output rows, each in one class below
+    SpgemmRowsRun,        ///< rows with no product term (copied from C or empty)
+    SpgemmRowsSort,       ///< rows gathered, sorted and deduplicated
+    SpgemmRowsMarker,     ///< rows deduplicated through the row-stamped marker
+    SpgemmRowsBitmap,     ///< rows accumulated in the touched-word bitmap
     Count_,               ///< sentinel — keep last
 };
 
@@ -75,9 +70,6 @@ enum class Counter : std::uint16_t {
 enum class Gauge : std::uint16_t {
     MemLiveBytes = 0,     ///< tracked device bytes currently allocated (all contexts)
     MemPeakBytes,         ///< high-water mark of MemLiveBytes
-    PoolQueueDepth,       ///< jobs waiting in pool FIFO queues
-    PoolInFlight,         ///< submitted jobs not yet completed
-    PoolBusyWorkers,      ///< threads currently executing pool work
     PoolWorkers,          ///< worker threads alive across all pools
     /// Retired op arenas: nothing sets it, so it stays at 0. Kept because
     /// the end-to-end benchmark still reads it.
@@ -120,7 +112,6 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::DispatchBitBlocks: return "spbla.dispatch.bitblock";
         case Counter::StorageConversions: return "spbla.storage.conversions";
         case Counter::StorageCacheHits: return "spbla.storage.cache_hits";
-        case Counter::PoolTasks: return "spbla.pool.tasks";
         case Counter::PoolBulkLaunches: return "spbla.pool.bulk_launches";
         case Counter::PoolTickets: return "spbla.pool.tickets";
         case Counter::MemAllocs: return "spbla.mem.allocs";
@@ -139,15 +130,11 @@ inline constexpr std::size_t kNumHistograms =
         case Counter::IncrFrontierNnz: return "spbla.incr.frontier_nnz";
         case Counter::IncrBaselineRounds: return "spbla.incr.baseline_rounds";
         case Counter::ClosureFrontierNnz: return "spbla.closure.frontier_nnz";
-        case Counter::SpgemmHashProbes: return "spbla.spgemm.hash_probes";
-        case Counter::SpgemmHashCollisions: return "spbla.spgemm.hash_collisions";
         case Counter::SpgemmRowsTotal: return "spbla.spgemm.rows_total";
-        case Counter::SpgemmRowsEmpty: return "spbla.spgemm.rows_empty";
-        case Counter::SpgemmRowsTiny: return "spbla.spgemm.rows_tiny";
-        case Counter::SpgemmRowsHashSmall: return "spbla.spgemm.rows_hash_small";
-        case Counter::SpgemmRowsHashLarge: return "spbla.spgemm.rows_hash_large";
-        case Counter::SpgemmRowsDense: return "spbla.spgemm.rows_dense";
-        case Counter::SpgemmCachedRows: return "spbla.spgemm.cached_rows";
+        case Counter::SpgemmRowsRun: return "spbla.spgemm.rows_run";
+        case Counter::SpgemmRowsSort: return "spbla.spgemm.rows_sort";
+        case Counter::SpgemmRowsMarker: return "spbla.spgemm.rows_marker";
+        case Counter::SpgemmRowsBitmap: return "spbla.spgemm.rows_bitmap";
         case Counter::Count_: break;
     }
     return "spbla.unknown.counter";
@@ -158,9 +145,6 @@ inline constexpr std::size_t kNumHistograms =
     switch (g) {
         case Gauge::MemLiveBytes: return "spbla.mem.live_bytes";
         case Gauge::MemPeakBytes: return "spbla.mem.peak_bytes";
-        case Gauge::PoolQueueDepth: return "spbla.pool.queue_depth";
-        case Gauge::PoolInFlight: return "spbla.pool.in_flight";
-        case Gauge::PoolBusyWorkers: return "spbla.pool.busy_workers";
         case Gauge::PoolWorkers: return "spbla.pool.workers";
         case Gauge::ArenaReservedBytes: return "spbla.arena.reserved";
         case Gauge::Count_: break;

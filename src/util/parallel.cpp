@@ -13,43 +13,22 @@ namespace {
 constexpr std::size_t kMaxDynamicChunks = 1u << 14;
 
 void dispatch_chunks(ThreadPool* pool, std::size_t n, std::size_t chunk,
-                     const std::function<void(std::size_t, std::size_t)>& body,
-                     Schedule schedule) {
-    if (schedule == Schedule::Dynamic) {
-        const std::size_t tickets = ceil_div(n, chunk);
-        pool->run_dynamic(tickets, [&body, chunk, n](std::size_t t) {
-            const std::size_t begin = t * chunk;
-            body(begin, std::min(begin + chunk, n));
-        });
-        return;
-    }
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(ceil_div(n, chunk));
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-        const std::size_t end = begin + chunk < n ? begin + chunk : n;
-        jobs.emplace_back([&body, begin, end] { body(begin, end); });
-    }
-    pool->submit_many(std::move(jobs));
-    pool->wait_idle();
+                     const std::function<void(std::size_t, std::size_t)>& body) {
+    pool->run_dynamic(ceil_div(n, chunk), [&body, chunk, n](std::size_t t) {
+        const std::size_t begin = t * chunk;
+        body(begin, std::min(begin + chunk, n));
+    });
 }
 
 }  // namespace
 
 void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         Schedule schedule) {
+                         const std::function<void(std::size_t, std::size_t)>& body) {
     if (n == 0) return;
     if (grain == 0) grain = 1;
     const std::size_t workers = pool ? pool->size() : 1;
     std::size_t chunk = grain;
-    if (schedule == Schedule::Static) {
-        // FIFO assignment cannot rebalance, so over-decomposing only adds
-        // queue traffic: cap at a few chunks per worker.
-        const std::size_t max_chunks = workers * 4;
-        if (ceil_div(n, chunk) > max_chunks) chunk = ceil_div(n, max_chunks);
-    } else if (ceil_div(n, chunk) > kMaxDynamicChunks) {
-        chunk = ceil_div(n, kMaxDynamicChunks);
-    }
+    if (ceil_div(n, chunk) > kMaxDynamicChunks) chunk = ceil_div(n, kMaxDynamicChunks);
     if (pool == nullptr || workers == 1 || n <= chunk) {
         body(0, n);
         return;
@@ -66,13 +45,12 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
                     [&body, site, launcher](std::size_t begin, std::size_t end) {
                         const prof::WorkerScope scope(site, launcher);
                         body(begin, end);
-                    },
-                    schedule);
+                    });
                 return;
             }
         }
     }
-    dispatch_chunks(pool, n, chunk, body, schedule);
+    dispatch_chunks(pool, n, chunk, body);
 }
 
 std::uint64_t exclusive_scan(std::vector<std::uint32_t>& data) {

@@ -18,23 +18,13 @@
 
 namespace spbla::util {
 
-/// How a parallel_for_chunks launch distributes chunks over workers.
-enum class Schedule {
-    /// Chunks are tickets claimed dynamically off an atomic counter
-    /// (ThreadPool::run_dynamic) — a heavy chunk never stalls the rest of
-    /// the range behind it. Default for every kernel launch.
-    Dynamic,
-    /// One queued closure per chunk, assigned FIFO (ThreadPool::submit_many).
-    /// The pre-ticket behaviour; kept for the scheduling ablation.
-    Static,
-};
-
 /// Partition [0, n) into contiguous chunks of at least \p grain elements and
-/// run \p body(begin, end) on each chunk via \p pool. Blocks until complete.
-/// With pool == nullptr the body runs once on the full range.
+/// run \p body(begin, end) on each chunk, claimed as tickets off \p pool's
+/// atomic counter (ThreadPool::run_dynamic), so a heavy chunk never stalls
+/// the rest of the range behind it. Blocks until complete. With pool ==
+/// nullptr the body runs once on the full range.
 void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& body,
-                         Schedule schedule = Schedule::Dynamic);
+                         const std::function<void(std::size_t, std::size_t)>& body);
 
 /// In-place exclusive prefix sum over \p data; returns the total sum.
 /// data[i] becomes sum of original data[0..i). Mirrors thrust::exclusive_scan.

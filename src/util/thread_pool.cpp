@@ -1,7 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <utility>
-
 #include "telemetry/metrics.hpp"
 
 namespace spbla::util {
@@ -28,35 +26,6 @@ ThreadPool::~ThreadPool() {
     telemetry::gauge_add(telemetry::Gauge::PoolWorkers,
                          -static_cast<std::int64_t>(workers_.size()));
     for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-    {
-        LockGuard lock{mutex_};
-        jobs_.push(std::move(job));
-        ++in_flight_;
-    }
-    telemetry::gauge_add(telemetry::Gauge::PoolQueueDepth, 1);
-    telemetry::gauge_add(telemetry::Gauge::PoolInFlight, 1);
-    cv_job_.notify_one();
-}
-
-void ThreadPool::submit_many(std::vector<std::function<void()>> jobs) {
-    if (jobs.empty()) return;
-    const auto n = static_cast<std::int64_t>(jobs.size());
-    {
-        LockGuard lock{mutex_};
-        for (auto& job : jobs) jobs_.push(std::move(job));
-        in_flight_ += jobs.size();
-    }
-    telemetry::gauge_add(telemetry::Gauge::PoolQueueDepth, n);
-    telemetry::gauge_add(telemetry::Gauge::PoolInFlight, n);
-    cv_job_.notify_all();
-}
-
-void ThreadPool::wait_idle() {
-    UniqueLock lock{mutex_};
-    cv_idle_.wait(lock, [this]() SPBLA_REQUIRES(mutex_) { return in_flight_ == 0; });
 }
 
 void ThreadPool::execute_bulk(BulkTask& task) {
@@ -93,37 +62,20 @@ void ThreadPool::run_dynamic(std::size_t num_tickets,
 
 void ThreadPool::worker_loop() {
     for (;;) {
-        std::function<void()> job;
         std::shared_ptr<BulkTask> bulk;
         {
             UniqueLock lock{mutex_};
             cv_job_.wait(lock, [this]() SPBLA_REQUIRES(mutex_) {
-                return stop_ || !jobs_.empty() || bulk_ != nullptr;
+                return stop_ || bulk_ != nullptr;
             });
-            if (stop_ && jobs_.empty()) return;
-            if (!jobs_.empty()) {
-                job = std::move(jobs_.front());
-                jobs_.pop();
-            } else {
-                bulk = bulk_;
-            }
+            if (stop_) return;
+            bulk = bulk_;
         }
-        if (job) {
-            telemetry::gauge_add(telemetry::Gauge::PoolQueueDepth, -1);
-            telemetry::gauge_add(telemetry::Gauge::PoolBusyWorkers, 1);
-            job();
-            telemetry::gauge_add(telemetry::Gauge::PoolBusyWorkers, -1);
-            telemetry::gauge_add(telemetry::Gauge::PoolInFlight, -1);
-            telemetry::count(telemetry::Counter::PoolTasks);
-            LockGuard lock{mutex_};
-            if (--in_flight_ == 0) cv_idle_.notify_all();
-        } else if (bulk) {
-            execute_bulk(*bulk);
-            // Tickets exhausted: retire the slot so idle workers stop
-            // re-checking it (in-flight bodies still hold their shared_ptr).
-            LockGuard lock{mutex_};
-            if (bulk_ == bulk) bulk_.reset();
-        }
+        execute_bulk(*bulk);
+        // Tickets exhausted: retire the slot so idle workers stop
+        // re-checking it (in-flight bodies still hold their shared_ptr).
+        LockGuard lock{mutex_};
+        if (bulk_ == bulk) bulk_.reset();
     }
 }
 

@@ -2,25 +2,19 @@
 /// \brief Fixed-size worker pool backing the simulated GPU device.
 ///
 /// The original SPbLA executes kernels on CUDA/OpenCL devices. In this
-/// reproduction the "device" is a shared-memory thread pool. Two launch
-/// shapes are offered:
-///
-///  - submit / submit_many + wait_idle: a FIFO job queue (mutex + condvar),
-///    the original "one closure per chunk" path. Kept for irregular task
-///    graphs and as the static-schedule fallback.
-///  - run_dynamic: a persistent-worker bulk launch. The caller publishes one
-///    body and a ticket count; every worker (and the caller itself) claims
-///    tickets off an atomic counter until the range is exhausted. This is
-///    the work-stealing analog of a GPU grid launch with a global work
-///    queue: no per-chunk std::function allocation, no mutex round-trip per
-///    chunk, and a straggler chunk never idles the remaining workers.
+/// reproduction the "device" is a shared-memory thread pool with one launch
+/// shape, run_dynamic: a persistent-worker bulk launch. The caller publishes
+/// one body and a ticket count; every worker (and the caller itself) claims
+/// tickets off an atomic counter until the range is exhausted. This is the
+/// work-stealing analog of a GPU grid launch with a global work queue: no
+/// per-chunk std::function allocation, no mutex round-trip per chunk, and a
+/// straggler chunk never idles the remaining workers.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -28,10 +22,10 @@
 
 namespace spbla::util {
 
-/// A fixed pool of worker threads executing submitted jobs FIFO and
-/// dynamically-scheduled bulk launches.
+/// A fixed pool of worker threads executing dynamically-scheduled bulk
+/// launches.
 ///
-/// Thread-safe. Jobs must not throw; exceptions escaping a job terminate the
+/// Thread-safe. Bodies must not throw; exceptions escaping a body terminate the
 /// process (kernels report failures through status codes, mirroring how CUDA
 /// kernels cannot throw across the launch boundary).
 class ThreadPool {
@@ -46,17 +40,6 @@ public:
 
     /// Number of worker threads.
     [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-    /// Enqueue \p job for asynchronous execution.
-    void submit(std::function<void()> job) SPBLA_EXCLUDES(mutex_);
-
-    /// Enqueue a batch of jobs under a single lock acquisition and a single
-    /// notify_all — callers submitting one closure per chunk stop paying one
-    /// mutex round-trip per chunk.
-    void submit_many(std::vector<std::function<void()>> jobs) SPBLA_EXCLUDES(mutex_);
-
-    /// Block until every submitted job has finished executing.
-    void wait_idle() SPBLA_EXCLUDES(mutex_);
 
     /// Bulk launch: invoke body(t) for every ticket t in [0, num_tickets).
     /// Tickets are claimed dynamically off an atomic counter by the pool
@@ -89,12 +72,9 @@ private:
 
     std::vector<std::thread> workers_;
     Mutex mutex_;
-    std::queue<std::function<void()>> jobs_ SPBLA_GUARDED_BY(mutex_);
     std::shared_ptr<BulkTask> bulk_ SPBLA_GUARDED_BY(mutex_);
     CondVar cv_job_;
-    CondVar cv_idle_;
     CondVar cv_bulk_done_;
-    std::size_t in_flight_ SPBLA_GUARDED_BY(mutex_) {0};
     bool stop_ SPBLA_GUARDED_BY(mutex_) {false};
 };
 

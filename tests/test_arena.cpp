@@ -17,14 +17,15 @@
 #include "helpers.hpp"
 #include "ops/ops.hpp"
 #include "ops/spgemm_plan.hpp"
+#include "util/rng.hpp"
 
 namespace spbla {
 namespace {
 
 using testing::random_csr;
 
-/// A matrix whose row 0 is full: its product rows overflow the lean path's
-/// hash-small class, so SpGEMM on it takes the binned kernel.
+/// A matrix whose row 0 is full: the product rows that reach it have a cap
+/// of ncols, the runner's largest rows.
 CsrMatrix with_hub_row(Index n, double density, std::uint64_t seed) {
     std::vector<Coord> coords = random_csr(n, n, density, seed).to_coords();
     for (Index c = 0; c < n; ++c) coords.push_back({0, c});
@@ -41,20 +42,17 @@ TEST_P(ScratchAccounting, EveryOpLeavesTheTrackerAtItsBaseline) {
     const auto a = random_csr(300, 300, 0.03, 31);
     const auto b = random_csr(300, 300, 0.03, 37);
     const auto hub = with_hub_row(1500, 0.01, 41);
-    ops::SpGemmOptions flat;
-    flat.use_bin_scheduler = false;
-    ops::SpGemmOptions legacy;
-    legacy.legacy_accumulator_reset = true;
+    const auto hub_t = ops::transpose(c, hub);
     const ops::KroneckerTerm terms[] = {{&a, &b}, {&b, &a}};
     const auto x = SpVector::from_indices(300, {1, 7, 42, 299});
 
     const std::vector<std::pair<std::string, std::function<void()>>> ops_list = {
-        {"multiply (lean)", [&] { (void)ops::multiply(c, a, b); }},
-        {"multiply (binned)", [&] { (void)ops::multiply(c, hub, hub); }},
-        {"multiply (flat schedule)", [&] { (void)ops::multiply(c, hub, hub, flat); }},
-        {"multiply (legacy reset)", [&] { (void)ops::multiply(c, hub, hub, legacy); }},
-        {"multiply_add (lean)", [&] { (void)ops::multiply_add(c, a, a, b); }},
-        {"multiply_add (binned)", [&] { (void)ops::multiply_add(c, hub, hub, hub); }},
+        {"multiply", [&] { (void)ops::multiply(c, a, b); }},
+        {"multiply (hub row)", [&] { (void)ops::multiply(c, hub, hub); }},
+        {"multiply (hub column)", [&] { (void)ops::multiply(c, hub_t, hub_t); }},
+        {"multiply (hub row times hub column)", [&] { (void)ops::multiply(c, hub, hub_t); }},
+        {"multiply_add", [&] { (void)ops::multiply_add(c, a, a, b); }},
+        {"multiply_add (hub row)", [&] { (void)ops::multiply_add(c, hub, hub, hub); }},
         {"ewise_add", [&] { (void)ops::ewise_add(c, a, b); }},
         {"ewise_mult", [&] { (void)ops::ewise_mult(c, a, b); }},
         {"ewise_diff", [&] { (void)ops::ewise_diff(c, a, b); }},
@@ -88,22 +86,44 @@ TEST(ScratchPeak, SpGemmPeakCoversItsStaging) {
     for (const auto policy : {backend::Policy::Sequential, backend::Policy::Parallel}) {
         backend::Context c{policy, 4};
         const auto a = random_csr(2000, 2000, 0.002, 53);
-        std::uint64_t staged = 0;
+        c.tracker().reset_peak();
+        const CsrMatrix out = ops::multiply(c, a, a);
+        ASSERT_GT(out.nnz(), 0u);
+        // The bounds and the staged rows are live together at the join.
+        EXPECT_GE(c.tracker().peak_bytes(),
+                  out.nnz() * sizeof(Index) + a.nrows() * sizeof(std::uint64_t));
+        EXPECT_EQ(c.tracker().current_bytes(), 0u);
+    }
+}
+
+TEST(ScratchPeak, DuplicateHeavySpGemmStagesBelowItsCaps) {
+    // Every row reaches 8 of 64 hub rows, each spanning the same 64
+    // columns: a row's cap is 512, its output at most 64. A runner that
+    // staged every cap at once would peak above 4 * out_bound bytes; the
+    // per-chunk segments hold about the output instead.
+    const Index n = 4096;
+    std::vector<Coord> cells;
+    util::Rng rng{131};
+    for (Index i = 0; i < n; ++i) {
+        for (int k = 0; k < 8; ++k) cells.push_back({i, static_cast<Index>(rng.below(64))});
+    }
+    for (Index k = 0; k < 64; ++k) {
+        for (Index j = 0; j < 64; ++j) cells.push_back({k, j});
+    }
+    const auto a = CsrMatrix::from_coords(n, n, std::move(cells));
+    for (const auto policy : {backend::Policy::Sequential, backend::Policy::Parallel}) {
+        backend::Context c{policy, 4};
+        std::uint64_t out_bound = 0;
         {
             const ops::RowBounds bounds =
-                ops::row_bounds(c, a.nrows(), a.nrows(), a.ncols(), a.row_offsets().data(),
-                                a.cols().data(), a.row_offsets().data(), nullptr,
-                                util::Schedule::Dynamic);
-            ASSERT_TRUE(ops::lean_eligible(ops::SpGemmOptions{}, bounds.max, bounds.out_bound));
-            staged = bounds.out_bound;
+                ops::row_bounds(c, n, n, n, a.row_offsets().data(), a.cols().data(),
+                                a.row_offsets().data(), nullptr);
+            out_bound = bounds.out_bound;
         }
-        ASSERT_GT(staged, 0u);
         c.tracker().reset_peak();
-        (void)ops::multiply(c, a, a);
-        // The bounds and the staging buffer are live together while the
-        // rows are written.
-        EXPECT_GE(c.tracker().peak_bytes(),
-                  staged * sizeof(Index) + a.nrows() * sizeof(std::uint64_t));
+        const CsrMatrix out = ops::multiply(c, a, a);
+        ASSERT_GT(out_bound, 4 * out.nnz());
+        EXPECT_LT(c.tracker().peak_bytes(), 4 * out_bound);
         EXPECT_EQ(c.tracker().current_bytes(), 0u);
     }
 }
@@ -112,9 +132,9 @@ TEST(ScratchPeak, EwisePeakCoversItsStaging) {
     backend::Context c{backend::Policy::Sequential};
     const auto a = random_csr(1000, 1000, 0.01, 59);
     const auto b = random_csr(1000, 1000, 0.01, 61);
-    (void)ops::ewise_add(c, a, b);
-    // The union stages each row at |a| + |b|.
-    EXPECT_GE(c.tracker().peak_bytes(), (a.nnz() + b.nnz()) * sizeof(Index));
+    const CsrMatrix out = ops::ewise_add(c, a, b);
+    // The staged rows, the union's cells, are live together at the join.
+    EXPECT_GE(c.tracker().peak_bytes(), out.nnz() * sizeof(Index));
     EXPECT_EQ(c.tracker().current_bytes(), 0u);
 }
 

@@ -18,6 +18,7 @@
 #include "data/lubm.hpp"
 #include "data/rdflike.hpp"
 #include "helpers.hpp"
+#include "ops/spgemm.hpp"
 #include "rpq/engine.hpp"
 #include "rpq/query_templates.hpp"
 #include "spbla/spbla.h"

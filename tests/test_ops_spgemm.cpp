@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -98,40 +100,16 @@ TEST_F(SpGemm, DenseRowFallbackProducesSameResult) {
     const auto a = CsrMatrix::from_coords(2, 300, coords);
     const auto b = random_csr(300, 300, 0.05, 57);
 
-    ops::SpGemmOptions with_binning;
-    ops::SpGemmOptions without_binning;
-    without_binning.use_binning = false;
-    const auto c1 = ops::multiply(ctx(), a, b, with_binning);
-    const auto c2 = ops::multiply(ctx(), a, b, without_binning);
-    EXPECT_EQ(c1, c2);
-    EXPECT_EQ(c1, reference_multiply(a, b));
+    EXPECT_EQ(ops::multiply(ctx(), a, b), reference_multiply(a, b));
+    EXPECT_EQ(ops::multiply(seq_ctx(), a, b), reference_multiply(a, b));
 }
 
-TEST_F(SpGemm, TinyRowPathAgrees) {
-    ops::SpGemmOptions all_tiny;
-    all_tiny.tiny_row_threshold = 0xFFFFFFFFu;  // force the sort-merge path
-    const auto a = random_csr(40, 40, 0.1, 58);
-    const auto b = random_csr(40, 40, 0.1, 59);
-    EXPECT_EQ(ops::multiply(ctx(), a, b, all_tiny), reference_multiply(a, b));
-}
-
-TEST_F(SpGemm, HashOnlyPathAgrees) {
-    ops::SpGemmOptions hash_only;
-    hash_only.tiny_row_threshold = 0;  // no tiny rows
-    hash_only.use_binning = false;     // no dense fallback
-    const auto a = random_csr(40, 40, 0.1, 60);
-    const auto b = random_csr(40, 40, 0.1, 61);
-    EXPECT_EQ(ops::multiply(ctx(), a, b, hash_only), reference_multiply(a, b));
-}
-
-TEST_F(SpGemm, LoadFactorExtremesAgree) {
-    const auto a = random_csr(50, 50, 0.1, 62);
-    const auto b = random_csr(50, 50, 0.1, 63);
-    for (const double load : {0.1, 0.5, 0.99}) {
-        ops::SpGemmOptions opts;
-        opts.hash_load_factor = load;
-        EXPECT_EQ(ops::multiply(ctx(), a, b, opts), reference_multiply(a, b))
-            << "load factor " << load;
+TEST_F(SpGemm, SmallRandomInputsAgree) {
+    for (const auto& [n, seed] : {std::pair<Index, std::uint64_t>{40, 58}, {40, 60}, {50, 62}}) {
+        const auto a = random_csr(n, n, 0.1, seed);
+        const auto b = random_csr(n, n, 0.1, seed + 1);
+        EXPECT_EQ(ops::multiply(ctx(), a, b), reference_multiply(a, b)) << "seed " << seed;
+        EXPECT_EQ(ops::multiply(seq_ctx(), a, b), reference_multiply(a, b)) << "seed " << seed;
     }
 }
 
@@ -179,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 
 // ---------------------------------------------------------------------------
-// Lean one-pass path: differential cases on both sides of its cut and for
-// each of its row classes
+// The one-pass runner: differential cases for each row class and across
+// staging segment ends
 // ---------------------------------------------------------------------------
 
 /// Rows given as explicit column lists (one vector per row).
@@ -207,15 +185,17 @@ CsrMatrix per_row_csr(Index nrows, Index ncols, Index per_row, std::uint64_t see
     return CsrMatrix::from_coords(nrows, ncols, std::move(coords));
 }
 
-/// Checks multiply and multiply_add against the dense reference on the
-/// sequential and the parallel context, and that each run hands every
-/// tracked byte back.
+/// Checks multiply and multiply_add against the dense reference on each of
+/// \p contexts (the sequential and the parallel one by default), and that
+/// each run hands every tracked byte back.
 void expect_matches_dense(const std::string& name, const CsrMatrix& c, const CsrMatrix& a,
-                          const CsrMatrix& b) {
+                          const CsrMatrix& b,
+                          std::initializer_list<backend::Context*> contexts = {&seq_ctx(),
+                                                                               &ctx()}) {
     const auto product = to_dense(a).multiply(to_dense(b));
     const CsrMatrix expect_mul = to_csr(product);
     const CsrMatrix expect_fma = to_csr(to_dense(c).ewise_or(product));
-    for (backend::Context* context : {&seq_ctx(), &ctx()}) {
+    for (backend::Context* context : contexts) {
         const char* policy =
             context->policy() == backend::Policy::Sequential ? "sequential" : "parallel";
         const auto before = context->tracker().current_bytes();
@@ -232,12 +212,11 @@ void expect_matches_dense(const std::string& name, const CsrMatrix& c, const Csr
     }
 }
 
-TEST_F(SpGemm, LeanPathMatchesDenseAcrossItsCut) {
-    const Index threshold = ops::SpGemmOptions{}.hash_large_threshold;
-    ASSERT_EQ(threshold, 4096u) << "the cut cases below are sized for 64 x 64";
-    // Wide enough that a 4096-bound row stays below the 1/64 dense crossover;
-    // the staged output is far below ncols, so lean rows sort instead of
-    // filling a marker.
+TEST_F(SpGemm, RunnerMatchesDenseForEveryRowClass) {
+    // Rows of bound 4096 and 4097 (64 x 64 products, the second with one
+    // more). Wide enough that such a row stays below the 1/64 dense
+    // crossover; the staged output is far below ncols, so the rows sort
+    // instead of filling a marker.
     const Index wide = 300000;
     std::vector<std::vector<Index>> b_rows(65);
     for (Index k = 0; k < 64; ++k) {
@@ -249,15 +228,14 @@ TEST_F(SpGemm, LeanPathMatchesDenseAcrossItsCut) {
     for (Index k = 0; k < 64; ++k) first64[k] = k;
     std::vector<Index> first65 = first64;
     first65.push_back(64);
-    // Row 0's bound is exactly the threshold (lean); row 2 has no product
-    // term but a non-empty accumulator row.
+    // Row 0's bound is 4096 (4097 in a_above); row 2 has no product term
+    // but a non-empty accumulator row.
     const CsrMatrix a_at = rows_csr(65, {first64, {0, 5}, {}, {64}});
-    // Row 0's bound is one above the threshold: the op keeps the bins.
     const CsrMatrix a_above = rows_csr(65, {first65, {0, 5}, {}, {64}});
     const CsrMatrix c_wide =
         rows_csr(wide, {{1, 7}, {}, {3, 4999, wide - 2}, {wide - 1}});
-    expect_matches_dense("bound at threshold", c_wide, a_at, b);
-    expect_matches_dense("bound above threshold", c_wide, a_above, b);
+    expect_matches_dense("bound 4096", c_wide, a_at, b);
+    expect_matches_dense("bound 4097", c_wide, a_above, b);
 
     // Rows past the 1/64 dense crossover (ncols 1024 -> bound >= 16), next to
     // tiny rows.
@@ -323,6 +301,44 @@ TEST_F(SpGemm, LeanPathMatchesDenseAcrossItsCut) {
             EXPECT_EQ(context->tracker().current_bytes(), before) << name;
         }
     }
+}
+
+TEST_F(SpGemm, RowsStraddleStagingSegmentEnds) {
+    // A hub-heavy product whose caps overshoot the output and sum to many
+    // segments per chunk: every fifth row of A reaches B's full row 0, so
+    // its cap is ncols, and the rows between them stage a few dozen
+    // entries. A row whose cap outgrows its segment's free room opens the
+    // next segment; the join must stitch every chunk's segments back in
+    // order. Run on the sequential context and on four workers (16 chunks).
+    backend::Context four{backend::Policy::Parallel, 4};
+    const auto with_hub = [](Index m, Index ncols, std::uint64_t seed) {
+        std::vector<Coord> a_cells = per_row_csr(m, m, 6, seed).to_coords();
+        for (Index i = 0; i < m; i += 5) a_cells.push_back({i, 0});
+        std::vector<Coord> b_cells = per_row_csr(m, ncols, 6, seed + 1).to_coords();
+        for (Index j = 0; j < ncols; ++j) b_cells.push_back({0, j});
+        return std::pair{CsrMatrix::from_coords(m, m, std::move(a_cells)),
+                         CsrMatrix::from_coords(m, ncols, std::move(b_cells))};
+    };
+    // Square: a cap of ncols (2000) is below the segment size, and the caps
+    // sum to several segments in each of the 16 chunks.
+    {
+        const auto [a, b] = with_hub(2000, 2000, 120);
+        const auto bounds =
+            ops::row_bounds(seq_ctx(), a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
+                            a.cols().data(), b.row_offsets().data(), nullptr);
+        ASSERT_GT(bounds.out_bound, 16 * 2 * ops::kLeanSegment);
+        expect_matches_dense("square hub", per_row_csr(2000, 2000, 3, 122), a, b,
+                             {&seq_ctx(), &four});
+    }
+    // Wide: a cap of ncols (20000) exceeds the segment size, so each hub row
+    // opens a segment of exactly its cap.
+    {
+        const auto [a, b] = with_hub(300, 20000, 123);
+        ASSERT_GT(std::uint64_t{b.ncols()}, ops::kLeanSegment);
+        expect_matches_dense("wide hub", per_row_csr(300, 20000, 3, 125), a, b,
+                             {&seq_ctx(), &four});
+    }
+    EXPECT_EQ(four.tracker().current_bytes(), 0u) << four.tracker().leak_report();
 }
 
 TEST_F(SpGemm, LeanMultiplyAddAliasedSquaring) {

@@ -335,7 +335,7 @@ TEST_F(ProfSpans, SpGemmCountersMatchTheComputedResult) {
     }
     using telemetry::Counter;
     backend::Context pool_ctx{backend::Policy::Parallel, 4};  // real pool even on 1 core
-    // Zipf-skewed rows populate the hash bins.
+    // Zipf-skewed rows populate the marker and bitmap classes.
     const Matrix a = data::make_zipf(4096, 4096, 16, 1.0);
     const auto calls = prof::span_calls("spgemm.multiply");
     const auto before = telemetry::snapshot();
@@ -344,17 +344,15 @@ TEST_F(ProfSpans, SpGemmCountersMatchTheComputedResult) {
     const auto delta = [&](Counter c) { return after.counter(c) - before.counter(c); };
 
     EXPECT_EQ(delta(Counter::SpgemmRowsTotal), static_cast<std::uint64_t>(a.nrows()));
-    // Bin classes partition the rows.
-    EXPECT_EQ(delta(Counter::SpgemmRowsEmpty) + delta(Counter::SpgemmRowsTiny) +
-                  delta(Counter::SpgemmRowsHashSmall) +
-                  delta(Counter::SpgemmRowsHashLarge) + delta(Counter::SpgemmRowsDense),
+    // The row classes partition the rows.
+    EXPECT_EQ(delta(Counter::SpgemmRowsRun) + delta(Counter::SpgemmRowsSort) +
+                  delta(Counter::SpgemmRowsMarker) + delta(Counter::SpgemmRowsBitmap),
               delta(Counter::SpgemmRowsTotal));
-    // Probes are tallied on pool workers and still land in the one registry.
-    EXPECT_GT(delta(Counter::SpgemmHashProbes), 0u);
-    EXPECT_GE(delta(Counter::SpgemmHashProbes), delta(Counter::SpgemmHashCollisions));
+    EXPECT_GT(delta(Counter::SpgemmRowsMarker), 0u);
+    EXPECT_GT(delta(Counter::SpgemmRowsBitmap), 0u);
     EXPECT_GE(delta(Counter::PoolBulkLaunches), 1u);
     EXPECT_EQ(prof::span_calls("spgemm.multiply"), calls + 1);
-    EXPECT_GE(prof::span_calls("spgemm.numeric"), 1u);
+    EXPECT_GE(prof::span_calls("spgemm.lean"), 1u);
 }
 
 }  // namespace

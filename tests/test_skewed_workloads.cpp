@@ -1,14 +1,16 @@
 /// \file test_skewed_workloads.cpp
-/// \brief Correctness of the bin-scheduled SpGEMM pipeline on skewed inputs.
+/// \brief Correctness of the SpGEMM on skewed inputs.
 ///
-/// The bin scheduler, ticket parallel-for, and symbolic-column cache were
-/// motivated by power-law matrices (R-MAT, Zipf) whose hub rows break static
-/// schedules. These tests pin the Boolean kernels against the generic
-/// (value-carrying) baseline on exactly those inputs, across the sequential
-/// and parallel policies and every scheduler/caching configuration, plus the
-/// structural edge cases (empty bins, a single heavy row, all-dense rows).
+/// Power-law matrices (R-MAT, Zipf) have hub rows whose product rows reach
+/// the bitmap class and whose caps overshoot their output many times over.
+/// These tests pin the Boolean kernel against the dense reference and the
+/// generic (value-carrying) twin on exactly those inputs, across the
+/// sequential and parallel policies, plus the structural edge cases (no
+/// product at all, a single heavy row, all-bitmap rows, all-sort rows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "baseline/generic_ewise_add.hpp"
@@ -29,7 +31,12 @@ using testing::seq_ctx;
 // MemoryTracker leak report is clean after every test.
 using SkewedEdgeCases = ::spbla::testing::CheckedContext;
 
-/// Generic-baseline reference: lift to floats, multiply, drop values.
+/// Dense reference product.
+CsrMatrix reference_multiply(const CsrMatrix& a, const CsrMatrix& b) {
+    return to_csr(to_dense(a).multiply(to_dense(b)));
+}
+
+/// The generic twin's pattern: lift to floats, multiply, drop values.
 CsrMatrix generic_multiply(const CsrMatrix& a, const CsrMatrix& b) {
     const auto ga = baseline::GenericCsr::from_boolean(a);
     const auto gb = baseline::GenericCsr::from_boolean(b);
@@ -42,51 +49,30 @@ CsrMatrix generic_add(const CsrMatrix& a, const CsrMatrix& b) {
     return baseline::ewise_add(testing::ctx(), ga, gb).pattern();
 }
 
-/// Every scheduler/caching combination the options expose, including the
-/// pre-PR-equivalent two-pass static-chunk configuration.
-std::vector<ops::SpGemmOptions> all_schedules() {
-    std::vector<ops::SpGemmOptions> configs;
-    for (const bool bins : {true, false}) {
-        for (const bool tickets : {true, false}) {
-            for (const std::size_t budget :
-                 {std::size_t{0}, std::size_t{1} << 12, std::size_t{64} << 20}) {
-                ops::SpGemmOptions opts;
-                opts.use_bin_scheduler = bins;
-                opts.use_ticket_scheduler = tickets;
-                opts.symbolic_cache_budget = budget;
-                configs.push_back(opts);
-            }
-        }
-    }
-    return configs;
-}
-
 class SkewedSpGemm : public ::spbla::testing::CheckedContextWithParam<const char*> {
 protected:
     CsrMatrix matrix() const {
         const std::string name = GetParam();
         if (name == "rmat") return data::make_rmat(8, 8, 91).csr();
         if (name == "zipf-mild") return data::make_zipf(300, 300, 10, 0.8, 92).csr();
+        if (name == "zipf-512-12") return data::make_zipf(512, 512, 12, 1.0, 99).csr();
+        if (name == "zipf-300-14") return data::make_zipf(300, 300, 14, 1.2, 103).csr();
+        if (name == "zipf-256-16") return data::make_zipf(256, 256, 16, 1.2, 100).csr();
         return data::make_zipf(256, 256, 16, 1.4, 93).csr();  // "zipf-heavy": hub rows
     }
 };
 
-TEST_P(SkewedSpGemm, AllConfigurationsMatchGenericBaseline) {
+TEST_P(SkewedSpGemm, BothPoliciesMatchDenseAndGeneric) {
     const auto a = matrix();
-    const auto expected = generic_multiply(a, a);
-    for (const auto& opts : all_schedules()) {
-        const auto par = ops::multiply(ctx(), a, a, opts);
-        par.validate();
-        EXPECT_EQ(par, expected)
-            << "bins=" << opts.use_bin_scheduler
-            << " tickets=" << opts.use_ticket_scheduler
-            << " budget=" << opts.symbolic_cache_budget << " (parallel)";
-        const auto seq = ops::multiply(seq_ctx(), a, a, opts);
-        EXPECT_EQ(seq, expected)
-            << "bins=" << opts.use_bin_scheduler
-            << " tickets=" << opts.use_ticket_scheduler
-            << " budget=" << opts.symbolic_cache_budget << " (sequential)";
-    }
+    const auto expected = reference_multiply(a, a);
+    EXPECT_EQ(generic_multiply(a, a), expected);
+    const auto par = ops::multiply(ctx(), a, a);
+    par.validate();
+    EXPECT_EQ(par, expected) << "parallel";
+    EXPECT_EQ(ops::multiply(seq_ctx(), a, a), expected) << "sequential";
+    const auto fused = to_csr(to_dense(a).ewise_or(to_dense(expected)));
+    EXPECT_EQ(ops::multiply_add(ctx(), a, a, a), fused) << "parallel multiply_add";
+    EXPECT_EQ(ops::multiply_add(seq_ctx(), a, a, a), fused) << "sequential multiply_add";
 }
 
 TEST_P(SkewedSpGemm, EwiseAddMatchesGenericBaseline) {
@@ -98,10 +84,16 @@ TEST_P(SkewedSpGemm, EwiseAddMatchesGenericBaseline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, SkewedSpGemm,
-                         ::testing::Values("rmat", "zipf-mild", "zipf-heavy"));
+                         ::testing::Values("rmat", "zipf-mild", "zipf-heavy", "zipf-512-12",
+                                           "zipf-300-14", "zipf-256-16"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
+                         });
 
-TEST_F(SkewedEdgeCases, EmptyBinsEverywhere) {
-    // All-empty operand: every bin is empty, no launch does any work.
+TEST_F(SkewedEdgeCases, NoProductAnywhere) {
+    // All-empty operand: every row is an empty run, no row is written.
     const CsrMatrix a{100, 100};
     const auto c = ops::multiply(ctx(), a, a);
     EXPECT_EQ(c.nnz(), 0u);
@@ -109,83 +101,39 @@ TEST_F(SkewedEdgeCases, EmptyBinsEverywhere) {
 }
 
 TEST_F(SkewedEdgeCases, SingleHeavyRowAmongEmptyOnes) {
-    // One full row (dense bin), everything else empty — the straggler the
-    // heavy-first schedule exists for.
+    // One full row (a bitmap row), everything else empty: one chunk holds
+    // all the work.
     std::vector<Coord> coords;
     for (Index j = 0; j < 512; ++j) coords.push_back({7, j});
     const auto a = CsrMatrix::from_coords(512, 512, coords);
     const CsrMatrix b = data::make_zipf(512, 512, 4, 1.0, 94).csr();
-    const auto expected = generic_multiply(a, b);
-    for (const auto& opts : all_schedules()) {
-        EXPECT_EQ(ops::multiply(ctx(), a, b, opts), expected);
-    }
+    const auto expected = reference_multiply(a, b);
+    EXPECT_EQ(ops::multiply(ctx(), a, b), expected);
     EXPECT_EQ(ops::multiply(seq_ctx(), a, b), expected);
 }
 
 TEST_F(SkewedEdgeCases, AllDenseRows) {
-    // Near-full operands: every non-empty row lands in the dense bin.
+    // Near-full operands: every non-empty row is a bitmap row.
     const CsrMatrix a = data::make_uniform(300, 300, 0.6, 95).csr();
     const CsrMatrix b = data::make_uniform(300, 300, 0.6, 96).csr();
-    const auto expected = generic_multiply(a, b);
-    for (const auto& opts : all_schedules()) {
-        EXPECT_EQ(ops::multiply(ctx(), a, b, opts), expected);
-    }
+    const auto expected = reference_multiply(a, b);
+    EXPECT_EQ(ops::multiply(ctx(), a, b), expected);
+    EXPECT_EQ(ops::multiply(seq_ctx(), a, b), expected);
 }
 
 TEST_F(SkewedEdgeCases, AllTinyRows) {
-    // Ultra-sparse operands: every non-empty row lands in the tiny bin.
+    // Ultra-sparse operands: every row's product bound is a few columns.
     const auto a = testing::random_csr(400, 400, 0.004, 97);
     const auto b = testing::random_csr(400, 400, 0.004, 98);
-    const auto expected = generic_multiply(a, b);
-    for (const auto& opts : all_schedules()) {
-        EXPECT_EQ(ops::multiply(ctx(), a, b, opts), expected);
-    }
+    const auto expected = reference_multiply(a, b);
+    EXPECT_EQ(ops::multiply(ctx(), a, b), expected);
+    EXPECT_EQ(ops::multiply(seq_ctx(), a, b), expected);
 }
 
-TEST_F(SkewedEdgeCases, HashLargeBinBoundary) {
-    // Rows straddling the hash-small/hash-large threshold agree either way.
-    const CsrMatrix a = data::make_zipf(512, 512, 12, 1.0, 99).csr();
-    ops::SpGemmOptions tiny_split;
-    tiny_split.hash_large_threshold = 64;  // push most hash rows into "large"
-    ops::SpGemmOptions huge_split;
-    huge_split.hash_large_threshold = 0xFFFFFFFFu;  // nothing is "large"
-    const auto c1 = ops::multiply(ctx(), a, a, tiny_split);
-    const auto c2 = ops::multiply(ctx(), a, a, huge_split);
-    EXPECT_EQ(c1, c2);
-    EXPECT_EQ(c1, generic_multiply(a, a));
-}
-
-TEST_F(SkewedEdgeCases, LegacyAccumulatorResetMatches) {
-    // The benchmark-only pre-PR accumulator mode must stay correct so the
-    // perf trajectory compares two right answers.
-    const CsrMatrix a = data::make_zipf(300, 300, 14, 1.2, 103).csr();
-    const auto expected = generic_multiply(a, a);
-    ops::SpGemmOptions legacy;
-    legacy.legacy_accumulator_reset = true;
-    legacy.use_bin_scheduler = false;
-    legacy.use_ticket_scheduler = false;
-    legacy.symbolic_cache_budget = 0;
-    EXPECT_EQ(ops::multiply(ctx(), a, a, legacy), expected);
-    EXPECT_EQ(ops::multiply(seq_ctx(), a, a, legacy), expected);
-}
-
-TEST_F(SkewedEdgeCases, TightCacheBudgetFallsBackPerRow) {
-    // A budget big enough for some rows but not all exercises the mixed
-    // cached/recomputed numeric path.
-    const CsrMatrix a = data::make_zipf(256, 256, 16, 1.2, 100).csr();
-    const auto expected = generic_multiply(a, a);
-    for (const std::size_t budget : {std::size_t{64}, std::size_t{1} << 10,
-                                     std::size_t{1} << 16}) {
-        ops::SpGemmOptions opts;
-        opts.symbolic_cache_budget = budget;
-        EXPECT_EQ(ops::multiply(ctx(), a, a, opts), expected) << "budget=" << budget;
-    }
-}
-
-TEST_F(SkewedEdgeCases, CacheLeavesNoTrackedMemoryBehind) {
+TEST_F(SkewedEdgeCases, LeavesNoTrackedMemoryBehind) {
     backend::Context local{backend::Policy::Parallel, 2};
     const CsrMatrix a = data::make_zipf(256, 256, 8, 1.0, 101).csr();
-    (void)ops::multiply(local, a, a);  // caching on by default
+    (void)ops::multiply(local, a, a);
     EXPECT_EQ(local.tracker().current_bytes(), 0u);
     EXPECT_GT(local.tracker().peak_bytes(), 0u);
 }

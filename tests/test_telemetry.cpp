@@ -100,13 +100,13 @@ TEST(TelemetryRegistry, CountersAndHistogramsAggregate) {
 }
 
 TEST(TelemetryRegistry, GaugeSemantics) {
-    telemetry::gauge_set(telemetry::Gauge::PoolQueueDepth, 7);
-    EXPECT_EQ(telemetry::gauge_add(telemetry::Gauge::PoolQueueDepth, -3), 4);
-    telemetry::gauge_max(telemetry::Gauge::PoolQueueDepth, 2);  // no-op, lower
-    EXPECT_EQ(telemetry::snapshot().gauge(telemetry::Gauge::PoolQueueDepth), 4);
-    telemetry::gauge_max(telemetry::Gauge::PoolQueueDepth, 9);
-    EXPECT_EQ(telemetry::snapshot().gauge(telemetry::Gauge::PoolQueueDepth), 9);
-    telemetry::gauge_set(telemetry::Gauge::PoolQueueDepth, 0);
+    telemetry::gauge_set(telemetry::Gauge::ArenaReservedBytes, 7);
+    EXPECT_EQ(telemetry::gauge_add(telemetry::Gauge::ArenaReservedBytes, -3), 4);
+    telemetry::gauge_max(telemetry::Gauge::ArenaReservedBytes, 2);  // no-op, lower
+    EXPECT_EQ(telemetry::snapshot().gauge(telemetry::Gauge::ArenaReservedBytes), 4);
+    telemetry::gauge_max(telemetry::Gauge::ArenaReservedBytes, 9);
+    EXPECT_EQ(telemetry::snapshot().gauge(telemetry::Gauge::ArenaReservedBytes), 9);
+    telemetry::gauge_set(telemetry::Gauge::ArenaReservedBytes, 0);
 }
 
 TEST(TelemetryRegistry, ResetRebaselinesPeakToLive) {
@@ -133,11 +133,10 @@ TEST(TelemetryRegistry, ExactUnderPoolConcurrency) {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
             telemetry::count(telemetry::Counter::ProfSpans);
             telemetry::observe(telemetry::Histogram::ProfSpanNs, t + 1);
-            telemetry::gauge_add(telemetry::Gauge::PoolInFlight, 1);
-            telemetry::gauge_add(telemetry::Gauge::PoolInFlight, -1);
+            telemetry::gauge_add(telemetry::Gauge::ArenaReservedBytes, 1);
+            telemetry::gauge_add(telemetry::Gauge::ArenaReservedBytes, -1);
         }
     });
-    pool.wait_idle();
 
     const auto snap = telemetry::snapshot();
     EXPECT_EQ(snap.counter(telemetry::Counter::ProfSpans),
@@ -147,7 +146,7 @@ TEST(TelemetryRegistry, ExactUnderPoolConcurrency) {
     std::uint64_t bucket_sum = 0;
     for (const auto b : hist.buckets) bucket_sum += b;
     EXPECT_EQ(bucket_sum, hist.count);
-    EXPECT_EQ(snap.gauge(telemetry::Gauge::PoolInFlight), 0);
+    EXPECT_EQ(snap.gauge(telemetry::Gauge::ArenaReservedBytes), 0);
     telemetry::reset();
 }
 
@@ -258,7 +257,6 @@ TEST(TelemetryFlight, ConcurrentRecordAndSnapshot) {
             }
         }
     });
-    pool.wait_idle();
 }
 
 // ------------------------ dispatcher instrumentation -----------------------

@@ -122,52 +122,9 @@ TEST(Rng, SplitProducesIndependentStream) {
 
 // ------------------------------ thread pool ------------------------------
 
-TEST(ThreadPool, RunsAllJobs) {
-    ThreadPool pool{4};
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-    ThreadPool pool{2};
-    pool.wait_idle();  // must not deadlock
-    SUCCEED();
-}
-
 TEST(ThreadPool, SizeMatchesRequested) {
     ThreadPool pool{3};
     EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-    ThreadPool pool{2};
-    std::atomic<int> counter{0};
-    for (int batch = 0; batch < 5; ++batch) {
-        for (int i = 0; i < 20; ++i) pool.submit([&counter] { ++counter; });
-        pool.wait_idle();
-    }
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SubmitManyRunsAllJobs) {
-    ThreadPool pool{4};
-    std::atomic<int> counter{0};
-    std::vector<std::function<void()>> jobs;
-    for (int i = 0; i < 250; ++i) jobs.emplace_back([&counter] { ++counter; });
-    pool.submit_many(std::move(jobs));
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 250);
-}
-
-TEST(ThreadPool, SubmitManyEmptyBatchIsNoop) {
-    ThreadPool pool{2};
-    pool.submit_many({});
-    pool.wait_idle();
-    SUCCEED();
 }
 
 TEST(ThreadPool, RunDynamicCoversEveryTicketExactlyOnce) {
@@ -224,17 +181,6 @@ TEST(ThreadPool, RunDynamicConcurrentLaunchers) {
     }
     for (auto& t : launchers) t.join();
     EXPECT_EQ(counter.load(), 600);
-}
-
-TEST(ThreadPool, RunDynamicInterleavesWithSubmit) {
-    ThreadPool pool{4};
-    std::atomic<int> jobs{0};
-    std::atomic<int> tickets{0};
-    for (int i = 0; i < 50; ++i) pool.submit([&jobs] { ++jobs; });
-    pool.run_dynamic(100, [&](std::size_t) { ++tickets; });
-    pool.wait_idle();
-    EXPECT_EQ(jobs.load(), 50);
-    EXPECT_EQ(tickets.load(), 100);
 }
 
 // ------------------------------- parallel --------------------------------
@@ -307,43 +253,13 @@ TEST(Parallel, ChunksPartitionTheRange) {
     EXPECT_EQ(expected_begin, 1000u);
 }
 
-TEST(Parallel, StaticScheduleCoversEveryIndexExactlyOnce) {
-    ThreadPool pool{4};
-    std::vector<std::atomic<int>> hits(1000);
-    parallel_for_chunks(&pool, hits.size(), 16, mark_each(hits), Schedule::Static);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, BothSchedulesHandleGrainEdgeCases) {
+TEST(Parallel, ChunksHandleGrainEdgeCases) {
     ThreadPool pool{3};
-    for (const auto schedule : {Schedule::Dynamic, Schedule::Static}) {
-        for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
-            std::vector<std::atomic<int>> hits(97);
-            parallel_for_chunks(&pool, hits.size(), grain, mark_each(hits), schedule);
-            for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-        }
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1}}) {
+        std::vector<std::atomic<int>> hits(97);
+        parallel_for_chunks(&pool, hits.size(), grain, mark_each(hits));
+        for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
     }
-}
-
-TEST(Parallel, StaticChunksPartitionTheRange) {
-    ThreadPool pool{4};
-    std::mutex m;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    parallel_for_chunks(
-        &pool, 1000, 10,
-        [&](std::size_t b, std::size_t e) {
-            std::lock_guard lock{m};
-            chunks.emplace_back(b, e);
-        },
-        Schedule::Static);
-    std::sort(chunks.begin(), chunks.end());
-    std::size_t expected_begin = 0;
-    for (const auto& [b, e] : chunks) {
-        EXPECT_EQ(b, expected_begin);
-        EXPECT_LT(b, e);
-        expected_begin = e;
-    }
-    EXPECT_EQ(expected_begin, 1000u);
 }
 
 TEST(Parallel, ExclusiveScanMatchesStdVersion) {

@@ -22,13 +22,12 @@ Checks, in order:
   counters    The embedded snapshot carries the schema tag and a "counters"
               object of non-negative integers.
   spgemm      (--require-spgemm) The trace demonstrably covers the SpGEMM
-              pipeline: "spgemm.multiply" spans exist; rows were binned
-              (spbla.spgemm.rows_total) and the bin classes partition them
-              (empty + tiny + hash_small + hash_large + dense == total);
-              hash probes were counted and probes >= collisions; and, when
-              the trace involves more than one thread (on a single-core host
-              the kernels legitimately fall back to serial execution), the
-              pool recorded work (spbla.pool.tasks or bulk_launches).
+              pipeline: "spgemm.multiply" spans exist; rows were tallied
+              (spbla.spgemm.rows_total) and the row classes partition them
+              (run + sort + marker + bitmap == total); and, when the trace
+              involves more than one thread (on a single-core host the
+              kernels legitimately fall back to serial execution), the pool
+              recorded work (spbla.pool.bulk_launches).
   dispatch    (--require-dispatch) The trace demonstrably covers the
               storage-dispatch layer (src/storage): at least one
               spbla.dispatch.csr pick was recorded — none means dispatch
@@ -175,34 +174,21 @@ class Checker:
         total = counters.get("spbla.spgemm.rows_total", 0)
         if total == 0:
             self.error("spbla.spgemm.rows_total is zero — no SpGEMM row was "
-                       "binned (or the bin tally is unwired)")
-        bins = ["empty", "tiny", "hash_small", "hash_large", "dense"]
-        got = sum(counters.get(f"spbla.spgemm.rows_{b}", 0) for b in bins)
+                       "tallied (or the row tally is unwired)")
+        classes = ["run", "sort", "marker", "bitmap"]
+        got = sum(counters.get(f"spbla.spgemm.rows_{c}", 0) for c in classes)
         if got != total:
-            self.error(f"bin classes sum to {got}, expected "
-                       f"spbla.spgemm.rows_total = {total} (bins must "
+            self.error(f"row classes sum to {got}, expected "
+                       f"spbla.spgemm.rows_total = {total} (the classes must "
                        "partition the rows)")
-
-        probes = counters.get("spbla.spgemm.hash_probes", 0)
-        collisions = counters.get("spbla.spgemm.hash_collisions", 0)
-        if probes == 0:
-            self.error("spbla.spgemm.hash_probes is zero — the hash kernel "
-                       "never ran or its counters are unwired")
-        if collisions > probes:
-            self.error(f"spbla.spgemm.hash_collisions ({collisions}) exceeds "
-                       f"spbla.spgemm.hash_probes ({probes}) — every "
-                       "collision is a probe")
 
         # On a single-core host every launch takes the serial fallback, so
         # only a genuinely multi-threaded trace must show pool bookkeeping.
         tids = {e.get("tid") for e in spans}
         if len(tids) > 1:
-            pool_work = (counters.get("spbla.pool.tasks", 0)
-                         + counters.get("spbla.pool.bulk_launches", 0))
-            if pool_work == 0:
-                self.error("multi-threaded trace but spbla.pool.tasks and "
-                           "spbla.pool.bulk_launches are zero — the "
-                           "thread-pool counters are unwired")
+            if counters.get("spbla.pool.bulk_launches", 0) == 0:
+                self.error("multi-threaded trace but spbla.pool.bulk_launches "
+                           "is zero — the thread-pool counters are unwired")
 
     def check_dispatch(self, counters: dict[str, int]) -> None:
         if counters.get("spbla.dispatch.csr", 0) == 0:

@@ -358,7 +358,7 @@ class Linter:
             if "std::thread" in line:
                 self.report(f, no, "std-thread",
                             "std::thread outside util/thread_pool — use the "
-                            "Context's pool (parallel_for_chunks / submit_many)")
+                            "Context's pool (parallel_for_chunks / run_dynamic)")
 
     def rule_nondeterminism(self, f: File) -> None:
         patterns = [
@@ -506,7 +506,7 @@ class Linter:
     #: Call spellings whose argument list is a parallel extent: the lambdas
     #: inside run concurrently on pool workers.
     PARALLEL_INTRODUCERS = frozenset(
-        {"parallel_for_chunks", "run_dynamic", "submit", "submit_many"})
+        {"parallel_for_chunks", "run_dynamic"})
 
     def _parallel_extents(self, f: File) -> list[tuple[int, int]]:
         """Token index ranges [open_paren, close_paren] of every parallel

@@ -6,4 +6,4 @@ bool is_dispatch_counter(const std::string& name) {
 }
 const char* kLatencyKey = "spbla.op.latency_ns.csr";
 const char* kMemoKey = "spbla.incr.memo_hits";
-const char* kProbeKey = "spbla.spgemm.hash_probes";
+const char* kRowsKey = "spbla.spgemm.rows_total";

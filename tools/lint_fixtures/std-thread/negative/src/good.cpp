@@ -1,4 +1,4 @@
 // Fixture: work launched through the pool is clean.
 void pooled_worker(int& pool) {
-    (void)pool;  // stands in for ThreadPool::submit in a fixture
+    (void)pool;  // stands in for ThreadPool::run_dynamic in a fixture
 }
