@@ -183,10 +183,6 @@ double write_spgemm_record(bench::JsonWriter& w, const char* name, const CsrMatr
     w.field("name", name);
     w.field("nrows", static_cast<std::uint64_t>(a.nrows()));
     w.field("nnz", static_cast<std::uint64_t>(a.nnz()));
-    if (bench::two_pass_static_multiply(a, a) != ops::multiply(ladder_ctx(), a, a)) {
-        std::fprintf(stderr, "bench_ops_micro: %s: the library's product differs from the "
-                             "frozen kernel's\n", name);
-    }
     const auto frozen = bench::time_stats([&] { (void)bench::two_pass_static_multiply(a, a); }, 5);
     w.begin_object("two_pass_static");
     w.field("ms", frozen.min_ms());
@@ -531,6 +527,27 @@ void write_paper_inputs(bench::JsonWriter& w) {
 /// Writes BENCH_spgemm.json (path overridable via SPBLA_BENCH_JSON) with the
 /// library-against-frozen-kernel ladder on the skewed SpGEMM stress inputs.
 void write_spgemm_trajectory() {
+    struct Input {
+        const char* name;
+        CsrMatrix m;
+    };
+    const Input inputs[] = {
+        {"rmat-12-8", data::make_rmat(12, 8).csr()},
+        {"rmat-13-8", data::make_rmat(13, 8).csr()},
+        {"zipf-4096-16", data::make_zipf(4096, 4096, 16, 1.0).csr()},
+        {"zipf-8192-8", data::make_zipf(8192, 8192, 8, 1.1).csr()},
+    };
+    // The ladder gates the library's speedup over the frozen kernel, so the
+    // two must agree: a wrong product on either side ends the run before
+    // any JSON is written.
+    for (const Input& input : inputs) {
+        if (bench::two_pass_static_multiply(input.m, input.m) !=
+            ops::multiply(ladder_ctx(), input.m, input.m)) {
+            std::fprintf(stderr, "bench_ops_micro: %s: the library's product differs from the "
+                                 "frozen kernel's\n", input.name);
+            std::exit(EXIT_FAILURE);
+        }
+    }
     const char* path = std::getenv("SPBLA_BENCH_JSON");
     if (path == nullptr) path = "BENCH_spgemm.json";
     std::FILE* f = std::fopen(path, "w");
@@ -552,16 +569,6 @@ void write_spgemm_trajectory() {
     w.field("aggregate", "min");
     w.field("profile", prof::compiled_level_name());
     w.begin_array("inputs");
-    struct Input {
-        const char* name;
-        CsrMatrix m;
-    };
-    const Input inputs[] = {
-        {"rmat-12-8", data::make_rmat(12, 8).csr()},
-        {"rmat-13-8", data::make_rmat(13, 8).csr()},
-        {"zipf-4096-16", data::make_zipf(4096, 4096, 16, 1.0).csr()},
-        {"zipf-8192-8", data::make_zipf(8192, 8192, 8, 1.1).csr()},
-    };
     constexpr std::size_t kNumInputs = std::size(inputs);
     double log_sum = 0.0;
     for (std::size_t i = 0; i < kNumInputs; ++i) {

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "backend/block_cache.hpp"
 #include "backend/device_buffer.hpp"
 #include "backend/memory_tracker.hpp"
 #include "telemetry/metrics.hpp"
@@ -75,6 +76,18 @@ public:
         return DeviceBuffer<T>{&tracker_, count};
     }
 
+    /// alloc() for a staging segment of the one-pass runner: its storage is
+    /// a block the context cached when an earlier segment of the same size
+    /// was freed, and goes back to that cache on release (BlockCache).
+    /// Charged to the tracker while in use, as alloc() is.
+    template <class T>
+    [[nodiscard]] DeviceBuffer<T> alloc_segment(std::size_t count) {
+        return DeviceBuffer<T>{&tracker_, &segments_, count};
+    }
+
+    /// Bytes of freed staging segments held for reuse (not charged).
+    [[nodiscard]] std::size_t cached_segment_bytes() const { return segments_.cached_bytes(); }
+
     /// Hierarchical profiling summary for work launched through this (or
     /// any) context: span tree with call counts, totals and percentages.
     /// Empty-ish unless built with SPBLA_PROFILE=counters
@@ -91,6 +104,7 @@ private:
     Policy policy_;
     std::unique_ptr<util::ThreadPool> pool_;
     MemoryTracker tracker_;
+    BlockCache segments_;
 };
 
 /// Process-wide default context (parallel policy, hardware thread count).

@@ -20,10 +20,11 @@
 /// marker); rows past the crossover use the touched-word bitmap. No
 /// symbolic count pass, no per-row cache, no per-row callback. Under
 /// Policy::Parallel the rows are cut into chunks of equal cap share; each
-/// chunk stages into segments of its own, sized from its remaining caps
-/// (kLeanSegment), so a power-law product whose caps overshoot its output
-/// holds about one segment per chunk past the output, not the whole
-/// overshoot. The join appends the segments into the exact-size output.
+/// chunk stages into segments of its own (kLeanSegment, at least four times
+/// the chunk's largest cap, recycled by the context across ops), so a
+/// power-law product whose caps overshoot its output holds about one
+/// segment per chunk past the output, not the whole overshoot. The join
+/// appends the segments into the exact-size output.
 /// The bounds walk, row classes and runner are shared with the generic
 /// twin (baseline/generic_spgemm.cpp).
 #pragma once

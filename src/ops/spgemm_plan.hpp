@@ -375,14 +375,17 @@ struct RunSource {
     const LeanValue<Val>* vals{nullptr};
 };
 
-/// Staging room, in entries, of a segment opened while more than this many
-/// capped entries are left in its chunk. Rows are staged at their caps, and
-/// on a power-law product the caps sum to 1.5-1.8x the output (E1's rmat
-/// rows), so a chunk that stages its caps in one buffer holds that much.
-/// Segments of this size stop each chunk about one segment past its output:
-/// a model over E1's rmat rows with 16 chunks staged 1.16-1.25x their
-/// output. A chunk with fewer caps still allocates once.
-inline constexpr std::uint64_t kLeanSegment = 16384;
+/// The least staging room, in entries, of a segment opened while more than
+/// this many capped entries are left in its chunk. Rows are staged at their
+/// caps, and on a power-law product the caps sum to 1.5-1.8x the output
+/// (E1's rmat rows), so a chunk that stages its caps in one buffer holds
+/// that much; a chunk of segments stops about one segment past its output.
+/// A row whose cap outgrows the open segment's room leaves that room as a
+/// tail, so a chunk's segments are also at least kLeanSegmentCaps times the
+/// largest cap it has written: hub rows with caps near ncols cannot leave a
+/// tail of most of a segment. A chunk with fewer caps still allocates once.
+inline constexpr std::uint64_t kLeanSegment = 4096;
+inline constexpr std::uint64_t kLeanSegmentCaps = 4;
 
 /// The one-pass runner: every row written once into its chunk's staging
 /// segments, then the segments appended in order to the exact-size output.
@@ -402,14 +405,17 @@ inline constexpr std::uint64_t kLeanSegment = 16384;
 ///  - cols, vals: the output arrays, empty on entry; vals is null when Val
 ///    is void.
 ///
-/// Staging. Each chunk stages into a list of Context::alloc segments of its
-/// own. Before a row (or a run) is staged, a segment with less room than
-/// the row's cap (the run's length) is left behind, and a new one of
-/// max(cap, min(the chunk's caps still to stage, kLeanSegment)) entries is
-/// opened. A chunk's row offsets count its staged entries, and the join
-/// appends each segment's used prefix. An output past an Index throws
-/// OutOfRange: a chunk stops as soon as its length passes one, before the
-/// offset is stored, and the join checks the chunks' total before it copies.
+/// Staging. Each chunk stages into a list of segments of its own
+/// (Context::alloc_segment, whose blocks the context recycles across ops).
+/// A chunk's full segment size is the least power of two of at least
+/// kLeanSegment entries and kLeanSegmentCaps times the largest cap it has
+/// written; a new segment holds min(the chunk's caps still to stage, that
+/// size). A row opens one when its cap passes the open segment's room, and
+/// a copied run fills the open segment and goes on in new ones. A chunk's
+/// row offsets count its staged entries, and the join appends each
+/// segment's used prefix. An output past an Index throws OutOfRange: a chunk
+/// stops as soon as its length passes one, before the offset is stored, and
+/// the join checks the chunks' total before it copies.
 template <class Val, class RowCap, class From, class MakeScratch, class WriteRow>
 void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t n_chunks,
               RowCap cap, From from, const std::array<RunSource<Val>, 2>& sources,
@@ -437,17 +443,15 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
             // which is its caps under every run rule), and the free room of
             // the open segment.
             std::uint64_t left = base[k + 1] - base[k];
+            std::uint64_t full = kLeanSegment;  // the chunk's full segment size
             std::size_t room = 0;
-            const auto reserve = [&](std::uint64_t need) -> Segment& {
-                if (room < need || segs.empty()) {
-                    const auto size =
-                        static_cast<std::size_t>(std::max(need, std::min(left, kLeanSegment)));
-                    Segment& seg = segs.emplace_back();
-                    seg.cols = ctx.alloc<Index>(size);
-                    if constexpr (kValues) seg.vals = ctx.alloc<Stored>(size);
-                    room = size;
-                }
-                return segs.back();
+            const auto open_segment = [&]() -> Segment& {
+                const auto size = static_cast<std::size_t>(std::min(left, full));
+                Segment& seg = segs.emplace_back();
+                seg.cols = ctx.alloc_segment<Index>(size);
+                if constexpr (kValues) seg.vals = ctx.alloc_segment<Stored>(size);
+                room = size;
+                return seg;
             };
             std::uint64_t pos = 0;  // the chunk's staged length
             const Index last = first[k + 1];
@@ -456,7 +460,8 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
             while (i < last) {
                 if (kind == RowFrom::Write) {
                     const std::uint64_t row_cap = cap(i);
-                    Segment& seg = reserve(row_cap);
+                    while (full < kLeanSegmentCaps * row_cap) full *= 2;
+                    Segment& seg = room < row_cap || segs.empty() ? open_segment() : segs.back();
                     Stored* row_vals = nullptr;
                     if constexpr (kValues) row_vals = seg.vals.data() + seg.used;
                     const Index len = write_row(scratch, i, seg.cols.data() + seg.used, row_vals);
@@ -488,15 +493,17 @@ void lean_run(backend::Context& ctx, Index m, std::uint64_t cap_sum, std::size_t
                         overflow.store(true, std::memory_order_relaxed);
                         return;
                     }
-                    if (len != 0) {
-                        Segment& seg = reserve(len);
-                        std::copy(src.cols + lo, src.cols + hi, seg.cols.data() + seg.used);
+                    for (Index p = lo; p < hi;) {
+                        Segment& seg = room == 0 ? open_segment() : segs.back();
+                        const auto n = static_cast<Index>(std::min<std::uint64_t>(room, hi - p));
+                        std::copy(src.cols + p, src.cols + p + n, seg.cols.data() + seg.used);
                         if constexpr (kValues) {
-                            std::copy(src.vals + lo, src.vals + hi, seg.vals.data() + seg.used);
+                            std::copy(src.vals + p, src.vals + p + n, seg.vals.data() + seg.used);
                         }
-                        seg.used += len;
-                        room -= len;
-                        left -= len;
+                        seg.used += n;
+                        room -= n;
+                        left -= n;
+                        p += n;
                     }
                     const auto at = static_cast<Index>(pos);
                     for (Index r = i; r < j; ++r) row_offsets[r + 1] = at + (src.off[r + 1] - lo);

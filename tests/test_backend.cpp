@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "backend/block_cache.hpp"
 #include "backend/context.hpp"
 #include "backend/device_buffer.hpp"
 #include "backend/memory_tracker.hpp"
@@ -122,6 +125,49 @@ TEST(Context, AllocChargesItsTracker) {
         EXPECT_EQ(ctx.tracker().current_bytes(), 400u);
     }
     EXPECT_EQ(ctx.tracker().current_bytes(), 0u);
+}
+
+TEST(Context, FreedSegmentsAreReusedUncharged) {
+    Context ctx{Policy::Sequential};
+    const std::uint32_t* first = nullptr;
+    {
+        auto seg = ctx.alloc_segment<std::uint32_t>(4096);
+        first = seg.data();
+        EXPECT_EQ(ctx.tracker().current_bytes(), 16384u);
+    }
+    // The freed block waits in the cache, charged to nobody.
+    EXPECT_EQ(ctx.tracker().current_bytes(), 0u);
+    EXPECT_EQ(ctx.cached_segment_bytes(), 16384u);
+    {
+        // Same byte size, other element type: the cached block comes back.
+        auto seg = ctx.alloc_segment<float>(4096);
+        EXPECT_EQ(static_cast<const void*>(seg.data()), static_cast<const void*>(first));
+        EXPECT_EQ(ctx.cached_segment_bytes(), 0u);
+        EXPECT_EQ(ctx.tracker().current_bytes(), 16384u);
+        // Another size misses the cache.
+        auto other = ctx.alloc_segment<std::uint32_t>(2048);
+        EXPECT_EQ(ctx.tracker().current_bytes(), 16384u + 8192u);
+    }
+    EXPECT_EQ(ctx.cached_segment_bytes(), 16384u + 8192u);
+    // A size that is not a power of two is freed, not kept.
+    { auto odd = ctx.alloc_segment<std::uint32_t>(3000); }
+    EXPECT_EQ(ctx.cached_segment_bytes(), 16384u + 8192u);
+    EXPECT_EQ(ctx.tracker().current_bytes(), 0u);
+    // alloc() never takes from the cache nor gives to it.
+    { auto plain = ctx.alloc<std::uint32_t>(4096); }
+    EXPECT_EQ(ctx.cached_segment_bytes(), 16384u + 8192u);
+}
+
+TEST(BlockCache, HoldsAtMostItsLimit) {
+    BlockCache cache;
+    constexpr std::size_t kBlock = BlockCache::kMaxBytes / 4;
+    for (int k = 0; k < 5; ++k) {
+        cache.give(std::make_unique_for_overwrite<std::byte[]>(kBlock), kBlock);
+    }
+    EXPECT_EQ(cache.cached_bytes(), BlockCache::kMaxBytes);
+    for (int k = 0; k < 4; ++k) EXPECT_NE(cache.take(kBlock), nullptr);
+    EXPECT_EQ(cache.take(kBlock), nullptr);
+    EXPECT_EQ(cache.cached_bytes(), 0u);
 }
 
 TEST(Context, DefaultContextIsSingleton) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -319,23 +322,44 @@ TEST_F(SpGemm, RowsStraddleStagingSegmentEnds) {
         return std::pair{CsrMatrix::from_coords(m, m, std::move(a_cells)),
                          CsrMatrix::from_coords(m, ncols, std::move(b_cells))};
     };
-    // Square: a cap of ncols (2000) is below the segment size, and the caps
-    // sum to several segments in each of the 16 chunks.
+    // The full segment of a chunk whose largest cap is \p cap.
+    const auto full_segment = [](std::uint64_t cap) {
+        return std::bit_ceil(std::max(ops::kLeanSegment, ops::kLeanSegmentCaps * cap));
+    };
+    // Square: a cap of ncols (2000) is below kLeanSegment, and the caps sum
+    // to several full segments in each of the 16 chunks.
     {
         const auto [a, b] = with_hub(2000, 2000, 120);
         const auto bounds =
             ops::row_bounds(seq_ctx(), a.nrows(), b.nrows(), b.ncols(), a.row_offsets().data(),
                             a.cols().data(), b.row_offsets().data(), nullptr);
-        ASSERT_GT(bounds.out_bound, 16 * 2 * ops::kLeanSegment);
+        ASSERT_GT(bounds.out_bound, 16 * 2 * full_segment(2000));
         expect_matches_dense("square hub", per_row_csr(2000, 2000, 3, 122), a, b,
                              {&seq_ctx(), &four});
     }
-    // Wide: a cap of ncols (20000) exceeds the segment size, so each hub row
-    // opens a segment of exactly its cap.
+    // Wide: a cap of ncols (20000) exceeds kLeanSegment, so the chunks'
+    // segments grow to four hub rows and a few more, and the hub rows
+    // straddle their ends.
     {
         const auto [a, b] = with_hub(300, 20000, 123);
         ASSERT_GT(std::uint64_t{b.ncols()}, ops::kLeanSegment);
+        ASSERT_GT(std::uint64_t{b.ncols()} * 60, 2 * full_segment(20000));
         expect_matches_dense("wide hub", per_row_csr(300, 20000, 3, 125), a, b,
+                             {&seq_ctx(), &four});
+    }
+    // Copied runs: only every 50th row of A has a product (a hub row, cap
+    // about ncols), so multiply_add copies the 49 rows of C between them
+    // as one run, which fills the open segment and goes on in the next.
+    {
+        const Index n = 3000;
+        std::vector<Coord> a_cells;
+        for (Index i = 0; i < n; i += 50) a_cells.push_back({i, 0});
+        std::vector<Coord> b_cells = per_row_csr(n, n, 4, 127).to_coords();
+        for (Index j = 0; j < n; ++j) b_cells.push_back({0, j});
+        const CsrMatrix c = per_row_csr(n, n, 40, 128);
+        ASSERT_GT(std::uint64_t{c.nnz()}, 4 * full_segment(n));
+        expect_matches_dense("copied runs", c, CsrMatrix::from_coords(n, n, std::move(a_cells)),
+                             CsrMatrix::from_coords(n, n, std::move(b_cells)),
                              {&seq_ctx(), &four});
     }
     EXPECT_EQ(four.tracker().current_bytes(), 0u) << four.tracker().leak_report();

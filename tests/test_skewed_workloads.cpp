@@ -17,6 +17,7 @@
 #include "baseline/generic_spgemm.hpp"
 #include "data/rmat.hpp"
 #include "helpers.hpp"
+#include "legacy_spgemm.hpp"
 #include "ops/ewise_add.hpp"
 #include "ops/spgemm.hpp"
 #include "ops/transpose.hpp"
@@ -73,6 +74,13 @@ TEST_P(SkewedSpGemm, BothPoliciesMatchDenseAndGeneric) {
     const auto fused = to_csr(to_dense(a).ewise_or(to_dense(expected)));
     EXPECT_EQ(ops::multiply_add(ctx(), a, a, a), fused) << "parallel multiply_add";
     EXPECT_EQ(ops::multiply_add(seq_ctx(), a, a, a), fused) << "sequential multiply_add";
+}
+
+TEST_P(SkewedSpGemm, FrozenLadderKernelMatchesDense) {
+    // The SpGEMM ladder times the library against this kernel; both must
+    // give the right answer for the speedup to compare like with like.
+    const auto a = matrix();
+    EXPECT_EQ(bench::two_pass_static_multiply(a, a), reference_multiply(a, a));
 }
 
 TEST_P(SkewedSpGemm, EwiseAddMatchesGenericBaseline) {
